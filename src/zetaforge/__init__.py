@@ -15,7 +15,6 @@ from .words import (
     Word,
     admissible_words,
     dual,
-    elim_compare,
     elim_key,
     from_binary,
     is_admissible,
@@ -81,7 +80,6 @@ __all__ = [
     "collapse_word",
     "dimension_report",
     "dual",
-    "elim_compare",
     "elim_key",
     "ensure_solved",
     "eval_expansion",

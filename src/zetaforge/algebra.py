@@ -7,8 +7,10 @@ with carry terms, and the shuffle product, which interleaves the binary
 encodings.  Both expand a product of two sums into an integer combination of
 single sums of the combined weight.  The difference of the two expansions of
 one pair is a rational linear relation among same-weight words; together
-with the regularized relations built from the divergent index 1 they form
-the relation streams the solver consumes.
+with the regularized relations built from the divergent index 1 and the
+duality relations they form the one relation set that the relation dump,
+the solver and the verifier all read through :func:`relation_descriptors`
+and :func:`expand_relation`.
 
 Linear combinations are plain dicts mapping a key (an index word, or a basis
 monomial which is a tuple of generator words) to a nonzero
@@ -171,12 +173,69 @@ def hoffman_relation(v: Word) -> dict[Word, int]:
     return out
 
 
-def duality_relation(v: Word) -> dict[Word, int] | None:
-    """Z(v) - Z(dual(v)), or None when v is self-dual."""
-    d = dual(v)
-    if d == v:
-        return None
-    return {v: 1, d: -1}
+# ------------------------------------------------------ relation instances
+#
+# A relation instance is a descriptor ``(kind, *words)`` with ``kind`` in
+# RELATION_KINDS: ("stuffle", u, v) and ("shuffle", u, v) expand the product
+# Z(u)*Z(v), ("hoffman", v) is the regularized relation built on v, and
+# ("duality", v) is Z(v) - Z(dual(v)).  Every consumer (the relation dump,
+# the solver's rows, the verifier's rechecks) reads relations through
+# these descriptors and :func:`expand_relation`.
+
+def weight_pairs(w: int) -> Iterator[tuple[Word, Word]]:
+    """Unordered pairs of admissible words with weights summing to ``w``,
+    in the documented deterministic order: lighter factor weight ascending,
+    then each factor ascending, pairs of equal weight deduplicated."""
+    for a in range(2, w - 1):
+        b = w - a
+        if b < a:
+            break
+        us = admissible_words(a)
+        vs = admissible_words(b)
+        for i, u in enumerate(us):
+            for v in (vs[i:] if a == b else vs):
+                yield u, v
+
+
+def _instances(w: int, kind: str) -> Iterator[tuple]:
+    if kind in ("stuffle", "shuffle"):
+        return ((kind, u, v) for u, v in weight_pairs(w))
+    if kind == "hoffman":
+        return (("hoffman", v) for v in admissible_words(w - 1))
+    return (("duality", v) for v in admissible_words(w) if dual(v) > v)
+
+
+def relation_descriptors(w: int, kinds=DEFAULT_KINDS, order=RELATION_KINDS) -> list[tuple]:
+    """All relation instances at weight ``w`` for the selected ``kinds``,
+    grouped by kind in ``order`` (kinds missing from ``order`` are left
+    out): one stuffle and/or shuffle product per unordered pair, one
+    regularized relation per admissible word of weight w-1, one duality
+    relation per non-self-dual orbit."""
+    ks = check_kinds(kinds)
+    return [desc for kind in order if kind in ks for desc in _instances(w, kind)]
+
+
+def expand_relation(desc: tuple) -> tuple[dict[Word, Fraction], tuple[Word, Word] | None]:
+    """The word combination of one relation instance, plus the product pair
+    ``(u, v)`` it equals, or None when the combination is zero outright."""
+    kind = desc[0]
+    if kind == "stuffle":
+        expansion, product = stuffle(desc[1], desc[2]), desc[1:]
+    elif kind == "shuffle":
+        expansion, product = shuffle_words(desc[1], desc[2]), desc[1:]
+    elif kind == "hoffman":
+        expansion, product = hoffman_relation(desc[1]), None
+    elif kind == "duality":
+        expansion, product = {desc[1]: 1}, None
+        add_term(expansion, dual(desc[1]), -1)
+    else:
+        raise ValueError(f"unknown relation descriptor {desc!r}")
+    return {x: Fraction(c) for x, c in expansion.items()}, product
+
+
+def describe(desc: tuple) -> str:
+    """``kind Z(u)*Z(v)`` or ``kind Z(v)``: how errors name an instance."""
+    return f"{desc[0]} " + "*".join(render_word(x) for x in desc[1:])
 
 
 # --------------------------------------------------------- relation stream
@@ -198,21 +257,6 @@ class Relation:
     product_of: tuple[Word, Word] | None = None
 
 
-def weight_pairs(w: int) -> Iterator[tuple[Word, Word]]:
-    """Unordered pairs of admissible words with weights summing to ``w``,
-    in the documented deterministic order: lighter factor weight ascending,
-    then each factor ascending, pairs of equal weight deduplicated."""
-    for a in range(2, w - 1):
-        b = w - a
-        if b < a:
-            break
-        us = admissible_words(a)
-        vs = admissible_words(b)
-        for i, u in enumerate(us):
-            for v in (vs[i:] if a == b else vs):
-                yield u, v
-
-
 def gen_relations(
     w: int,
     kinds=DEFAULT_KINDS,
@@ -231,41 +275,26 @@ def gen_relations(
     ks = check_kinds(kinds)
     if w < 3:
         return
+    products = [k for k in ("stuffle", "shuffle") if k in ks]
 
     def capped(combo: dict[Word, Fraction]) -> bool:
         return depth_cap is not None and any(len(x) > depth_cap for x in combo)
 
-    both = "stuffle" in ks and "shuffle" in ks
-    if "stuffle" in ks or "shuffle" in ks:
-        for u, v in weight_pairs(w):
-            if both:
-                combo: dict[Word, Fraction] = {
-                    x: Fraction(c) for x, c in stuffle(u, v).items()
-                }
-                for x, c in shuffle_words(u, v).items():
-                    add_term(combo, x, Fraction(-c))
-                rel = Relation("pair", (u, v), combo)
-            elif "stuffle" in ks:
-                combo = {x: Fraction(c) for x, c in stuffle(u, v).items()}
-                rel = Relation("stuffle-product", (u, v), combo, product_of=(u, v))
-            else:
-                combo = {x: Fraction(c) for x, c in shuffle_words(u, v).items()}
-                rel = Relation("shuffle-product", (u, v), combo, product_of=(u, v))
-            if not capped(rel.combo):
-                yield rel
-    if "hoffman" in ks:
-        for v in admissible_words(w - 1):
-            combo = {x: Fraction(c) for x, c in hoffman_relation(v).items()}
-            if not capped(combo):
-                yield Relation("hoffman", (v,), combo)
-    if "duality" in ks:
-        for v in admissible_words(w):
-            pair = duality_relation(v)
-            if pair is None or dual(v) < v:
-                continue
-            combo = {x: Fraction(c) for x, c in pair.items()}
-            if not capped(combo):
-                yield Relation("duality", (v,), combo)
+    # with both product kinds the pair's relation is stuffle minus shuffle
+    for u, v in weight_pairs(w) if products else ():
+        combo: dict[Word, Fraction] = {}
+        for sign, kind in zip((1, -1), products):
+            add_scaled(combo, expand_relation((kind, u, v))[0], sign)
+        if len(products) == 2:
+            rel = Relation("pair", (u, v), combo)
+        else:
+            rel = Relation(f"{products[0]}-product", (u, v), combo, product_of=(u, v))
+        if not capped(combo):
+            yield rel
+    for desc in relation_descriptors(w, ks, order=("hoffman", "duality")):
+        combo = expand_relation(desc)[0]
+        if not capped(combo):
+            yield Relation(desc[0], desc[1:], combo)
 
 
 def render_relation(rel: Relation, pool: frozenset[Word]) -> str:

@@ -88,9 +88,14 @@ def _store_for_writing(table_dir: str) -> TableStore:
     return TableStore(root)
 
 
-def _load_range(store: TableStore, up_to: int):
-    """Load weights 2..up_to from the store, hash-verified."""
-    return {w: store.load(w) for w in range(2, up_to + 1)}
+def _load_range(store: TableStore, up_to: int, tables: dict | None = None) -> dict:
+    """Load weights 2..up_to from the store, hash-verified, into ``tables``;
+    weights already there are not loaded again."""
+    tables = {} if tables is None else tables
+    for w in range(2, up_to + 1):
+        if w not in tables:
+            tables[w] = store.load(w)
+    return tables
 
 
 # ----------------------------------------------------------------- commands
@@ -229,12 +234,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"  FAIL: {f}")
 
     store = TableStore(Path(args.table_dir)) if args.table_dir is not None else None
+    tables: dict = {}
 
     if args.weight is not None:
         if args.weight < 3:
             raise ValueError(f"--weight must be >= 3 to recheck relations, got {args.weight}")
         kinds = _parse_kinds(args.relations)
-        tables = _load_range(store, args.weight)
+        _load_range(store, args.weight, tables)
         rep = recheck_relations(args.weight, tables, kinds)
         machine.extend(rep.lines())
         failed |= not rep.passed
@@ -269,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.dims:
         up_to = args.max_weight if args.max_weight is not None else args.weight
-        tables = _load_range(store, up_to)
+        _load_range(store, up_to, tables)
         rows = dimension_report(tables, up_to)
         for r in rows:
             machine.extend(r.lines())

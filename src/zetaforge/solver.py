@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from ._meta import BUILD_ID, TABLE_FORMAT
 from .algebra import (
@@ -48,12 +48,10 @@ from .algebra import (
     add_scaled,
     add_term,
     check_kinds,
-    dual,
-    hoffman_relation,
+    describe,
+    expand_relation,
     lc_mul,
-    shuffle_words,
-    stuffle,
-    weight_pairs,
+    relation_descriptors,
 )
 from .lyndon import candidate_words, listing_key
 from .words import (
@@ -182,18 +180,6 @@ def substitute_tables(combo: WordCombo, tables: dict[int, SolvedWeight]) -> Mono
 
 # --------------------------------------------------------- family reduction
 
-def family_partition(w: int, d: int) -> dict[tuple[int, ...], list[Word]]:
-    """Admissible weight-w depth-d words grouped by index multiset (keys are
-    the multiset sorted descending), each family's members sorted."""
-    if not w > d >= 1:
-        raise ValueError(f"need weight > depth >= 1, got weight {w} depth {d}")
-    families: dict[tuple[int, ...], list[Word]] = {}
-    for word in admissible_words(w):
-        if len(word) == d:
-            families.setdefault(tuple(sorted(word, reverse=True)), []).append(word)
-    return families
-
-
 def _multiset_splits(key: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
     """Unordered splits of a multiset into two nonempty sub-multisets."""
     items = list(key)
@@ -253,7 +239,7 @@ def solve_family(
     for left, right in _multiset_splits(key):
         for u in _admissible_orderings(left):
             for v in _admissible_orderings(right):
-                expansion = {w: Fraction(c) for w, c in stuffle(u, v).items()}
+                expansion, _ = expand_relation(("stuffle", u, v))
                 word_part, mono_part = split_substitute(expansion, entries)
                 add_scaled(mono_part, product_value(u, v, tables), -1)
                 # local entries never reference each other's pivots (they are
@@ -380,12 +366,12 @@ def family_phase(
 
 # ------------------------------------------------------ bracketed elimination
 
-MonoCol = tuple[str, int]
-
-
 class MasterExpression:
     """Elimination state over one weight's Lyndon words.
 
+    Rows live in one integer column space: the word ``columns[k]`` is column
+    ``k`` for ``k < n_words``, and monomial ``monomials[i]`` is column
+    ``n_words + i``, so every monomial column sorts after every word column.
     Each pivot bracket maps an eliminated word (a column index) to a monic
     row over later columns and monomial tail columns; reading the row as
     "word = minus the rest" gives the bracket's current right-hand side.
@@ -399,27 +385,28 @@ class MasterExpression:
     def __init__(self, columns: list[Word]):
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
+        self.n_words = len(columns)
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
-        self.pivots: dict[int, dict] = {}
+        self.pivots: dict[int, dict[int, Fraction]] = {}
         self.redundant = 0
         self.consumed = 0
         self.total_terms = 0
         self.max_terms = 0
 
-    def _mono_col(self, m: Monomial) -> MonoCol:
+    def _mono_col(self, m: Monomial) -> int:
         mid = self.mono_ids.get(m)
         if mid is None:
             mid = len(self.monomials)
             self.mono_ids[m] = mid
             self.monomials.append(m)
-        return ("m", mid)
+        return self.n_words + mid
 
     def absorb(self, split: SplitCombo, origin: str) -> bool:
         """Reduce one relation row into the bracket set.  Returns True when
         the row installed a new pivot bracket, False when redundant."""
         word_part, mono_part = split
-        row: dict = {}
+        row: dict[int, Fraction] = {}
         for w, c in word_part.items():
             col = self.col_of.get(w)
             if col is None:
@@ -431,12 +418,12 @@ class MasterExpression:
             add_term(row, self._mono_col(m), c)
         self.consumed += 1
         while True:
-            lead = min((k for k in row if isinstance(k, int)), default=None)
-            if lead is None:
-                if row:
-                    raise InconsistentRelation(f"{origin}: reduced to 0 = nonzero")
+            if not row:
                 self.redundant += 1
                 return False
+            lead = min(row)
+            if lead >= self.n_words:
+                raise InconsistentRelation(f"{origin}: reduced to 0 = nonzero")
             holder = self.pivots.get(lead)
             if holder is None:
                 scale = 1 / row[lead]
@@ -454,9 +441,7 @@ class MasterExpression:
         bracket over survivor columns and monomial columns only."""
         for col in sorted(self.pivots, reverse=True):
             row = self.pivots[col]
-            inner = sorted(
-                k for k in row if isinstance(k, int) and k != col and k in self.pivots
-            )
+            inner = sorted(k for k in row if k != col and k in self.pivots)
             for k in inner:
                 scale = row.pop(k)
                 for k2, v2 in self.pivots[k].items():
@@ -469,8 +454,8 @@ class MasterExpression:
     # -------- checkpoint serialization
 
     def state(self) -> dict:
-        def col_key(k) -> str:
-            return f"c{k}" if isinstance(k, int) else f"m{k[1]}"
+        def col_key(k: int) -> str:
+            return f"c{k}" if k < self.n_words else f"m{k - self.n_words}"
 
         return {
             "monomials": [_mono_str(m) for m in self.monomials],
@@ -488,8 +473,8 @@ class MasterExpression:
         self.monomials = [_parse_mono_str(s) for s in state["monomials"]]
         self.mono_ids = {m: i for i, m in enumerate(self.monomials)}
 
-        def parse_col(s: str):
-            return int(s[1:]) if s[0] == "c" else ("m", int(s[1:]))
+        def parse_col(s: str) -> int:
+            return int(s[1:]) + (0 if s[0] == "c" else self.n_words)
 
         self.pivots = {
             int(col): {parse_col(k): Fraction(v) for k, v in row.items()}
@@ -501,22 +486,9 @@ class MasterExpression:
         self.max_terms = state["max_terms"]
 
 
-def elimination_rows(w: int, kinds: Iterable[str]) -> list[tuple]:
-    """Descriptors of the elimination-phase relation rows, in the documented
-    deterministic consumption order: regularized rows over sorted admissible
-    words of weight w-1, then shuffle product rows over the standard pair
-    order, then duality rows if enabled."""
-    ks = frozenset(kinds)
-    rows: list[tuple] = []
-    if "hoffman" in ks:
-        rows.extend(("hoffman", v) for v in admissible_words(w - 1))
-    if "shuffle" in ks:
-        rows.extend(("shuffle", u, v) for u, v in weight_pairs(w))
-    if "duality" in ks:
-        for v in admissible_words(w):
-            if dual(v) > v:
-                rows.append(("duality", v))
-    return rows
+# Elimination rows, in consumption order (stuffle relations are spent in the
+# family phase); a checkpoint's ``consumed`` counts rows of this order.
+ELIMINATION_ORDER = ("hoffman", "shuffle", "duality")
 
 
 def expand_row(
@@ -524,30 +496,13 @@ def expand_row(
     entries: dict[Word, SplitCombo],
     tables: dict[int, SolvedWeight],
 ) -> SplitCombo:
-    """Expand one row descriptor into a half-reduced relation: family
-    entries applied, lower-weight products resolved to monomials."""
-    kind = desc[0]
-    if kind == "hoffman":
-        combo = {w: Fraction(c) for w, c in hoffman_relation(desc[1]).items()}
-        return split_substitute(combo, entries)
-    if kind == "shuffle":
-        u, v = desc[1], desc[2]
-        combo = {w: Fraction(c) for w, c in shuffle_words(u, v).items()}
-        word_part, mono_part = split_substitute(combo, entries)
-        add_scaled(mono_part, product_value(u, v, tables), -1)
-        return word_part, mono_part
-    if kind == "duality":
-        v = desc[1]
-        combo = {v: Fraction(1)}
-        add_term(combo, dual(v), Fraction(-1))
-        return split_substitute(combo, entries)
-    raise ValueError(f"unknown row descriptor {desc!r}")
-
-
-def _row_origin(desc: tuple) -> str:
-    if desc[0] == "shuffle":
-        return f"shuffle {render_word(desc[1])}*{render_word(desc[2])}"
-    return f"{desc[0]} {render_word(desc[1])}"
+    """Expand one relation instance into a half-reduced row: family
+    entries applied, a product's tabled value subtracted."""
+    combo, product = expand_relation(desc)
+    word_part, mono_part = split_substitute(combo, entries)
+    if product is not None:
+        add_scaled(mono_part, product_value(*product, tables), -1)
+    return word_part, mono_part
 
 
 # ------------------------------------------------------------- checkpointing
@@ -716,7 +671,7 @@ def solve_weight(
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
     master = MasterExpression(columns)
-    rows = elimination_rows(w, kinds)
+    rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
     start_at = 0
     if checkpoint is not None and checkpoint["phase"] == "elimination":
         master.restore(checkpoint["master"])
@@ -772,7 +727,7 @@ def _absorb_checked(
     w: int,
     entries: dict[Word, SplitCombo],
 ) -> None:
-    became_pivot = master.absorb(split, _row_origin(desc))
+    became_pivot = master.absorb(split, describe(desc))
     if (
         checkpointer is not None
         and became_pivot
@@ -806,16 +761,16 @@ def _assemble(
         for k, v in row.items():
             if k == col:
                 continue
-            if isinstance(k, int):
-                word = columns[k]
-                if word not in table or k in master.pivots:
-                    raise InconsistentRelation(
-                        f"bracket for {render_word(columns[col])} still references "
-                        f"{render_word(word)} after back-substitution"
-                    )
-                add_term(entry, (word,), -v)
-            else:
-                add_term(entry, master.monomials[k[1]], -v)
+            if k >= master.n_words:
+                add_term(entry, master.monomials[k - master.n_words], -v)
+                continue
+            word = columns[k]
+            if word not in table or k in master.pivots:
+                raise InconsistentRelation(
+                    f"bracket for {render_word(columns[col])} still references "
+                    f"{render_word(word)} after back-substitution"
+                )
+            add_term(entry, (word,), -v)
         return entry
 
     for col, row in master.pivots.items():

@@ -14,17 +14,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     DEFAULT_KINDS,
     add_scaled,
     check_kinds,
-    dual,
-    hoffman_relation,
-    shuffle_words,
-    stuffle,
-    weight_pairs,
+    describe,
+    expand_relation,
+    relation_descriptors,
 )
 from .lyndon import collapse_word, odd_lyndon_words, published_basis
 from .solver import (
@@ -61,50 +58,14 @@ class RecheckReport:
         return out
 
 
-def relation_descriptors(w: int, kinds=DEFAULT_KINDS) -> list[tuple]:
-    """All relation instances at weight ``w`` for the given kinds: one
-    stuffle and/or shuffle product per unordered pair, one regularized
-    relation per admissible word of weight w-1, one duality relation per
-    non-self-dual orbit."""
-    ks = check_kinds(kinds)
-    descs: list[tuple] = []
-    if "stuffle" in ks:
-        descs.extend(("stuffle", u, v) for u, v in weight_pairs(w))
-    if "shuffle" in ks:
-        descs.extend(("shuffle", u, v) for u, v in weight_pairs(w))
-    if "hoffman" in ks:
-        descs.extend(("hoffman", v) for v in admissible_words(w - 1))
-    if "duality" in ks:
-        descs.extend(("duality", v) for v in admissible_words(w) if dual(v) > v)
-    return descs
-
-
 def relation_residual(desc: tuple, tables: dict[int, SolvedWeight]) -> dict:
     """Substitute one relation instance through the fully-reduced tables.
     The result is a combination of basis monomials that must be empty."""
-    kind = desc[0]
-    if kind in ("stuffle", "shuffle"):
-        u, v = desc[1], desc[2]
-        expand = stuffle if kind == "stuffle" else shuffle_words
-        combo = {x: Fraction(c) for x, c in expand(u, v).items()}
-        residual = substitute_tables(combo, tables)
-        add_scaled(residual, product_value(u, v, tables), -1)
-        return residual
-    if kind == "hoffman":
-        combo = {x: Fraction(c) for x, c in hoffman_relation(desc[1]).items()}
-        return substitute_tables(combo, tables)
-    if kind == "duality":
-        v = desc[1]
-        combo = {v: Fraction(1)}
-        add_scaled(combo, {dual(v): Fraction(1)}, -1)
-        return substitute_tables(combo, tables)
-    raise ValueError(f"unknown relation descriptor {desc!r}")
-
-
-def _describe(desc: tuple) -> str:
-    if desc[0] in ("stuffle", "shuffle"):
-        return f"{desc[0]} {render_word(desc[1])}*{render_word(desc[2])}"
-    return f"{desc[0]} {render_word(desc[1])}"
+    combo, product = expand_relation(desc)
+    residual = substitute_tables(combo, tables)
+    if product is not None:
+        add_scaled(residual, product_value(*product, tables), -1)
+    return residual
 
 
 def recheck_relations(
@@ -142,7 +103,7 @@ def recheck_relations(
         seen.add(desc)
         residual = relation_residual(desc, tables)
         if residual:
-            failures.append(f"{_describe(desc)} left {len(residual)} monomial(s)")
+            failures.append(f"{describe(desc)} left {len(residual)} monomial(s)")
     return RecheckReport(w, population, len(seen), draws, failures)
 
 
@@ -385,7 +346,9 @@ def minimal_depth_stats(
     elimination is re-run with that word forced to survive whenever the
     relations allow; if it then survives, the alternative basis it belongs
     to must not have a smaller depth sum.  Beyond the cap only the depth sum
-    is reported, with no minimality claim.
+    is reported, with no minimality claim.  The re-eliminations run the
+    default kinds plus any extra ones in ``kinds``: the solver needs the
+    stuffle kind for its family phase whatever kinds a recheck covers.
     """
     solved = tables[w]
     histogram: dict[int, int] = {}
@@ -404,7 +367,7 @@ def minimal_depth_stats(
     ]
     confirmed = True
     checked = 0
-    config = RunConfig(jobs=1, kinds=tuple(kinds))
+    config = RunConfig(jobs=1, kinds=tuple(sorted(check_kinds(kinds) | set(DEFAULT_KINDS))))
     for x in candidates:
         checked += 1
         alt = solve_weight(w, lower, config, survivor_bias=x)

@@ -22,10 +22,6 @@ def weight(w: Word) -> int:
     return sum(w)
 
 
-def depth(w: Word) -> int:
-    return len(w)
-
-
 def is_admissible(w: Word) -> bool:
     return len(w) >= 1 and w[0] >= 2
 
@@ -167,20 +163,3 @@ def elim_key(w: Word, pool: frozenset[Word] | set[Word]) -> ElimKey:
     """Elimination key of ``w`` given the candidate ``pool`` for its weight."""
     return ElimKey(w not in pool, not is_lyndon(w), len(w), w)
 
-
-def elim_compare(a: Word, b: Word, pool: frozenset[Word] | set[Word]) -> int:
-    """Three-way comparison under the elimination order.
-
-    Returns a negative, zero, or positive int as ``a`` outlives, equals, or
-    dies before ``b``.  Only words of equal weight are comparable.
-    """
-    if weight(a) != weight(b):
-        raise ValueError(
-            f"elimination order compares equal weights only: {a!r} vs {b!r}"
-        )
-    ka, kb = elim_key(a, pool), elim_key(b, pool)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

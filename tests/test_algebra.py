@@ -22,14 +22,16 @@ from zetaforge.algebra import (
     add_scaled,
     add_term,
     check_kinds,
-    duality_relation,
+    describe,
     eval_expansion,
     eval_truncated,
+    expand_relation,
     expansion_tolerance,
     gen_relations,
     hoffman_relation,
     lc_mul,
     mono_mul,
+    relation_descriptors,
     render_relation,
     shuffle_words,
     stuffle,
@@ -235,10 +237,40 @@ def test_hoffman_terms_admissible_and_homogeneous():
             assert all(is_admissible(x) and weight(x) == w for x in rel)
 
 
-def test_duality_relation_frozen_cases():
-    assert duality_relation((3,)) == {(3,): 1, (2, 1): -1}
-    assert duality_relation((4,)) == {(4,): 1, (2, 1, 1): -1}
-    assert duality_relation((2,)) is None  # self-dual
+def test_expand_relation_duality_frozen_cases():
+    assert expand_relation(("duality", (3,))) == ({(3,): 1, (2, 1): -1}, None)
+    assert expand_relation(("duality", (4,))) == ({(4,): 1, (2, 1, 1): -1}, None)
+    assert expand_relation(("duality", (2,))) == ({}, None)  # self-dual
+
+
+def test_expand_relation_products_and_regularized():
+    u, v = (2,), (3,)
+    combo, product = expand_relation(("stuffle", u, v))
+    assert product == (u, v)
+    assert combo == {x: Fraction(c) for x, c in stuffle(u, v).items()}
+    combo, product = expand_relation(("shuffle", u, v))
+    assert product == (u, v)
+    assert combo == {x: Fraction(c) for x, c in shuffle_words(u, v).items()}
+    combo, product = expand_relation(("hoffman", (2, 1)))
+    assert product is None
+    assert combo == {x: Fraction(c) for x, c in hoffman_relation((2, 1)).items()}
+    assert all(type(c) is Fraction for c in combo.values())
+    with pytest.raises(ValueError):
+        expand_relation(("mystery", (2, 1)))
+
+
+def test_describe_names_the_instance():
+    assert describe(("shuffle", (2,), (3, 1))) == "shuffle Z(2)*Z(3,1)"
+    assert describe(("hoffman", (2, 1))) == "hoffman Z(2,1)"
+
+
+def test_relation_descriptors_follow_the_given_kind_order():
+    # the selection's own order never matters, only ``order`` does
+    descs = relation_descriptors(5, ("duality", "shuffle", "hoffman", "stuffle"))
+    assert [d[0] for d in descs] == ["stuffle"] * 2 + ["shuffle"] * 2 + ["hoffman"] * 4 + ["duality"] * 4
+    rows = relation_descriptors(5, DEFAULT_KINDS, order=("hoffman", "shuffle", "duality"))
+    assert [d[0] for d in rows] == ["hoffman"] * 4 + ["shuffle"] * 2
+    assert rows[4:] == [("shuffle", u, v) for u, v in weight_pairs(5)]
 
 
 # ------------------------------------------------------------ relation gen

@@ -19,6 +19,7 @@ from zetaforge.cli import (
     main,
 )
 from zetaforge._meta import BUILD_ID
+from zetaforge.solver import TableStore
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,22 @@ def solved_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def solved_dir8(tmp_path_factory):
+    """A table directory solved up to weight 8."""
+    path = tmp_path_factory.mktemp("tables8")
+    assert main(["solve", "--weight", "8", "--table-dir", str(path)]) == EXIT_OK
+    return path
+
+
 # ------------------------------------------------------------ happy paths
+
+def test_public_exports_resolve():
+    import zetaforge
+
+    missing = [name for name in zetaforge.__all__ if not hasattr(zetaforge, name)]
+    assert missing == []
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -124,6 +140,38 @@ def test_verify_command_writes_machine_report(solved_dir, capsys):
     assert "verify.passed = yes" in report
     for line in report:
         assert " = " in line
+
+
+def test_verify_minimality_probe_without_stuffle(solved_dir8, tmp_path, capsys):
+    # the recheck covers only shuffle and hoffman; the minimality probe's
+    # re-eliminations still need stuffle for the family phase
+    report = tmp_path / "report.txt"
+    argv = ["verify", "--weight", "8", "--relations", "shuffle,hoffman",
+            "--table-dir", str(solved_dir8), "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    lines = report.read_text().splitlines()
+    assert "recheck.8.population.shuffle = 42" in lines
+    assert "minimal_depth.8.confirmed = yes" in lines
+    assert "verify.passed = yes" in lines
+    capsys.readouterr()
+
+
+def test_verify_loads_each_table_once(solved_dir8, tmp_path, capsys, monkeypatch):
+    loads = []
+    load = TableStore.load
+
+    def counting(self, w):
+        loads.append(w)
+        return load(self, w)
+
+    monkeypatch.setattr(TableStore, "load", counting)
+    report = str(tmp_path / "report.txt")
+    base = ["verify", "--weight", "8", "--dims", "--table-dir", str(solved_dir8), "--report", report]
+    assert main(base) == EXIT_OK
+    assert sorted(loads) == list(range(2, 9))
+    # a --dims range past the stored weights still reports the missing table
+    assert main(base + ["--max-weight", "9"]) == EXIT_MISSING_TABLES
+    capsys.readouterr()
 
 
 def test_verify_published_basis_alias(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ The weight-3/4 expectations are hand Gaussian eliminations over at most four
 unknowns, written out in the comments where they are asserted.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 from zetaforge.solver import (
     Checkpointer,
+    InconsistentRelation,
+    MasterExpression,
     MissingTable,
     RunConfig,
     StoreIntegrityError,
@@ -312,3 +315,39 @@ def test_solved_stats_recorded(tables8):
     for key in ("families_seconds", "elimination_seconds", "rows", "pivots"):
         assert key in stats
     assert stats["pivots"] > 0
+
+
+# ------------------------------------------------------- master expression
+
+def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
+    m = ((5,), (3,))
+    master = MasterExpression([(8,), (5, 3)])
+    assert master.absorb(({(5, 3): Fraction(1)}, {m: Fraction(1)}), "first") is True
+    with pytest.raises(InconsistentRelation, match="second: reduced to 0 = nonzero"):
+        master.absorb(({(5, 3): Fraction(2)}, {m: Fraction(3)}), "second")
+
+
+def test_absorb_rejects_a_word_without_a_column():
+    master = MasterExpression([(8,), (5, 3)])
+    with pytest.raises(InconsistentRelation, match=r"Z\(4,4\) missing a family entry"):
+        master.absorb(({(4, 4): Fraction(1)}, {}), "row")
+
+
+def test_checkpoint_state_encoding_frozen():
+    # word columns encode as c<column>, monomial columns as m<monomial id>
+    master = MasterExpression([(8,), (5, 3)])
+    split = ({(8,): Fraction(2), (5, 3): Fraction(-1)}, {((5,), (3,)): Fraction(1, 3)})
+    assert master.absorb(split, "row") is True
+    state = {
+        "monomials": ["5|3"],
+        "pivots": {"0": {"c0": "1", "c1": "-1/2", "m0": "1/6"}},
+        "redundant": 0,
+        "consumed": 1,
+        "total_terms": 3,
+        "max_terms": 3,
+    }
+    assert master.state() == state
+    restored = MasterExpression([(8,), (5, 3)])
+    restored.restore(json.loads(json.dumps(state)))
+    assert restored.state() == state
+    assert restored.pivots == master.pivots

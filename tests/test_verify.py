@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import zetaforge.solver as solver_mod
 import zetaforge.verify as verify_mod
+from zetaforge.algebra import relation_descriptors
+from zetaforge.solver import RunConfig, solve_weight
 from zetaforge.verify import (
     MINIMALITY_CAP,
     basis_report,
@@ -15,7 +18,6 @@ from zetaforge.verify import (
     monomial_count,
     published_basis_check,
     recheck_relations,
-    relation_descriptors,
     relation_residual,
 )
 
@@ -37,7 +39,26 @@ def test_recheck_population_structure(tables8):
     for d in descs:
         pop[d[0]] = pop.get(d[0], 0) + 1
     assert pop == {"stuffle": 42, "shuffle": 42, "hoffman": 32}
+    # seeded sample draws index this order
+    assert [d[0] for d in descs] == ["stuffle"] * 42 + ["shuffle"] * 42 + ["hoffman"] * 32
     assert len(set(descs)) == len(descs)
+
+
+def test_solver_row_order_weight_8(tables8, monkeypatch):
+    # the solver consumes hoffman rows, then shuffle rows; a checkpoint's
+    # ``consumed`` count indexes this order
+    kinds = []
+    expand_row = solver_mod.expand_row
+
+    def recording(desc, entries, tables):
+        kinds.append(desc[0])
+        return expand_row(desc, entries, tables)
+
+    monkeypatch.setattr(solver_mod, "expand_row", recording)
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    solved = solve_weight(8, lower, RunConfig(jobs=1))
+    assert kinds == ["hoffman"] * 32 + ["shuffle"] * 42
+    assert solved.entries == tables8[8].entries
 
 
 def test_recheck_sampling_is_seeded_and_memoized(tables8):

@@ -14,9 +14,7 @@ from zetaforge.words import (
     admissible_words,
     check_word,
     compositions,
-    depth,
     dual,
-    elim_compare,
     elim_key,
     from_binary,
     is_admissible,
@@ -67,7 +65,7 @@ def oracle_to_binary(w) -> str:
 
 def test_weight_depth_admissible():
     assert weight((6, 4, 1, 1)) == 12
-    assert depth((6, 4, 1, 1)) == 4
+    assert len((6, 4, 1, 1)) == 4
     assert is_admissible((2, 1))
     assert not is_admissible((1, 2))
     assert not is_admissible(())
@@ -139,7 +137,7 @@ def test_dual_is_weight_preserving_involution():
             d = dual(x)
             assert is_admissible(d)
             assert weight(d) == w
-            assert depth(d) == w - depth(x)
+            assert len(d) == w - len(x)
             assert dual(d) == x
 
 
@@ -199,21 +197,19 @@ def test_elim_key_fields():
 
 def test_elim_order_prefers_non_candidates_then_non_lyndon_then_deep():
     pool = candidate_words(12)
+
+    def key(w):
+        return elim_key(w, pool)
+
     # (9,3) is a pool candidate, (2,10) is not: the non-candidate dies first.
-    assert elim_compare((2, 10), (9, 3), pool) == 1
+    assert key((2, 10)) > key((9, 3))
     # among non-candidates, non-Lyndon (3,9) dies before Lyndon (11,1)
-    assert elim_compare((3, 9), (11, 1), pool) == 1
+    assert key((3, 9)) > key((11, 1))
     # among non-candidate Lyndon words, deeper dies first
-    assert elim_compare((10, 1, 1), (11, 1), pool) == 1
+    assert key((10, 1, 1)) > key((11, 1))
     # equal class and depth: lexicographically larger dies first
-    assert elim_compare((11, 1), (10, 2), pool) == 1
-    assert elim_compare((10, 2), (11, 1), pool) == -1
-    assert elim_compare((9, 3), (9, 3), pool) == 0
-
-
-def test_elim_compare_requires_equal_weight():
-    with pytest.raises(ValueError):
-        elim_compare((2, 1), (2, 2), candidate_words(4))
+    assert key((11, 1)) > key((10, 2))
+    assert key((10, 2)) < key((11, 1))
 
 
 def test_elim_order_is_total_and_consistent():
@@ -222,13 +218,9 @@ def test_elim_order_is_total_and_consistent():
     rng = random.Random(7)
     for _ in range(300):
         a, b, c = (rng.choice(words) for _ in range(3))
-        ab, bc, ac = (
-            elim_compare(a, b, pool),
-            elim_compare(b, c, pool),
-            elim_compare(a, c, pool),
-        )
-        assert ab == -elim_compare(b, a, pool)
-        if ab > 0 and bc > 0:
-            assert ac > 0
-        if ab == 0:
+        ka, kb, kc = (elim_key(x, pool) for x in (a, b, c))
+        assert (ka < kb) + (ka == kb) + (ka > kb) == 1
+        if ka > kb and kb > kc:
+            assert ka > kc
+        if ka == kb:
             assert a == b  # the key is injective at fixed weight
