@@ -16,6 +16,15 @@ The pipeline per weight W, given fully-reduced tables for all lower weights:
    weight's generators.  Row expansion is the parallel unit; pivot selection
    is sequential, so the result is independent of worker count.
 
+   Most rows are redundant, so each row is first reduced modulo a large
+   prime against a shadow of the brackets; a row that vanishes there is set
+   aside without exact work.  After assembly every set-aside row is
+   certified exactly: pushed through the table, it must give zero.  A row
+   that does not (the prime was unlucky) is absorbed exactly and the table
+   is assembled again.  The certified rows lie in the span of the absorbed
+   ones, and the reduced row-echelon form of a row space over a fixed column
+   order is unique, so the tables do not depend on the prime.
+
 3. Assembly.  Pivot brackets are back-substituted and composed with the
    family entries into the fully-reduced table: every admissible word of the
    weight maps to a combination of basis monomials (products of generators
@@ -31,10 +40,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -72,6 +83,9 @@ MonoCombo = dict[Monomial, Fraction]
 # A half-reduced expression: a part still over same-weight words plus a part
 # already over basis monomials.
 SplitCombo = tuple[WordCombo, MonoCombo]
+# A row set aside by the mod-p filter: its columns, an integer multiple of
+# its coefficients, and the relation it came from.
+SkippedRow = tuple[tuple[int, ...], tuple[int, ...], str]
 
 
 class SolverError(Exception):
@@ -298,9 +312,25 @@ def _family_worker(key: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
     )
 
 
-def _row_worker(desc: tuple) -> SplitCombo:
+def _rows_worker(descs: list[tuple]) -> list[SplitCombo]:
     ctx = _WORKER_CTX
-    return expand_row(desc, ctx["entries"], ctx["tables"])
+    return [expand_row(desc, ctx["entries"], ctx["tables"]) for desc in descs]
+
+
+ROW_CHUNK = 16
+
+
+def _pooled_rows(procs, rows: list[tuple], window: int):
+    """Expanded rows in order, with at most ``window`` chunks of
+    ``ROW_CHUNK`` rows in flight, so finished rows never pile up in the
+    parent ahead of the sequential absorb."""
+    pending: deque = deque()
+    for i in range(0, len(rows), ROW_CHUNK):
+        pending.append(procs.apply_async(_rows_worker, (rows[i:i + ROW_CHUNK],)))
+        if len(pending) > window:
+            yield from pending.popleft().get()
+    while pending:
+        yield from pending.popleft().get()
 
 
 def _fork_context():
@@ -366,6 +396,12 @@ def family_phase(
 
 # ------------------------------------------------------ bracketed elimination
 
+# Modulus of the shadow echelon that filters redundant rows (a Mersenne
+# prime).  The tables do not depend on it: a row it wrongly calls redundant
+# fails the exact certificate and is absorbed exactly.
+PRIME = 2**61 - 1
+
+
 class MasterExpression:
     """Elimination state over one weight's Lyndon words.
 
@@ -380,6 +416,13 @@ class MasterExpression:
     Substitution is bracket-local by construction: absorbing or
     back-substituting one bracket never needs data from another bracket
     beyond its finished row, so brackets can be distributed.
+
+    A shadow echelon mirrors the brackets mod ``PRIME`` in the same columns,
+    kept fully reduced so that testing a row costs one pass over its leads.
+    A row that reduces to zero against it is set aside in ``skipped``
+    without exact work; :meth:`certify` later checks each such row exactly
+    against the assembled table, and :meth:`admit` absorbs the ones it
+    rejects.
     """
 
     def __init__(self, columns: list[Word]):
@@ -393,6 +436,9 @@ class MasterExpression:
         self.consumed = 0
         self.total_terms = 0
         self.max_terms = 0
+        self.prime = PRIME
+        self.shadow: dict[int, dict[int, int]] = {}
+        self.skipped: list[SkippedRow] = []
 
     def _mono_col(self, m: Monomial) -> int:
         mid = self.mono_ids.get(m)
@@ -402,9 +448,7 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def absorb(self, split: SplitCombo, origin: str) -> bool:
-        """Reduce one relation row into the bracket set.  Returns True when
-        the row installed a new pivot bracket, False when redundant."""
+    def _row(self, split: SplitCombo, origin: str) -> dict[int, Fraction]:
         word_part, mono_part = split
         row: dict[int, Fraction] = {}
         for w, c in word_part.items():
@@ -416,10 +460,38 @@ class MasterExpression:
             add_term(row, col, c)
         for m, c in mono_part.items():
             add_term(row, self._mono_col(m), c)
+        return row
+
+    def absorb(self, split: SplitCombo, origin: str) -> bool:
+        """Reduce one relation row into the bracket set.  Returns True when
+        the row installed a new pivot bracket, False when redundant: either
+        proven so exactly, or set aside for the certificate because it
+        reduces to zero mod the prime."""
+        row = self._row(split, origin)
         self.consumed += 1
+        if self._vanishes_mod_p(row):
+            self._set_aside(row, origin)
+        elif self._reduce(row, origin):
+            return True
+        self.redundant += 1
+        return False
+
+    def hold(self, split: SplitCombo, origin: str) -> None:
+        """Set a row aside for the certificate without absorbing it (a row
+        consumed before a checkpoint, which may have been skipped)."""
+        self._set_aside(self._row(split, origin), origin)
+
+    def _set_aside(self, row: dict[int, Fraction], origin: str) -> None:
+        # kept compact: the columns and an integer multiple of the row
+        lcd = math.lcm(*(c.denominator for c in row.values()))
+        nums = tuple(c.numerator * (lcd // c.denominator) for c in row.values())
+        self.skipped.append((tuple(row), nums, origin))
+
+    def _reduce(self, row: dict[int, Fraction], origin: str) -> bool:
+        """Exact reduction of ``row``, which it consumes; True when it
+        installed a bracket, False when it reduced to zero."""
         while True:
             if not row:
-                self.redundant += 1
                 return False
             lead = min(row)
             if lead >= self.n_words:
@@ -427,7 +499,9 @@ class MasterExpression:
             holder = self.pivots.get(lead)
             if holder is None:
                 scale = 1 / row[lead]
-                self.pivots[lead] = {k: v * scale for k, v in row.items()}
+                bracket = {k: v * scale for k, v in row.items()}
+                self.pivots[lead] = bracket
+                self._shadow_install(lead, bracket)
                 self.total_terms += len(row)
                 self.max_terms = max(self.max_terms, self.total_terms)
                 return True
@@ -435,6 +509,110 @@ class MasterExpression:
             for k, v in holder.items():
                 if k != lead:
                     add_term(row, k, -scale * v)
+
+    # -------- mod-p filter
+
+    def _image(self, row: dict[int, Fraction]) -> dict[int, int] | None:
+        """``row`` mod the prime, or None when a denominator is divisible
+        by it."""
+        p = self.prime
+        out: dict[int, int] = {}
+        for k, c in row.items():
+            d = c.denominator
+            if d % p == 0:
+                return None
+            x = c.numerator * pow(d, -1, p) % p
+            if x:
+                out[k] = x
+        return out
+
+    def _shadow_install(self, lead: int, bracket: dict[int, Fraction]) -> None:
+        # the shadow is kept fully reduced: no row has an entry at another
+        # row's lead.  A bracket that is not p-integral, or whose image
+        # loses its lead to that reduction, stays out; rows it would have
+        # reduced then take the exact path.
+        p = self.prime
+        image = self._image(bracket)
+        if image is None:
+            return
+        self._reduce_mod_p(image)
+        scale = image.pop(lead, 0) % p
+        if not scale:
+            return
+        inv = pow(scale, -1, p)
+        image = {k: v * inv % p for k, v in image.items() if v % p}
+        for row in self.shadow.values():
+            c = row.pop(lead, None)
+            if c:
+                for k, v in image.items():
+                    x = (row.get(k, 0) - c * v) % p
+                    if x:
+                        row[k] = x
+                    else:
+                        row.pop(k, None)
+        self.shadow[lead] = image
+
+    def _reduce_mod_p(self, r: dict[int, int]) -> None:
+        """Clear every shadow lead from ``r`` in place; entries are left
+        unreduced mod p."""
+        p = self.prime
+        shadow = self.shadow
+        for lead in [k for k in r if k in shadow]:
+            scale = r.pop(lead) % p
+            if scale:
+                for k, v in shadow[lead].items():
+                    r[k] = r.get(k, 0) - scale * v
+
+    def _vanishes_mod_p(self, row: dict[int, Fraction]) -> bool:
+        """Whether ``row`` reduces to zero against the shadow echelon."""
+        r = self._image(row)
+        if r is None:
+            return False
+        self._reduce_mod_p(r)
+        p = self.prime
+        return not any(v % p for v in r.values())
+
+    # -------- certificate
+
+    def certify(self, table: dict[Word, Entry]) -> list[SkippedRow]:
+        """The skipped rows that ``table`` does not satisfy exactly: each
+        row's word columns are replaced by their table entries, its monomial
+        columns are kept, and the sum must be zero.  The sum runs over
+        integers: every column's entry is brought to one denominator, and
+        each row to the least common denominator of its columns."""
+        n = self.n_words
+        scaled: dict[int, tuple[int, dict[Monomial, int]]] = {}
+
+        def column(k: int) -> tuple[int, dict[Monomial, int]]:
+            got = scaled.get(k)
+            if got is None:
+                entry = table[self.columns[k]] if k < n else {self.monomials[k - n]: Fraction(1)}
+                den = math.lcm(*(c.denominator for c in entry.values()))
+                got = scaled[k] = (
+                    den, {m: c.numerator * (den // c.denominator) for m, c in entry.items()}
+                )
+            return got
+
+        failed = []
+        for skipped in self.skipped:
+            cols, nums, _origin = skipped
+            terms = [column(k) for k in cols]
+            lcd = math.lcm(*(den for den, _ in terms))
+            residue: dict[Monomial, int] = {}
+            for num, (den, entry) in zip(nums, terms):
+                scale = num * (lcd // den)
+                for m, v in entry.items():
+                    residue[m] = residue.get(m, 0) + scale * v
+            if any(residue.values()):
+                failed.append(skipped)
+        return failed
+
+    def admit(self, rows: list[SkippedRow]) -> None:
+        """Absorb rows the certificate rejected, exactly.  They were counted
+        redundant when skipped; call :meth:`back_substitute` afterwards."""
+        for cols, nums, origin in rows:
+            if self._reduce({k: Fraction(v) for k, v in zip(cols, nums)}, origin):
+                self.redundant -= 1
 
     def back_substitute(self) -> None:
         """Remove pivot columns from every bracket, descending, leaving each
@@ -480,6 +658,9 @@ class MasterExpression:
             int(col): {parse_col(k): Fraction(v) for k, v in row.items()}
             for col, row in state["pivots"].items()
         }
+        self.shadow = {}
+        for col, bracket in self.pivots.items():
+            self._shadow_install(col, bracket)
         self.redundant = state["redundant"]
         self.consumed = state["consumed"]
         self.total_terms = state["total_terms"]
@@ -678,42 +859,60 @@ def solve_weight(
         start_at = master.consumed
         note(f"weight {w}: resuming elimination after {start_at} rows")
 
-    pending = rows[start_at:]
-    fork = _fork_context() if config.jobs > 1 and len(pending) > 1 else None
+    # rows before a checkpoint are expanded again: the certificate must see
+    # every row the checkpointed run may have skipped
+    def feed(splits) -> None:
+        for i, (desc, split) in enumerate(zip(rows, splits)):
+            if i < start_at:
+                master.hold(split, describe(desc))
+            else:
+                _absorb_checked(master, split, desc, checkpointer, w, entries)
+
+    fork = _fork_context() if config.jobs > 1 and len(rows) > 1 else None
     _set_worker_ctx(entries=entries, tables=tables)
     try:
         if fork is not None:
             with fork.Pool(config.jobs) as procs:
-                for desc, split in zip(
-                    pending, procs.imap(_row_worker, pending, chunksize=16)
-                ):
-                    _absorb_checked(master, split, desc, checkpointer, w, entries)
+                feed(_pooled_rows(procs, rows, 2 * config.jobs))
         else:
-            for desc in pending:
-                _absorb_checked(
-                    master, expand_row(desc, entries, tables), desc,
-                    checkpointer, w, entries,
-                )
+            feed(expand_row(desc, entries, tables) for desc in rows)
     finally:
         _clear_worker_ctx()
 
     master.back_substitute()
-    survivors = master.survivors()
     elimination_seconds = time.monotonic() - t1
+    solved = _assemble(w, master, entries, master.survivors())
 
-    solved = _assemble(w, master, entries, survivors)
+    # ---- exact certificate of the rows the mod-p filter skipped
+    t2 = time.monotonic()
+    fallback_rows = 0
+    while failed := master.certify(solved.entries):
+        # the prime was unlucky for these rows: absorb them exactly
+        fallback_rows += len(failed)
+        master.admit(failed)
+        master.back_substitute()
+        solved = _assemble(w, master, entries, master.survivors())
+    certify_seconds = time.monotonic() - t2
+
     solved.stats = {
         "families_seconds": round(family_seconds, 3),
         "elimination_seconds": round(elimination_seconds, 3),
+        "certify_seconds": round(certify_seconds, 3),
         "rows": len(rows),
         "redundant_rows": master.redundant,
         "pivots": len(master.pivots),
+        "certified_rows": len(master.skipped),
+        "fallback_rows": fallback_rows,
         "max_bracket_terms": master.max_terms,
     }
     if checkpointer is not None:
         checkpointer.clear()
+    log.debug(
+        "weight %d: certified %d skipped row(s) in %.3f s, %d fallback row(s)",
+        w, len(master.skipped), certify_seconds, fallback_rows,
+    )
     note(
-        f"weight {w}: {len(survivors)} generator(s), "
+        f"weight {w}: {len(solved.generators)} generator(s), "
         f"{len(master.pivots)} pivots, {master.redundant} redundant rows"
     )
     return solved

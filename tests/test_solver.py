@@ -5,11 +5,14 @@ unknowns, written out in the comments where they are asserted.
 """
 
 import json
+import logging
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import zetaforge.solver as solver_mod
 from zetaforge.solver import (
     Checkpointer,
     InconsistentRelation,
@@ -221,8 +224,6 @@ def test_ensure_solved_is_idempotent_and_lazy(tmp_path, monkeypatch):
     first = {w: store.table_path(w).read_bytes() for w in range(2, 7)}
     manifest_before = store.manifest_path.read_bytes()
 
-    import zetaforge.solver as solver_mod
-
     def explode(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("ensure_solved re-solved an already-stored weight")
 
@@ -274,6 +275,42 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, blow_after):
     assert not path.exists()  # cleared on success
 
 
+def test_resume_certifies_rows_consumed_before_the_checkpoint(tmp_path, monkeypatch):
+    # the crashed run wrongly skips the first elimination row, which no
+    # other weight-7 row can replace; the checkpoint does not record the
+    # skip, so only certifying the resumed prefix restores its pivot
+    config = RunConfig(jobs=1, checkpoint_every=1)
+    lower = _lower_tables(6)
+    fresh = solve_weight(7, lower, config)
+
+    honest = MasterExpression._vanishes_mod_p
+    seen = []
+
+    def skip_first_row(self, row):
+        seen.append(row)
+        return len(seen) == 1 or honest(self, row)
+
+    monkeypatch.setattr(MasterExpression, "_vanishes_mod_p", skip_first_row)
+    path = tmp_path / "weight-07.checkpoint.json"
+    # six family-depth saves, then two pivot saves
+    crasher = _InterruptAfter(path, config.fingerprint(), 1, 8)
+    with pytest.raises(KeyboardInterrupt):
+        solve_weight(7, lower, config, checkpointer=crasher)
+    payload = json.loads(path.read_text())["payload"]
+    assert payload["phase"] == "elimination"
+    assert payload["master"]["consumed"] == 3
+
+    monkeypatch.setattr(MasterExpression, "_vanishes_mod_p", honest)
+    resumed = solve_weight(
+        7, lower, config, checkpointer=Checkpointer(path, config.fingerprint(), 1)
+    )
+    assert render_table(resumed) == render_table(fresh)
+    assert resumed.stats["fallback_rows"] == 1
+    assert resumed.stats["certified_rows"] == 3 + fresh.stats["certified_rows"]
+    for key in ("pivots", "redundant_rows"):
+        assert resumed.stats[key] == fresh.stats[key]
+
+
 def test_checkpoint_tamper_refuses_resume(tmp_path):
     config = RunConfig(jobs=1, checkpoint_every=1)
     lower = _lower_tables(6)
@@ -312,9 +349,61 @@ def test_checkpoint_from_other_config_is_ignored(tmp_path):
 
 def test_solved_stats_recorded(tables8):
     stats = tables8[8].stats
-    for key in ("families_seconds", "elimination_seconds", "rows", "pivots"):
+    for key in ("families_seconds", "elimination_seconds", "certify_seconds", "rows", "pivots"):
         assert key in stats
     assert stats["pivots"] > 0
+    # every redundant row was skipped mod p and then certified exactly
+    assert stats["certified_rows"] == stats["redundant_rows"] == 45
+    assert stats["fallback_rows"] == 0
+
+
+def test_certificate_counters_logged_at_debug_only(caplog, capsys):
+    lower = _lower_tables(5)
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        solve_weight(6, lower)
+    lines = [r.getMessage() for r in caplog.records if "certified" in r.getMessage()]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"weight 6: certified 6 skipped row\(s\) in \d+\.\d{3} s, 0 fallback row\(s\)",
+        lines[0],
+    )
+    assert capsys.readouterr().out == ""
+
+
+# --------------------------------------------- mod-p filter and certificate
+
+# pivots and redundant rows per weight, as recorded from the exact solver
+GOLDEN_COUNTS = {3: (1, 0), 4: (3, 0), 5: (5, 1), 6: (9, 6), 7: (17, 15), 8: (29, 45)}
+
+
+def test_certificate_rejects_a_wrong_skip_under_an_unlucky_prime(monkeypatch):
+    monkeypatch.setattr(solver_mod, "PRIME", 3)
+    a, b = (8,), (5, 3)
+    master = MasterExpression([a, b])
+    assert master.absorb(({a: Fraction(1), b: Fraction(1)}, {}), "first") is True
+    # 4 = 1 mod 3, so the second row vanishes against the first mod 3
+    assert master.absorb(({a: Fraction(1), b: Fraction(4)}, {}), "second") is False
+    assert len(master.skipped) == 1 and master.redundant == 1
+    master.back_substitute()
+    # the first row alone gives Z(8) = -Z(5,3)
+    failed = master.certify({a: {(b,): Fraction(-1)}, b: {(b,): Fraction(1)}})
+    assert [origin for _, _, origin in failed] == ["second"]
+    master.admit(failed)
+    master.back_substitute()
+    assert sorted(master.pivots) == [0, 1]
+    assert master.redundant == 0
+    assert master.certify({a: {}, b: {}}) == []
+
+
+def test_fallback_rebuilds_every_table_when_every_row_is_skipped(monkeypatch, tables8):
+    monkeypatch.setattr(MasterExpression, "_vanishes_mod_p", lambda self, row: True)
+    tables = solve_in_memory(8, RunConfig(jobs=1))
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+        assert stats["fallback_rows"] > 0
 
 
 # ------------------------------------------------------- master expression
@@ -351,3 +440,17 @@ def test_checkpoint_state_encoding_frozen():
     restored.restore(json.loads(json.dumps(state)))
     assert restored.state() == state
     assert restored.pivots == master.pivots
+
+
+def test_restore_rebuilds_the_shadow():
+    m = ((5,), (3,))
+    master = MasterExpression([(8,), (5, 3)])
+    split = ({(8,): Fraction(2), (5, 3): Fraction(-1)}, {m: Fraction(1, 3)})
+    assert master.absorb(split, "row") is True
+    restored = MasterExpression([(8,), (5, 3)])
+    restored.restore(json.loads(json.dumps(master.state())))
+    assert restored.shadow == master.shadow != {}
+    # a multiple of the restored bracket is set aside without exact work
+    double = ({(8,): Fraction(4), (5, 3): Fraction(-2)}, {m: Fraction(2, 3)})
+    assert restored.absorb(double, "again") is False
+    assert [origin for _, _, origin in restored.skipped] == ["again"]

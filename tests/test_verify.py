@@ -9,7 +9,7 @@ import pytest
 import zetaforge.solver as solver_mod
 import zetaforge.verify as verify_mod
 from zetaforge.algebra import relation_descriptors
-from zetaforge.solver import RunConfig, solve_weight
+from zetaforge.solver import RunConfig, render_table, solve_weight
 from zetaforge.verify import (
     MINIMALITY_CAP,
     basis_report,
@@ -148,6 +148,26 @@ def test_minimal_depth_confirmed_at_weight_8(tables8):
     assert rep.histogram == {2: 1}
     assert rep.minimal_confirmed is True
     assert rep.alternatives_checked == 1  # (8,) is the only shallower Lyndon word
+
+
+def test_minimality_reeliminations_are_certified(tables8, monkeypatch):
+    # every row wrongly reads as redundant mod p, so the re-elimination
+    # comes out right only because its certificate rejects the skips
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    honest = solve_weight(8, lower, survivor_bias=(8,))
+    alts = []
+
+    def recording(*args, **kwargs):
+        alts.append(solve_weight(*args, **kwargs))
+        return alts[-1]
+
+    monkeypatch.setattr(verify_mod, "solve_weight", recording)
+    monkeypatch.setattr(solver_mod.MasterExpression, "_vanishes_mod_p", lambda self, row: True)
+    rep = minimal_depth_stats(8, tables8)
+    assert rep.minimal_confirmed is True
+    assert len(alts) == 1
+    assert alts[0].stats["fallback_rows"] > 0
+    assert render_table(alts[0]) == render_table(honest)
 
 
 def test_minimal_depth_not_checked_above_cap(tables8, monkeypatch):
