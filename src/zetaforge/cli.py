@@ -123,11 +123,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "--depth-cap applies to `gen` only: a capped relation stream cannot "
             "produce a fully-reduced table"
         )
-    config = RunConfig(
-        jobs=args.jobs,
-        kinds=_parse_kinds(args.relations),
-        checkpoint_every=args.checkpoint_every,
-    )
+    config = RunConfig(jobs=args.jobs, kinds=_parse_kinds(args.relations))
     store = _store_for_writing(args.table_dir)
     ensure_solved(store, args.weight, config, progress=print)
     print(f"manifest: {store.manifest_path}")
@@ -341,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depth-cap", type=int, default=None, help=argparse.SUPPRESS
     )  # rejected with an explanation; the flag exists so the error is helpful
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1000,
-        help="checkpoint after this many elimination pivots (default 1000)",
-    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("basis", help="describe the stored basis at one weight")

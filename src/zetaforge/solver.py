@@ -31,8 +31,10 @@ The pipeline per weight W, given fully-reduced tables for all lower weights:
    of total weight W).
 
 Tables persist as one text file per weight plus a manifest with content
-hashes; long phases checkpoint so an interrupted solve can resume, refusing
-to reuse a checkpoint whose payload hash does not match.
+hashes.  The family phase checkpoints after each depth, so an interrupted
+solve resumes after the last completed depth; a crash in elimination keeps
+every family entry and redoes only that weight's elimination.  A checkpoint
+whose payload hash does not match is never reused.
 """
 
 from __future__ import annotations
@@ -117,13 +119,10 @@ class RunConfig:
 
     jobs: int = 1
     kinds: tuple[str, ...] = DEFAULT_KINDS
-    checkpoint_every: int = 1000
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.checkpoint_every < 1:
-            raise ValueError(f"checkpoint interval must be >= 1, got {self.checkpoint_every}")
         check_kinds(self.kinds)
 
     def fingerprint(self) -> dict:
@@ -423,6 +422,9 @@ class MasterExpression:
     without exact work; :meth:`certify` later checks each such row exactly
     against the assembled table, and :meth:`admit` absorbs the ones it
     rejects.
+
+    ``peak_terms`` is the largest number of live bracket terms seen, sampled
+    before and after each :meth:`back_substitute`.
     """
 
     def __init__(self, columns: list[Word]):
@@ -433,9 +435,7 @@ class MasterExpression:
         self.monomials: list[Monomial] = []
         self.pivots: dict[int, dict[int, Fraction]] = {}
         self.redundant = 0
-        self.consumed = 0
-        self.total_terms = 0
-        self.max_terms = 0
+        self.peak_terms = 0
         self.prime = PRIME
         self.shadow: dict[int, dict[int, int]] = {}
         self.skipped: list[SkippedRow] = []
@@ -468,18 +468,12 @@ class MasterExpression:
         proven so exactly, or set aside for the certificate because it
         reduces to zero mod the prime."""
         row = self._row(split, origin)
-        self.consumed += 1
         if self._vanishes_mod_p(row):
             self._set_aside(row, origin)
         elif self._reduce(row, origin):
             return True
         self.redundant += 1
         return False
-
-    def hold(self, split: SplitCombo, origin: str) -> None:
-        """Set a row aside for the certificate without absorbing it (a row
-        consumed before a checkpoint, which may have been skipped)."""
-        self._set_aside(self._row(split, origin), origin)
 
     def _set_aside(self, row: dict[int, Fraction], origin: str) -> None:
         # kept compact: the columns and an integer multiple of the row
@@ -502,8 +496,6 @@ class MasterExpression:
                 bracket = {k: v * scale for k, v in row.items()}
                 self.pivots[lead] = bracket
                 self._shadow_install(lead, bracket)
-                self.total_terms += len(row)
-                self.max_terms = max(self.max_terms, self.total_terms)
                 return True
             scale = row.pop(lead)
             for k, v in holder.items():
@@ -617,6 +609,7 @@ class MasterExpression:
     def back_substitute(self) -> None:
         """Remove pivot columns from every bracket, descending, leaving each
         bracket over survivor columns and monomial columns only."""
+        self._note_peak()
         for col in sorted(self.pivots, reverse=True):
             row = self.pivots[col]
             inner = sorted(k for k in row if k != col and k in self.pivots)
@@ -625,50 +618,18 @@ class MasterExpression:
                 for k2, v2 in self.pivots[k].items():
                     if k2 != k:
                         add_term(row, k2, -scale * v2)
+        self._note_peak()
+
+    def _note_peak(self) -> None:
+        live = sum(len(row) for row in self.pivots.values())
+        self.peak_terms = max(self.peak_terms, live)
 
     def survivors(self) -> list[Word]:
         return [w for i, w in enumerate(self.columns) if i not in self.pivots]
 
-    # -------- checkpoint serialization
-
-    def state(self) -> dict:
-        def col_key(k: int) -> str:
-            return f"c{k}" if k < self.n_words else f"m{k - self.n_words}"
-
-        return {
-            "monomials": [_mono_str(m) for m in self.monomials],
-            "pivots": {
-                str(col): {col_key(k): str(v) for k, v in row.items()}
-                for col, row in self.pivots.items()
-            },
-            "redundant": self.redundant,
-            "consumed": self.consumed,
-            "total_terms": self.total_terms,
-            "max_terms": self.max_terms,
-        }
-
-    def restore(self, state: dict) -> None:
-        self.monomials = [_parse_mono_str(s) for s in state["monomials"]]
-        self.mono_ids = {m: i for i, m in enumerate(self.monomials)}
-
-        def parse_col(s: str) -> int:
-            return int(s[1:]) + (0 if s[0] == "c" else self.n_words)
-
-        self.pivots = {
-            int(col): {parse_col(k): Fraction(v) for k, v in row.items()}
-            for col, row in state["pivots"].items()
-        }
-        self.shadow = {}
-        for col, bracket in self.pivots.items():
-            self._shadow_install(col, bracket)
-        self.redundant = state["redundant"]
-        self.consumed = state["consumed"]
-        self.total_terms = state["total_terms"]
-        self.max_terms = state["max_terms"]
-
 
 # Elimination rows, in consumption order (stuffle relations are spent in the
-# family phase); a checkpoint's ``consumed`` counts rows of this order.
+# family phase).
 ELIMINATION_ORDER = ("hoffman", "shuffle", "duality")
 
 
@@ -703,12 +664,13 @@ class Checkpointer:
     hash check refuses to resume (the caller must delete the file to start
     over).  A checkpoint written under a different configuration fingerprint
     is ignored with a warning instead, since it describes a different run.
+    So is one that is not a family-phase checkpoint: older builds also
+    checkpointed mid-elimination, and such a payload cannot be resumed.
     """
 
-    def __init__(self, path: Path, fingerprint: dict, every: int = 1000):
+    def __init__(self, path: Path, fingerprint: dict):
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self.every = max(1, every)
 
     def load(self) -> dict | None:
         if not self.path.exists():
@@ -724,7 +686,7 @@ class Checkpointer:
                 f"checkpoint {self.path} fails its hash check; refusing to resume "
                 f"(delete the file to restart this weight)"
             )
-        if payload.get("fingerprint") != self.fingerprint:
+        if payload.get("fingerprint") != self.fingerprint or payload.get("phase") != "families":
             log.warning("ignoring checkpoint %s from a different configuration", self.path)
             return None
         return payload
@@ -815,7 +777,7 @@ def solve_weight(
     # ---- family reduction
     t0 = time.monotonic()
     resume_families = None
-    if checkpoint is not None and checkpoint["phase"] == "families":
+    if checkpoint is not None:
         resume_families = (checkpoint["depth_done"], _entries_restore(checkpoint["entries"]))
         note(f"weight {w}: resuming family phase after depth {checkpoint['depth_done']}")
 
@@ -831,12 +793,9 @@ def solve_weight(
             )
         log.debug("weight %d: family depth %d done", w, depth)
 
-    if checkpoint is not None and checkpoint["phase"] == "elimination":
-        entries = _entries_restore(checkpoint["entries"])
-    else:
-        entries = family_phase(
-            w, tables, pool, config.jobs, on_depth_done=depth_done, resume=resume_families
-        )
+    entries = family_phase(
+        w, tables, pool, config.jobs, on_depth_done=depth_done, resume=resume_families
+    )
     family_seconds = time.monotonic() - t0
 
     # ---- bracketed elimination
@@ -853,20 +812,10 @@ def solve_weight(
         columns.append(survivor_bias)
     master = MasterExpression(columns)
     rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
-    start_at = 0
-    if checkpoint is not None and checkpoint["phase"] == "elimination":
-        master.restore(checkpoint["master"])
-        start_at = master.consumed
-        note(f"weight {w}: resuming elimination after {start_at} rows")
 
-    # rows before a checkpoint are expanded again: the certificate must see
-    # every row the checkpointed run may have skipped
     def feed(splits) -> None:
-        for i, (desc, split) in enumerate(zip(rows, splits)):
-            if i < start_at:
-                master.hold(split, describe(desc))
-            else:
-                _absorb_checked(master, split, desc, checkpointer, w, entries)
+        for desc, split in zip(rows, splits):
+            master.absorb(split, describe(desc))
 
     fork = _fork_context() if config.jobs > 1 and len(rows) > 1 else None
     _set_worker_ctx(entries=entries, tables=tables)
@@ -903,7 +852,7 @@ def solve_weight(
         "pivots": len(master.pivots),
         "certified_rows": len(master.skipped),
         "fallback_rows": fallback_rows,
-        "max_bracket_terms": master.max_terms,
+        "max_bracket_terms": master.peak_terms,
     }
     if checkpointer is not None:
         checkpointer.clear()
@@ -916,30 +865,6 @@ def solve_weight(
         f"{len(master.pivots)} pivots, {master.redundant} redundant rows"
     )
     return solved
-
-
-def _absorb_checked(
-    master: MasterExpression,
-    split: SplitCombo,
-    desc: tuple,
-    checkpointer: Checkpointer | None,
-    w: int,
-    entries: dict[Word, SplitCombo],
-) -> None:
-    became_pivot = master.absorb(split, describe(desc))
-    if (
-        checkpointer is not None
-        and became_pivot
-        and len(master.pivots) % checkpointer.every == 0
-    ):
-        checkpointer.save(
-            {
-                "weight": w,
-                "phase": "elimination",
-                "entries": _entries_state(entries),
-                "master": master.state(),
-            }
-        )
 
 
 def _assemble(
@@ -1181,9 +1106,7 @@ def ensure_solved(
         if store.has(w):
             tables[w] = store.load(w)
             continue
-        checkpointer = Checkpointer(
-            store.checkpoint_path(w), config.fingerprint(), config.checkpoint_every
-        )
+        checkpointer = Checkpointer(store.checkpoint_path(w), config.fingerprint())
         solved = solve_weight(
             w, tables, config, checkpointer=checkpointer, progress=progress
         )

@@ -97,8 +97,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(jobs=0)
     with pytest.raises(ValueError):
-        RunConfig(checkpoint_every=0)
-    with pytest.raises(ValueError):
         RunConfig(kinds=("bogus",))
 
 
@@ -239,8 +237,8 @@ def test_ensure_solved_is_idempotent_and_lazy(tmp_path, monkeypatch):
 class _InterruptAfter(Checkpointer):
     """Raise a deliberate failure after the n-th checkpoint save."""
 
-    def __init__(self, path, fingerprint, every, blow_after):
-        super().__init__(path, fingerprint, every)
+    def __init__(self, path, fingerprint, blow_after):
+        super().__init__(path, fingerprint)
         self.saves = 0
         self.blow_after = blow_after
 
@@ -255,96 +253,187 @@ def _lower_tables(up_to):
     return solve_in_memory(up_to, RunConfig(jobs=1))
 
 
-@pytest.mark.parametrize("blow_after", [1, 4])
-def test_checkpoint_resume_matches_fresh_solve(tmp_path, blow_after):
-    # blow_after=1 dies during the family phase, 4 during elimination
-    config = RunConfig(jobs=1, checkpoint_every=1)
+def _interrupt_absorb_after(monkeypatch, n):
+    """Make ``MasterExpression.absorb`` crash on its (n+1)-th call."""
+    honest = MasterExpression.absorb
+    calls = []
+
+    def absorb(self, split, origin):
+        calls.append(origin)
+        if len(calls) > n:
+            raise KeyboardInterrupt("simulated crash during elimination")
+        return honest(self, split, origin)
+
+    monkeypatch.setattr(MasterExpression, "absorb", absorb)
+
+
+def _count_family_solves(monkeypatch):
+    calls = []
+    honest = solver_mod.solve_family
+
+    def counting(*args):
+        calls.append(args[0])
+        return honest(*args)
+
+    monkeypatch.setattr(solver_mod, "solve_family", counting)
+    return calls
+
+
+# weight 7 has admissible words of depths 1..6, so its family phase writes
+# six checkpoints, the last one holding every family entry
+WEIGHT_7_DEPTHS = 6
+
+
+@pytest.mark.parametrize("crash", ["families", "elimination"])
+def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
+    config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     fresh = solve_weight(7, lower, config)
 
     path = tmp_path / "weight-07.checkpoint.json"
-    crasher = _InterruptAfter(path, config.fingerprint(), 1, blow_after)
-    with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, config, checkpointer=crasher)
-    assert path.exists()
-
-    resumed = solve_weight(
-        7, lower, config, checkpointer=Checkpointer(path, config.fingerprint(), 1)
-    )
-    assert render_table(resumed) == render_table(fresh)
-    assert not path.exists()  # cleared on success
-
-
-def test_resume_certifies_rows_consumed_before_the_checkpoint(tmp_path, monkeypatch):
-    # the crashed run wrongly skips the first elimination row, which no
-    # other weight-7 row can replace; the checkpoint does not record the
-    # skip, so only certifying the resumed prefix restores its pivot
-    config = RunConfig(jobs=1, checkpoint_every=1)
-    lower = _lower_tables(6)
-    fresh = solve_weight(7, lower, config)
-
-    honest = MasterExpression._vanishes_mod_p
-    seen = []
-
-    def skip_first_row(self, row):
-        seen.append(row)
-        return len(seen) == 1 or honest(self, row)
-
-    monkeypatch.setattr(MasterExpression, "_vanishes_mod_p", skip_first_row)
-    path = tmp_path / "weight-07.checkpoint.json"
-    # six family-depth saves, then two pivot saves
-    crasher = _InterruptAfter(path, config.fingerprint(), 1, 8)
+    if crash == "families":
+        crasher = _InterruptAfter(path, config.fingerprint(), 3)
+    else:
+        crasher = _InterruptAfter(path, config.fingerprint(), WEIGHT_7_DEPTHS + 1)
+        _interrupt_absorb_after(monkeypatch, 5)
     with pytest.raises(KeyboardInterrupt):
         solve_weight(7, lower, config, checkpointer=crasher)
     payload = json.loads(path.read_text())["payload"]
-    assert payload["phase"] == "elimination"
-    assert payload["master"]["consumed"] == 3
+    assert payload["phase"] == "families"
+    if crash == "families":
+        assert crasher.saves == payload["depth_done"] == 3
+    else:
+        # the elimination crashed after every depth save and wrote nothing
+        assert crasher.saves == payload["depth_done"] == WEIGHT_7_DEPTHS
 
-    monkeypatch.setattr(MasterExpression, "_vanishes_mod_p", honest)
-    resumed = solve_weight(
-        7, lower, config, checkpointer=Checkpointer(path, config.fingerprint(), 1)
-    )
+    monkeypatch.undo()
+    family_solves = _count_family_solves(monkeypatch)
+    resumed = solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
     assert render_table(resumed) == render_table(fresh)
-    assert resumed.stats["fallback_rows"] == 1
-    assert resumed.stats["certified_rows"] == 3 + fresh.stats["certified_rows"]
-    for key in ("pivots", "redundant_rows"):
-        assert resumed.stats[key] == fresh.stats[key]
+    if crash == "elimination":
+        assert family_solves == []  # the checkpoint holds every family entry
+    else:
+        assert family_solves and all(len(key) > 3 for key in family_solves)
+    assert not path.exists()  # cleared on success
 
 
 def test_checkpoint_tamper_refuses_resume(tmp_path):
-    config = RunConfig(jobs=1, checkpoint_every=1)
+    config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
-    crasher = _InterruptAfter(path, config.fingerprint(), 1, 3)
+    crasher = _InterruptAfter(path, config.fingerprint(), 3)
     with pytest.raises(KeyboardInterrupt):
         solve_weight(7, lower, config, checkpointer=crasher)
 
-    import json
-
     wrapper = json.loads(path.read_text())
-    wrapper["payload"]["phase"] = "families" if wrapper["payload"]["phase"] != "families" else "elimination"
+    wrapper["payload"]["depth_done"] = 5
     path.write_text(json.dumps(wrapper))
     with pytest.raises(StoreIntegrityError):
-        solve_weight(
-            7, lower, config, checkpointer=Checkpointer(path, config.fingerprint(), 1)
-        )
+        solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
 
 
 def test_checkpoint_from_other_config_is_ignored(tmp_path):
-    config = RunConfig(jobs=1, checkpoint_every=1)
-    other = RunConfig(jobs=1, kinds=("stuffle", "shuffle"), checkpoint_every=1)
+    config = RunConfig(jobs=1)
+    other = RunConfig(jobs=1, kinds=("stuffle", "shuffle"))
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
-    crasher = _InterruptAfter(path, other.fingerprint(), 1, 2)
+    crasher = _InterruptAfter(path, other.fingerprint(), 2)
     with pytest.raises(KeyboardInterrupt):
         solve_weight(7, lower, other, checkpointer=crasher)
 
     # resuming under the default kinds ignores the foreign checkpoint and
     # still produces the canonical table
-    resumed = solve_weight(
-        7, lower, config, checkpointer=Checkpointer(path, config.fingerprint(), 1)
-    )
+    resumed = solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
     assert render_table(resumed) == render_table(solve_weight(7, lower, config))
+
+
+def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypatch, caplog):
+    # older builds also checkpointed mid-elimination; such a payload is
+    # hash-valid and carries this configuration's fingerprint, but no
+    # family depth, so the weight restarts from scratch
+    config = RunConfig(jobs=1)
+    lower = _lower_tables(6)
+    path = tmp_path / "weight-07.checkpoint.json"
+    Checkpointer(path, config.fingerprint()).save(
+        {
+            "weight": 7,
+            "phase": "elimination",
+            "entries": {},
+            "master": {
+                "monomials": [],
+                "pivots": {},
+                "redundant": 0,
+                "consumed": 3,
+                "total_terms": 0,
+                "max_terms": 0,
+            },
+        }
+    )
+    family_solves = _count_family_solves(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="zetaforge.solver"):
+        resumed = solve_weight(
+            7, lower, config, checkpointer=Checkpointer(path, config.fingerprint())
+        )
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ignoring checkpoint {path} from a different configuration"
+    ]
+    assert len(family_solves) > 0
+    assert render_table(resumed) == render_table(solve_weight(7, lower, config))
+    assert not path.exists()
+
+
+# ------------------------------------------------------ crash and re-run
+
+@pytest.fixture(scope="module")
+def clean_store8(tmp_path_factory):
+    store = TableStore(tmp_path_factory.mktemp("clean"))
+    ensure_solved(store, 8)
+    return store
+
+
+def _assert_matches_clean_store(store, clean):
+    names = sorted(p.name for p in store.root.iterdir())
+    assert names == sorted(p.name for p in clean.root.iterdir())
+    assert not any("checkpoint" in name for name in names)
+    for name in names:
+        assert (store.root / name).read_bytes() == (clean.root / name).read_bytes(), name
+
+
+def test_ensure_solved_rerun_after_a_crash_inside_a_weight(tmp_path, monkeypatch, clean_store8):
+    store = TableStore(tmp_path)
+    ensure_solved(store, 6)
+    _interrupt_absorb_after(monkeypatch, 5)
+    with pytest.raises(KeyboardInterrupt):
+        ensure_solved(store, 8)
+    monkeypatch.undo()
+    assert store.checkpoint_path(7).exists()
+    assert not store.has(7)
+
+    ensure_solved(store, 8)
+    _assert_matches_clean_store(store, clean_store8)
+
+
+def test_ensure_solved_rerun_after_a_crash_before_the_manifest_write(
+    tmp_path, monkeypatch, clean_store8
+):
+    store = TableStore(tmp_path)
+    ensure_solved(store, 6)
+    honest = solver_mod._atomic_write
+
+    def crash_on_manifest(path, text):
+        if path == store.manifest_path and store.table_path(7).exists():
+            raise KeyboardInterrupt("simulated crash between table and manifest writes")
+        honest(path, text)
+
+    monkeypatch.setattr(solver_mod, "_atomic_write", crash_on_manifest)
+    with pytest.raises(KeyboardInterrupt):
+        ensure_solved(store, 8)
+    monkeypatch.undo()
+    # the weight-7 table is on disk but unrecorded, so it is solved again
+    assert store.table_path(7).exists() and not store.has(7)
+
+    ensure_solved(store, 8)
+    _assert_matches_clean_store(store, clean_store8)
 
 
 def test_solved_stats_recorded(tables8):
@@ -422,35 +511,26 @@ def test_absorb_rejects_a_word_without_a_column():
         master.absorb(({(4, 4): Fraction(1)}, {}), "row")
 
 
-def test_checkpoint_state_encoding_frozen():
-    # word columns encode as c<column>, monomial columns as m<monomial id>
-    master = MasterExpression([(8,), (5, 3)])
-    split = ({(8,): Fraction(2), (5, 3): Fraction(-1)}, {((5,), (3,)): Fraction(1, 3)})
-    assert master.absorb(split, "row") is True
-    state = {
-        "monomials": ["5|3"],
-        "pivots": {"0": {"c0": "1", "c1": "-1/2", "m0": "1/6"}},
-        "redundant": 0,
-        "consumed": 1,
-        "total_terms": 3,
-        "max_terms": 3,
-    }
-    assert master.state() == state
-    restored = MasterExpression([(8,), (5, 3)])
-    restored.restore(json.loads(json.dumps(state)))
-    assert restored.state() == state
-    assert restored.pivots == master.pivots
-
-
-def test_restore_rebuilds_the_shadow():
+def test_peak_terms_is_the_largest_live_count():
+    # rows over columns a, b, c (words) and the monomial m; one bracket per row
+    a, b, c = (8,), (5, 3), (6, 2)
     m = ((5,), (3,))
-    master = MasterExpression([(8,), (5, 3)])
-    split = ({(8,): Fraction(2), (5, 3): Fraction(-1)}, {m: Fraction(1, 3)})
-    assert master.absorb(split, "row") is True
-    restored = MasterExpression([(8,), (5, 3)])
-    restored.restore(json.loads(json.dumps(master.state())))
-    assert restored.shadow == master.shadow != {}
-    # a multiple of the restored bracket is set aside without exact work
-    double = ({(8,): Fraction(4), (5, 3): Fraction(-2)}, {m: Fraction(2, 3)})
-    assert restored.absorb(double, "again") is False
-    assert [origin for _, _, origin in restored.skipped] == ["again"]
+    one = Fraction(1)
+
+    # {a+b+c, b-c}: 3 + 2 terms after absorb; back-substitution turns the
+    # first bracket into a + 2c, so 4 terms live afterwards
+    shrink = MasterExpression([a, b, c])
+    assert shrink.absorb(({a: one, b: one, c: one}, {}), "r1") is True
+    assert shrink.absorb(({b: one, c: -one}, {}), "r2") is True
+    shrink.back_substitute()
+    assert shrink.pivots == {0: {0: 1, 2: 2}, 1: {1: 1, 2: -1}}
+    assert shrink.peak_terms == 5
+
+    # {a+b, b+c+m}: 2 + 3 terms after absorb; back-substitution turns the
+    # first bracket into a - c - m, so 6 terms live afterwards
+    grow = MasterExpression([a, b, c])
+    assert grow.absorb(({a: one, b: one}, {}), "r1") is True
+    assert grow.absorb(({b: one, c: one}, {m: one}), "r2") is True
+    grow.back_substitute()
+    assert grow.pivots == {0: {0: 1, 2: -1, 3: -1}, 1: {1: 1, 2: 1, 3: 1}}
+    assert grow.peak_terms == 6

@@ -45,8 +45,7 @@ def test_recheck_population_structure(tables8):
 
 
 def test_solver_row_order_weight_8(tables8, monkeypatch):
-    # the solver consumes hoffman rows, then shuffle rows; a checkpoint's
-    # ``consumed`` count indexes this order
+    # the solver consumes hoffman rows, then shuffle rows
     kinds = []
     expand_row = solver_mod.expand_row
 
