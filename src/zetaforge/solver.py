@@ -16,14 +16,16 @@ The pipeline per weight W, given fully-reduced tables for all lower weights:
    weight's generators.  Row expansion is the parallel unit; pivot selection
    is sequential, so the result is independent of worker count.
 
-   Most rows are redundant, so each row is first reduced modulo a large
-   prime against a shadow of the brackets; a row that vanishes there is set
-   aside without exact work.  After assembly every set-aside row is
-   certified exactly: pushed through the table, it must give zero.  A row
-   that does not (the prime was unlucky) is absorbed exactly and the table
-   is assembled again.  The certified rows lie in the span of the absorbed
-   ones, and the reduced row-echelon form of a row space over a fixed column
-   order is unique, so the tables do not depend on the prime.
+   The elimination is fraction-free: every bracket is a primitive integer
+   row, and a lead is cleared by cross-multiplying with the bracket that
+   holds it.  Most rows are redundant, so each row is first reduced modulo
+   a large prime against a shadow of the brackets; a row that vanishes
+   there is set aside without exact work.  After assembly every set-aside
+   row is certified exactly: pushed through the table, it must give zero.
+   A row that does not (the prime was unlucky) is absorbed exactly and the
+   table is assembled again.  The certified rows lie in the span of the
+   absorbed ones, and the reduced row-echelon form of a row space over a
+   fixed column order is unique, so the tables do not depend on the prime.
 
 3. Assembly.  Pivot brackets are back-substituted and composed with the
    family entries into the fully-reduced table: every admissible word of the
@@ -85,8 +87,8 @@ MonoCombo = dict[Monomial, Fraction]
 # A half-reduced expression: a part still over same-weight words plus a part
 # already over basis monomials.
 SplitCombo = tuple[WordCombo, MonoCombo]
-# A row set aside by the mod-p filter: its columns, an integer multiple of
-# its coefficients, and the relation it came from.
+# A row set aside by the mod-p filter: its columns, its primitive integer
+# coefficients, and the relation it came from.
 SkippedRow = tuple[tuple[int, ...], tuple[int, ...], str]
 
 
@@ -400,6 +402,29 @@ def family_phase(
 # fails the exact certificate and is absorbed exactly.
 PRIME = 2**61 - 1
 
+PROGRESS_ROWS = 256  # rows between two elimination progress lines (debug level)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict[int, int], col: int, holder: dict[int, int]) -> dict[int, int]:
+    """``b*row - a*holder``, with ``a/b`` in lowest terms the ratio of the
+    entries at ``col``, which ``holder`` leads (so ``b > 0`` and a bracket
+    keeps its positive lead).  Consumes ``row``."""
+    a = row.pop(col)
+    g = math.gcd(a, holder[col])
+    a, b = a // g, holder[col] // g
+    if b != 1:
+        row = {k: v * b for k, v in row.items()}
+    for k, v in holder.items():
+        if k != col:
+            add_term(row, k, -a * v)
+    return row
+
 
 class MasterExpression:
     """Elimination state over one weight's Lyndon words.
@@ -407,12 +432,13 @@ class MasterExpression:
     Rows live in one integer column space: the word ``columns[k]`` is column
     ``k`` for ``k < n_words``, and monomial ``monomials[i]`` is column
     ``n_words + i``, so every monomial column sorts after every word column.
-    Each pivot bracket maps an eliminated word (a column index) to a monic
-    row over later columns and monomial tail columns; reading the row as
-    "word = minus the rest" gives the bracket's current right-hand side.
-    Absorbing a relation row reduces it against existing brackets and either
-    installs a new bracket at its leading column or discards it as redundant.
-    Substitution is bracket-local by construction: absorbing or
+    Each pivot bracket maps an eliminated word (a column index) to a
+    primitive integer row (gcd 1, positive lead) over later columns and
+    monomial tail columns; divided by its lead and read as "word = minus
+    the rest", it is the bracket's current right-hand side.  Absorbing a
+    row reduces it fraction-free against existing brackets and either
+    installs a new bracket at its leading column or discards it as
+    redundant.  Substitution is bracket-local by construction: absorbing or
     back-substituting one bracket never needs data from another bracket
     beyond its finished row, so brackets can be distributed.
 
@@ -423,7 +449,8 @@ class MasterExpression:
     against the assembled table, and :meth:`admit` absorbs the ones it
     rejects.
 
-    ``peak_terms`` is the largest number of live bracket terms seen, sampled
+    ``peak_terms`` is the largest number of live bracket terms seen and
+    ``peak_bits`` the largest bit length of a bracket entry, both sampled
     before and after each :meth:`back_substitute`.
     """
 
@@ -433,9 +460,10 @@ class MasterExpression:
         self.n_words = len(columns)
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
         self.redundant = 0
         self.peak_terms = 0
+        self.peak_bits = 0
         self.prime = PRIME
         self.shadow: dict[int, dict[int, int]] = {}
         self.skipped: list[SkippedRow] = []
@@ -448,7 +476,8 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def _row(self, split: SplitCombo, origin: str) -> dict[int, Fraction]:
+    def _row(self, split: SplitCombo, origin: str) -> dict[int, int]:
+        """The primitive integer row of a half-reduced relation."""
         word_part, mono_part = split
         row: dict[int, Fraction] = {}
         for w, c in word_part.items():
@@ -460,7 +489,8 @@ class MasterExpression:
             add_term(row, col, c)
         for m, c in mono_part.items():
             add_term(row, self._mono_col(m), c)
-        return row
+        lcd = math.lcm(*(c.denominator for c in row.values()))
+        return _primitive({k: c.numerator * (lcd // c.denominator) for k, c in row.items()})
 
     def absorb(self, split: SplitCombo, origin: str) -> bool:
         """Reduce one relation row into the bracket set.  Returns True when
@@ -469,70 +499,42 @@ class MasterExpression:
         reduces to zero mod the prime."""
         row = self._row(split, origin)
         if self._vanishes_mod_p(row):
-            self._set_aside(row, origin)
+            self.skipped.append((tuple(row), tuple(row.values()), origin))
         elif self._reduce(row, origin):
             return True
         self.redundant += 1
         return False
 
-    def _set_aside(self, row: dict[int, Fraction], origin: str) -> None:
-        # kept compact: the columns and an integer multiple of the row
-        lcd = math.lcm(*(c.denominator for c in row.values()))
-        nums = tuple(c.numerator * (lcd // c.denominator) for c in row.values())
-        self.skipped.append((tuple(row), nums, origin))
-
-    def _reduce(self, row: dict[int, Fraction], origin: str) -> bool:
-        """Exact reduction of ``row``, which it consumes; True when it
-        installed a bracket, False when it reduced to zero."""
-        while True:
-            if not row:
-                return False
+    def _reduce(self, row: dict[int, int], origin: str) -> bool:
+        """Exact reduction of the primitive ``row``, which it consumes; True
+        when it installed a bracket, False when it reduced to zero."""
+        while row:
             lead = min(row)
             if lead >= self.n_words:
                 raise InconsistentRelation(f"{origin}: reduced to 0 = nonzero")
             holder = self.pivots.get(lead)
             if holder is None:
-                scale = 1 / row[lead]
-                bracket = {k: v * scale for k, v in row.items()}
-                self.pivots[lead] = bracket
-                self._shadow_install(lead, bracket)
+                if row[lead] < 0:
+                    row = {k: -v for k, v in row.items()}
+                self.pivots[lead] = row
+                self._shadow_install(lead, row)
                 return True
-            scale = row.pop(lead)
-            for k, v in holder.items():
-                if k != lead:
-                    add_term(row, k, -scale * v)
+            row = _primitive(_cancel(row, lead, holder))
+        return False
 
     # -------- mod-p filter
 
-    def _image(self, row: dict[int, Fraction]) -> dict[int, int] | None:
-        """``row`` mod the prime, or None when a denominator is divisible
-        by it."""
-        p = self.prime
-        out: dict[int, int] = {}
-        for k, c in row.items():
-            d = c.denominator
-            if d % p == 0:
-                return None
-            x = c.numerator * pow(d, -1, p) % p
-            if x:
-                out[k] = x
-        return out
-
-    def _shadow_install(self, lead: int, bracket: dict[int, Fraction]) -> None:
+    def _shadow_install(self, lead: int, bracket: dict[int, int]) -> None:
         # the shadow is kept fully reduced: no row has an entry at another
-        # row's lead.  A bracket that is not p-integral, or whose image
-        # loses its lead to that reduction, stays out; rows it would have
+        # row's lead, and each row's lead entry is an implicit 1.  A bracket
+        # whose lead is divisible by the prime stays out; rows it would have
         # reduced then take the exact path.
         p = self.prime
-        image = self._image(bracket)
-        if image is None:
+        head = bracket[lead] % p
+        if not head:
             return
-        self._reduce_mod_p(image)
-        scale = image.pop(lead, 0) % p
-        if not scale:
-            return
-        inv = pow(scale, -1, p)
-        image = {k: v * inv % p for k, v in image.items() if v % p}
+        inv = pow(head, -1, p)
+        image = self._reduce_mod_p({k: v * inv % p for k, v in bracket.items() if k != lead})
         for row in self.shadow.values():
             c = row.pop(lead, None)
             if c:
@@ -544,9 +546,9 @@ class MasterExpression:
                         row.pop(k, None)
         self.shadow[lead] = image
 
-    def _reduce_mod_p(self, r: dict[int, int]) -> None:
-        """Clear every shadow lead from ``r`` in place; entries are left
-        unreduced mod p."""
+    def _reduce_mod_p(self, r: dict[int, int]) -> dict[int, int]:
+        """``r`` mod p with every shadow lead cleared, zero entries dropped;
+        consumes ``r``."""
         p = self.prime
         shadow = self.shadow
         for lead in [k for k in r if k in shadow]:
@@ -554,15 +556,11 @@ class MasterExpression:
             if scale:
                 for k, v in shadow[lead].items():
                     r[k] = r.get(k, 0) - scale * v
+        return {k: v % p for k, v in r.items() if v % p}
 
-    def _vanishes_mod_p(self, row: dict[int, Fraction]) -> bool:
+    def _vanishes_mod_p(self, row: dict[int, int]) -> bool:
         """Whether ``row`` reduces to zero against the shadow echelon."""
-        r = self._image(row)
-        if r is None:
-            return False
-        self._reduce_mod_p(r)
-        p = self.prime
-        return not any(v % p for v in r.values())
+        return not self._reduce_mod_p({k: v % self.prime for k, v in row.items()})
 
     # -------- certificate
 
@@ -603,26 +601,27 @@ class MasterExpression:
         """Absorb rows the certificate rejected, exactly.  They were counted
         redundant when skipped; call :meth:`back_substitute` afterwards."""
         for cols, nums, origin in rows:
-            if self._reduce({k: Fraction(v) for k, v in zip(cols, nums)}, origin):
+            if self._reduce(dict(zip(cols, nums)), origin):
                 self.redundant -= 1
 
     def back_substitute(self) -> None:
         """Remove pivot columns from every bracket, descending, leaving each
-        bracket over survivor columns and monomial columns only."""
+        bracket primitive over its own column, survivor columns and monomial
+        columns only; each row's content is divided out after its last cancellation."""
         self._note_peak()
-        for col in sorted(self.pivots, reverse=True):
-            row = self.pivots[col]
-            inner = sorted(k for k in row if k != col and k in self.pivots)
-            for k in inner:
-                scale = row.pop(k)
-                for k2, v2 in self.pivots[k].items():
-                    if k2 != k:
-                        add_term(row, k2, -scale * v2)
+        pivots = self.pivots
+        for col in sorted(pivots, reverse=True):
+            row = pivots[col]
+            for k in sorted(k for k in row if k != col and k in pivots):
+                row = _cancel(row, k, pivots[k])
+            pivots[col] = _primitive(row)
         self._note_peak()
 
     def _note_peak(self) -> None:
-        live = sum(len(row) for row in self.pivots.values())
-        self.peak_terms = max(self.peak_terms, live)
+        rows = self.pivots.values()
+        self.peak_terms = max(self.peak_terms, sum(len(row) for row in rows))
+        bits = (abs(v).bit_length() for row in rows for v in row.values())
+        self.peak_bits = max(self.peak_bits, max(bits, default=0))
 
     def survivors(self) -> list[Word]:
         return [w for i, w in enumerate(self.columns) if i not in self.pivots]
@@ -814,8 +813,11 @@ def solve_weight(
     rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
 
     def feed(splits) -> None:
-        for desc, split in zip(rows, splits):
+        for done, (desc, split) in enumerate(zip(rows, splits), 1):
             master.absorb(split, describe(desc))
+            if done % PROGRESS_ROWS == 0:
+                log.debug("weight %d: %d/%d rows absorbed, %d pivots",
+                          w, done, len(rows), len(master.pivots))
 
     fork = _fork_context() if config.jobs > 1 and len(rows) > 1 else None
     _set_worker_ctx(entries=entries, tables=tables)
@@ -853,13 +855,13 @@ def solve_weight(
         "certified_rows": len(master.skipped),
         "fallback_rows": fallback_rows,
         "max_bracket_terms": master.peak_terms,
+        "max_coeff_bits": master.peak_bits,
     }
     if checkpointer is not None:
         checkpointer.clear()
-    log.debug(
-        "weight %d: certified %d skipped row(s) in %.3f s, %d fallback row(s)",
-        w, len(master.skipped), certify_seconds, fallback_rows,
-    )
+    log.debug("weight %d: certified %d skipped row(s) in %.3f s, %d fallback row(s), "
+              "max coefficient %d bits",
+              w, len(master.skipped), certify_seconds, fallback_rows, master.peak_bits)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{len(master.pivots)} pivots, {master.redundant} redundant rows"
@@ -880,21 +882,19 @@ def _assemble(
     for x in survivors:
         table[x] = {(x,): Fraction(1)}
 
-    def bracket_entry(col: int, row: dict) -> Entry:
+    def bracket_entry(col: int, row: dict[int, int]) -> Entry:
         entry: Entry = {}
         for k, v in row.items():
-            if k == col:
-                continue
             if k >= master.n_words:
-                add_term(entry, master.monomials[k - master.n_words], -v)
-                continue
-            word = columns[k]
-            if word not in table or k in master.pivots:
-                raise InconsistentRelation(
-                    f"bracket for {render_word(columns[col])} still references "
-                    f"{render_word(word)} after back-substitution"
-                )
-            add_term(entry, (word,), -v)
+                entry[master.monomials[k - master.n_words]] = Fraction(-v, row[col])
+            elif k != col:
+                word = columns[k]
+                if word not in table or k in master.pivots:
+                    raise InconsistentRelation(
+                        f"bracket for {render_word(columns[col])} still references "
+                        f"{render_word(word)} after back-substitution"
+                    )
+                entry[(word,)] = Fraction(-v, row[col])
         return entry
 
     for col, row in master.pivots.items():

@@ -444,6 +444,8 @@ def test_solved_stats_recorded(tables8):
     # every redundant row was skipped mod p and then certified exactly
     assert stats["certified_rows"] == stats["redundant_rows"] == 45
     assert stats["fallback_rows"] == 0
+    # the largest |entry| of weight 8's primitive integer brackets has 27 bits
+    assert stats["max_coeff_bits"] == 27
 
 
 def test_certificate_counters_logged_at_debug_only(caplog, capsys):
@@ -453,9 +455,26 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if "certified" in r.getMessage()]
     assert len(lines) == 1
     assert re.fullmatch(
-        r"weight 6: certified 6 skipped row\(s\) in \d+\.\d{3} s, 0 fallback row\(s\)",
+        r"weight 6: certified 6 skipped row\(s\) in \d+\.\d{3} s, 0 fallback row\(s\), "
+        r"max coefficient 9 bits",
         lines[0],
     )
+    assert capsys.readouterr().out == ""
+
+
+def test_elimination_progress_logged_at_debug_only(monkeypatch, caplog, capsys):
+    monkeypatch.setattr(solver_mod, "PROGRESS_ROWS", 16)
+    lower = _lower_tables(7)
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        solve_weight(8, lower)
+    lines = [r.getMessage() for r in caplog.records if "rows absorbed" in r.getMessage()]
+    # weight 8 consumes 74 rows and ends with 29 pivots
+    assert lines == [
+        "weight 8: 16/74 rows absorbed, 16 pivots",
+        "weight 8: 32/74 rows absorbed, 28 pivots",
+        "weight 8: 48/74 rows absorbed, 28 pivots",
+        "weight 8: 64/74 rows absorbed, 29 pivots",
+    ]
     assert capsys.readouterr().out == ""
 
 
@@ -482,6 +501,31 @@ def test_certificate_rejects_a_wrong_skip_under_an_unlucky_prime(monkeypatch):
     assert sorted(master.pivots) == [0, 1]
     assert master.redundant == 0
     assert master.certify({a: {}, b: {}}) == []
+
+
+def test_a_bracket_whose_lead_is_divisible_by_the_prime_stays_out_of_the_shadow(monkeypatch):
+    monkeypatch.setattr(solver_mod, "PRIME", 3)
+    a, b = (8,), (5, 3)
+    master = MasterExpression([a, b])
+    assert master.absorb(({a: Fraction(3), b: Fraction(1)}, {}), "first") is True
+    assert master.pivots == {0: {0: 3, 1: 1}}
+    assert master.shadow == {}
+    # 6a + 2b is twice the first row; with no shadow row to cancel it, the
+    # filter keeps it, and the exact reduction proves it redundant
+    assert master.absorb(({a: Fraction(6), b: Fraction(2)}, {}), "second") is False
+    assert master.skipped == []
+    assert master.redundant == 1
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7])
+def test_small_primes_give_the_same_tables(monkeypatch, tables8, prime):
+    monkeypatch.setattr(solver_mod, "PRIME", prime)
+    tables = solve_in_memory(8, RunConfig(jobs=1))
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
 
 
 def test_fallback_rebuilds_every_table_when_every_row_is_skipped(monkeypatch, tables8):
@@ -534,3 +578,21 @@ def test_peak_terms_is_the_largest_live_count():
     grow.back_substitute()
     assert grow.pivots == {0: {0: 1, 2: -1, 3: -1}, 1: {1: 1, 2: 1, 3: 1}}
     assert grow.peak_terms == 6
+
+    # non-unit leads {-2a-b-c, 3b+c+2m}, given as -(2a+b+c)/2 and
+    # 2(3b+c+2m)/3: each row is stored primitive with a positive lead;
+    # back-substitution gives 3(2a+c) - (c+2m) = 6a+2c-2m, stored as 3a+c-m
+    leads = MasterExpression([a, b, c])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert leads.absorb(({a: -one, b: -half, c: -half}, {}), "r1") is True
+    assert leads.absorb(({b: 2 * one, c: 2 * third}, {m: 4 * third}), "r2") is True
+    assert leads.pivots == {0: {0: 2, 1: 1, 2: 1}, 1: {1: 3, 2: 1, 3: 2}}
+    leads.back_substitute()
+    assert leads.pivots == {0: {0: 3, 2: 1, 3: -1}, 1: {1: 3, 2: 1, 3: 2}}
+    assert leads.peak_terms == 6
+    # every other weight-8 word gets an empty family entry
+    entries = {x: ({}, {}) for x in admissible_words(8) if x not in (a, b, c)}
+    table = solver_mod._assemble(8, leads, entries, leads.survivors()).entries
+    assert table[a] == {(c,): Fraction(-1, 3), m: Fraction(1, 3)}
+    assert table[b] == {(c,): Fraction(-1, 3), m: Fraction(-2, 3)}
+    assert table[c] == {(c,): one}
