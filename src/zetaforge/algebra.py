@@ -6,15 +6,16 @@ integers: the stuffle (quasi-shuffle) product, which merges index sequences
 with carry terms, and the shuffle product, which interleaves the binary
 encodings.  Both expand a product of two sums into an integer combination of
 single sums of the combined weight.  The difference of the two expansions of
-one pair is a rational linear relation among same-weight words; together
+one pair is an integer linear relation among same-weight words; together
 with the regularized relations built from the divergent index 1 and the
 duality relations they form the one relation set that the relation dump,
 the solver and the verifier all read through :func:`relation_descriptors`
 and :func:`expand_relation`.
 
 Linear combinations are plain dicts mapping a key (an index word, or a basis
-monomial which is a tuple of generator words) to a nonzero
-:class:`~fractions.Fraction`.  The helpers here maintain the no-zero-terms
+monomial which is a tuple of generator words) to a nonzero coefficient: an
+``int`` in a relation's expansion, a :class:`~fractions.Fraction` once
+tables are substituted.  The helpers here maintain the no-zero-terms
 invariant in place.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator
 
 from .words import (
@@ -124,21 +124,24 @@ def stuffle(u: Word, v: Word) -> dict[Word, int]:
 def shuffle_binary(a: str, b: str) -> dict[str, int]:
     """Shuffle expansion on binary words: all interleavings preserving the
     internal order of each factor, with multiplicity.  Total count is
-    binomial(len(a)+len(b), len(a))."""
-    out: dict[str, int] = {}
-    n = len(a) + len(b)
-    for positions in combinations(range(n), len(a)):
-        letters = [""] * n
-        for ai, p in enumerate(positions):
-            letters[p] = a[ai]
-        bi = 0
-        for i in range(n):
-            if not letters[i]:
-                letters[i] = b[bi]
-                bi += 1
-        word = "".join(letters)
-        out[word] = out.get(word, 0) + 1
-    return out
+    binomial(len(a)+len(b), len(a)).
+
+    Built by leading letter over suffix pairs: the shuffles of ``a[i:]`` and
+    ``b[j:]`` start with ``a[i]`` followed by a shuffle of ``a[i+1:]`` and
+    ``b[j:]``, or with ``b[j]`` followed by one of ``a[i:]`` and ``b[j+1:]``.
+    The table of suffix pairs lives for one call only."""
+    n = len(b)
+    row = [{b[j:]: 1} for j in range(n + 1)]  # the shuffles of "" and b[j:]
+    for i in range(len(a) - 1, -1, -1):
+        below = row  # the shuffles of a[i+1:] and b[j:]
+        row = [{}] * n + [{a[i:]: 1}]
+        for j in range(n - 1, -1, -1):
+            out = {a[i] + w: c for w, c in below[j].items()}
+            for w, c in row[j + 1].items():
+                key = b[j] + w
+                out[key] = out.get(key, 0) + c
+            row[j] = out
+    return row[0]
 
 
 def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
@@ -215,9 +218,10 @@ def relation_descriptors(w: int, kinds=DEFAULT_KINDS, order=RELATION_KINDS) -> l
     return [desc for kind in order if kind in ks for desc in _instances(w, kind)]
 
 
-def expand_relation(desc: tuple) -> tuple[dict[Word, Fraction], tuple[Word, Word] | None]:
-    """The word combination of one relation instance, plus the product pair
-    ``(u, v)`` it equals, or None when the combination is zero outright."""
+def expand_relation(desc: tuple) -> tuple[dict[Word, int], tuple[Word, Word] | None]:
+    """The integer word combination of one relation instance, plus the
+    product pair ``(u, v)`` it equals, or None when the combination is zero
+    outright."""
     kind = desc[0]
     if kind == "stuffle":
         expansion, product = stuffle(desc[1], desc[2]), desc[1:]
@@ -230,7 +234,7 @@ def expand_relation(desc: tuple) -> tuple[dict[Word, Fraction], tuple[Word, Word
         add_term(expansion, dual(desc[1]), -1)
     else:
         raise ValueError(f"unknown relation descriptor {desc!r}")
-    return {x: Fraction(c) for x, c in expansion.items()}, product
+    return expansion, product
 
 
 def describe(desc: tuple) -> str:
@@ -244,7 +248,7 @@ def describe(desc: tuple) -> str:
 class Relation:
     """One generated relation at a fixed weight.
 
-    ``combo`` maps index words to rational coefficients.  When ``product_of``
+    ``combo`` maps index words to integer coefficients.  When ``product_of``
     is None the combination is identically zero as a statement about real
     numbers.  When ``product_of = (u, v)`` the combination equals the product
     Z(u)*Z(v); the solver attaches the product's value over lower-weight
@@ -253,7 +257,7 @@ class Relation:
 
     kind: str
     provenance: tuple
-    combo: dict[Word, Fraction] = field(repr=False)
+    combo: dict[Word, int] = field(repr=False)
     product_of: tuple[Word, Word] | None = None
 
 
@@ -277,12 +281,12 @@ def gen_relations(
         return
     products = [k for k in ("stuffle", "shuffle") if k in ks]
 
-    def capped(combo: dict[Word, Fraction]) -> bool:
+    def capped(combo: dict[Word, int]) -> bool:
         return depth_cap is not None and any(len(x) > depth_cap for x in combo)
 
     # with both product kinds the pair's relation is stuffle minus shuffle
     for u, v in weight_pairs(w) if products else ():
-        combo: dict[Word, Fraction] = {}
+        combo: dict[Word, int] = {}
         for sign, kind in zip((1, -1), products):
             add_scaled(combo, expand_relation((kind, u, v))[0], sign)
         if len(products) == 2:
@@ -299,8 +303,8 @@ def gen_relations(
 
 def render_relation(rel: Relation, pool: frozenset[Word]) -> str:
     """One dump line: ``0 = c1*Z(...) + c2*Z(...) # kind: ...`` with terms in
-    elimination order (first-eliminated first) and rationals as p/q.  A
-    relation equal to a product carries the product as a trailing -1 term."""
+    elimination order (first-eliminated first).  A relation equal to a
+    product carries the product as a trailing -1 term."""
     from .words import elim_key
 
     terms = sorted(rel.combo.items(), key=lambda kv: elim_key(kv[0], pool), reverse=True)

@@ -13,19 +13,22 @@ The pipeline per weight W, given fully-reduced tables for all lower weights:
    shuffle product rows, optionally duality rows), with family entries
    substituted, are reduced over the Lyndon words of the weight in a fixed
    elimination order.  Words that never become a pivot survive as this
-   weight's generators.  Row expansion is the parallel unit; pivot selection
-   is sequential, so the result is independent of worker count.
+   weight's generators.  Pivot selection is sequential and runs in the
+   calling process, so the result is independent of worker count.
 
    The elimination is fraction-free: every bracket is a primitive integer
    row, and a lead is cleared by cross-multiplying with the bracket that
-   holds it.  Most rows are redundant, so each row is first reduced modulo
-   a large prime against a shadow of the brackets; a row that vanishes
-   there is set aside without exact work.  After assembly every set-aside
-   row is certified exactly: pushed through the table, it must give zero.
-   A row that does not (the prime was unlucky) is absorbed exactly and the
-   table is assembled again.  The certified rows lie in the span of the
-   absorbed ones, and the reduced row-echelon form of a row space over a
-   fixed column order is unique, so the tables do not depend on the prime.
+   holds it.  Most rows are redundant, so each row is first expanded modulo
+   a large prime and reduced against a shadow of the brackets; a row that
+   vanishes there is set aside as its bare relation, without exact work,
+   and only the other rows are expanded exactly.  After assembly every
+   set-aside relation is certified exactly: substituted through the lower
+   tables and the new one in integer arithmetic, it must give zero (the
+   same check ``verify`` runs).  A relation that does not (the prime was
+   unlucky) is expanded and absorbed exactly and the table is assembled
+   again.  The certified relations lie in the span of the absorbed ones,
+   and the reduced row-echelon form of a row space over a fixed column
+   order is unique, so the tables do not depend on the prime.
 
 3. Assembly.  Pivot brackets are back-substituted and composed with the
    family entries into the fully-reduced table: every admissible word of the
@@ -49,7 +52,6 @@ import multiprocessing
 import os
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -66,6 +68,7 @@ from .algebra import (
     describe,
     expand_relation,
     lc_mul,
+    mono_mul,
     relation_descriptors,
 )
 from .lyndon import candidate_words, listing_key
@@ -87,9 +90,6 @@ MonoCombo = dict[Monomial, Fraction]
 # A half-reduced expression: a part still over same-weight words plus a part
 # already over basis monomials.
 SplitCombo = tuple[WordCombo, MonoCombo]
-# A row set aside by the mod-p filter: its columns, its primitive integer
-# coefficients, and the relation it came from.
-SkippedRow = tuple[tuple[int, ...], tuple[int, ...], str]
 
 
 class SolverError(Exception):
@@ -193,6 +193,66 @@ def substitute_tables(combo: WordCombo, tables: dict[int, SolvedWeight]) -> Mono
     return out
 
 
+def _scale(entry: Entry) -> tuple[int, dict[Monomial, int]]:
+    """``entry`` as integers over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in entry.values()))
+    return den, {
+        m: c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
+        for m, c in entry.items()
+    }
+
+
+class Certifier:
+    """The exact check of relation instances against fully-reduced tables,
+    in integer arithmetic.
+
+    A relation holds when its word combination, substituted through the
+    tables, equals the tabled value of its product (zero when it has none).
+    Each word's entry is scaled once to integers over one denominator; a
+    product's value is the integer product of its two factors' scaled
+    entries; :meth:`residue` clears every denominator of a relation with
+    their lcm.  The entries of a weight are scaled together on first use
+    and cached, so a certifier serves one set of tables that does not
+    change while it is used.
+    """
+
+    def __init__(self, tables: dict[int, SolvedWeight]):
+        self.tables = tables
+        self._scaled: dict[int, dict[Word, tuple[int, dict[Monomial, int]]]] = {}
+
+    def _entry(self, w: Word) -> tuple[int, dict[Monomial, int]]:
+        k = weight(w)
+        scaled = self._scaled.get(k)
+        if scaled is None:
+            table = self.tables.get(k)
+            entries = table.entries if table is not None else {}
+            scaled = self._scaled[k] = {x: _scale(entry) for x, entry in entries.items()}
+        got = scaled.get(w)
+        if got is None:
+            raise MissingTable(f"no table entry for {render_word(w)}")
+        return got
+
+    def residue(self, desc: tuple) -> dict[Monomial, int]:
+        """The relation ``desc`` substituted through the tables, times the
+        lcm of the denominators involved: empty exactly when it holds."""
+        combo, product = expand_relation(desc)
+        terms = [(c, *self._entry(x)) for x, c in combo.items()]
+        if product is not None:
+            (den_u, u), (den_v, v) = map(self._entry, product)
+            terms.append((-1, den_u * den_v, lc_mul(u, v)))
+        lcd = math.lcm(*(den for _, den, _ in terms))
+        residue: dict[Monomial, int] = {}
+        for c, den, entry in terms:
+            scale = c * (lcd // den)
+            for m, v in entry.items():
+                residue[m] = residue.get(m, 0) + scale * v
+        return {m: v for m, v in residue.items() if v}
+
+    def rejects(self, descs: list[tuple]) -> list[tuple]:
+        """The relations among ``descs`` that do not hold."""
+        return [desc for desc in descs if self.residue(desc)]
+
+
 # --------------------------------------------------------- family reduction
 
 def _multiset_splits(key: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
@@ -272,7 +332,8 @@ def solve_family(
                         )
                     continue
                 pivot = max(pivot_choices, key=lambda w: elim_key(w, pool))
-                scale = -1 / word_part.pop(pivot)
+                # exact even when the pivot's coefficient is a plain int
+                scale = Fraction(-1, word_part.pop(pivot))
                 expr_w = {w: c * scale for w, c in word_part.items()}
                 expr_m = {m: c * scale for m, c in mono_part.items()}
                 for prev, (prev_w, prev_m) in local.items():
@@ -311,27 +372,6 @@ def _family_worker(key: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
     return key, solve_family(
         key, ctx["families"][key], ctx["pool"], ctx["entries"], ctx["tables"]
     )
-
-
-def _rows_worker(descs: list[tuple]) -> list[SplitCombo]:
-    ctx = _WORKER_CTX
-    return [expand_row(desc, ctx["entries"], ctx["tables"]) for desc in descs]
-
-
-ROW_CHUNK = 16
-
-
-def _pooled_rows(procs, rows: list[tuple], window: int):
-    """Expanded rows in order, with at most ``window`` chunks of
-    ``ROW_CHUNK`` rows in flight, so finished rows never pile up in the
-    parent ahead of the sequential absorb."""
-    pending: deque = deque()
-    for i in range(0, len(rows), ROW_CHUNK):
-        pending.append(procs.apply_async(_rows_worker, (rows[i:i + ROW_CHUNK],)))
-        if len(pending) > window:
-            yield from pending.popleft().get()
-    while pending:
-        yield from pending.popleft().get()
 
 
 def _fork_context():
@@ -426,6 +466,17 @@ def _cancel(row: dict[int, int], col: int, holder: dict[int, int]) -> dict[int, 
     return row
 
 
+def _residues(terms, p: int) -> dict | None:
+    """``(key, rational)`` pairs as a dict of residues mod ``p``, or None
+    when a key is None or ``p`` divides a denominator."""
+    image = {}
+    for key, c in terms:
+        if key is None or c.denominator % p == 0:
+            return None
+        image[key] = c.numerator * pow(c.denominator, -1, p) % p
+    return image
+
+
 class MasterExpression:
     """Elimination state over one weight's Lyndon words.
 
@@ -442,31 +493,54 @@ class MasterExpression:
     back-substituting one bracket never needs data from another bracket
     beyond its finished row, so brackets can be distributed.
 
-    A shadow echelon mirrors the brackets mod ``PRIME`` in the same columns,
-    kept fully reduced so that testing a row costs one pass over its leads.
-    A row that reduces to zero against it is set aside in ``skipped``
-    without exact work; :meth:`certify` later checks each such row exactly
-    against the assembled table, and :meth:`admit` absorbs the ones it
-    rejects.
+    A row is a relation instance ``(kind, *words)``, expanded against the
+    weight's family ``entries`` and the lower ``tables``.  Most rows are
+    redundant, so each is first expanded mod ``PRIME`` (:meth:`image`) and
+    reduced against a shadow echelon that mirrors the brackets mod p in the
+    same columns, kept fully reduced so that testing a row costs one pass
+    over its leads.  A row that vanishes there is set aside in ``skipped``
+    as its bare descriptor, with no exact work; the solve certifies each
+    such relation against the assembled table (:class:`Certifier`) and
+    :meth:`admit` absorbs the ones it rejects.  Only the other rows are
+    expanded exactly (:meth:`expand`); ``exact_rows`` counts them.  The
+    family entries are mapped mod p once, lower-table entries on first use;
+    a row touching an entry whose denominator p divides has no image and
+    takes the exact path.
 
     ``peak_terms`` is the largest number of live bracket terms seen and
     ``peak_bits`` the largest bit length of a bracket entry, both sampled
     before and after each :meth:`back_substitute`.
     """
 
-    def __init__(self, columns: list[Word]):
+    def __init__(
+        self,
+        columns: list[Word],
+        entries: dict[Word, SplitCombo],
+        tables: dict[int, SolvedWeight],
+    ):
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
         self.n_words = len(columns)
+        self.entries = entries
+        self.tables = tables
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
         self.pivots: dict[int, dict[int, int]] = {}
         self.redundant = 0
+        self.exact_rows = 0
         self.peak_terms = 0
         self.peak_bits = 0
         self.prime = PRIME
         self.shadow: dict[int, dict[int, int]] = {}
-        self.skipped: list[SkippedRow] = []
+        self.skipped: list[tuple] = []
+        # images mod p, None where an entry is not p-integral: every word of
+        # the weight over columns, lower-table entries over monomials
+        self._word_images: dict[Word, dict[int, int] | None] = {
+            w: {k: 1} for k, w in enumerate(columns)
+        }
+        for w, split in entries.items():
+            self._word_images[w] = self._split_image(split)
+        self._table_images: dict[Word, dict[Monomial, int] | None] = {}
 
     def _mono_col(self, m: Monomial) -> int:
         mid = self.mono_ids.get(m)
@@ -492,18 +566,35 @@ class MasterExpression:
         lcd = math.lcm(*(c.denominator for c in row.values()))
         return _primitive({k: c.numerator * (lcd // c.denominator) for k, c in row.items()})
 
-    def absorb(self, split: SplitCombo, origin: str) -> bool:
+    def expand(self, desc: tuple) -> SplitCombo:
+        """The exact half-reduced row of the relation ``desc``."""
+        return expand_row(desc, self.entries, self.tables)
+
+    def absorb(self, desc: tuple) -> bool:
         """Reduce one relation row into the bracket set.  Returns True when
         the row installed a new pivot bracket, False when redundant: either
         proven so exactly, or set aside for the certificate because it
         reduces to zero mod the prime."""
-        row = self._row(split, origin)
-        if self._vanishes_mod_p(row):
-            self.skipped.append((tuple(row), tuple(row.values()), origin))
-        elif self._reduce(row, origin):
+        image = self.image(desc)
+        if image is not None and self._vanishes_mod_p(image):
+            self.skipped.append(desc)
+        elif self._absorb_exact(desc):
             return True
         self.redundant += 1
         return False
+
+    def admit(self, descs: list[tuple]) -> None:
+        """Absorb exactly the set-aside rows the certificate rejected.  They
+        were counted redundant when skipped; call :meth:`back_substitute`
+        afterwards."""
+        for desc in descs:
+            if self._absorb_exact(desc):
+                self.redundant -= 1
+
+    def _absorb_exact(self, desc: tuple) -> bool:
+        self.exact_rows += 1
+        origin = describe(desc)
+        return self._reduce(self._row(self.expand(desc), origin), origin)
 
     def _reduce(self, row: dict[int, int], origin: str) -> bool:
         """Exact reduction of the primitive ``row``, which it consumes; True
@@ -523,6 +614,48 @@ class MasterExpression:
         return False
 
     # -------- mod-p filter
+
+    def image(self, desc: tuple) -> dict[int, int] | None:
+        """The row of the relation ``desc`` mod p, zero entries dropped, or
+        None when it touches an entry that is not p-integral."""
+        combo, product = expand_relation(desc)
+        parts = [(c, self._word_images.get(x)) for x, c in combo.items()]
+        if product is not None:
+            parts.append((-1, self._product_image(*product)))
+        image: dict[int, int] = {}
+        for c, part in parts:
+            if part is None:
+                return None
+            for k, v in part.items():
+                image[k] = image.get(k, 0) + c * v
+        p = self.prime
+        return {k: v % p for k, v in image.items() if v % p}
+
+    def _split_image(self, split: SplitCombo) -> dict[int, int] | None:
+        # a word without a column has no image: the exact path reports it
+        word_part, mono_part = split
+        return _residues(
+            [(self.col_of.get(w), c) for w, c in word_part.items()]
+            + [(self._mono_col(m), c) for m, c in mono_part.items()],
+            self.prime,
+        )
+
+    def _product_image(self, u: Word, v: Word) -> dict[int, int] | None:
+        a, b = self._table_image(u), self._table_image(v)
+        if a is None or b is None:
+            return None
+        image: dict[int, int] = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                col = self._mono_col(mono_mul(ma, mb))
+                image[col] = image.get(col, 0) + ca * cb
+        return image
+
+    def _table_image(self, w: Word) -> dict[Monomial, int] | None:
+        if w not in self._table_images:
+            entry = self.tables[weight(w)].entries[w]
+            self._table_images[w] = _residues(entry.items(), self.prime)
+        return self._table_images[w]
 
     def _shadow_install(self, lead: int, bracket: dict[int, int]) -> None:
         # the shadow is kept fully reduced: no row has an entry at another
@@ -558,51 +691,12 @@ class MasterExpression:
                     r[k] = r.get(k, 0) - scale * v
         return {k: v % p for k, v in r.items() if v % p}
 
-    def _vanishes_mod_p(self, row: dict[int, int]) -> bool:
-        """Whether ``row`` reduces to zero against the shadow echelon."""
-        return not self._reduce_mod_p({k: v % self.prime for k, v in row.items()})
+    def _vanishes_mod_p(self, image: dict[int, int]) -> bool:
+        """Whether a row's mod-p ``image`` reduces to zero against the
+        shadow echelon; consumes ``image``."""
+        return not self._reduce_mod_p(image)
 
-    # -------- certificate
-
-    def certify(self, table: dict[Word, Entry]) -> list[SkippedRow]:
-        """The skipped rows that ``table`` does not satisfy exactly: each
-        row's word columns are replaced by their table entries, its monomial
-        columns are kept, and the sum must be zero.  The sum runs over
-        integers: every column's entry is brought to one denominator, and
-        each row to the least common denominator of its columns."""
-        n = self.n_words
-        scaled: dict[int, tuple[int, dict[Monomial, int]]] = {}
-
-        def column(k: int) -> tuple[int, dict[Monomial, int]]:
-            got = scaled.get(k)
-            if got is None:
-                entry = table[self.columns[k]] if k < n else {self.monomials[k - n]: Fraction(1)}
-                den = math.lcm(*(c.denominator for c in entry.values()))
-                got = scaled[k] = (
-                    den, {m: c.numerator * (den // c.denominator) for m, c in entry.items()}
-                )
-            return got
-
-        failed = []
-        for skipped in self.skipped:
-            cols, nums, _origin = skipped
-            terms = [column(k) for k in cols]
-            lcd = math.lcm(*(den for den, _ in terms))
-            residue: dict[Monomial, int] = {}
-            for num, (den, entry) in zip(nums, terms):
-                scale = num * (lcd // den)
-                for m, v in entry.items():
-                    residue[m] = residue.get(m, 0) + scale * v
-            if any(residue.values()):
-                failed.append(skipped)
-        return failed
-
-    def admit(self, rows: list[SkippedRow]) -> None:
-        """Absorb rows the certificate rejected, exactly.  They were counted
-        redundant when skipped; call :meth:`back_substitute` afterwards."""
-        for cols, nums, origin in rows:
-            if self._reduce(dict(zip(cols, nums)), origin):
-                self.redundant -= 1
+    # -------- back-substitution
 
     def back_substitute(self) -> None:
         """Remove pivot columns from every bracket, descending, leaving each
@@ -809,35 +903,21 @@ def solve_weight(
             raise ValueError(f"survivor bias {survivor_bias!r} is not a Lyndon word at weight {w}")
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
-    master = MasterExpression(columns)
+    master = MasterExpression(columns, entries, tables)
     rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
-
-    def feed(splits) -> None:
-        for done, (desc, split) in enumerate(zip(rows, splits), 1):
-            master.absorb(split, describe(desc))
-            if done % PROGRESS_ROWS == 0:
-                log.debug("weight %d: %d/%d rows absorbed, %d pivots",
-                          w, done, len(rows), len(master.pivots))
-
-    fork = _fork_context() if config.jobs > 1 and len(rows) > 1 else None
-    _set_worker_ctx(entries=entries, tables=tables)
-    try:
-        if fork is not None:
-            with fork.Pool(config.jobs) as procs:
-                feed(_pooled_rows(procs, rows, 2 * config.jobs))
-        else:
-            feed(expand_row(desc, entries, tables) for desc in rows)
-    finally:
-        _clear_worker_ctx()
-
+    for done, desc in enumerate(rows, 1):
+        master.absorb(desc)
+        if done % PROGRESS_ROWS == 0:
+            log.debug("weight %d: %d/%d rows absorbed, %d pivots",
+                      w, done, len(rows), len(master.pivots))
     master.back_substitute()
     elimination_seconds = time.monotonic() - t1
     solved = _assemble(w, master, entries, master.survivors())
 
-    # ---- exact certificate of the rows the mod-p filter skipped
+    # ---- exact certificate of the relations the mod-p filter skipped
     t2 = time.monotonic()
     fallback_rows = 0
-    while failed := master.certify(solved.entries):
+    while failed := Certifier({**tables, w: solved}).rejects(master.skipped):
         # the prime was unlucky for these rows: absorb them exactly
         fallback_rows += len(failed)
         master.admit(failed)
@@ -853,6 +933,7 @@ def solve_weight(
         "redundant_rows": master.redundant,
         "pivots": len(master.pivots),
         "certified_rows": len(master.skipped),
+        "exact_rows": master.exact_rows,
         "fallback_rows": fallback_rows,
         "max_bracket_terms": master.peak_terms,
         "max_coeff_bits": master.peak_bits,

@@ -1,11 +1,12 @@
 """Independent checks over solved tables and the published listings.
 
 Everything here is read-only over the tables: regenerate relations and
-confirm they collapse to exactly zero, compare computed generator counts
-against the Lyndon enumeration, validate the combinatorial structure of the
-published weight-27/28 listings, and probe depth-sum minimality of computed
-bases at small weights by re-running the elimination with perturbed scan
-orders.  Expected dimensions are never hardcoded: every reference number is
+confirm they collapse to exactly zero (through the solver's integer
+:class:`~zetaforge.solver.Certifier`, the check a solve's certificate also
+runs), compare computed generator counts against the Lyndon enumeration,
+validate the combinatorial structure of the published weight-27/28
+listings, and probe depth-sum minimality of computed bases at small weights
+by re-running the elimination with perturbed scan orders.  Expected dimensions are never hardcoded: every reference number is
 recomputed from the enumerations.
 """
 
@@ -15,22 +16,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .algebra import (
-    DEFAULT_KINDS,
-    add_scaled,
-    check_kinds,
-    describe,
-    expand_relation,
-    relation_descriptors,
-)
+from .algebra import DEFAULT_KINDS, check_kinds, describe, relation_descriptors
 from .lyndon import collapse_word, odd_lyndon_words, published_basis
-from .solver import (
-    RunConfig,
-    SolvedWeight,
-    product_value,
-    solve_weight,
-    substitute_tables,
-)
+from .solver import Certifier, RunConfig, SolvedWeight, solve_weight
 from .words import Word, admissible_words, is_lyndon, render_word, weight
 
 
@@ -60,12 +48,9 @@ class RecheckReport:
 
 def relation_residual(desc: tuple, tables: dict[int, SolvedWeight]) -> dict:
     """Substitute one relation instance through the fully-reduced tables.
-    The result is a combination of basis monomials that must be empty."""
-    combo, product = expand_relation(desc)
-    residual = substitute_tables(combo, tables)
-    if product is not None:
-        add_scaled(residual, product_value(*product, tables), -1)
-    return residual
+    The result is an integer combination of basis monomials (the residue
+    with its denominators cleared) that must be empty."""
+    return Certifier(tables).residue(desc)
 
 
 def recheck_relations(
@@ -76,7 +61,8 @@ def recheck_relations(
     seed: int = 0,
 ) -> RecheckReport:
     """Regenerate relations at weight ``w`` and assert each collapses to
-    exactly zero through the tables.
+    exactly zero through the tables, with one
+    :class:`~zetaforge.solver.Certifier` for the whole recheck.
 
     With ``sample`` set, draws that many instances with replacement from the
     population (seeded), memoizing distinct checks; otherwise checks the
@@ -95,13 +81,14 @@ def recheck_relations(
         chosen = [descs[rng.randrange(len(descs))] for _ in range(sample)]
         draws = sample
 
+    certifier = Certifier(tables)
     failures: list[str] = []
     seen: set[tuple] = set()
     for desc in chosen:
         if desc in seen:
             continue
         seen.add(desc)
-        residual = relation_residual(desc, tables)
+        residual = certifier.residue(desc)
         if residual:
             failures.append(f"{describe(desc)} left {len(residual)} monomial(s)")
     return RecheckReport(w, population, len(seen), draws, failures)

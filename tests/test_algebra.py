@@ -2,11 +2,12 @@
 
 Independent oracles: the stuffle is re-derived from the order-preserving
 surjection-pair picture (choose which result slots receive letters of each
-factor), the shuffle from the leading-letter recursion on strings, and the
-numeric evaluator from explicit nested loops.  The implementations under
-test use different algorithms (leading-letter recursion for the stuffle,
-position-combination placement for the shuffle, prefix-sum dynamic
-programming for evaluation).
+factor), the shuffle from the leading-letter recursion on strings and from
+its definition (every placement of one factor's letters), and the numeric
+evaluator from explicit nested loops.  The implementations under test use
+different algorithms (leading-letter recursion for the stuffle, a table over
+suffix pairs for the shuffle, prefix-sum dynamic programming for
+evaluation).
 """
 
 import math
@@ -33,13 +34,14 @@ from zetaforge.algebra import (
     mono_mul,
     relation_descriptors,
     render_relation,
+    shuffle_binary,
     shuffle_words,
     stuffle,
     truncation_tail_bound,
     weight_pairs,
 )
 from zetaforge.lyndon import candidate_words
-from zetaforge.words import admissible_words, is_admissible, weight
+from zetaforge.words import admissible_words, is_admissible, to_binary, weight
 
 
 # ------------------------------------------------------------------ oracles
@@ -64,6 +66,25 @@ def oracle_stuffle(u, v):
                     word[pos] += v[j]
                 t = tuple(word)
                 out[t] = out.get(t, 0) + 1
+    return out
+
+
+def enumerated_shuffle_binary(a, b):
+    """The definition: every choice of the positions that ``a`` takes in
+    the interleaving, the letters of ``b`` filling the rest in order."""
+    out = {}
+    n = len(a) + len(b)
+    for positions in combinations(range(n), len(a)):
+        letters = [""] * n
+        for ai, p in enumerate(positions):
+            letters[p] = a[ai]
+        bi = 0
+        for i in range(n):
+            if not letters[i]:
+                letters[i] = b[bi]
+                bi += 1
+        word = "".join(letters)
+        out[word] = out.get(word, 0) + 1
     return out
 
 
@@ -178,6 +199,15 @@ def test_stuffle_matches_surjection_oracle():
                     assert stuffle(u, v) == oracle_stuffle(u, v), (u, v)
 
 
+def test_shuffle_binary_matches_the_enumeration_definition():
+    words = [x for w in range(2, 9) for x in admissible_words(w)]
+    pairs = [(u, v) for u in words for v in words if weight(u) + weight(v) <= 10]
+    assert len(pairs) == 769
+    for u, v in pairs:
+        a, b = to_binary(u), to_binary(v)
+        assert shuffle_binary(a, b) == enumerated_shuffle_binary(a, b), (u, v)
+
+
 def test_shuffle_matches_recursion_oracle():
     rng = random.Random(11)
     cases = [
@@ -254,7 +284,7 @@ def test_expand_relation_products_and_regularized():
     combo, product = expand_relation(("hoffman", (2, 1)))
     assert product is None
     assert combo == {x: Fraction(c) for x, c in hoffman_relation((2, 1)).items()}
-    assert all(type(c) is Fraction for c in combo.values())
+    assert all(type(c) is int for c in combo.values())
     with pytest.raises(ValueError):
         expand_relation(("mystery", (2, 1)))
 

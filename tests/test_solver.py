@@ -258,11 +258,11 @@ def _interrupt_absorb_after(monkeypatch, n):
     honest = MasterExpression.absorb
     calls = []
 
-    def absorb(self, split, origin):
-        calls.append(origin)
+    def absorb(self, desc):
+        calls.append(desc)
         if len(calls) > n:
             raise KeyboardInterrupt("simulated crash during elimination")
-        return honest(self, split, origin)
+        return honest(self, desc)
 
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
 
@@ -444,6 +444,8 @@ def test_solved_stats_recorded(tables8):
     # every redundant row was skipped mod p and then certified exactly
     assert stats["certified_rows"] == stats["redundant_rows"] == 45
     assert stats["fallback_rows"] == 0
+    # only the rows that raise the rank were expanded exactly
+    assert stats["exact_rows"] == stats["pivots"] == 29
     # the largest |entry| of weight 8's primitive integer brackets has 27 bits
     assert stats["max_coeff_bits"] == 27
 
@@ -484,37 +486,71 @@ def test_elimination_progress_logged_at_debug_only(monkeypatch, caplog, capsys):
 GOLDEN_COUNTS = {3: (1, 0), 4: (3, 0), 5: (5, 1), 6: (9, 6), 7: (17, 15), 8: (29, 45)}
 
 
+class _NamedRows(MasterExpression):
+    """A master whose rows are half-reduced splits looked up by name, in
+    place of expanded relation instances: ``absorb(("name",))``."""
+
+    def __init__(self, columns, rows):
+        super().__init__(columns, {}, {})
+        self.rows = rows
+
+    def expand(self, desc):
+        return self.rows[desc[0]]
+
+    def image(self, desc):
+        return self._split_image(self.rows[desc[0]])
+
+
 def test_certificate_rejects_a_wrong_skip_under_an_unlucky_prime(monkeypatch):
     monkeypatch.setattr(solver_mod, "PRIME", 3)
     a, b = (8,), (5, 3)
-    master = MasterExpression([a, b])
-    assert master.absorb(({a: Fraction(1), b: Fraction(1)}, {}), "first") is True
-    # 4 = 1 mod 3, so the second row vanishes against the first mod 3
-    assert master.absorb(({a: Fraction(1), b: Fraction(4)}, {}), "second") is False
-    assert len(master.skipped) == 1 and master.redundant == 1
+    master = _NamedRows([a, b], {"first": ({a: 1, b: 1}, {}), "second": ({a: 1, b: 4}, {})})
+    assert master.absorb(("first",)) is True
+    # 4 = 1 mod 3, so the second row vanishes against the first mod 3: it
+    # is set aside as its bare descriptor, without exact work
+    assert master.absorb(("second",)) is False
+    assert master.skipped == [("second",)] and master.redundant == 1
+    assert master.exact_rows == 1
     master.back_substitute()
-    # the first row alone gives Z(8) = -Z(5,3)
-    failed = master.certify({a: {(b,): Fraction(-1)}, b: {(b,): Fraction(1)}})
-    assert [origin for _, _, origin in failed] == ["second"]
-    master.admit(failed)
+    # the first row alone gives Z(8) = -Z(5,3); a certificate that rejects
+    # the second relation hands it back, and it is expanded exactly
+    master.admit(master.skipped)
     master.back_substitute()
     assert sorted(master.pivots) == [0, 1]
     assert master.redundant == 0
-    assert master.certify({a: {}, b: {}}) == []
+    assert master.exact_rows == 2
 
 
 def test_a_bracket_whose_lead_is_divisible_by_the_prime_stays_out_of_the_shadow(monkeypatch):
     monkeypatch.setattr(solver_mod, "PRIME", 3)
     a, b = (8,), (5, 3)
-    master = MasterExpression([a, b])
-    assert master.absorb(({a: Fraction(3), b: Fraction(1)}, {}), "first") is True
+    master = _NamedRows([a, b], {"first": ({a: 3, b: 1}, {}), "second": ({a: 6, b: 2}, {})})
+    assert master.absorb(("first",)) is True
     assert master.pivots == {0: {0: 3, 1: 1}}
     assert master.shadow == {}
     # 6a + 2b is twice the first row; with no shadow row to cancel it, the
     # filter keeps it, and the exact reduction proves it redundant
-    assert master.absorb(({a: Fraction(6), b: Fraction(2)}, {}), "second") is False
+    assert master.absorb(("second",)) is False
     assert master.skipped == []
     assert master.redundant == 1
+
+
+def test_rows_touching_entries_that_are_not_p_integral_take_the_exact_path(
+    monkeypatch, tables8
+):
+    # weight 4's table has the denominators 5 and 10, so under p = 5 every
+    # row whose product or family entries reach them has no image mod p
+    monkeypatch.setattr(solver_mod, "PRIME", 5)
+    tables = solve_in_memory(8, RunConfig(jobs=1))
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+    assert any(
+        tables[w].stats["exact_rows"] - tables[w].stats["fallback_rows"] > tables[w].stats["pivots"]
+        for w in range(5, 9)
+    )
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5, 7])
@@ -543,16 +579,20 @@ def test_fallback_rebuilds_every_table_when_every_row_is_skipped(monkeypatch, ta
 
 def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
     m = ((5,), (3,))
-    master = MasterExpression([(8,), (5, 3)])
-    assert master.absorb(({(5, 3): Fraction(1)}, {m: Fraction(1)}), "first") is True
-    with pytest.raises(InconsistentRelation, match="second: reduced to 0 = nonzero"):
-        master.absorb(({(5, 3): Fraction(2)}, {m: Fraction(3)}), "second")
+    master = _NamedRows(
+        [(8,), (5, 3)],
+        {"first": ({(5, 3): 1}, {m: 1}), "second": ({(5, 3): 2}, {m: 3})},
+    )
+    assert master.absorb(("first",)) is True
+    with pytest.raises(InconsistentRelation, match="reduced to 0 = nonzero") as err:
+        master.absorb(("second",))
+    assert str(err.value).startswith("second")
 
 
 def test_absorb_rejects_a_word_without_a_column():
-    master = MasterExpression([(8,), (5, 3)])
+    master = _NamedRows([(8,), (5, 3)], {"row": ({(4, 4): 1}, {})})
     with pytest.raises(InconsistentRelation, match=r"Z\(4,4\) missing a family entry"):
-        master.absorb(({(4, 4): Fraction(1)}, {}), "row")
+        master.absorb(("row",))
 
 
 def test_peak_terms_is_the_largest_live_count():
@@ -563,18 +603,22 @@ def test_peak_terms_is_the_largest_live_count():
 
     # {a+b+c, b-c}: 3 + 2 terms after absorb; back-substitution turns the
     # first bracket into a + 2c, so 4 terms live afterwards
-    shrink = MasterExpression([a, b, c])
-    assert shrink.absorb(({a: one, b: one, c: one}, {}), "r1") is True
-    assert shrink.absorb(({b: one, c: -one}, {}), "r2") is True
+    shrink = _NamedRows(
+        [a, b, c], {"r1": ({a: one, b: one, c: one}, {}), "r2": ({b: one, c: -one}, {})}
+    )
+    assert shrink.absorb(("r1",)) is True
+    assert shrink.absorb(("r2",)) is True
     shrink.back_substitute()
     assert shrink.pivots == {0: {0: 1, 2: 2}, 1: {1: 1, 2: -1}}
     assert shrink.peak_terms == 5
 
     # {a+b, b+c+m}: 2 + 3 terms after absorb; back-substitution turns the
     # first bracket into a - c - m, so 6 terms live afterwards
-    grow = MasterExpression([a, b, c])
-    assert grow.absorb(({a: one, b: one}, {}), "r1") is True
-    assert grow.absorb(({b: one, c: one}, {m: one}), "r2") is True
+    grow = _NamedRows(
+        [a, b, c], {"r1": ({a: one, b: one}, {}), "r2": ({b: one, c: one}, {m: one})}
+    )
+    assert grow.absorb(("r1",)) is True
+    assert grow.absorb(("r2",)) is True
     grow.back_substitute()
     assert grow.pivots == {0: {0: 1, 2: -1, 3: -1}, 1: {1: 1, 2: 1, 3: 1}}
     assert grow.peak_terms == 6
@@ -582,10 +626,13 @@ def test_peak_terms_is_the_largest_live_count():
     # non-unit leads {-2a-b-c, 3b+c+2m}, given as -(2a+b+c)/2 and
     # 2(3b+c+2m)/3: each row is stored primitive with a positive lead;
     # back-substitution gives 3(2a+c) - (c+2m) = 6a+2c-2m, stored as 3a+c-m
-    leads = MasterExpression([a, b, c])
     half, third = Fraction(1, 2), Fraction(1, 3)
-    assert leads.absorb(({a: -one, b: -half, c: -half}, {}), "r1") is True
-    assert leads.absorb(({b: 2 * one, c: 2 * third}, {m: 4 * third}), "r2") is True
+    leads = _NamedRows([a, b, c], {
+        "r1": ({a: -one, b: -half, c: -half}, {}),
+        "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
+    })
+    assert leads.absorb(("r1",)) is True
+    assert leads.absorb(("r2",)) is True
     assert leads.pivots == {0: {0: 2, 1: 1, 2: 1}, 1: {1: 3, 2: 1, 3: 2}}
     leads.back_substitute()
     assert leads.pivots == {0: {0: 3, 2: 1, 3: -1}, 1: {1: 3, 2: 1, 3: 2}}

@@ -8,8 +8,15 @@ import pytest
 
 import zetaforge.solver as solver_mod
 import zetaforge.verify as verify_mod
-from zetaforge.algebra import relation_descriptors
-from zetaforge.solver import RunConfig, render_table, solve_weight
+from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
+from zetaforge.solver import (
+    Certifier,
+    RunConfig,
+    product_value,
+    render_table,
+    solve_weight,
+    substitute_tables,
+)
 from zetaforge.verify import (
     MINIMALITY_CAP,
     basis_report,
@@ -47,13 +54,13 @@ def test_recheck_population_structure(tables8):
 def test_solver_row_order_weight_8(tables8, monkeypatch):
     # the solver consumes hoffman rows, then shuffle rows
     kinds = []
-    expand_row = solver_mod.expand_row
+    absorb = solver_mod.MasterExpression.absorb
 
-    def recording(desc, entries, tables):
+    def recording(self, desc):
         kinds.append(desc[0])
-        return expand_row(desc, entries, tables)
+        return absorb(self, desc)
 
-    monkeypatch.setattr(solver_mod, "expand_row", recording)
+    monkeypatch.setattr(solver_mod.MasterExpression, "absorb", recording)
     lower = {w: t for w, t in tables8.items() if w < 8}
     solved = solve_weight(8, lower, RunConfig(jobs=1))
     assert kinds == ["hoffman"] * 32 + ["shuffle"] * 42
@@ -82,6 +89,32 @@ def test_recheck_catches_injected_fault(tables8):
 def test_relation_residual_rejects_unknown_kind(tables8):
     with pytest.raises(ValueError):
         relation_residual(("mystery", (2, 1)), tables8)
+
+
+def _fraction_residual(desc, tables):
+    """The relation substituted through the tables over ``Fraction``."""
+    combo, product = expand_relation(desc)
+    residual = substitute_tables(combo, tables)
+    if product is not None:
+        add_scaled(residual, product_value(*product, tables), -1)
+    return residual
+
+
+def test_certifier_agrees_with_fraction_substitution(tables8):
+    all_kinds = ("stuffle", "shuffle", "hoffman", "duality")
+    descs = [(w, d) for w in range(3, 9) for d in relation_descriptors(w, all_kinds)]
+    # one tampered weight-4 entry reaches weight-4 relations directly and
+    # product relations of higher weights through Z(3,1)
+    tampered = copy.deepcopy(tables8)
+    tampered[4].entries[(3, 1)][((2,), (2,))] += Fraction(1, 3)
+    flagged = {}
+    for name, tables in (("honest", tables8), ("tampered", tampered)):
+        certifier = Certifier(tables)
+        exact = [(w, d) for w, d in descs if certifier.residue(d)]
+        assert exact == [(w, d) for w, d in descs if _fraction_residual(d, tables)]
+        flagged[name] = exact
+    assert flagged["honest"] == []
+    assert {w for w, _ in flagged["tampered"]} >= {4, 6}
 
 
 # ---------------------------------------------------------------- dimensions
