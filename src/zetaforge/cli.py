@@ -57,8 +57,9 @@ exit codes:
   2  usage or configuration error (unknown flag, bad weight, bad kind name)
   3  a verification check failed
   4  a required table is missing (solve that weight first)
-  5  stored data failed its integrity hash (manifest or checkpoint); nothing
-     was overwritten — inspect or delete the corrupted file to proceed
+  5  stored data failed its integrity hash (manifest, table or checkpoint),
+     or a table does not parse; nothing was overwritten — inspect or delete
+     the corrupted file to proceed
   6  table directory is not writable, or another file-system error
 """
 

@@ -16,19 +16,21 @@ The pipeline per weight W, given fully-reduced tables for all lower weights:
    weight's generators.  Pivot selection is sequential and runs in the
    calling process, so the result is independent of worker count.
 
-   The elimination is fraction-free: every bracket is a primitive integer
-   row, and a lead is cleared by cross-multiplying with the bracket that
-   holds it.  Most rows are redundant, so each row is first expanded modulo
-   a large prime and reduced against a shadow of the brackets; a row that
-   vanishes there is set aside as its bare relation, without exact work,
-   and only the other rows are expanded exactly.  After assembly every
-   set-aside relation is certified exactly: substituted through the lower
-   tables and the new one in integer arithmetic, it must give zero (the
-   same check ``verify`` runs).  A relation that does not (the prime was
-   unlucky) is expanded and absorbed exactly and the table is assembled
-   again.  The certified relations lie in the span of the absorbed ones,
-   and the reduced row-echelon form of a row space over a fixed column
-   order is unique, so the tables do not depend on the prime.
+   The elimination is fraction-free: every row is expanded once, exactly,
+   in integers (the relation's integer residue over the family entries and
+   the lower tables, each scaled to integers once), every bracket is a
+   primitive integer row, and a lead is cleared by cross-multiplying with
+   the bracket that holds it.  Most rows are redundant, so each row's image
+   modulo a large prime is first reduced against a shadow of the brackets;
+   a row that vanishes there is set aside as its bare relation, and only
+   the other rows are reduced exactly.  After assembly every set-aside
+   relation is certified exactly: substituted through the lower tables and
+   the new one in integer arithmetic, it must give zero (the same check
+   ``verify`` runs).  A relation that does not (the prime was unlucky) is
+   absorbed exactly and the table is assembled again.  The certified
+   relations lie in the span of the absorbed ones, and the reduced
+   row-echelon form of a row space over a fixed column order is unique, so
+   the tables do not depend on the prime.
 
 3. Assembly.  Pivot brackets are back-substituted and composed with the
    family entries into the fully-reduced table: every admissible word of the
@@ -68,7 +70,6 @@ from .algebra import (
     describe,
     expand_relation,
     lc_mul,
-    mono_mul,
     relation_descriptors,
 )
 from .lyndon import candidate_words, listing_key
@@ -202,25 +203,45 @@ def _scale(entry: Entry) -> tuple[int, dict[Monomial, int]]:
     }
 
 
+def expand_row(
+    desc: tuple, entry: Callable[[Word], tuple[int, dict[Monomial, int]]]
+) -> dict[Monomial, int]:
+    """The integer residue of the relation ``desc``: every word replaced by
+    its scaled entry ``entry(word)``, a product's value (the integer product
+    of its factors' scaled entries) subtracted, and every denominator
+    cleared with their lcm.  Zero entries are dropped."""
+    combo, product = expand_relation(desc)
+    terms = [(c, *entry(x)) for x, c in combo.items()]
+    if product is not None:
+        (den_u, u), (den_v, v) = map(entry, product)
+        terms.append((-1, den_u * den_v, lc_mul(u, v)))
+    lcd = math.lcm(*(den for _, den, _ in terms))
+    residue: dict[Monomial, int] = {}
+    for c, den, scaled in terms:
+        scale = c * (lcd // den)
+        for m, v in scaled.items():
+            residue[m] = residue.get(m, 0) + scale * v
+    return {m: v for m, v in residue.items() if v}
+
+
 class Certifier:
     """The exact check of relation instances against fully-reduced tables,
     in integer arithmetic.
 
     A relation holds when its word combination, substituted through the
-    tables, equals the tabled value of its product (zero when it has none).
-    Each word's entry is scaled once to integers over one denominator; a
-    product's value is the integer product of its two factors' scaled
-    entries; :meth:`residue` clears every denominator of a relation with
-    their lcm.  The entries of a weight are scaled together on first use
-    and cached, so a certifier serves one set of tables that does not
-    change while it is used.
+    tables, equals the tabled value of its product (zero when it has none):
+    when its integer residue (:func:`expand_row`) is empty.  Each word's
+    entry is scaled once to integers over one denominator.  The entries of a
+    weight are scaled together on first use and cached, so a certifier
+    serves one set of tables that does not change while it is used.
     """
 
     def __init__(self, tables: dict[int, SolvedWeight]):
         self.tables = tables
         self._scaled: dict[int, dict[Word, tuple[int, dict[Monomial, int]]]] = {}
 
-    def _entry(self, w: Word) -> tuple[int, dict[Monomial, int]]:
+    def entry(self, w: Word) -> tuple[int, dict[Monomial, int]]:
+        """The scaled table entry of ``w``."""
         k = weight(w)
         scaled = self._scaled.get(k)
         if scaled is None:
@@ -232,21 +253,17 @@ class Certifier:
             raise MissingTable(f"no table entry for {render_word(w)}")
         return got
 
+    def with_table(self, solved: SolvedWeight) -> Certifier:
+        """A certifier over these tables plus ``solved``, reusing the entries
+        already scaled at every other weight."""
+        other = Certifier({**self.tables, solved.weight: solved})
+        other._scaled = {k: v for k, v in self._scaled.items() if k != solved.weight}
+        return other
+
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
         lcm of the denominators involved: empty exactly when it holds."""
-        combo, product = expand_relation(desc)
-        terms = [(c, *self._entry(x)) for x, c in combo.items()]
-        if product is not None:
-            (den_u, u), (den_v, v) = map(self._entry, product)
-            terms.append((-1, den_u * den_v, lc_mul(u, v)))
-        lcd = math.lcm(*(den for _, den, _ in terms))
-        residue: dict[Monomial, int] = {}
-        for c, den, entry in terms:
-            scale = c * (lcd // den)
-            for m, v in entry.items():
-                residue[m] = residue.get(m, 0) + scale * v
-        return {m: v for m, v in residue.items() if v}
+        return expand_row(desc, self.entry)
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold."""
@@ -466,17 +483,6 @@ def _cancel(row: dict[int, int], col: int, holder: dict[int, int]) -> dict[int, 
     return row
 
 
-def _residues(terms, p: int) -> dict | None:
-    """``(key, rational)`` pairs as a dict of residues mod ``p``, or None
-    when a key is None or ``p`` divides a denominator."""
-    image = {}
-    for key, c in terms:
-        if key is None or c.denominator % p == 0:
-            return None
-        image[key] = c.numerator * pow(c.denominator, -1, p) % p
-    return image
-
-
 class MasterExpression:
     """Elimination state over one weight's Lyndon words.
 
@@ -493,19 +499,21 @@ class MasterExpression:
     back-substituting one bracket never needs data from another bracket
     beyond its finished row, so brackets can be distributed.
 
-    A row is a relation instance ``(kind, *words)``, expanded against the
-    weight's family ``entries`` and the lower ``tables``.  Most rows are
-    redundant, so each is first expanded mod ``PRIME`` (:meth:`image`) and
-    reduced against a shadow echelon that mirrors the brackets mod p in the
-    same columns, kept fully reduced so that testing a row costs one pass
-    over its leads.  A row that vanishes there is set aside in ``skipped``
-    as its bare descriptor, with no exact work; the solve certifies each
-    such relation against the assembled table (:class:`Certifier`) and
+    A row is a relation instance ``(kind, *words)``, expanded once, exactly
+    and in integers, through the same scaled entries as :class:`Certifier`:
+    every weight-w word is scaled once when the master is built (a Lyndon
+    word is its own column; a family entry's Lyndon words are single-factor
+    monomials), and lower-table entries on first use.  In the relation's
+    integer residue (:meth:`residue`) single words map to word columns and
+    every other monomial to a monomial column, and the row is divided by its
+    gcd.  Most rows are redundant, so each row's image mod ``PRIME`` is
+    first reduced against a shadow echelon that mirrors the brackets mod p
+    in the same columns, kept fully reduced so that testing a row costs one
+    pass over its leads.  A row that vanishes there is set aside in
+    ``skipped`` as its bare descriptor; the solve certifies each such
+    relation against the assembled table (:class:`Certifier`) and
     :meth:`admit` absorbs the ones it rejects.  Only the other rows are
-    expanded exactly (:meth:`expand`); ``exact_rows`` counts them.  The
-    family entries are mapped mod p once, lower-table entries on first use;
-    a row touching an entry whose denominator p divides has no image and
-    takes the exact path.
+    reduced exactly; ``exact_rows`` counts them.
 
     ``peak_terms`` is the largest number of live bracket terms seen and
     ``peak_bits`` the largest bit length of a bracket entry, both sampled
@@ -521,8 +529,7 @@ class MasterExpression:
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
         self.n_words = len(columns)
-        self.entries = entries
-        self.tables = tables
+        self.weight = weight(columns[0])
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
         self.pivots: dict[int, dict[int, int]] = {}
@@ -533,14 +540,11 @@ class MasterExpression:
         self.prime = PRIME
         self.shadow: dict[int, dict[int, int]] = {}
         self.skipped: list[tuple] = []
-        # images mod p, None where an entry is not p-integral: every word of
-        # the weight over columns, lower-table entries over monomials
-        self._word_images: dict[Word, dict[int, int] | None] = {
-            w: {k: 1} for k, w in enumerate(columns)
-        }
-        for w, split in entries.items():
-            self._word_images[w] = self._split_image(split)
-        self._table_images: dict[Word, dict[Monomial, int] | None] = {}
+        self.lower = Certifier(tables)
+        # every weight-w word with a column or a family entry, scaled
+        self._scaled = {x: (1, {(x,): 1}) for x in columns}
+        for x, (word_part, mono_part) in entries.items():
+            self._scaled[x] = _scale({**{(y,): c for y, c in word_part.items()}, **mono_part})
 
     def _mono_col(self, m: Monomial) -> int:
         mid = self.mono_ids.get(m)
@@ -550,35 +554,43 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def _row(self, split: SplitCombo, origin: str) -> dict[int, int]:
-        """The primitive integer row of a half-reduced relation."""
-        word_part, mono_part = split
-        row: dict[int, Fraction] = {}
-        for w, c in word_part.items():
-            col = self.col_of.get(w)
-            if col is None:
-                raise InconsistentRelation(
-                    f"{origin}: word {render_word(w)} missing a family entry"
-                )
-            add_term(row, col, c)
-        for m, c in mono_part.items():
-            add_term(row, self._mono_col(m), c)
-        lcd = math.lcm(*(c.denominator for c in row.values()))
-        return _primitive({k: c.numerator * (lcd // c.denominator) for k, c in row.items()})
+    def _entry(self, x: Word) -> tuple[int, dict[Monomial, int]]:
+        got = self._scaled.get(x)
+        if got is None:
+            # a product's factor, or a weight-w word left without a family
+            # entry, which :meth:`integer_row` reports
+            got = self.lower.entry(x) if weight(x) < self.weight else (1, {(x,): 1})
+        return got
 
-    def expand(self, desc: tuple) -> SplitCombo:
-        """The exact half-reduced row of the relation ``desc``."""
-        return expand_row(desc, self.entries, self.tables)
+    def residue(self, desc: tuple) -> dict[Monomial, int]:
+        """The integer residue of the relation ``desc`` over the family
+        entries and the lower tables."""
+        return expand_row(desc, self._entry)
+
+    def integer_row(self, desc: tuple) -> dict[int, int]:
+        """The primitive integer row of the relation ``desc``."""
+        row: dict[int, int] = {}
+        for m, v in self.residue(desc).items():
+            if len(m) > 1:
+                row[self._mono_col(m)] = v
+            elif (col := self.col_of.get(m[0])) is not None:
+                row[col] = v
+            else:
+                raise InconsistentRelation(
+                    f"{describe(desc)}: word {render_word(m[0])} missing a family entry"
+                )
+        return _primitive(row)
 
     def absorb(self, desc: tuple) -> bool:
         """Reduce one relation row into the bracket set.  Returns True when
         the row installed a new pivot bracket, False when redundant: either
         proven so exactly, or set aside for the certificate because it
         reduces to zero mod the prime."""
-        image = self.image(desc)
-        if image is not None and self._vanishes_mod_p(image):
+        row = self.integer_row(desc)
+        p = self.prime
+        if self._vanishes_mod_p({k: v % p for k, v in row.items() if v % p}):
             self.skipped.append(desc)
-        elif self._absorb_exact(desc):
+        elif self._reduce(row, desc):
             return True
         self.redundant += 1
         return False
@@ -588,21 +600,18 @@ class MasterExpression:
         were counted redundant when skipped; call :meth:`back_substitute`
         afterwards."""
         for desc in descs:
-            if self._absorb_exact(desc):
+            if self._reduce(self.integer_row(desc), desc):
                 self.redundant -= 1
 
-    def _absorb_exact(self, desc: tuple) -> bool:
+    def _reduce(self, row: dict[int, int], desc: tuple) -> bool:
+        """Exact reduction of the primitive ``row`` of the relation ``desc``,
+        which it consumes; True when it installed a bracket, False when it
+        reduced to zero."""
         self.exact_rows += 1
-        origin = describe(desc)
-        return self._reduce(self._row(self.expand(desc), origin), origin)
-
-    def _reduce(self, row: dict[int, int], origin: str) -> bool:
-        """Exact reduction of the primitive ``row``, which it consumes; True
-        when it installed a bracket, False when it reduced to zero."""
         while row:
             lead = min(row)
             if lead >= self.n_words:
-                raise InconsistentRelation(f"{origin}: reduced to 0 = nonzero")
+                raise InconsistentRelation(f"{describe(desc)}: reduced to 0 = nonzero")
             holder = self.pivots.get(lead)
             if holder is None:
                 if row[lead] < 0:
@@ -615,53 +624,11 @@ class MasterExpression:
 
     # -------- mod-p filter
 
-    def image(self, desc: tuple) -> dict[int, int] | None:
-        """The row of the relation ``desc`` mod p, zero entries dropped, or
-        None when it touches an entry that is not p-integral."""
-        combo, product = expand_relation(desc)
-        parts = [(c, self._word_images.get(x)) for x, c in combo.items()]
-        if product is not None:
-            parts.append((-1, self._product_image(*product)))
-        image: dict[int, int] = {}
-        for c, part in parts:
-            if part is None:
-                return None
-            for k, v in part.items():
-                image[k] = image.get(k, 0) + c * v
-        p = self.prime
-        return {k: v % p for k, v in image.items() if v % p}
-
-    def _split_image(self, split: SplitCombo) -> dict[int, int] | None:
-        # a word without a column has no image: the exact path reports it
-        word_part, mono_part = split
-        return _residues(
-            [(self.col_of.get(w), c) for w, c in word_part.items()]
-            + [(self._mono_col(m), c) for m, c in mono_part.items()],
-            self.prime,
-        )
-
-    def _product_image(self, u: Word, v: Word) -> dict[int, int] | None:
-        a, b = self._table_image(u), self._table_image(v)
-        if a is None or b is None:
-            return None
-        image: dict[int, int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                col = self._mono_col(mono_mul(ma, mb))
-                image[col] = image.get(col, 0) + ca * cb
-        return image
-
-    def _table_image(self, w: Word) -> dict[Monomial, int] | None:
-        if w not in self._table_images:
-            entry = self.tables[weight(w)].entries[w]
-            self._table_images[w] = _residues(entry.items(), self.prime)
-        return self._table_images[w]
-
     def _shadow_install(self, lead: int, bracket: dict[int, int]) -> None:
         # the shadow is kept fully reduced: no row has an entry at another
         # row's lead, and each row's lead entry is an implicit 1.  A bracket
         # whose lead is divisible by the prime stays out; rows it would have
-        # reduced then take the exact path.
+        # reduced then are reduced exactly.
         p = self.prime
         head = bracket[lead] % p
         if not head:
@@ -724,20 +691,6 @@ class MasterExpression:
 # Elimination rows, in consumption order (stuffle relations are spent in the
 # family phase).
 ELIMINATION_ORDER = ("hoffman", "shuffle", "duality")
-
-
-def expand_row(
-    desc: tuple,
-    entries: dict[Word, SplitCombo],
-    tables: dict[int, SolvedWeight],
-) -> SplitCombo:
-    """Expand one relation instance into a half-reduced row: family
-    entries applied, a product's tabled value subtracted."""
-    combo, product = expand_relation(desc)
-    word_part, mono_part = split_substitute(combo, entries)
-    if product is not None:
-        add_scaled(mono_part, product_value(*product, tables), -1)
-    return word_part, mono_part
 
 
 # ------------------------------------------------------------- checkpointing
@@ -917,7 +870,7 @@ def solve_weight(
     # ---- exact certificate of the relations the mod-p filter skipped
     t2 = time.monotonic()
     fallback_rows = 0
-    while failed := Certifier({**tables, w: solved}).rejects(master.skipped):
+    while failed := master.lower.with_table(solved).rejects(master.skipped):
         # the prime was unlucky for these rows: absorb them exactly
         fallback_rows += len(failed)
         master.admit(failed)
@@ -1100,7 +1053,8 @@ class TableStore:
     """Directory of per-weight table files plus a manifest of content hashes.
 
     Loads verify the file bytes against the manifest hash and fail loudly on
-    mismatch; saves are atomic and keep the manifest in step.  The manifest
+    mismatch, or when hash-valid bytes are not a valid table; saves are
+    atomic and keep the manifest in step.  The manifest
     also records the build identifier that produced each file.
     """
 
@@ -1159,13 +1113,15 @@ class TableStore:
             raise StoreIntegrityError(
                 f"{path.name} exists but is not recorded in the manifest"
             )
-        text = path.read_text(encoding="ascii")
-        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-        if digest != record["sha256"]:
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != record["sha256"]:
             raise StoreIntegrityError(
                 f"{path.name} does not match the manifest hash; refusing to load"
             )
-        solved = parse_table(text)
+        try:
+            solved = parse_table(data.decode("ascii"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StoreIntegrityError(f"{path.name} is not a valid table: {exc}") from exc
         if solved.weight != w:
             raise StoreIntegrityError(f"{path.name} declares weight {solved.weight}")
         return solved

@@ -46,13 +46,6 @@ class RecheckReport:
         return out
 
 
-def relation_residual(desc: tuple, tables: dict[int, SolvedWeight]) -> dict:
-    """Substitute one relation instance through the fully-reduced tables.
-    The result is an integer combination of basis monomials (the residue
-    with its denominators cleared) that must be empty."""
-    return Certifier(tables).residue(desc)
-
-
 def recheck_relations(
     w: int,
     tables: dict[int, SolvedWeight],

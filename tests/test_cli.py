@@ -212,6 +212,41 @@ def test_tampered_manifest_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _rehash(table_dir, w):
+    manifest = json.loads((table_dir / "manifest.json").read_text())
+    data = (table_dir / f"weight-{w:02d}.table").read_bytes()
+    manifest["weights"][str(w)]["sha256"] = hashlib.sha256(data).hexdigest()
+    (table_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _assert_every_reader_exits_integrity(table_dir, capsys):
+    for command in ("basis", "verify", "solve"):
+        assert main([command, "--weight", "5", "--table-dir", str(table_dir)]) == EXIT_INTEGRITY
+        assert "weight-05.table" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("rehash", [False, True])
+def test_non_ascii_table_byte_exits_integrity(tmp_path, capsys, rehash):
+    assert main(["solve", "--weight", "5", "--table-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "weight-05.table"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xE9
+    path.write_bytes(bytes(data))
+    if rehash:  # the bytes then pass the hash check and fail to decode
+        _rehash(tmp_path, 5)
+    _assert_every_reader_exits_integrity(tmp_path, capsys)
+
+
+def test_hash_valid_table_without_its_phase_line_exits_integrity(tmp_path, capsys):
+    assert main(["solve", "--weight", "5", "--table-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "weight-05.table"
+    text = path.read_text()
+    assert "# phase: fully-reduced\n" in text
+    path.write_text(text.replace("# phase: fully-reduced\n", ""))
+    _rehash(tmp_path, 5)
+    _assert_every_reader_exits_integrity(tmp_path, capsys)
+
+
 def test_unwritable_table_dir_exit(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("i am a file")

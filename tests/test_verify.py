@@ -25,7 +25,6 @@ from zetaforge.verify import (
     monomial_count,
     published_basis_check,
     recheck_relations,
-    relation_residual,
 )
 
 
@@ -88,7 +87,7 @@ def test_recheck_catches_injected_fault(tables8):
 
 def test_relation_residual_rejects_unknown_kind(tables8):
     with pytest.raises(ValueError):
-        relation_residual(("mystery", (2, 1)), tables8)
+        Certifier(tables8).residue(("mystery", (2, 1)))
 
 
 def _fraction_residual(desc, tables):
