@@ -58,7 +58,7 @@ exit codes:
   3  a verification check failed
   4  a required table is missing (solve that weight first)
   5  stored data failed its integrity hash (manifest, table or checkpoint),
-     or a table does not parse; nothing was overwritten — inspect or delete
+     or is malformed; nothing was overwritten — inspect or delete
      the corrupted file to proceed
   6  table directory is not writable, or another file-system error
 """

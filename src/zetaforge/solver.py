@@ -16,24 +16,31 @@ The pipeline per weight W, given fully-reduced tables for all lower weights:
    weight's generators.  Pivot selection is sequential and runs in the
    calling process, so the result is independent of worker count.
 
-   The elimination is fraction-free: every row is expanded once, exactly,
-   in integers (the relation's integer residue over the family entries and
-   the lower tables, each scaled to integers once), every bracket is a
-   primitive integer row, and a lead is cleared by cross-multiplying with
-   the bracket that holds it.  Most rows are redundant, so each row's image
-   modulo a large prime is first reduced against a shadow of the brackets;
-   a row that vanishes there is set aside as its bare relation, and only
-   the other rows are reduced exactly.  After assembly every set-aside
-   relation is certified exactly: substituted through the lower tables and
-   the new one in integer arithmetic, it must give zero (the same check
-   ``verify`` runs).  A relation that does not (the prime was unlucky) is
-   absorbed exactly and the table is assembled again.  The certified
-   relations lie in the span of the absorbed ones, and the reduced
-   row-echelon form of a row space over a fixed column order is unique, so
-   the tables do not depend on the prime.
+   The elimination runs modulo a prime.  Every row is expanded once,
+   exactly, in integers (the relation's integer residue over the family
+   entries and the lower tables, each scaled to integers once) and its
+   image mod p is reduced into one fully reduced echelon: each bracket has
+   lead 1 and no entry at another bracket's lead.  Every bracket entry is
+   then rebuilt as a rational by Wang's rational reconstruction, and after
+   assembly *every* elimination row is certified exactly: substituted
+   through the lower tables and the new one in integer arithmetic, it must
+   give zero (the same check ``verify`` runs).  A modulus under which a
+   relation reduces to 0 = nonzero, a residue has no small rational
+   preimage, or the certificate rejects a row is replaced by the next one
+   in ``PRIMES``; when none is left the solve fails, so no table leaves
+   uncertified.
 
-3. Assembly.  Pivot brackets are back-substituted and composed with the
-   family entries into the fully-reduced table: every admissible word of the
+   Why the certificate pins the bytes: a row that substitutes to zero
+   through the table is the sum of its entries at the pivot columns times
+   their brackets, so every certified row lies in the span of the
+   brackets.  There is one bracket per pivot, and the rank mod p is never
+   more than the rank over Q, so the two spans are equal.  By construction
+   the brackets are in reduced row-echelon form over the fixed column
+   order, and that form is unique, so the table does not depend on the
+   modulus.
+
+3. Assembly.  The rational pivot brackets are composed with the family
+   entries into the fully-reduced table: every admissible word of the
    weight maps to a combination of basis monomials (products of generators
    of total weight W).
 
@@ -110,7 +117,14 @@ class MissingTable(SolverError):
 
 
 class StoreIntegrityError(SolverError):
-    """A manifest or checkpoint hash does not match its payload."""
+    """Stored data fails its check: a hash does not match its payload, or a
+    manifest, checkpoint or table is malformed."""
+
+
+class ReconstructionError(SolverError):
+    """An elimination modulo a prime that does not give the rational table:
+    a residue without a small rational preimage, or a table that the exact
+    certificate rejects."""
 
 
 # ----------------------------------------------------------- configuration
@@ -454,50 +468,37 @@ def family_phase(
 
 # ------------------------------------------------------ bracketed elimination
 
-# Modulus of the shadow echelon that filters redundant rows (a Mersenne
-# prime).  The tables do not depend on it: a row it wrongly calls redundant
-# fails the exact certificate and is absorbed exactly.
-PRIME = 2**61 - 1
+# Moduli of the elimination, tried in turn (Mersenne primes).  Wang's bound
+# under the first, |n|, d < 2^63, covers every bracket entry up to weight 12
+# (38 bits); the tables do not depend on the modulus that certifies them.
+PRIMES = (2**127 - 1, 2**521 - 1)
 
 PROGRESS_ROWS = 256  # rows between two elimination progress lines (debug level)
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """``row`` divided by the gcd of its entries."""
-    g = math.gcd(*row.values())
-    return {k: v // g for k, v in row.items()} if g > 1 else row
-
-
-def _cancel(row: dict[int, int], col: int, holder: dict[int, int]) -> dict[int, int]:
-    """``b*row - a*holder``, with ``a/b`` in lowest terms the ratio of the
-    entries at ``col``, which ``holder`` leads (so ``b > 0`` and a bracket
-    keeps its positive lead).  Consumes ``row``."""
-    a = row.pop(col)
-    g = math.gcd(a, holder[col])
-    a, b = a // g, holder[col] // g
-    if b != 1:
-        row = {k: v * b for k, v in row.items()}
-    for k, v in holder.items():
-        if k != col:
-            add_term(row, k, -a * v)
-    return row
+def rational(a: int, m: int) -> Fraction:
+    """The fraction n/d with |n|, d <= sqrt(m/2) and n = a*d mod m, which is
+    unique when it exists (Wang's rational reconstruction)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        raise ReconstructionError(
+            f"a residue modulo a {m.bit_length()}-bit modulus has no rational preimage "
+            f"within sqrt(m/2)"
+        )
+    return Fraction(r1, t1)
 
 
 class MasterExpression:
-    """Elimination state over one weight's Lyndon words.
+    """Elimination state over one weight's Lyndon words, modulo ``prime``.
 
     Rows live in one integer column space: the word ``columns[k]`` is column
     ``k`` for ``k < n_words``, and monomial ``monomials[i]`` is column
     ``n_words + i``, so every monomial column sorts after every word column.
-    Each pivot bracket maps an eliminated word (a column index) to a
-    primitive integer row (gcd 1, positive lead) over later columns and
-    monomial tail columns; divided by its lead and read as "word = minus
-    the rest", it is the bracket's current right-hand side.  Absorbing a
-    row reduces it fraction-free against existing brackets and either
-    installs a new bracket at its leading column or discards it as
-    redundant.  Substitution is bracket-local by construction: absorbing or
-    back-substituting one bracket never needs data from another bracket
-    beyond its finished row, so brackets can be distributed.
 
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, through the same scaled entries as :class:`Certifier`:
@@ -505,19 +506,20 @@ class MasterExpression:
     word is its own column; a family entry's Lyndon words are single-factor
     monomials), and lower-table entries on first use.  In the relation's
     integer residue (:meth:`residue`) single words map to word columns and
-    every other monomial to a monomial column, and the row is divided by its
-    gcd.  Most rows are redundant, so each row's image mod ``PRIME`` is
-    first reduced against a shadow echelon that mirrors the brackets mod p
-    in the same columns, kept fully reduced so that testing a row costs one
-    pass over its leads.  A row that vanishes there is set aside in
-    ``skipped`` as its bare descriptor; the solve certifies each such
-    relation against the assembled table (:class:`Certifier`) and
-    :meth:`admit` absorbs the ones it rejects.  Only the other rows are
-    reduced exactly; ``exact_rows`` counts them.
+    every other monomial to a monomial column (:meth:`integer_row`).
 
-    ``peak_terms`` is the largest number of live bracket terms seen and
-    ``peak_bits`` the largest bit length of a bracket entry, both sampled
-    before and after each :meth:`back_substitute`.
+    ``pivots`` is the one echelon, mod ``prime`` and fully reduced: it maps
+    each eliminated word (a column index) to its bracket, a row with entry 1
+    at that column and no entry at another bracket's lead, so reducing a
+    row costs one pass over its leads.  :meth:`absorb` reduces a row's image
+    mod p against it and either installs a bracket at the leading column of
+    what is left or counts the row as redundant.  :meth:`back_substitute`
+    rebuilds every bracket entry as a rational (:func:`rational`); read as
+    "word = minus the rest", a bracket is then its word's right-hand side.
+
+    ``peak_terms`` is the largest number of live bracket terms after any
+    install, and ``coeff_bits`` the largest bit length of a rebuilt
+    numerator or denominator.
     """
 
     def __init__(
@@ -525,6 +527,7 @@ class MasterExpression:
         columns: list[Word],
         entries: dict[Word, SplitCombo],
         tables: dict[int, SolvedWeight],
+        prime: int = PRIMES[0],
     ):
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
@@ -532,14 +535,11 @@ class MasterExpression:
         self.weight = weight(columns[0])
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict[int, dict] = {}
         self.redundant = 0
-        self.exact_rows = 0
         self.peak_terms = 0
-        self.peak_bits = 0
-        self.prime = PRIME
-        self.shadow: dict[int, dict[int, int]] = {}
-        self.skipped: list[tuple] = []
+        self.coeff_bits = 0
+        self.prime = prime
         self.lower = Certifier(tables)
         # every weight-w word with a column or a family entry, scaled
         self._scaled = {x: (1, {(x,): 1}) for x in columns}
@@ -568,7 +568,7 @@ class MasterExpression:
         return expand_row(desc, self._entry)
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
-        """The primitive integer row of the relation ``desc``."""
+        """The integer row of the relation ``desc``."""
         row: dict[int, int] = {}
         for m, v in self.residue(desc).items():
             if len(m) > 1:
@@ -579,110 +579,55 @@ class MasterExpression:
                 raise InconsistentRelation(
                     f"{describe(desc)}: word {render_word(m[0])} missing a family entry"
                 )
-        return _primitive(row)
+        return row
 
     def absorb(self, desc: tuple) -> bool:
-        """Reduce one relation row into the bracket set.  Returns True when
-        the row installed a new pivot bracket, False when redundant: either
-        proven so exactly, or set aside for the certificate because it
-        reduces to zero mod the prime."""
-        row = self.integer_row(desc)
+        """Reduce one relation row mod p into the echelon.  Returns True when
+        the row installed a new bracket, False when it was redundant."""
         p = self.prime
-        if self._vanishes_mod_p({k: v % p for k, v in row.items() if v % p}):
-            self.skipped.append(desc)
-        elif self._reduce(row, desc):
-            return True
-        self.redundant += 1
-        return False
-
-    def admit(self, descs: list[tuple]) -> None:
-        """Absorb exactly the set-aside rows the certificate rejected.  They
-        were counted redundant when skipped; call :meth:`back_substitute`
-        afterwards."""
-        for desc in descs:
-            if self._reduce(self.integer_row(desc), desc):
-                self.redundant -= 1
-
-    def _reduce(self, row: dict[int, int], desc: tuple) -> bool:
-        """Exact reduction of the primitive ``row`` of the relation ``desc``,
-        which it consumes; True when it installed a bracket, False when it
-        reduced to zero."""
-        self.exact_rows += 1
-        while row:
-            lead = min(row)
-            if lead >= self.n_words:
-                raise InconsistentRelation(f"{describe(desc)}: reduced to 0 = nonzero")
-            holder = self.pivots.get(lead)
-            if holder is None:
-                if row[lead] < 0:
-                    row = {k: -v for k, v in row.items()}
-                self.pivots[lead] = row
-                self._shadow_install(lead, row)
-                return True
-            row = _primitive(_cancel(row, lead, holder))
-        return False
-
-    # -------- mod-p filter
-
-    def _shadow_install(self, lead: int, bracket: dict[int, int]) -> None:
-        # the shadow is kept fully reduced: no row has an entry at another
-        # row's lead, and each row's lead entry is an implicit 1.  A bracket
-        # whose lead is divisible by the prime stays out; rows it would have
-        # reduced then are reduced exactly.
-        p = self.prime
-        head = bracket[lead] % p
-        if not head:
-            return
-        inv = pow(head, -1, p)
-        image = self._reduce_mod_p({k: v * inv % p for k, v in bracket.items() if k != lead})
-        for row in self.shadow.values():
-            c = row.pop(lead, None)
-            if c:
-                for k, v in image.items():
-                    x = (row.get(k, 0) - c * v) % p
-                    if x:
-                        row[k] = x
-                    else:
-                        row.pop(k, None)
-        self.shadow[lead] = image
-
-    def _reduce_mod_p(self, r: dict[int, int]) -> dict[int, int]:
-        """``r`` mod p with every shadow lead cleared, zero entries dropped;
-        consumes ``r``."""
-        p = self.prime
-        shadow = self.shadow
-        for lead in [k for k in r if k in shadow]:
-            scale = r.pop(lead) % p
+        pivots = self.pivots
+        row = {k: v % p for k, v in self.integer_row(desc).items()}
+        # each bracket has lead 1, so subtracting it clears its lead
+        for lead in [k for k in row if k in pivots]:
+            scale = row[lead]
             if scale:
-                for k, v in shadow[lead].items():
-                    r[k] = r.get(k, 0) - scale * v
-        return {k: v % p for k, v in r.items() if v % p}
-
-    def _vanishes_mod_p(self, image: dict[int, int]) -> bool:
-        """Whether a row's mod-p ``image`` reduces to zero against the
-        shadow echelon; consumes ``image``."""
-        return not self._reduce_mod_p(image)
-
-    # -------- back-substitution
+                for k, v in pivots[lead].items():
+                    row[k] = row.get(k, 0) - scale * v
+        row = {k: v % p for k, v in row.items() if v % p}
+        if not row:
+            self.redundant += 1
+            return False
+        lead = min(row)
+        if lead >= self.n_words:
+            raise InconsistentRelation(f"{describe(desc)}: reduced to 0 = nonzero")
+        inv = pow(row[lead], -1, p)
+        bracket = {k: v * inv % p for k, v in row.items()}
+        for other in pivots.values():
+            c = other.get(lead)
+            if c:
+                for k, v in bracket.items():
+                    x = (other.get(k, 0) - c * v) % p
+                    if x:
+                        other[k] = x
+                    else:
+                        other.pop(k, None)
+        pivots[lead] = bracket
+        self.peak_terms = max(self.peak_terms, sum(map(len, pivots.values())))
+        return True
 
     def back_substitute(self) -> None:
-        """Remove pivot columns from every bracket, descending, leaving each
-        bracket primitive over its own column, survivor columns and monomial
-        columns only; each row's content is divided out after its last cancellation."""
-        self._note_peak()
+        """Rebuild every bracket entry as a rational.  The echelon is fully
+        reduced, so each bracket already names only its own column, survivor
+        columns and monomial columns."""
+        p = self.prime
         pivots = self.pivots
-        for col in sorted(pivots, reverse=True):
-            row = pivots[col]
-            for k in sorted(k for k in row if k != col and k in pivots):
-                row = _cancel(row, k, pivots[k])
-            pivots[col] = _primitive(row)
-        self._note_peak()
-
-    def _note_peak(self) -> None:
-        rows = self.pivots.values()
-        self.peak_terms = max(self.peak_terms, sum(len(row) for row in rows))
-        bits = (abs(v).bit_length() for row in rows for v in row.values())
-        self.peak_bits = max(self.peak_bits, max(bits, default=0))
+        for col, row in pivots.items():
+            pivots[col] = {k: rational(v, p) for k, v in row.items()}
+        self.coeff_bits = max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length())
+             for row in pivots.values() for c in row.values()),
+            default=0,
+        )
 
     def survivors(self) -> list[Word]:
         return [w for i, w in enumerate(self.columns) if i not in self.pivots]
@@ -707,8 +652,8 @@ class Checkpointer:
     """Hash-guarded resume state for one weight's solve.
 
     The file holds a JSON payload plus its sha256; a payload that fails the
-    hash check refuses to resume (the caller must delete the file to start
-    over).  A checkpoint written under a different configuration fingerprint
+    hash check, or a malformed file, refuses to resume (the caller must
+    delete the file to start over).  A checkpoint written under a different configuration fingerprint
     is ignored with a warning instead, since it describes a different run.
     So is one that is not a family-phase checkpoint: older builds also
     checkpointed mid-elimination, and such a payload cannot be resumed.
@@ -718,24 +663,31 @@ class Checkpointer:
         self.path = Path(path)
         self.fingerprint = fingerprint
 
-    def load(self) -> dict | None:
+    def load(self) -> tuple[int, dict[Word, SplitCombo]] | None:
+        """The last completed family depth and the entries up to it, or
+        None when there is nothing to resume."""
         if not self.path.exists():
             return None
         try:
             wrapper = json.loads(self.path.read_text(encoding="ascii"))
             payload = wrapper["payload"]
             recorded = wrapper["sha256"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise StoreIntegrityError(f"unreadable checkpoint {self.path}: {exc}") from exc
         if _payload_hash(payload) != recorded:
             raise StoreIntegrityError(
                 f"checkpoint {self.path} fails its hash check; refusing to resume "
                 f"(delete the file to restart this weight)"
             )
+        if not isinstance(payload, dict):
+            raise StoreIntegrityError(f"checkpoint {self.path} holds no payload object")
         if payload.get("fingerprint") != self.fingerprint or payload.get("phase") != "families":
             log.warning("ignoring checkpoint %s from a different configuration", self.path)
             return None
-        return payload
+        try:
+            return int(payload["depth_done"]), _entries_restore(payload["entries"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise StoreIntegrityError(f"malformed checkpoint {self.path}: {exc!r}") from exc
 
     def save(self, payload: dict) -> None:
         payload = dict(payload, fingerprint=self.fingerprint)
@@ -818,14 +770,12 @@ def solve_weight(
         log.debug("%s", msg)
 
     pool = candidate_words(w)
-    checkpoint = checkpointer.load() if checkpointer is not None else None
+    resume = checkpointer.load() if checkpointer is not None else None
 
     # ---- family reduction
     t0 = time.monotonic()
-    resume_families = None
-    if checkpoint is not None:
-        resume_families = (checkpoint["depth_done"], _entries_restore(checkpoint["entries"]))
-        note(f"weight {w}: resuming family phase after depth {checkpoint['depth_done']}")
+    if resume is not None:
+        note(f"weight {w}: resuming family phase after depth {resume[0]}")
 
     def depth_done(depth: int, entries: dict) -> None:
         if checkpointer is not None:
@@ -840,7 +790,7 @@ def solve_weight(
         log.debug("weight %d: family depth %d done", w, depth)
 
     entries = family_phase(
-        w, tables, pool, config.jobs, on_depth_done=depth_done, resume=resume_families
+        w, tables, pool, config.jobs, on_depth_done=depth_done, resume=resume
     )
     family_seconds = time.monotonic() - t0
 
@@ -856,27 +806,35 @@ def solve_weight(
             raise ValueError(f"survivor bias {survivor_bias!r} is not a Lyndon word at weight {w}")
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
-    master = MasterExpression(columns, entries, tables)
     rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
-    for done, desc in enumerate(rows, 1):
-        master.absorb(desc)
-        if done % PROGRESS_ROWS == 0:
-            log.debug("weight %d: %d/%d rows absorbed, %d pivots",
-                      w, done, len(rows), len(master.pivots))
-    master.back_substitute()
-    elimination_seconds = time.monotonic() - t1
-    solved = _assemble(w, master, entries, master.survivors())
-
-    # ---- exact certificate of the relations the mod-p filter skipped
-    t2 = time.monotonic()
-    fallback_rows = 0
-    while failed := master.lower.with_table(solved).rejects(master.skipped):
-        # the prime was unlucky for these rows: absorb them exactly
-        fallback_rows += len(failed)
-        master.admit(failed)
-        master.back_substitute()
-        solved = _assemble(w, master, entries, master.survivors())
-    certify_seconds = time.monotonic() - t2
+    certify_seconds = 0.0
+    for prime in PRIMES:
+        master = MasterExpression(columns, entries, tables, prime)
+        try:
+            for done, desc in enumerate(rows, 1):
+                master.absorb(desc)
+                if done % PROGRESS_ROWS == 0:
+                    log.debug("weight %d: %d/%d rows absorbed, %d pivots",
+                              w, done, len(rows), len(master.pivots))
+            master.back_substitute()
+            solved = _assemble(w, master, entries, master.survivors())
+        except (InconsistentRelation, ReconstructionError) as exc:
+            error = exc
+        else:
+            # ---- exact certificate of every elimination row
+            t2 = time.monotonic()
+            failed = master.lower.with_table(solved).rejects(rows)
+            certify_seconds += time.monotonic() - t2
+            if not failed:
+                break
+            error = ReconstructionError(
+                f"weight {w}: {len(failed)} relation(s) fail the certificate, "
+                f"{describe(failed[0])} first"
+            )
+        log.debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
+    else:
+        raise error
+    elimination_seconds = time.monotonic() - t1 - certify_seconds
 
     solved.stats = {
         "families_seconds": round(family_seconds, 3),
@@ -885,17 +843,15 @@ def solve_weight(
         "rows": len(rows),
         "redundant_rows": master.redundant,
         "pivots": len(master.pivots),
-        "certified_rows": len(master.skipped),
-        "exact_rows": master.exact_rows,
-        "fallback_rows": fallback_rows,
+        "modulus_bits": prime.bit_length(),
         "max_bracket_terms": master.peak_terms,
-        "max_coeff_bits": master.peak_bits,
+        "max_coeff_bits": master.coeff_bits,
     }
     if checkpointer is not None:
         checkpointer.clear()
-    log.debug("weight %d: certified %d skipped row(s) in %.3f s, %d fallback row(s), "
+    log.debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
               "max coefficient %d bits",
-              w, len(master.skipped), certify_seconds, fallback_rows, master.peak_bits)
+              w, len(rows), certify_seconds, prime.bit_length(), master.coeff_bits)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{len(master.pivots)} pivots, {master.redundant} redundant rows"
@@ -916,11 +872,11 @@ def _assemble(
     for x in survivors:
         table[x] = {(x,): Fraction(1)}
 
-    def bracket_entry(col: int, row: dict[int, int]) -> Entry:
+    def bracket_entry(col: int, row: dict[int, Fraction]) -> Entry:
         entry: Entry = {}
         for k, v in row.items():
             if k >= master.n_words:
-                entry[master.monomials[k - master.n_words]] = Fraction(-v, row[col])
+                entry[master.monomials[k - master.n_words]] = -v
             elif k != col:
                 word = columns[k]
                 if word not in table or k in master.pivots:
@@ -928,7 +884,7 @@ def _assemble(
                         f"bracket for {render_word(columns[col])} still references "
                         f"{render_word(word)} after back-substitution"
                     )
-                entry[(word,)] = Fraction(-v, row[col])
+                entry[(word,)] = -v
         return entry
 
     for col, row in master.pivots.items():
@@ -996,6 +952,7 @@ def parse_table(text: str) -> SolvedWeight:
     lines = text.splitlines()
     header: dict[str, str] = {}
     entries: dict[Word, Entry] = {}
+    monomials: dict[str, Monomial] = {}  # each distinct monomial parsed once
     for raw in lines:
         line = raw.strip()
         if not line:
@@ -1011,7 +968,9 @@ def parse_table(text: str) -> SolvedWeight:
         if right != "0":
             for term in right.split(" + "):
                 coeff_s, _, mono_s = term.partition("*")
-                mono = tuple(parse_word(f) for f in mono_s.split("*"))
+                mono = monomials.get(mono_s)
+                if mono is None:
+                    mono = monomials[mono_s] = tuple(parse_word(f) for f in mono_s.split("*"))
                 add_term(entry, mono, Fraction(coeff_s))
         if word in entries:
             raise ValueError(f"duplicate table entry for {render_word(word)}")
@@ -1029,6 +988,11 @@ def parse_table(text: str) -> SolvedWeight:
         raise ValueError(
             f"weight-{w} table has {len(entries)} entries, expected {2 ** (w - 2)}"
         )
+    if set(generators) != {x for x, entry in entries.items() if entry == {(x,): 1}}:
+        raise ValueError("header generators differ from the words tabled as themselves")
+    for mono in monomials.values():
+        if sum(map(weight, mono)) != w:
+            raise ValueError(f"monomial {render_monomial(mono)} is not of weight {w}")
     return SolvedWeight(weight=w, generators=generators, entries=entries, phase=phase)
 
 
@@ -1076,8 +1040,9 @@ class TableStore:
             return {"build": BUILD_ID, "format": TABLE_FORMAT, "weights": {}}
         try:
             manifest = json.loads(self.manifest_path.read_text(encoding="ascii"))
-            manifest["weights"]
-        except (ValueError, KeyError) as exc:
+            for key, record in manifest["weights"].items():
+                int(key), record["sha256"]  # each record names a weight and a hash
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise StoreIntegrityError(f"corrupt manifest {self.manifest_path}: {exc}") from exc
         return manifest
 

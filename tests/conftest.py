@@ -1,6 +1,8 @@
 """Shared fixtures.
 
 ``tables8`` is cheap (about a second) and backs most unit tests.
+``lossy_first_modulus`` makes every elimination lose rank under the first
+modulus, as an unlucky prime would.
 ``tables12`` performs the full desk-scale solve once per session, recording
 per-weight wall time; the acceptance tests consume both the tables and the
 timings.
@@ -12,7 +14,8 @@ import time
 
 import pytest
 
-from zetaforge.solver import RunConfig, solve_in_memory, solve_weight
+import zetaforge.solver as solver_mod
+from zetaforge.solver import MasterExpression, RunConfig, solve_in_memory, solve_weight
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +34,19 @@ def tables12():
         tables[w] = solve_weight(w, tables, config)
         seconds[w] = time.monotonic() - t0
     return tables, seconds
+
+
+@pytest.fixture
+def lossy_first_modulus(monkeypatch):
+    """A call that makes every row's image vanish under ``PRIMES[0]`` (the
+    row is multiplied by the modulus), so each elimination there finds no
+    pivot at all, until the test ends."""
+    honest = MasterExpression.integer_row
+
+    def lossy(self, desc):
+        row = honest(self, desc)
+        if self.prime == solver_mod.PRIMES[0]:
+            row = {k: v * self.prime for k, v in row.items()}
+        return row
+
+    return lambda: monkeypatch.setattr(MasterExpression, "integer_row", lossy)

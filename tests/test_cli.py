@@ -9,9 +9,11 @@ import json
 
 import pytest
 
+import zetaforge.solver as solver_mod
 from zetaforge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTEGRITY,
+    EXIT_INTERNAL,
     EXIT_MISSING_TABLES,
     EXIT_OK,
     EXIT_UNWRITABLE,
@@ -19,7 +21,7 @@ from zetaforge.cli import (
     main,
 )
 from zetaforge._meta import BUILD_ID
-from zetaforge.solver import TableStore
+from zetaforge.solver import Checkpointer, RunConfig, TableStore
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +277,74 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
     assert "FAIL" in out
     report = (tmp_path / "verify-report.txt").read_text()
     assert "verify.passed = NO" in report
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("# generators: Z(5)\n", "# generators:\n"),
+        ("Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)", "Z(4,1) = -1*Z(3)*Z(3) + 2*Z(5)"),
+    ],
+    ids=["generators-differ-from-self-entries", "monomial-of-another-weight"],
+)
+def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, capsys, old, new):
+    assert main(["solve", "--weight", "5", "--table-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "weight-05.table"
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    _rehash(tmp_path, 5)
+    _assert_every_reader_exits_integrity(tmp_path, capsys)
+
+
+def _drop_sha256(manifest):
+    del manifest["weights"]["4"]["sha256"]
+
+
+def _weights_not_a_map(manifest):
+    manifest["weights"] = "oops"
+
+
+def _weight_key_not_a_number(manifest):
+    manifest["weights"]["x"] = manifest["weights"]["4"]
+
+
+@pytest.mark.parametrize("spoil", [_drop_sha256, _weights_not_a_map, _weight_key_not_a_number])
+def test_malformed_manifest_exits_integrity(tmp_path, capsys, spoil):
+    assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    spoil(manifest)
+    path.write_text(json.dumps(manifest))
+    for command in ("basis", "solve"):
+        assert main([command, "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_INTEGRITY
+        assert "manifest.json" in capsys.readouterr().err, command
+
+
+def _list_instead_of_wrapper(path):
+    path.write_text(json.dumps([1, 2]))
+
+
+def _payload_without_depth(path):
+    # hash-valid, with this configuration's fingerprint, but no family depth
+    Checkpointer(path, RunConfig().fingerprint()).save(
+        {"weight": 5, "phase": "families", "entries": {}}
+    )
+
+
+@pytest.mark.parametrize("spoil", [_list_instead_of_wrapper, _payload_without_depth])
+def test_malformed_checkpoint_exits_integrity(tmp_path, capsys, spoil):
+    assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
+    spoil(tmp_path / "weight-05.checkpoint.json")
+    assert main(["solve", "--weight", "5", "--table-dir", str(tmp_path)]) == EXIT_INTEGRITY
+    assert "weight-05.checkpoint.json" in capsys.readouterr().err
+    assert not (tmp_path / "weight-05.table").exists()
+
+
+def test_solve_refuses_a_table_that_no_modulus_certifies(tmp_path, capsys, monkeypatch):
+    # weight 4 needs 2/5, which has no preimage within sqrt(7/2) mod 7
+    monkeypatch.setattr(solver_mod, "PRIMES", (7,))
+    assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_INTERNAL
+    assert "no rational preimage" in capsys.readouterr().err
+    assert not (tmp_path / "weight-04.table").exists()
+    assert "4" not in json.loads((tmp_path / "manifest.json").read_text())["weights"]

@@ -6,7 +6,9 @@ unknowns, written out in the comments where they are asserted.
 
 import json
 import logging
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from zetaforge.solver import (
     InconsistentRelation,
     MasterExpression,
     MissingTable,
+    ReconstructionError,
     RunConfig,
     StoreIntegrityError,
     TableStore,
@@ -30,6 +33,7 @@ from zetaforge.solver import (
     family_phase,
     parse_table,
     product_value,
+    rational,
     render_table,
     seed_weight_2,
     solve_in_memory,
@@ -448,14 +452,12 @@ def test_solved_stats_recorded(tables8):
     stats = tables8[8].stats
     for key in ("families_seconds", "elimination_seconds", "certify_seconds", "rows", "pivots"):
         assert key in stats
-    assert stats["pivots"] > 0
-    # every redundant row was skipped mod p and then certified exactly
-    assert stats["certified_rows"] == stats["redundant_rows"] == 45
-    assert stats["fallback_rows"] == 0
-    # only the rows that raise the rank were expanded exactly
-    assert stats["exact_rows"] == stats["pivots"] == 29
-    # the largest |entry| of weight 8's primitive integer brackets has 27 bits
-    assert stats["max_coeff_bits"] == 27
+    assert (stats["pivots"], stats["redundant_rows"]) == (29, 45)
+    # the table was certified under the first modulus, 2^127 - 1
+    assert stats["modulus_bits"] == 127
+    # the largest numerator or denominator of weight 8's brackets has 15
+    # bits, far inside Wang's bound of 63 bits under 2^127 - 1
+    assert stats["max_coeff_bits"] == 15
 
 
 def test_certificate_counters_logged_at_debug_only(caplog, capsys):
@@ -465,8 +467,8 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if "certified" in r.getMessage()]
     assert len(lines) == 1
     assert re.fullmatch(
-        r"weight 6: certified 6 skipped row\(s\) in \d+\.\d{3} s, 0 fallback row\(s\), "
-        r"max coefficient 9 bits",
+        r"weight 6: certified 15 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
+        r"max coefficient 7 bits",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -488,7 +490,7 @@ def test_elimination_progress_logged_at_debug_only(monkeypatch, caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
-# --------------------------------------------- mod-p filter and certificate
+# -------------------------------------- modular elimination and certificate
 
 # pivots and redundant rows per weight, as recorded from the exact solver
 GOLDEN_COUNTS = {3: (1, 0), 4: (3, 0), 5: (5, 1), 6: (9, 6), 7: (17, 15), 8: (29, 45)}
@@ -508,60 +510,61 @@ class _NamedRows(MasterExpression):
         return solver_mod._scale({**{(w,): c for w, c in word_part.items()}, **mono_part})[1]
 
 
-def test_certificate_rejects_a_wrong_skip_under_an_unlucky_prime(monkeypatch):
-    monkeypatch.setattr(solver_mod, "PRIME", 3)
-    a, b = (8,), (5, 3)
-    master = _NamedRows([a, b], {"first": ({a: 1, b: 1}, {}), "second": ({a: 1, b: 4}, {})})
-    assert master.absorb(("first",)) is True
-    # 4 = 1 mod 3, so the second row vanishes against the first mod 3: it
-    # is set aside as its bare descriptor, without exact work
-    assert master.absorb(("second",)) is False
-    assert master.skipped == [("second",)] and master.redundant == 1
-    assert master.exact_rows == 1
-    master.back_substitute()
-    # the first row alone gives Z(8) = -Z(5,3); a certificate that rejects
-    # the second relation hands it back, and it is reduced exactly
-    master.admit(master.skipped)
-    master.back_substitute()
-    assert sorted(master.pivots) == [0, 1]
-    assert master.redundant == 0
-    assert master.exact_rows == 2
+def test_rational_reconstruction_round_trips_inside_the_bound():
+    rng = random.Random(8)
+    m = solver_mod.PRIMES[0]
+    bound = 2**63 - 1  # isqrt((2^127 - 1) // 2)
+    for _ in range(500):
+        n, d = rng.randint(-bound, bound), rng.randint(1, bound)
+        assert rational(n * pow(d, -1, m) % m, m) == Fraction(n, d)
+    assert rational(bound, m) == bound and rational(-bound % m, m) == -bound
+    # 2^63 is just outside: no fraction within the bound has its residue
+    with pytest.raises(ReconstructionError, match="no rational preimage"):
+        rational(2**63, m)
 
 
-def test_a_bracket_whose_lead_is_divisible_by_the_prime_stays_out_of_the_shadow(monkeypatch):
-    monkeypatch.setattr(solver_mod, "PRIME", 3)
-    a, b = (8,), (5, 3)
-    master = _NamedRows([a, b], {"first": ({a: 3, b: 1}, {}), "second": ({a: 6, b: 2}, {})})
-    assert master.absorb(("first",)) is True
-    assert master.pivots == {0: {0: 3, 1: 1}}
-    assert master.shadow == {}
-    # 6a + 2b is twice the first row; with no shadow row to cancel it, the
-    # filter keeps it, and the exact reduction proves it redundant
-    assert master.absorb(("second",)) is False
-    assert master.skipped == []
-    assert master.redundant == 1
+def test_rational_reconstruction_agrees_with_a_search_mod_1009():
+    # every residue mod 1009 either has the unique preimage n/d with |n|, d
+    # at most isqrt(1009 // 2) = 22, which a search finds too, or raises
+    m, bound = 1009, 22
+    small = {}
+    for d in range(1, bound + 1):
+        for n in range(-bound, bound + 1):
+            if math.gcd(n, d) == 1:
+                small[n * pow(d, -1, m) % m] = Fraction(n, d)
+    for a in range(m):
+        if a in small:
+            assert rational(a, m) == small[a]
+        else:
+            with pytest.raises(ReconstructionError):
+                rational(a, m)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5, 7])
 def test_small_primes_give_the_same_tables(monkeypatch, tables8, prime):
-    monkeypatch.setattr(solver_mod, "PRIME", prime)
+    monkeypatch.setattr(solver_mod, "PRIMES", (prime, 2**127 - 1))
     tables = solve_in_memory(8, RunConfig(jobs=1))
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
     for w, counts in GOLDEN_COUNTS.items():
         stats = tables[w].stats
         assert (stats["pivots"], stats["redundant_rows"]) == counts
+    # weight 4 already needs 2/5, whose reconstruction needs a modulus m with
+    # 5 <= sqrt(m/2), so it falls through to the second modulus
+    assert tables[4].stats["modulus_bits"] == 127
 
 
-def test_fallback_rebuilds_every_table_when_every_row_is_skipped(monkeypatch, tables8):
-    monkeypatch.setattr(MasterExpression, "_vanishes_mod_p", lambda self, row: True)
+def test_rank_lost_under_the_first_modulus_falls_through_to_the_second(
+    lossy_first_modulus, tables8
+):
+    lossy_first_modulus()
     tables = solve_in_memory(8, RunConfig(jobs=1))
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
     for w, counts in GOLDEN_COUNTS.items():
         stats = tables[w].stats
         assert (stats["pivots"], stats["redundant_rows"]) == counts
-        assert stats["fallback_rows"] > 0
+        assert stats["modulus_bits"] == 521
 
 
 # ---------------------------------------------------- traced benchmark pass
@@ -657,19 +660,20 @@ def test_peak_terms_is_the_largest_live_count():
     m = ((5,), (3,))
     one = Fraction(1)
 
-    # {a+b+c, b-c}: 3 + 2 terms after absorb; back-substitution turns the
-    # first bracket into a + 2c, so 4 terms live afterwards
-    shrink = _NamedRows(
-        [a, b, c], {"r1": ({a: one, b: one, c: one}, {}), "r2": ({b: one, c: -one}, {})}
-    )
-    assert shrink.absorb(("r1",)) is True
-    assert shrink.absorb(("r2",)) is True
-    shrink.back_substitute()
-    assert shrink.pivots == {0: {0: 1, 2: 2}, 1: {1: 1, 2: -1}}
-    assert shrink.peak_terms == 5
+    # {a+c+m, b+c+m, c+m}: 3 + 3 terms live before the last row, whose
+    # bracket clears c and m from the other two, so 1 + 1 + 2 live after it
+    shrink = _NamedRows([a, b, c], {
+        "r1": ({a: one, c: one}, {m: one}),
+        "r2": ({b: one, c: one}, {m: one}),
+        "r3": ({c: one}, {m: one}),
+    })
+    for name in ("r1", "r2", "r3"):
+        assert shrink.absorb((name,)) is True
+    assert shrink.pivots == {0: {0: 1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
+    assert shrink.peak_terms == 6
 
-    # {a+b, b+c+m}: 2 + 3 terms after absorb; back-substitution turns the
-    # first bracket into a - c - m, so 6 terms live afterwards
+    # {a+b, b+c+m}: 2 + 3 terms; installing the second bracket turns the
+    # first into a - c - m, so 6 terms live afterwards
     grow = _NamedRows(
         [a, b, c], {"r1": ({a: one, b: one}, {}), "r2": ({b: one, c: one}, {m: one})}
     )
@@ -680,19 +684,23 @@ def test_peak_terms_is_the_largest_live_count():
     assert grow.peak_terms == 6
 
     # non-unit leads {-2a-b-c, 3b+c+2m}, given as -(2a+b+c)/2 and
-    # 2(3b+c+2m)/3: each row is stored primitive with a positive lead;
-    # back-substitution gives 3(2a+c) - (c+2m) = 6a+2c-2m, stored as 3a+c-m
+    # 2(3b+c+2m)/3: each bracket is stored mod p with lead 1; the second
+    # clears b from the first, a + (b+c)/2 - (b + c/3 + 2m/3)/2 = a + c/3 - m/3
     half, third = Fraction(1, 2), Fraction(1, 3)
     leads = _NamedRows([a, b, c], {
         "r1": ({a: -one, b: -half, c: -half}, {}),
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
     })
+    p = leads.prime
+    inv3 = pow(3, -1, p)
     assert leads.absorb(("r1",)) is True
+    assert leads.pivots == {0: {0: 1, 1: pow(2, -1, p), 2: pow(2, -1, p)}}
     assert leads.absorb(("r2",)) is True
-    assert leads.pivots == {0: {0: 2, 1: 1, 2: 1}, 1: {1: 3, 2: 1, 3: 2}}
+    assert leads.pivots == {0: {0: 1, 2: inv3, 3: p - inv3}, 1: {1: 1, 2: inv3, 3: 2 * inv3 % p}}
     leads.back_substitute()
-    assert leads.pivots == {0: {0: 3, 2: 1, 3: -1}, 1: {1: 3, 2: 1, 3: 2}}
+    assert leads.pivots == {0: {0: 1, 2: third, 3: -third}, 1: {1: 1, 2: third, 3: 2 * third}}
     assert leads.peak_terms == 6
+    assert leads.coeff_bits == 2
     # every other weight-8 word gets an empty family entry
     entries = {x: ({}, {}) for x in admissible_words(8) if x not in (a, b, c)}
     table = solver_mod._assemble(8, leads, entries, leads.survivors()).entries

@@ -181,11 +181,13 @@ def test_minimal_depth_confirmed_at_weight_8(tables8):
     assert rep.alternatives_checked == 1  # (8,) is the only shallower Lyndon word
 
 
-def test_minimality_reeliminations_are_certified(tables8, monkeypatch):
-    # every row wrongly reads as redundant mod p, so the re-elimination
-    # comes out right only because its certificate rejects the skips
+def test_minimality_reeliminations_are_certified(tables8, monkeypatch, lossy_first_modulus):
+    # every elimination loses rank under the first modulus, so the
+    # re-elimination comes out right only because its certificate rejects
+    # that attempt and the second modulus is certified
     lower = {w: t for w, t in tables8.items() if w < 8}
     honest = solve_weight(8, lower, survivor_bias=(8,))
+    assert honest.stats["modulus_bits"] == 127
     alts = []
 
     def recording(*args, **kwargs):
@@ -193,11 +195,11 @@ def test_minimality_reeliminations_are_certified(tables8, monkeypatch):
         return alts[-1]
 
     monkeypatch.setattr(verify_mod, "solve_weight", recording)
-    monkeypatch.setattr(solver_mod.MasterExpression, "_vanishes_mod_p", lambda self, row: True)
+    lossy_first_modulus()
     rep = minimal_depth_stats(8, tables8)
     assert rep.minimal_confirmed is True
     assert len(alts) == 1
-    assert alts[0].stats["fallback_rows"] > 0
+    assert alts[0].stats["modulus_bits"] == 521
     assert render_table(alts[0]) == render_table(honest)
 
 
