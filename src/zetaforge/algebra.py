@@ -14,9 +14,10 @@ and :func:`expand_relation`.
 
 Linear combinations are plain dicts mapping a key (an index word, or a basis
 monomial which is a tuple of generator words) to a nonzero coefficient: an
-``int`` in a relation's expansion, a :class:`~fractions.Fraction` once
-tables are substituted.  The helpers here maintain the no-zero-terms
-invariant in place.
+``int`` in a relation's expansion and in the solver's integer residues
+(exact, or modulo a prime while a weight is solved), a
+:class:`~fractions.Fraction` in a table.  The helpers here maintain the
+no-zero-terms invariant in place.
 """
 
 from __future__ import annotations

@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=BUILD_ID)
     parser.add_argument(
-        "--verbose", action="store_true", help="log per-depth solver progress to stderr"
+        "--verbose", action="store_true", help="log solver progress to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve all weights up to the target and persist tables")
     p.add_argument("--weight", "-w", type=int, required=True, help="highest weight to solve")
-    p.add_argument("--jobs", "-j", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", "-j", type=int, default=1,
+                   help="accepted; the solve runs in one process")
     p.add_argument("--table-dir", required=True, help="directory for tables and the manifest")
     p.add_argument("--relations", default=",".join(DEFAULT_KINDS), help=relations_help)
     p.add_argument(

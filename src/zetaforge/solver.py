@@ -1,54 +1,61 @@
 """Weight-by-weight reduction onto the conjectured basis.
 
-The pipeline per weight W, given fully-reduced tables for all lower weights:
+The pipeline per weight W, given fully-reduced tables for all lower weights,
+runs modulo a prime (the first of ``PRIMES``), in one process:
 
 1. Family reduction.  Stuffle relations mix only words sharing one index
    multiset (a family) plus lower-depth merge terms and lower-weight
    products, so each family is solved locally, depth ascending, producing an
    entry for every non-Lyndon admissible word over same-weight Lyndon words
-   and products of lower-weight generators.  Families at one depth are
-   independent given the lower depths, which is the parallel unit.
+   and products of lower-weight generators.
 
 2. Bracketed elimination.  The remaining relation rows (regularized rows,
    shuffle product rows, optionally duality rows), with family entries
    substituted, are reduced over the Lyndon words of the weight in a fixed
    elimination order.  Words that never become a pivot survive as this
-   weight's generators.  Pivot selection is sequential and runs in the
-   calling process, so the result is independent of worker count.
+   weight's generators.
 
-   The elimination runs modulo a prime.  Every row is expanded once,
-   exactly, in integers (the relation's integer residue over the family
-   entries and the lower tables, each scaled to integers once) and its
-   image mod p is reduced into one fully reduced echelon: each bracket has
-   lead 1 and no entry at another bracket's lead.  Every bracket entry is
-   then rebuilt as a rational by Wang's rational reconstruction, and after
-   assembly *every* elimination row is certified exactly: substituted
-   through the lower tables and the new one in integer arithmetic, it must
-   give zero (the same check ``verify`` runs).  A modulus under which a
-   relation reduces to 0 = nonzero, a residue has no small rational
-   preimage, or the certificate rejects a row is replaced by the next one
-   in ``PRIMES``; when none is left the solve fails, so no table leaves
-   uncertified.
+3. Assembly.  The brackets are substituted into every family entry, so
+   every admissible word of the weight maps to a combination of basis
+   monomials (products of generators of total weight W); each coefficient
+   is then rebuilt as a rational.
 
-   Why the certificate pins the bytes: a row that substitutes to zero
-   through the table is the sum of its entries at the pivot columns times
-   their brackets, so every certified row lies in the span of the
-   brackets.  There is one bracket per pivot, and the rank mod p is never
-   more than the rank over Q, so the two spans are equal.  By construction
-   the brackets are in reduced row-echelon form over the fixed column
-   order, and that form is unique, so the table does not depend on the
-   modulus.
+Every row, stuffle rows included, is expanded exactly in integers by the
+one :func:`expand_row` (the relation's integer residue over the entries met
+so far and the lower tables, each scaled to integers once) and its image
+mod p is reduced.  Family entries are kept mod p, a same-weight word ``y``
+as the monomial ``(y,)``; the elimination keeps one fully reduced echelon:
+each bracket has lead 1 and no entry at another bracket's lead.  Each table
+coefficient is rebuilt once by Wang's rational reconstruction, and then
+*every* relation of the weight is certified exactly: substituted through
+the lower tables and the new one in integer arithmetic, it must give zero
+(the same check ``verify`` runs).  A modulus under which a family is left
+underdetermined, a relation reduces to 0 = nonzero, a residue has no small
+rational preimage, or the certificate rejects a relation is replaced by the
+next one in ``PRIMES``; when none is left the solve fails, so no table
+leaves uncertified.
 
-3. Assembly.  The rational pivot brackets are composed with the family
-   entries into the fully-reduced table: every admissible word of the
-   weight maps to a combination of basis monomials (products of generators
-   of total weight W).
+Why the certificate pins the bytes, whatever the modulus:
+
+- every non-Lyndon word is eliminated, and its entry names only survivors
+  and monomials;
+- each bracket names only survivors that come later in the column order;
+- so the table, read as "word minus its entry" for every eliminated word,
+  is in reduced row-echelon form over the fixed column order (non-Lyndon
+  words, then Lyndon words in elimination order, then monomials), with one
+  row per eliminated word;
+- a certified table sends every relation to zero, so each relation lies in
+  the span of those rows, while the family phase and the elimination, each
+  of whose rows mod p is a combination of relation rows, found as many
+  independent relations mod p as there are rows, and the rank mod p is
+  never more than the rank over Q;
+- so the two spans are equal, the table is their unique reduced row-echelon
+  form, and no separate shape check is needed.
 
 Tables persist as one text file per weight plus a manifest with content
-hashes.  The family phase checkpoints after each depth, so an interrupted
-solve resumes after the last completed depth; a crash in elimination keeps
-every family entry and redoes only that weight's elimination.  A checkpoint
-whose payload hash does not match is never reused.
+hashes.  The family entries are checkpointed once per weight, with their
+modulus, so a crash in elimination redoes only that weight's elimination.
+A checkpoint whose payload hash does not match is never reused.
 """
 
 from __future__ import annotations
@@ -57,7 +64,6 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import os
 import tempfile
 import time
@@ -93,11 +99,9 @@ from .words import (
 log = logging.getLogger(__name__)
 
 Entry = dict[Monomial, Fraction]
-WordCombo = dict[Word, Fraction]
-MonoCombo = dict[Monomial, Fraction]
-# A half-reduced expression: a part still over same-weight words plus a part
-# already over basis monomials.
-SplitCombo = tuple[WordCombo, MonoCombo]
+# A combination modulo the solve's prime, in which a word ``y`` of the weight
+# being solved is the single-factor monomial ``(y,)``.
+Residues = dict[Monomial, int]
 
 
 class SolverError(Exception):
@@ -131,8 +135,9 @@ class ReconstructionError(SolverError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Solve configuration.  Worker count never affects results, so it is
-    excluded from the checkpoint fingerprint."""
+    """Solve configuration.  ``jobs`` is validated but selects nothing: a
+    solve runs in one process.  It is excluded from the checkpoint
+    fingerprint."""
 
     jobs: int = 1
     kinds: tuple[str, ...] = DEFAULT_KINDS
@@ -170,36 +175,17 @@ def seed_weight_2() -> SolvedWeight:
 
 # ------------------------------------------------------------ substitution
 
-def product_value(u: Word, v: Word, tables: dict[int, SolvedWeight]) -> MonoCombo:
+def product_value(u: Word, v: Word, tables: dict[int, SolvedWeight]) -> Entry:
     """The product Z(u)*Z(v) expanded over basis monomials via the
     fully-reduced lower-weight tables."""
     return lc_mul(tables[weight(u)].entries[u], tables[weight(v)].entries[v])
 
 
-def split_substitute(combo: WordCombo, entries: dict[Word, SplitCombo]) -> SplitCombo:
-    """Apply half-reduced entries to a same-weight word combination.
-
-    Entries are kept fully substituted against each other (their word parts
-    mention only words without entries), so one pass suffices and the
-    operation is idempotent.
-    """
-    word_part: WordCombo = {}
-    mono_part: MonoCombo = {}
-    for w, c in combo.items():
-        entry = entries.get(w)
-        if entry is None:
-            add_term(word_part, w, c)
-        else:
-            add_scaled(word_part, entry[0], c)
-            add_scaled(mono_part, entry[1], c)
-    return word_part, mono_part
-
-
-def substitute_tables(combo: WordCombo, tables: dict[int, SolvedWeight]) -> MonoCombo:
+def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeight]) -> Entry:
     """Fully reduce a weight-homogeneous word combination through the
     fully-reduced tables.  Idempotent in the sense that the result is already
     over basis monomials; errors name the first unresolved word."""
-    out: MonoCombo = {}
+    out: Entry = {}
     for w, c in combo.items():
         table = tables.get(weight(w))
         if table is None or w not in table.entries:
@@ -325,152 +311,92 @@ def _admissible_orderings(mset: tuple[int, ...]) -> list[Word]:
     return sorted(w for w in found if w[0] >= 2)
 
 
-def solve_family(
-    key: tuple[int, ...],
-    members: list[Word],
-    pool: frozenset[Word],
-    entries: dict[Word, SplitCombo],
-    tables: dict[int, SolvedWeight],
-) -> dict[Word, SplitCombo]:
-    """Express every non-Lyndon member of one family over Lyndon words and
-    tabled content, using the stuffle relations of all splits of the family
-    multiset.  ``entries`` must already cover all lower depths of the same
-    weight; the returned local entries are fully substituted."""
-    unknowns = [w for w in members if not is_lyndon(w)]
-    if not unknowns:
-        return {}
-    local: dict[Word, SplitCombo] = {}
-    depth = len(key)
-
-    for left, right in _multiset_splits(key):
-        for u in _admissible_orderings(left):
-            for v in _admissible_orderings(right):
-                expansion, _ = expand_relation(("stuffle", u, v))
-                word_part, mono_part = split_substitute(expansion, entries)
-                add_scaled(mono_part, product_value(u, v, tables), -1)
-                # local entries never reference each other's pivots (they are
-                # rewritten whenever a new pivot lands), so one pass suffices
-                word_part, local_monos = split_substitute(word_part, local)
-                add_scaled(mono_part, local_monos, 1)
-                pivot_choices = [
-                    w for w in word_part if len(w) == depth and not is_lyndon(w)
-                ]
-                if not pivot_choices:
-                    if word_part or mono_part:
-                        raise InconsistentRelation(
-                            f"family {key}: stuffle of {render_word(u)} and "
-                            f"{render_word(v)} left a relation among Lyndon words"
-                        )
-                    continue
-                pivot = max(pivot_choices, key=lambda w: elim_key(w, pool))
-                # exact even when the pivot's coefficient is a plain int
-                scale = Fraction(-1, word_part.pop(pivot))
-                expr_w = {w: c * scale for w, c in word_part.items()}
-                expr_m = {m: c * scale for m, c in mono_part.items()}
-                for prev, (prev_w, prev_m) in local.items():
-                    c0 = prev_w.pop(pivot, None)
-                    if c0 is not None:
-                        add_scaled(prev_w, expr_w, c0)
-                        add_scaled(prev_m, expr_m, c0)
-                local[pivot] = (expr_w, expr_m)
-    missing = [w for w in unknowns if w not in local]
-    if missing:
-        raise UnderdeterminedFamily(
-            f"family {key} leaves {[render_word(w) for w in missing]} unexpressed"
-        )
-    return local
+def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
+    """``target += scale * other`` modulo ``p``, in place, dropping zeros."""
+    for k, v in other.items():
+        x = (target.get(k, 0) + scale * v) % p
+        if x:
+            target[k] = x
+        else:
+            target.pop(k, None)
 
 
-# --------------------------------------------------- parallel worker plumbing
-
-# Fork-inherited read-only context for worker processes.  Set immediately
-# before a Pool is created and cleared after; workers never mutate it.
-_WORKER_CTX: dict = {}
-
-
-def _set_worker_ctx(**ctx) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _clear_worker_ctx() -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = {}
-
-
-def _family_worker(key: tuple[int, ...]) -> tuple[tuple[int, ...], dict]:
-    ctx = _WORKER_CTX
-    return key, solve_family(
-        key, ctx["families"][key], ctx["pool"], ctx["entries"], ctx["tables"]
-    )
-
-
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        log.warning("fork start method unavailable; running single-process")
-        return None
-
-
-def _parallel_map_list(fn, items: list, jobs: int, chunksize: int = 1) -> list:
-    """Ordered map over items, forked across ``jobs`` workers when possible.
-    Falls back to sequential when jobs == 1 or fork is unavailable."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    ctx = _fork_context()
-    if ctx is None:
-        return [fn(item) for item in items]
-    with ctx.Pool(min(jobs, len(items))) as pool:
-        return list(pool.imap(fn, items, chunksize=chunksize))
+def _weight_entry(
+    x: Word, w: int, entries: dict[Word, Residues], lower: Certifier
+) -> tuple[int, dict[Monomial, int]]:
+    """The scaled entry of ``x`` while weight ``w`` is solved: its lower
+    table entry, its entry mod p in ``entries``, or else the word itself."""
+    if weight(x) < w:
+        return lower.entry(x)
+    got = entries.get(x)
+    return 1, ({(x,): 1} if got is None else got)
 
 
 def family_phase(
-    w: int,
-    tables: dict[int, SolvedWeight],
-    pool: frozenset[Word],
-    jobs: int = 1,
-    on_depth_done: Callable[[int, dict[Word, SplitCombo]], None] | None = None,
-    resume: tuple[int, dict[Word, SplitCombo]] | None = None,
-) -> dict[Word, SplitCombo]:
-    """Run family reduction for all depths of weight ``w``, ascending.
+    w: int, lower: Certifier, pool: frozenset[Word], prime: int
+) -> dict[Word, Residues]:
+    """Express every non-Lyndon admissible word of weight ``w`` over the
+    weight's Lyndon words and lower-weight monomials, modulo ``prime``.
 
-    Returns the entry map word -> (word part, monomial part) covering every
-    non-Lyndon admissible word.  ``on_depth_done`` fires after each completed
-    depth (the checkpoint hook); ``resume`` restarts after a completed depth.
+    The stuffle relations of all splits of a family's multiset involve only
+    the family, lower-depth words and lower-weight products, so families
+    are solved one at a time, depth ascending.  Each stuffle row is the
+    image mod ``prime`` of :func:`expand_row` over the entries made so far
+    and the lower tables (``lower``).  Its pivot is the family member that
+    dies first in the elimination order, and the family's earlier entries
+    are rewritten so that no entry names a pivot.  A row left without a
+    pivot must vanish, else :class:`InconsistentRelation`; a non-Lyndon
+    member left without an entry raises :class:`UnderdeterminedFamily`.
+    Under an unlucky modulus either can happen where the rationals would
+    not, and a coefficient that vanishes mod p is never a pivot.
     """
-    entries: dict[Word, SplitCombo] = {}
-    done_depth = 0
-    if resume is not None:
-        done_depth, entries = resume
-    all_families: dict[int, dict] = {}
+    families: dict[tuple[int, ...], list[Word]] = {}
     for word in admissible_words(w):
-        all_families.setdefault(len(word), {}).setdefault(
-            tuple(sorted(word, reverse=True)), []
-        ).append(word)
-    for depth in sorted(all_families):
-        if depth <= done_depth:
-            continue
-        families = all_families[depth]
-        keys = sorted(k for k, members in families.items()
-                      if any(not is_lyndon(m) for m in members))
-        _set_worker_ctx(families=families, pool=pool, entries=entries, tables=tables)
-        try:
-            results = _parallel_map_list(_family_worker, keys, jobs)
-        finally:
-            _clear_worker_ctx()
-        for _key, local in results:
-            entries.update(local)
-        if on_depth_done is not None:
-            on_depth_done(depth, entries)
+        if not is_lyndon(word):
+            families.setdefault(tuple(sorted(word, reverse=True)), []).append(word)
+    entries: dict[Word, Residues] = {}
+
+    def entry(x: Word) -> tuple[int, dict[Monomial, int]]:
+        return _weight_entry(x, w, entries, lower)
+
+    for key in sorted(families, key=lambda k: (len(k), k)):
+        members = families[key]
+        local: list[Word] = []  # the family's pivots so far
+        for left, right in _multiset_splits(key):
+            for u in _admissible_orderings(left):
+                for v in _admissible_orderings(right):
+                    desc = ("stuffle", u, v)
+                    row = {m: r for m, c in expand_row(desc, entry).items() if (r := c % prime)}
+                    choices = [m[0] for m in row if len(m) == 1 and m[0] in members]
+                    if not choices:
+                        if row:
+                            raise InconsistentRelation(
+                                f"family {key}: {describe(desc)} left a relation among "
+                                f"Lyndon words"
+                            )
+                        continue
+                    pivot = max(choices, key=lambda x: elim_key(x, pool))
+                    scale = -pow(row.pop((pivot,)), -1, prime)
+                    expr = {m: c * scale % prime for m, c in row.items()}
+                    for prev in local:
+                        c0 = entries[prev].pop((pivot,), None)
+                        if c0 is not None:
+                            _add_mod(entries[prev], expr, c0, prime)
+                    entries[pivot] = expr
+                    local.append(pivot)
+        missing = [x for x in members if x not in entries]
+        if missing:
+            raise UnderdeterminedFamily(
+                f"family {key} leaves {[render_word(x) for x in missing]} unexpressed"
+            )
     return entries
 
 
 # ------------------------------------------------------ bracketed elimination
 
-# Moduli of the elimination, tried in turn (Mersenne primes).  Wang's bound
-# under the first, |n|, d < 2^63, covers every bracket entry up to weight 12
-# (38 bits); the tables do not depend on the modulus that certifies them.
+# Moduli of the solve, tried in turn (Mersenne primes).  Wang's bound under
+# the first, |n|, d < 2^63, covers every table coefficient up to weight 12
+# (39 bits); the tables do not depend on the modulus that certifies them.
 PRIMES = (2**127 - 1, 2**521 - 1)
 
 PROGRESS_ROWS = 256  # rows between two elimination progress lines (debug level)
@@ -501,32 +427,31 @@ class MasterExpression:
     ``n_words + i``, so every monomial column sorts after every word column.
 
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
-    and in integers, through the same scaled entries as :class:`Certifier`:
-    every weight-w word is scaled once when the master is built (a Lyndon
-    word is its own column; a family entry's Lyndon words are single-factor
-    monomials), and lower-table entries on first use.  In the relation's
-    integer residue (:meth:`residue`) single words map to word columns and
-    every other monomial to a monomial column (:meth:`integer_row`).
+    and in integers, by :func:`expand_row`: a non-Lyndon word through its
+    family entry mod p (``entries``), a lower-weight word through the
+    shared certifier ``lower``, and a Lyndon word as its own column.  In
+    the relation's integer residue (:meth:`residue`) single words map to
+    word columns and every other monomial to a monomial column
+    (:meth:`integer_row`).
 
     ``pivots`` is the one echelon, mod ``prime`` and fully reduced: it maps
     each eliminated word (a column index) to its bracket, a row with entry 1
     at that column and no entry at another bracket's lead, so reducing a
     row costs one pass over its leads.  :meth:`absorb` reduces a row's image
     mod p against it and either installs a bracket at the leading column of
-    what is left or counts the row as redundant.  :meth:`back_substitute`
-    rebuilds every bracket entry as a rational (:func:`rational`); read as
-    "word = minus the rest", a bracket is then its word's right-hand side.
+    what is left or counts the row as redundant.  Read as "word = minus the
+    rest", a bracket is its word's right-hand side; :meth:`back_substitute`
+    adds these to ``entries`` and substitutes them into every family entry.
 
     ``peak_terms`` is the largest number of live bracket terms after any
-    install, and ``coeff_bits`` the largest bit length of a rebuilt
-    numerator or denominator.
+    install.
     """
 
     def __init__(
         self,
         columns: list[Word],
-        entries: dict[Word, SplitCombo],
-        tables: dict[int, SolvedWeight],
+        entries: dict[Word, Residues],
+        lower: Certifier,
         prime: int = PRIMES[0],
     ):
         self.columns = columns
@@ -538,13 +463,9 @@ class MasterExpression:
         self.pivots: dict[int, dict] = {}
         self.redundant = 0
         self.peak_terms = 0
-        self.coeff_bits = 0
         self.prime = prime
-        self.lower = Certifier(tables)
-        # every weight-w word with a column or a family entry, scaled
-        self._scaled = {x: (1, {(x,): 1}) for x in columns}
-        for x, (word_part, mono_part) in entries.items():
-            self._scaled[x] = _scale({**{(y,): c for y, c in word_part.items()}, **mono_part})
+        self.entries = entries
+        self.lower = lower
 
     def _mono_col(self, m: Monomial) -> int:
         mid = self.mono_ids.get(m)
@@ -554,18 +475,11 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def _entry(self, x: Word) -> tuple[int, dict[Monomial, int]]:
-        got = self._scaled.get(x)
-        if got is None:
-            # a product's factor, or a weight-w word left without a family
-            # entry, which :meth:`integer_row` reports
-            got = self.lower.entry(x) if weight(x) < self.weight else (1, {(x,): 1})
-        return got
-
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The integer residue of the relation ``desc`` over the family
-        entries and the lower tables."""
-        return expand_row(desc, self._entry)
+        entries and the lower tables; a weight-w word without a family
+        entry stays itself, which :meth:`integer_row` reports."""
+        return expand_row(desc, lambda x: _weight_entry(x, self.weight, self.entries, self.lower))
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
@@ -605,29 +519,29 @@ class MasterExpression:
         for other in pivots.values():
             c = other.get(lead)
             if c:
-                for k, v in bracket.items():
-                    x = (other.get(k, 0) - c * v) % p
-                    if x:
-                        other[k] = x
-                    else:
-                        other.pop(k, None)
+                _add_mod(other, bracket, -c, p)
         pivots[lead] = bracket
         self.peak_terms = max(self.peak_terms, sum(map(len, pivots.values())))
         return True
 
     def back_substitute(self) -> None:
-        """Rebuild every bracket entry as a rational.  The echelon is fully
-        reduced, so each bracket already names only its own column, survivor
-        columns and monomial columns."""
-        p = self.prime
-        pivots = self.pivots
-        for col, row in pivots.items():
-            pivots[col] = {k: rational(v, p) for k, v in row.items()}
-        self.coeff_bits = max(
-            (max(c.numerator.bit_length(), c.denominator.bit_length())
-             for row in pivots.values() for c in row.values()),
-            default=0,
-        )
+        """Make ``entries`` cover every eliminated word over survivors and
+        monomials only, mod p.  The echelon is fully reduced, so each
+        bracket already names only its own column, survivor columns and
+        monomial columns; a family entry names Lyndon words and monomials,
+        and each eliminated Lyndon word in it is replaced by its bracket."""
+        p, n = self.prime, self.n_words
+        solved = {
+            self.columns[col]: {
+                (self.monomials[k - n] if k >= n else (self.columns[k],)): -v % p
+                for k, v in row.items() if k != col
+            }
+            for col, row in self.pivots.items()
+        }
+        for entry in self.entries.values():
+            for m in [m for m in entry if len(m) == 1 and m[0] in solved]:
+                _add_mod(entry, solved[m[0]], entry.pop(m), p)
+        self.entries.update(solved)
 
     def survivors(self) -> list[Word]:
         return [w for i, w in enumerate(self.columns) if i not in self.pivots]
@@ -649,23 +563,26 @@ def _payload_hash(payload: dict) -> str:
 
 
 class Checkpointer:
-    """Hash-guarded resume state for one weight's solve.
+    """Hash-guarded resume state for one weight's solve: its family entries
+    mod p and the modulus they were computed under.
 
     The file holds a JSON payload plus its sha256; a payload that fails the
     hash check, or a malformed file, refuses to resume (the caller must
-    delete the file to start over).  A checkpoint written under a different configuration fingerprint
-    is ignored with a warning instead, since it describes a different run.
-    So is one that is not a family-phase checkpoint: older builds also
-    checkpointed mid-elimination, and such a payload cannot be resumed.
+    delete the file to start over).  A checkpoint written under a different
+    configuration fingerprint or another modulus is ignored with a warning
+    instead, since it describes a different run.  So is one that is not a
+    checkpoint of the whole family phase: older builds checkpointed
+    mid-elimination, or after each family depth over ``Fraction``, and such
+    a payload cannot be resumed.
     """
 
     def __init__(self, path: Path, fingerprint: dict):
         self.path = Path(path)
         self.fingerprint = fingerprint
 
-    def load(self) -> tuple[int, dict[Word, SplitCombo]] | None:
-        """The last completed family depth and the entries up to it, or
-        None when there is nothing to resume."""
+    def load(self, modulus: int) -> dict[Word, Residues] | None:
+        """The family entries saved under ``modulus``, or None when there is
+        nothing to resume."""
         if not self.path.exists():
             return None
         try:
@@ -681,13 +598,19 @@ class Checkpointer:
             )
         if not isinstance(payload, dict):
             raise StoreIntegrityError(f"checkpoint {self.path} holds no payload object")
-        if payload.get("fingerprint") != self.fingerprint or payload.get("phase") != "families":
-            log.warning("ignoring checkpoint %s from a different configuration", self.path)
-            return None
         try:
-            return int(payload["depth_done"]), _entries_restore(payload["entries"])
+            usable = (
+                payload.get("fingerprint") == self.fingerprint
+                and payload.get("phase") == "families"
+                and "depth_done" not in payload  # the per-depth format of older builds
+                and int(payload["modulus"]) == modulus
+            )
+            entries = _entries_restore(payload["entries"]) if usable else None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise StoreIntegrityError(f"malformed checkpoint {self.path}: {exc!r}") from exc
+        if entries is None:
+            log.warning("ignoring checkpoint %s from a different configuration", self.path)
+        return entries
 
     def save(self, payload: dict) -> None:
         payload = dict(payload, fingerprint=self.fingerprint)
@@ -701,23 +624,18 @@ class Checkpointer:
             pass
 
 
-def _entries_state(entries: dict[Word, SplitCombo]) -> dict:
+def _entries_state(entries: dict[Word, Residues]) -> dict:
     return {
-        _word_str(w): {
-            "w": {_word_str(x): str(c) for x, c in wp.items()},
-            "m": {_mono_str(m): str(c) for m, c in mp.items()},
-        }
-        for w, (wp, mp) in entries.items()
+        _word_str(x): {_mono_str(m): c for m, c in entry.items()}
+        for x, entry in entries.items()
     }
 
 
-def _entries_restore(state: dict) -> dict[Word, SplitCombo]:
-    out: dict[Word, SplitCombo] = {}
-    for ws, parts in state.items():
-        wp = {_parse_word_str(x): Fraction(c) for x, c in parts["w"].items()}
-        mp = {_parse_mono_str(m): Fraction(c) for m, c in parts["m"].items()}
-        out[_parse_word_str(ws)] = (wp, mp)
-    return out
+def _entries_restore(state: dict) -> dict[Word, Residues]:
+    return {
+        _parse_word_str(x): {_parse_mono_str(m): int(c) for m, c in entry.items()}
+        for x, entry in state.items()
+    }
 
 
 def _word_str(w: Word) -> str:
@@ -760,9 +678,9 @@ def solve_weight(
     kinds = check_kinds(config.kinds)
     if "stuffle" not in kinds:
         raise ValueError("the solver requires the stuffle kind for family reduction")
-    for lower in range(2, w):
-        if lower not in tables:
-            raise MissingTable(f"weight {lower} must be solved before weight {w}")
+    for k in range(2, w):
+        if k not in tables:
+            raise MissingTable(f"weight {k} must be solved before weight {w}")
 
     def note(msg: str) -> None:
         if progress is not None:
@@ -770,32 +688,6 @@ def solve_weight(
         log.debug("%s", msg)
 
     pool = candidate_words(w)
-    resume = checkpointer.load() if checkpointer is not None else None
-
-    # ---- family reduction
-    t0 = time.monotonic()
-    if resume is not None:
-        note(f"weight {w}: resuming family phase after depth {resume[0]}")
-
-    def depth_done(depth: int, entries: dict) -> None:
-        if checkpointer is not None:
-            checkpointer.save(
-                {
-                    "weight": w,
-                    "phase": "families",
-                    "depth_done": depth,
-                    "entries": _entries_state(entries),
-                }
-            )
-        log.debug("weight %d: family depth %d done", w, depth)
-
-    entries = family_phase(
-        w, tables, pool, config.jobs, on_depth_done=depth_done, resume=resume
-    )
-    family_seconds = time.monotonic() - t0
-
-    # ---- bracketed elimination
-    t1 = time.monotonic()
     columns = sorted(
         (x for x in admissible_words(w) if is_lyndon(x)),
         key=lambda x: elim_key(x, pool),
@@ -807,23 +699,42 @@ def solve_weight(
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
     rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
-    certify_seconds = 0.0
+    relations = relation_descriptors(w, kinds)
+    lower = Certifier(tables)
+    family_seconds = certify_seconds = 0.0
+    started = time.monotonic()
     for prime in PRIMES:
-        master = MasterExpression(columns, entries, tables, prime)
+        t0 = time.monotonic()
         try:
+            # ---- family reduction, or its checkpoint
+            entries = checkpointer.load(prime) if checkpointer is not None else None
+            if entries is not None:
+                note(f"weight {w}: resuming after the family phase")
+            else:
+                entries = family_phase(w, lower, pool, prime)
+                if checkpointer is not None:
+                    checkpointer.save({
+                        "weight": w,
+                        "phase": "families",
+                        "modulus": prime,
+                        "entries": _entries_state(entries),
+                    })
+            family_seconds += time.monotonic() - t0
+            # ---- bracketed elimination and assembly
+            master = MasterExpression(columns, entries, lower, prime)
             for done, desc in enumerate(rows, 1):
                 master.absorb(desc)
                 if done % PROGRESS_ROWS == 0:
                     log.debug("weight %d: %d/%d rows absorbed, %d pivots",
                               w, done, len(rows), len(master.pivots))
             master.back_substitute()
-            solved = _assemble(w, master, entries, master.survivors())
-        except (InconsistentRelation, ReconstructionError) as exc:
+            solved = _assemble(w, master)
+        except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
             error = exc
         else:
-            # ---- exact certificate of every elimination row
+            # ---- exact certificate of every relation
             t2 = time.monotonic()
-            failed = master.lower.with_table(solved).rejects(rows)
+            failed = lower.with_table(solved).rejects(relations)
             certify_seconds += time.monotonic() - t2
             if not failed:
                 break
@@ -834,8 +745,13 @@ def solve_weight(
         log.debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
     else:
         raise error
-    elimination_seconds = time.monotonic() - t1 - certify_seconds
+    elimination_seconds = time.monotonic() - started - family_seconds - certify_seconds
 
+    height = max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length())
+         for entry in solved.entries.values() for c in entry.values()),
+        default=0,
+    )
     solved.stats = {
         "families_seconds": round(family_seconds, 3),
         "elimination_seconds": round(elimination_seconds, 3),
@@ -845,13 +761,13 @@ def solve_weight(
         "pivots": len(master.pivots),
         "modulus_bits": prime.bit_length(),
         "max_bracket_terms": master.peak_terms,
-        "max_coeff_bits": master.coeff_bits,
+        "max_coeff_bits": height,
     }
     if checkpointer is not None:
         checkpointer.clear()
     log.debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
               "max coefficient %d bits",
-              w, len(rows), certify_seconds, prime.bit_length(), master.coeff_bits)
+              w, len(relations), certify_seconds, prime.bit_length(), height)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{len(master.pivots)} pivots, {master.redundant} redundant rows"
@@ -859,44 +775,16 @@ def solve_weight(
     return solved
 
 
-def _assemble(
-    w: int,
-    master: MasterExpression,
-    entries: dict[Word, SplitCombo],
-    survivors: list[Word],
-) -> SolvedWeight:
-    """Compose pivot brackets and family entries into the fully-reduced
-    table covering every admissible word of the weight."""
-    columns = master.columns
-    table: dict[Word, Entry] = {}
-    for x in survivors:
-        table[x] = {(x,): Fraction(1)}
-
-    def bracket_entry(col: int, row: dict[int, Fraction]) -> Entry:
-        entry: Entry = {}
-        for k, v in row.items():
-            if k >= master.n_words:
-                entry[master.monomials[k - master.n_words]] = -v
-            elif k != col:
-                word = columns[k]
-                if word not in table or k in master.pivots:
-                    raise InconsistentRelation(
-                        f"bracket for {render_word(columns[col])} still references "
-                        f"{render_word(word)} after back-substitution"
-                    )
-                entry[(word,)] = -v
-        return entry
-
-    for col, row in master.pivots.items():
-        table[columns[col]] = bracket_entry(col, row)
-    for word in admissible_words(w):
-        if word in table:
-            continue
-        word_part, mono_part = entries[word]
-        entry = dict(mono_part)
-        for x, c in word_part.items():
-            add_scaled(entry, table[x], c)
-        table[word] = {m: c for m, c in entry.items() if c}
+def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
+    """The fully-reduced table of the weight after
+    :meth:`MasterExpression.back_substitute`: each survivor as itself and
+    every other word's entry mod p, each coefficient rebuilt by
+    :func:`rational`."""
+    p = master.prime
+    survivors = master.survivors()
+    table: dict[Word, Entry] = {x: {(x,): Fraction(1)} for x in survivors}
+    for x, entry in master.entries.items():
+        table[x] = {m: rational(c, p) for m, c in entry.items()}
 
     expected = 2 ** (w - 2)
     if len(table) != expected:

@@ -3,9 +3,9 @@
 ``tables8`` is cheap (about a second) and backs most unit tests.
 ``lossy_first_modulus`` makes every elimination lose rank under the first
 modulus, as an unlucky prime would.
-``tables12`` performs the full desk-scale solve once per session, recording
-per-weight wall time; the acceptance tests consume both the tables and the
-timings.
+``tables12`` performs the full desk-scale solve once per session, in one
+process, recording per-weight wall time; the acceptance tests consume both
+the tables and the timings.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def tables8():
 
 @pytest.fixture(scope="session")
 def tables12():
-    """Solved weights 2..12 plus per-weight wall-clock seconds (4 workers)."""
-    config = RunConfig(jobs=4)
+    """Solved weights 2..12 plus per-weight wall-clock seconds."""
+    config = RunConfig(jobs=1)
     tables: dict = {}
     seconds: dict[int, float] = {}
     for w in range(2, 13):

@@ -326,7 +326,8 @@ def _list_instead_of_wrapper(path):
 
 
 def _payload_without_depth(path):
-    # hash-valid, with this configuration's fingerprint, but no family depth
+    # hash-valid, with this configuration's fingerprint, but with neither a
+    # modulus nor the family depth of the older per-depth format
     Checkpointer(path, RunConfig().fingerprint()).save(
         {"weight": 5, "phase": "families", "entries": {}}
     )

@@ -21,12 +21,14 @@ import zetaforge.solver as solver_mod
 from zetaforge.algebra import add_scaled, describe, expand_relation, relation_descriptors
 from zetaforge.lyndon import candidate_words
 from zetaforge.solver import (
+    Certifier,
     Checkpointer,
     InconsistentRelation,
     MasterExpression,
     MissingTable,
     ReconstructionError,
     RunConfig,
+    SolvedWeight,
     StoreIntegrityError,
     TableStore,
     ensure_solved,
@@ -38,7 +40,6 @@ from zetaforge.solver import (
     seed_weight_2,
     solve_in_memory,
     solve_weight,
-    split_substitute,
     substitute_tables,
 )
 from zetaforge.words import admissible_words, is_lyndon, weight
@@ -246,19 +247,12 @@ def test_ensure_solved_is_idempotent_and_lazy(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------- checkpointing
 
-class _InterruptAfter(Checkpointer):
-    """Raise a deliberate failure after the n-th checkpoint save."""
-
-    def __init__(self, path, fingerprint, blow_after):
-        super().__init__(path, fingerprint)
-        self.saves = 0
-        self.blow_after = blow_after
+class _InterruptAfterSave(Checkpointer):
+    """Raise a deliberate failure right after the checkpoint is written."""
 
     def save(self, payload):
         super().save(payload)
-        self.saves += 1
-        if self.saves >= self.blow_after:
-            raise KeyboardInterrupt("simulated crash after checkpoint write")
+        raise KeyboardInterrupt("simulated crash after checkpoint write")
 
 
 def _lower_tables(up_to):
@@ -279,21 +273,16 @@ def _interrupt_absorb_after(monkeypatch, n):
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
 
 
-def _count_family_solves(monkeypatch):
+def _count_family_phases(monkeypatch):
     calls = []
-    honest = solver_mod.solve_family
+    honest = solver_mod.family_phase
 
     def counting(*args):
         calls.append(args[0])
         return honest(*args)
 
-    monkeypatch.setattr(solver_mod, "solve_family", counting)
+    monkeypatch.setattr(solver_mod, "family_phase", counting)
     return calls
-
-
-# weight 7 has admissible words of depths 1..6, so its family phase writes
-# six checkpoints, the last one holding every family entry
-WEIGHT_7_DEPTHS = 6
 
 
 @pytest.mark.parametrize("crash", ["families", "elimination"])
@@ -303,29 +292,36 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     fresh = solve_weight(7, lower, config)
 
     path = tmp_path / "weight-07.checkpoint.json"
+    checkpointer = Checkpointer(path, config.fingerprint())
     if crash == "families":
-        crasher = _InterruptAfter(path, config.fingerprint(), 3)
+        # a crash inside the family phase, before its one checkpoint
+        honest = solver_mod.expand_row
+        calls = []
+
+        def expand_row(desc, entry):
+            calls.append(desc)
+            if len(calls) > 8:  # of weight 7's 16 family rows
+                raise KeyboardInterrupt("simulated crash during the family phase")
+            return honest(desc, entry)
+
+        monkeypatch.setattr(solver_mod, "expand_row", expand_row)
     else:
-        crasher = _InterruptAfter(path, config.fingerprint(), WEIGHT_7_DEPTHS + 1)
         _interrupt_absorb_after(monkeypatch, 5)
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, config, checkpointer=crasher)
-    payload = json.loads(path.read_text())["payload"]
-    assert payload["phase"] == "families"
+        solve_weight(7, lower, config, checkpointer=checkpointer)
     if crash == "families":
-        assert crasher.saves == payload["depth_done"] == 3
+        assert all(desc[0] == "stuffle" for desc in calls) and not path.exists()
     else:
-        # the elimination crashed after every depth save and wrote nothing
-        assert crasher.saves == payload["depth_done"] == WEIGHT_7_DEPTHS
+        payload = json.loads(path.read_text())["payload"]
+        assert payload["phase"] == "families"
+        assert payload["modulus"] == solver_mod.PRIMES[0]
 
     monkeypatch.undo()
-    family_solves = _count_family_solves(monkeypatch)
-    resumed = solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
+    family_phases = _count_family_phases(monkeypatch)
+    resumed = solve_weight(7, lower, config, checkpointer=checkpointer)
     assert render_table(resumed) == render_table(fresh)
-    if crash == "elimination":
-        assert family_solves == []  # the checkpoint holds every family entry
-    else:
-        assert family_solves and all(len(key) > 3 for key in family_solves)
+    # the checkpoint holds every family entry, or there is none
+    assert family_phases == ([] if crash == "elimination" else [7])
     assert not path.exists()  # cleared on success
 
 
@@ -333,12 +329,12 @@ def test_checkpoint_tamper_refuses_resume(tmp_path):
     config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
-    crasher = _InterruptAfter(path, config.fingerprint(), 3)
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, config, checkpointer=crasher)
+        solve_weight(7, lower, config,
+                     checkpointer=_InterruptAfterSave(path, config.fingerprint()))
 
     wrapper = json.loads(path.read_text())
-    wrapper["payload"]["depth_done"] = 5
+    wrapper["payload"]["modulus"] += 2
     path.write_text(json.dumps(wrapper))
     with pytest.raises(StoreIntegrityError):
         solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
@@ -349,9 +345,9 @@ def test_checkpoint_from_other_config_is_ignored(tmp_path):
     other = RunConfig(jobs=1, kinds=("stuffle", "shuffle"))
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
-    crasher = _InterruptAfter(path, other.fingerprint(), 2)
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, other, checkpointer=crasher)
+        solve_weight(7, lower, other,
+                     checkpointer=_InterruptAfterSave(path, other.fingerprint()))
 
     # resuming under the default kinds ignores the foreign checkpoint and
     # still produces the canonical table
@@ -360,14 +356,14 @@ def test_checkpoint_from_other_config_is_ignored(tmp_path):
 
 
 def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypatch, caplog):
-    # older builds also checkpointed mid-elimination; such a payload is
-    # hash-valid and carries this configuration's fingerprint, but no
-    # family depth, so the weight restarts from scratch
+    # each payload is hash-valid and carries this configuration's
+    # fingerprint, but cannot be resumed, so the weight restarts from scratch
     config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
-    Checkpointer(path, config.fingerprint()).save(
-        {
+    older = {
+        # older builds also checkpointed mid-elimination
+        "elimination": {
             "weight": 7,
             "phase": "elimination",
             "entries": {},
@@ -379,19 +375,38 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
                 "total_terms": 0,
                 "max_terms": 0,
             },
-        }
-    )
-    family_solves = _count_family_solves(monkeypatch)
-    with caplog.at_level(logging.WARNING, logger="zetaforge.solver"):
-        resumed = solve_weight(
-            7, lower, config, checkpointer=Checkpointer(path, config.fingerprint())
-        )
-    assert [r.getMessage() for r in caplog.records] == [
-        f"ignoring checkpoint {path} from a different configuration"
-    ]
-    assert len(family_solves) > 0
-    assert render_table(resumed) == render_table(solve_weight(7, lower, config))
-    assert not path.exists()
+        },
+        # and then after each family depth, over Fraction
+        "per-depth": {
+            "weight": 7,
+            "phase": "families",
+            "depth_done": 2,
+            "entries": {"5,2": {"w": {"6,1": "-1/2"}, "m": {"5|2": "1/2"}}},
+        },
+        # family entries computed under a modulus the solve does not use
+        "other modulus": {
+            "weight": 7,
+            "phase": "families",
+            "modulus": 2**61 - 1,
+            "entries": {"5,2": {"6,1": 5}},
+        },
+    }
+    canonical = render_table(solve_weight(7, lower, config))
+    family_phases = _count_family_phases(monkeypatch)
+    for name, payload in older.items():
+        Checkpointer(path, config.fingerprint()).save(payload)
+        family_phases.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="zetaforge.solver"):
+            resumed = solve_weight(
+                7, lower, config, checkpointer=Checkpointer(path, config.fingerprint())
+            )
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ignoring checkpoint {path} from a different configuration"
+        ], name
+        assert family_phases == [7], name
+        assert render_table(resumed) == canonical, name
+        assert not path.exists(), name
 
 
 # ------------------------------------------------------ crash and re-run
@@ -455,9 +470,13 @@ def test_solved_stats_recorded(tables8):
     assert (stats["pivots"], stats["redundant_rows"]) == (29, 45)
     # the table was certified under the first modulus, 2^127 - 1
     assert stats["modulus_bits"] == 127
-    # the largest numerator or denominator of weight 8's brackets has 15
-    # bits, far inside Wang's bound of 63 bits under 2^127 - 1
-    assert stats["max_coeff_bits"] == 15
+    # the largest numerator or denominator in weight 8's table has 16 bits,
+    # far inside Wang's bound of 63 bits under 2^127 - 1
+    assert stats["max_coeff_bits"] == 16
+    assert stats["max_coeff_bits"] == max(
+        max(c.numerator.bit_length(), c.denominator.bit_length())
+        for entry in tables8[8].entries.values() for c in entry.values()
+    )
 
 
 def test_certificate_counters_logged_at_debug_only(caplog, capsys):
@@ -467,7 +486,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if "certified" in r.getMessage()]
     assert len(lines) == 1
     assert re.fullmatch(
-        r"weight 6: certified 15 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
+        r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
         r"max coefficient 7 bits",
         lines[0],
     )
@@ -500,8 +519,8 @@ class _NamedRows(MasterExpression):
     """A master whose rows are half-reduced splits looked up by name, in
     place of expanded relation instances: ``absorb(("name",))``."""
 
-    def __init__(self, columns, rows):
-        super().__init__(columns, {}, {})
+    def __init__(self, columns, rows, entries=None):
+        super().__init__(columns, {} if entries is None else entries, Certifier({}))
         self.rows = rows
 
     def residue(self, desc):
@@ -567,6 +586,64 @@ def test_rank_lost_under_the_first_modulus_falls_through_to_the_second(
         assert stats["modulus_bits"] == 521
 
 
+def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatch, tables8):
+    # every stuffle row vanishes under PRIMES[0] (its residue is multiplied
+    # by the modulus), so the first family there has no pivot at all
+    honest = solver_mod.expand_row
+
+    def unlucky(desc, entry):
+        row = honest(desc, entry)
+        if desc[0] == "stuffle":
+            row = {m: v * solver_mod.PRIMES[0] for m, v in row.items()}
+        return row
+
+    monkeypatch.setattr(solver_mod, "expand_row", unlucky)
+    with pytest.raises(solver_mod.UnderdeterminedFamily):
+        family_phase(4, Certifier(tables8), candidate_words(4), solver_mod.PRIMES[0])
+    tables = solve_in_memory(8, RunConfig(jobs=1))
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+        # every word of weight 3 is Lyndon, so it has no family to solve
+        assert stats["modulus_bits"] == (127 if w == 3 else 521)
+
+
+def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
+    # one product coefficient of a family entry is corrupted under PRIMES[0]
+    # after the elimination, so only the certificate can reject the table;
+    # it checks every stuffle relation and rejects one of them first
+    honest_back_substitute = MasterExpression.back_substitute
+
+    def corrupted(self):
+        if self.prime == solver_mod.PRIMES[0]:
+            entries = self.entries
+            x, m = next((x, m) for x in sorted(entries) for m in entries[x] if len(m) > 1)
+            entries[x][m] = (entries[x][m] + 1) % self.prime
+        honest_back_substitute(self)
+
+    seen = []
+    honest_residue = Certifier.residue
+
+    def recording(self, desc):
+        seen.append(desc)
+        return honest_residue(self, desc)
+
+    monkeypatch.setattr(MasterExpression, "back_substitute", corrupted)
+    monkeypatch.setattr(Certifier, "residue", recording)
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        solved = solve_weight(8, lower, RunConfig(jobs=1))
+    assert render_table(solved) == render_table(tables8[8])
+    assert solved.stats["modulus_bits"] == 521
+    failures = [r.getMessage() for r in caplog.records if "bits failed" in r.getMessage()]
+    assert len(failures) == 1
+    assert re.search(r"fail the certificate, stuffle Z\(.*\) first$", failures[0])
+    stuffle = relation_descriptors(8, ("stuffle",))
+    assert stuffle and set(stuffle) <= set(seen)
+
+
 # ---------------------------------------------------- traced benchmark pass
 
 def test_traced_benchmark_pass_sees_every_row(tmp_path):
@@ -596,34 +673,47 @@ def test_traced_benchmark_pass_sees_every_row(tmp_path):
 def test_integer_rows_are_positive_multiples_of_fraction_rows(tables8):
     all_kinds = ("stuffle", "shuffle", "hoffman", "duality")
     nonempty = {kind: 0 for kind in all_kinds}
+    p = solver_mod.PRIMES[0]
+
+    def residue(c):
+        return c.numerator * pow(c.denominator, -1, p) % p
+
     for w in range(3, 9):
         lower = {k: t for k, t in tables8.items() if k < w}
-        entries = family_phase(w, lower, candidate_words(w))
+        certifier = Certifier(lower)
+        entries = family_phase(w, certifier, candidate_words(w), p)
         columns = [x for x in admissible_words(w) if is_lyndon(x)]
-        master = MasterExpression(columns, entries, lower)
+        # weight w as a table over Fraction: every family entry rebuilt from
+        # its residues, every Lyndon word as itself
+        family = {x: {m: rational(c, p) for m, c in e.items()} for x, e in entries.items()}
+        family.update({x: {(x,): Fraction(1)} for x in columns})
+        reference_tables = {**lower, w: SolvedWeight(w, columns, family)}
+        master = MasterExpression(columns, entries, certifier, p)
         for desc in relation_descriptors(w, all_kinds):
             row = master.integer_row(desc)
             named = {
-                columns[k] if k < master.n_words else master.monomials[k - master.n_words]: v
-                for k, v in row.items()
+                (columns[k],) if k < master.n_words else master.monomials[k - master.n_words]:
+                v % p
+                for k, v in row.items() if v % p
             }
             # the reference: the same relation over Fraction, family entries
             # applied and the product's tabled value subtracted
             combo, product = expand_relation(desc)
-            words, monos = split_substitute(combo, entries)
+            reference = substitute_tables(combo, reference_tables)
             if product is not None:
-                add_scaled(monos, product_value(*product, lower), -1)
-            reference = {**words, **monos}
+                add_scaled(reference, product_value(*product, lower), -1)
             assert named.keys() == reference.keys(), describe(desc)
             if reference:
                 first = next(iter(reference))
-                ratio = named[first] / reference[first]
-                assert ratio > 0, describe(desc)
-                assert all(named[k] == ratio * c for k, c in reference.items()), describe(desc)
+                # the row is the reference times the lcm of its denominators
+                ratio = named[first] * pow(residue(reference[first]), -1, p) % p
+                assert 0 < ratio < 2**32, describe(desc)
+                assert all(named[k] == ratio * residue(c) % p for k, c in reference.items()), (
+                    describe(desc)
+                )
                 nonempty[desc[0]] += 1
-    # the family entries satisfy every stuffle relation, so its rows are empty
+    # the family entries satisfy every stuffle relation, so its rows vanish
     assert nonempty == {"stuffle": 0, "shuffle": 68, "hoffman": 63, "duality": 56}
-
 
 
 def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
@@ -648,7 +738,7 @@ def test_a_relation_word_without_an_entry_is_inconsistent_not_missing(tables8):
     # with no family entries the shuffle row meets non-Lyndon words; that is
     # a relation bug, not a table to solve first (MissingTable)
     lower = {w: t for w, t in tables8.items() if w < 8}
-    master = MasterExpression([(8,), (5, 3)], {}, lower)
+    master = MasterExpression([(8,), (5, 3)], {}, Certifier(lower))
     missing = r"^shuffle Z\(5\)\*Z\(3\): word .* missing a family entry"
     with pytest.raises(InconsistentRelation, match=missing):
         master.absorb(("shuffle", (5,), (3,)))
@@ -679,31 +769,38 @@ def test_peak_terms_is_the_largest_live_count():
     )
     assert grow.absorb(("r1",)) is True
     assert grow.absorb(("r2",)) is True
-    grow.back_substitute()
-    assert grow.pivots == {0: {0: 1, 2: -1, 3: -1}, 1: {1: 1, 2: 1, 3: 1}}
+    p = grow.prime
+    assert grow.pivots == {0: {0: 1, 2: p - 1, 3: p - 1}, 1: {1: 1, 2: 1, 3: 1}}
     assert grow.peak_terms == 6
+    # read as "word = minus the rest": a = c + m and b = -c - m
+    grow.back_substitute()
+    assert grow.entries == {a: {(c,): 1, m: 1}, b: {(c,): p - 1, m: p - 1}}
 
     # non-unit leads {-2a-b-c, 3b+c+2m}, given as -(2a+b+c)/2 and
     # 2(3b+c+2m)/3: each bracket is stored mod p with lead 1; the second
     # clears b from the first, a + (b+c)/2 - (b + c/3 + 2m/3)/2 = a + c/3 - m/3
     half, third = Fraction(1, 2), Fraction(1, 3)
+    # every other weight-8 word gets a family entry: empty, except that
+    # Z(2,6) = 3 Z(8), which names the eliminated word a
+    x = (2, 6)
+    entries = {y: {} for y in admissible_words(8) if y not in (a, b, c)}
+    entries[x] = {(a,): 3}
     leads = _NamedRows([a, b, c], {
         "r1": ({a: -one, b: -half, c: -half}, {}),
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
-    })
-    p = leads.prime
+    }, entries)
     inv3 = pow(3, -1, p)
     assert leads.absorb(("r1",)) is True
     assert leads.pivots == {0: {0: 1, 1: pow(2, -1, p), 2: pow(2, -1, p)}}
     assert leads.absorb(("r2",)) is True
     assert leads.pivots == {0: {0: 1, 2: inv3, 3: p - inv3}, 1: {1: 1, 2: inv3, 3: 2 * inv3 % p}}
-    leads.back_substitute()
-    assert leads.pivots == {0: {0: 1, 2: third, 3: -third}, 1: {1: 1, 2: third, 3: 2 * third}}
     assert leads.peak_terms == 6
-    assert leads.coeff_bits == 2
-    # every other weight-8 word gets an empty family entry
-    entries = {x: ({}, {}) for x in admissible_words(8) if x not in (a, b, c)}
-    table = solver_mod._assemble(8, leads, entries, leads.survivors()).entries
+    # the brackets stay mod p; assembly rebuilds each table coefficient once
+    leads.back_substitute()
+    assert leads.entries[a] == {(c,): p - inv3, m: inv3}
+    assert leads.entries[x] == {(c,): p - 1, m: 1}
+    table = solver_mod._assemble(8, leads).entries
     assert table[a] == {(c,): Fraction(-1, 3), m: Fraction(1, 3)}
     assert table[b] == {(c,): Fraction(-1, 3), m: Fraction(-2, 3)}
     assert table[c] == {(c,): one}
+    assert table[x] == {(c,): -one, m: one}
