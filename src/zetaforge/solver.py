@@ -1,60 +1,66 @@
 """Weight-by-weight reduction onto the conjectured basis.
 
 The pipeline per weight W, given fully-reduced tables for all lower weights,
-runs modulo a prime (the first of ``PRIMES``), in one process:
+runs modulo a prime (the first of ``PRIMES``), in one process, as one row
+reduction over one column space: every admissible word of the weight (the
+non-Lyndon words, then the Lyndon words, each in elimination order), then
+the monomials (products of lower-weight generators).
 
-1. Family reduction.  Stuffle relations mix only words sharing one index
+1. Family brackets.  Stuffle relations mix only words sharing one index
    multiset (a family) plus lower-depth merge terms and lower-weight
-   products, so each family is solved locally, depth ascending, producing an
-   entry for every non-Lyndon admissible word over same-weight Lyndon words
-   and products of lower-weight generators.
+   products, so the stuffle rows, fed depth ascending and family by family,
+   give every non-Lyndon admissible word a bracket over same-weight Lyndon
+   words and monomials.
 
 2. Bracketed elimination.  The remaining relation rows (regularized rows,
-   shuffle product rows, optionally duality rows), with family entries
-   substituted, are reduced over the Lyndon words of the weight in a fixed
-   elimination order.  Words that never become a pivot survive as this
-   weight's generators.
+   shuffle product rows, optionally duality rows) are reduced against the
+   family brackets and then over the Lyndon words of the weight.  Words
+   that never lead a bracket survive as this weight's generators.
 
-3. Assembly.  The brackets are substituted into every family entry, so
-   every admissible word of the weight maps to a combination of basis
-   monomials (products of generators of total weight W); each coefficient
-   is then rebuilt as a rational.
+3. Assembly.  The Lyndon brackets are substituted into the family brackets
+   once, so every admissible word of the weight maps to a combination of
+   basis monomials (products of generators of total weight W); each
+   coefficient is then rebuilt as a rational.
 
 Every row, stuffle rows included, is expanded exactly in integers by the
-one :func:`expand_row` (the relation's integer residue over the entries met
-so far and the lower tables, each scaled to integers once) and its image
-mod p is reduced.  Family entries are kept mod p, a same-weight word ``y``
-as the monomial ``(y,)``; the elimination keeps one fully reduced echelon:
-each bracket has lead 1 and no entry at another bracket's lead.  Each table
+one :func:`expand_row` (the relation's integer residue, each word of the
+weight as its own column and each lower-weight word through its table
+entry, scaled to integers once), and its image mod p is reduced by one
+routine, :meth:`MasterExpression.reduce`.  Brackets are kept in two tiers,
+family brackets and Lyndon brackets, each fully reduced within itself: each
+bracket has lead 1 and no entry at another lead of its tier.  Each table
 coefficient is rebuilt once by Wang's rational reconstruction, and then
 *every* relation of the weight is certified exactly: substituted through
 the lower tables and the new one in integer arithmetic, it must give zero
-(the same check ``verify`` runs).  A modulus under which a family is left
-underdetermined, a relation reduces to 0 = nonzero, a residue has no small
-rational preimage, or the certificate rejects a relation is replaced by the
-next one in ``PRIMES``; when none is left the solve fails, so no table
-leaves uncertified.
+(the same check ``verify`` runs).  A modulus under which a non-Lyndon word
+is left without a bracket, a relation reduces to 0 = nonzero or to a
+relation of the wrong tier, a residue has no small rational preimage, or
+the certificate rejects a relation is replaced by the next one in
+``PRIMES``; when none is left the solve fails, so no table leaves
+uncertified.
 
 Why the certificate pins the bytes, whatever the modulus:
 
 - every non-Lyndon word is eliminated, and its entry names only survivors
   and monomials;
-- each bracket names only survivors that come later in the column order;
+- each Lyndon bracket names only survivors that come later in the column
+  order;
 - so the table, read as "word minus its entry" for every eliminated word,
-  is in reduced row-echelon form over the fixed column order (non-Lyndon
+  is in reduced row-echelon form over the one column order (non-Lyndon
   words, then Lyndon words in elimination order, then monomials), with one
   row per eliminated word;
 - a certified table sends every relation to zero, so each relation lies in
-  the span of those rows, while the family phase and the elimination, each
-  of whose rows mod p is a combination of relation rows, found as many
-  independent relations mod p as there are rows, and the rank mod p is
-  never more than the rank over Q;
+  the span of those rows, while the reduction, each of whose brackets mod p
+  is a combination of relation rows, found as many independent relations
+  mod p as there are rows, and the rank mod p is never more than the rank
+  over Q;
 - so the two spans are equal, the table is their unique reduced row-echelon
   form, and no separate shape check is needed.
 
 Tables persist as one text file per weight plus a manifest with content
-hashes.  The family entries are checkpointed once per weight, with their
-modulus, so a crash in elimination redoes only that weight's elimination.
+hashes.  The family brackets are checkpointed once per weight, as each
+non-Lyndon word's entry mod p, with their modulus, so a crash in elimination
+redoes only that weight's elimination.
 A checkpoint whose payload hash does not match is never reused.
 """
 
@@ -69,9 +75,8 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from ._meta import BUILD_ID, TABLE_FORMAT
 from .algebra import (
@@ -272,45 +277,6 @@ class Certifier:
 
 # --------------------------------------------------------- family reduction
 
-def _multiset_splits(key: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
-    """Unordered splits of a multiset into two nonempty sub-multisets."""
-    items = list(key)
-    n = len(items)
-    seen = set()
-    out = []
-    for r in range(1, n // 2 + 1):
-        for picked in combinations(range(n), r):
-            left = tuple(sorted((items[i] for i in picked), reverse=True))
-            rest = tuple(
-                sorted((items[i] for i in range(n) if i not in picked), reverse=True)
-            )
-            if 2 * r == n and left > rest:
-                left, rest = rest, left
-            if (left, rest) not in seen:
-                seen.add((left, rest))
-                out.append((left, rest))
-    return out
-
-
-def _admissible_orderings(mset: tuple[int, ...]) -> list[Word]:
-    """Distinct admissible orderings of a multiset, sorted."""
-    found = set()
-
-    def rec(prefix: Word, rest: tuple[int, ...]) -> None:
-        if not rest:
-            found.add(prefix)
-            return
-        used = set()
-        for i, m in enumerate(rest):
-            if m in used:
-                continue
-            used.add(m)
-            rec(prefix + (m,), rest[:i] + rest[i + 1:])
-
-    rec((), mset)
-    return sorted(w for w in found if w[0] >= 2)
-
-
 def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
     """``target += scale * other`` modulo ``p``, in place, dropping zeros."""
     for k, v in other.items():
@@ -321,75 +287,35 @@ def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
             target.pop(k, None)
 
 
-def _weight_entry(
-    x: Word, w: int, entries: dict[Word, Residues], lower: Certifier
-) -> tuple[int, dict[Monomial, int]]:
-    """The scaled entry of ``x`` while weight ``w`` is solved: its lower
-    table entry, its entry mod p in ``entries``, or else the word itself."""
-    if weight(x) < w:
-        return lower.entry(x)
-    got = entries.get(x)
-    return 1, ({(x,): 1} if got is None else got)
+def family_phase(master: MasterExpression) -> None:
+    """Give every non-Lyndon word of the master's weight a family bracket,
+    modulo ``master.prime``, from the weight's stuffle rows.
 
-
-def family_phase(
-    w: int, lower: Certifier, pool: frozenset[Word], prime: int
-) -> dict[Word, Residues]:
-    """Express every non-Lyndon admissible word of weight ``w`` over the
-    weight's Lyndon words and lower-weight monomials, modulo ``prime``.
-
-    The stuffle relations of all splits of a family's multiset involve only
-    the family, lower-depth words and lower-weight products, so families
-    are solved one at a time, depth ascending.  Each stuffle row is the
-    image mod ``prime`` of :func:`expand_row` over the entries made so far
-    and the lower tables (``lower``).  Its pivot is the family member that
-    dies first in the elimination order, and the family's earlier entries
-    are rewritten so that no entry names a pivot.  A row left without a
-    pivot must vanish, else :class:`InconsistentRelation`; a non-Lyndon
-    member left without an entry raises :class:`UnderdeterminedFamily`.
-    Under an unlucky modulus either can happen where the rationals would
-    not, and a coefficient that vanishes mod p is never a pivot.
+    A stuffle row mixes only the words of one index multiset (a family),
+    words of lower depth and lower-weight products.  So the rows, which are
+    exactly the ``relation_descriptors(w, ("stuffle",))`` that the
+    certificate checks, are fed depth ascending and family by family to
+    :meth:`MasterExpression.reduce`.  By then every lower-depth word has its
+    bracket, so each row's lead is the family member without a bracket that
+    dies first in the elimination order.  A row led by a Lyndon word or a
+    monomial raises :class:`InconsistentRelation`; a non-Lyndon word left
+    without a bracket raises :class:`UnderdeterminedFamily`.  Under an
+    unlucky modulus either can happen where the rationals would not, and a
+    coefficient that vanishes mod p is never a lead.
     """
-    families: dict[tuple[int, ...], list[Word]] = {}
-    for word in admissible_words(w):
-        if not is_lyndon(word):
-            families.setdefault(tuple(sorted(word, reverse=True)), []).append(word)
-    entries: dict[Word, Residues] = {}
 
-    def entry(x: Word) -> tuple[int, dict[Monomial, int]]:
-        return _weight_entry(x, w, entries, lower)
+    def family(desc: tuple) -> tuple:
+        u, v = desc[1:]
+        return len(u) + len(v), sorted(u + v, reverse=True)
 
-    for key in sorted(families, key=lambda k: (len(k), k)):
-        members = families[key]
-        local: list[Word] = []  # the family's pivots so far
-        for left, right in _multiset_splits(key):
-            for u in _admissible_orderings(left):
-                for v in _admissible_orderings(right):
-                    desc = ("stuffle", u, v)
-                    row = {m: r for m, c in expand_row(desc, entry).items() if (r := c % prime)}
-                    choices = [m[0] for m in row if len(m) == 1 and m[0] in members]
-                    if not choices:
-                        if row:
-                            raise InconsistentRelation(
-                                f"family {key}: {describe(desc)} left a relation among "
-                                f"Lyndon words"
-                            )
-                        continue
-                    pivot = max(choices, key=lambda x: elim_key(x, pool))
-                    scale = -pow(row.pop((pivot,)), -1, prime)
-                    expr = {m: c * scale % prime for m, c in row.items()}
-                    for prev in local:
-                        c0 = entries[prev].pop((pivot,), None)
-                        if c0 is not None:
-                            _add_mod(entries[prev], expr, c0, prime)
-                    entries[pivot] = expr
-                    local.append(pivot)
-        missing = [x for x in members if x not in entries]
-        if missing:
-            raise UnderdeterminedFamily(
-                f"family {key} leaves {[render_word(x) for x in missing]} unexpressed"
-            )
-    return entries
+    for desc in sorted(relation_descriptors(master.weight, ("stuffle",)), key=family):
+        master.reduce(desc, master.families)
+    missing = [master.columns[k] for k in range(master.n_family) if k not in master.families]
+    if missing:
+        raise UnderdeterminedFamily(
+            f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
+            f"family bracket"
+        )
 
 
 # ------------------------------------------------------ bracketed elimination
@@ -420,51 +346,49 @@ def rational(a: int, m: int) -> Fraction:
 
 
 class MasterExpression:
-    """Elimination state over one weight's Lyndon words, modulo ``prime``.
+    """The row reduction of one weight, modulo ``prime``, over one column
+    space.
 
-    Rows live in one integer column space: the word ``columns[k]`` is column
-    ``k`` for ``k < n_words``, and monomial ``monomials[i]`` is column
-    ``n_words + i``, so every monomial column sorts after every word column.
+    Column ``k < n_words`` is the word ``columns[k]``: first the
+    ``n_family`` non-Lyndon words, then the Lyndon words, each group in
+    elimination order, so a lower column dies sooner.  Monomial
+    ``monomials[i]`` is column ``n_words + i``, after every word.
 
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
-    and in integers, by :func:`expand_row`: a non-Lyndon word through its
-    family entry mod p (``entries``), a lower-weight word through the
-    shared certifier ``lower``, and a Lyndon word as its own column.  In
-    the relation's integer residue (:meth:`residue`) single words map to
-    word columns and every other monomial to a monomial column
-    (:meth:`integer_row`).
+    and in integers, by :func:`expand_row`: each word of the weight as its
+    own column, each lower-weight word through the shared certifier
+    ``lower`` (:meth:`residue`, :meth:`integer_row`).
 
-    ``pivots`` is the one echelon, mod ``prime`` and fully reduced: it maps
-    each eliminated word (a column index) to its bracket, a row with entry 1
-    at that column and no entry at another bracket's lead, so reducing a
-    row costs one pass over its leads.  :meth:`absorb` reduces a row's image
-    mod p against it and either installs a bracket at the leading column of
-    what is left or counts the row as redundant.  Read as "word = minus the
-    rest", a bracket is its word's right-hand side; :meth:`back_substitute`
-    adds these to ``entries`` and substitutes them into every family entry.
+    A bracket is a row mod p with entry 1 at its lead, read as "word =
+    minus the rest".  Brackets come in two tiers, each fully reduced within
+    itself (no bracket has an entry at another lead of its tier):
+    ``families``, led by non-Lyndon words and filled by :func:`family_phase`
+    from the stuffle rows, and ``pivots``, led by Lyndon words and filled by
+    :meth:`absorb` from the elimination rows.  :meth:`reduce` clears a row
+    against ``families`` and then ``pivots``, so reducing a row costs one
+    pass over each tier's leads, and installs what is left in one tier.
+    Family brackets may name Lyndon words eliminated later;
+    :meth:`back_substitute` clears those once, at the end, and names every
+    bracket's right-hand side in ``entries``.
 
-    ``peak_terms`` is the largest number of live bracket terms after any
-    install.
+    ``peak_terms`` is the largest number of live terms in ``pivots`` after
+    any install.
     """
 
-    def __init__(
-        self,
-        columns: list[Word],
-        entries: dict[Word, Residues],
-        lower: Certifier,
-        prime: int = PRIMES[0],
-    ):
+    def __init__(self, columns: list[Word], lower: Certifier, prime: int = PRIMES[0]):
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
         self.n_words = len(columns)
+        self.n_family = sum(not is_lyndon(x) for x in columns)
         self.weight = weight(columns[0])
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
-        self.pivots: dict[int, dict] = {}
+        self.families: dict[int, dict[int, int]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
+        self.entries: dict[Word, Residues] = {}
         self.redundant = 0
         self.peak_terms = 0
         self.prime = prime
-        self.entries = entries
         self.lower = lower
 
     def _mono_col(self, m: Monomial) -> int:
@@ -475,76 +399,114 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
+    def _name(self, k: int) -> Monomial:
+        return (self.columns[k],) if k < self.n_words else self.monomials[k - self.n_words]
+
     def residue(self, desc: tuple) -> dict[Monomial, int]:
-        """The integer residue of the relation ``desc`` over the family
-        entries and the lower tables; a weight-w word without a family
-        entry stays itself, which :meth:`integer_row` reports."""
-        return expand_row(desc, lambda x: _weight_entry(x, self.weight, self.entries, self.lower))
+        """The integer residue of the relation ``desc``, with each word of
+        the weight as itself and lower-weight words through the lower
+        tables."""
+        w, lower = self.weight, self.lower
+        return expand_row(desc, lambda x: (1, {(x,): 1}) if weight(x) == w else lower.entry(x))
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
+        return self._over_columns(self.residue(desc), desc)
+
+    def _over_columns(self, combo: dict[Monomial, int], desc: tuple) -> dict[int, int]:
         row: dict[int, int] = {}
-        for m, v in self.residue(desc).items():
+        for m, v in combo.items():
             if len(m) > 1:
                 row[self._mono_col(m)] = v
             elif (col := self.col_of.get(m[0])) is not None:
                 row[col] = v
             else:
                 raise InconsistentRelation(
-                    f"{describe(desc)}: word {render_word(m[0])} missing a family entry"
+                    f"{describe(desc)}: word {render_word(m[0])} has no column"
                 )
         return row
 
-    def absorb(self, desc: tuple) -> bool:
-        """Reduce one relation row mod p into the echelon.  Returns True when
-        the row installed a new bracket, False when it was redundant."""
+    def reduce(self, desc: tuple, tier: dict[int, dict[int, int]]) -> bool:
+        """Reduce the row of ``desc`` mod p against ``families`` and then
+        ``pivots``, and install what is left as a bracket of ``tier`` (one
+        of the two) at its lowest column.  Returns False when nothing is
+        left.  A lead outside ``tier``'s words raises
+        :class:`InconsistentRelation`."""
         p = self.prime
-        pivots = self.pivots
         row = {k: v % p for k, v in self.integer_row(desc).items()}
-        # each bracket has lead 1, so subtracting it clears its lead
-        for lead in [k for k in row if k in pivots]:
-            scale = row[lead]
-            if scale:
-                for k, v in pivots[lead].items():
-                    row[k] = row.get(k, 0) - scale * v
-        row = {k: v % p for k, v in row.items() if v % p}
+        for brackets in (self.families, self.pivots):
+            # each bracket has lead 1 and no other lead of its tier, so
+            # subtracting it clears its lead and no other
+            for lead in [k for k in row if k in brackets]:
+                scale = row[lead]
+                if scale:
+                    for k, v in brackets[lead].items():
+                        row[k] = row.get(k, 0) - scale * v
+            row = {k: r for k, v in row.items() if (r := v % p)}
         if not row:
-            self.redundant += 1
             return False
         lead = min(row)
         if lead >= self.n_words:
             raise InconsistentRelation(f"{describe(desc)}: reduced to 0 = nonzero")
+        if (lead < self.n_family) != (tier is self.families):
+            raise InconsistentRelation(
+                f"{describe(desc)}: left a relation led by {render_word(self.columns[lead])}"
+            )
         inv = pow(row[lead], -1, p)
         bracket = {k: v * inv % p for k, v in row.items()}
-        for other in pivots.values():
+        for other in tier.values():
             c = other.get(lead)
             if c:
                 _add_mod(other, bracket, -c, p)
-        pivots[lead] = bracket
-        self.peak_terms = max(self.peak_terms, sum(map(len, pivots.values())))
+        tier[lead] = bracket
         return True
 
+    def absorb(self, desc: tuple) -> bool:
+        """Reduce one elimination row into ``pivots``.  Returns True when the
+        row installed a new bracket, False when it was redundant."""
+        if self.reduce(desc, self.pivots):
+            self.peak_terms = max(self.peak_terms, sum(map(len, self.pivots.values())))
+            return True
+        self.redundant += 1
+        return False
+
+    def _rhs(self, lead: int, bracket: dict[int, int]) -> Residues:
+        """The bracket's right-hand side: its word is minus the rest."""
+        p = self.prime
+        return {self._name(k): -v % p for k, v in bracket.items() if k != lead}
+
+    def family_entries(self) -> Iterator[tuple[Word, Residues]]:
+        """Each family bracket's word and right-hand side, one at a time
+        (the family checkpoint's payload)."""
+        for lead, bracket in self.families.items():
+            yield self.columns[lead], self._rhs(lead, bracket)
+
+    def restore_families(self, entries: dict[Word, Residues]) -> None:
+        """Install the family brackets that :meth:`family_entries` named."""
+        p = self.prime
+        for x, entry in entries.items():
+            combo = {(x,): 1, **{m: -c % p for m, c in entry.items()}}
+            bracket = self._over_columns(combo, ("checkpoint", x))
+            self.families[self.col_of[x]] = bracket
+
     def back_substitute(self) -> None:
-        """Make ``entries`` cover every eliminated word over survivors and
-        monomials only, mod p.  The echelon is fully reduced, so each
-        bracket already names only its own column, survivor columns and
-        monomial columns; a family entry names Lyndon words and monomials,
-        and each eliminated Lyndon word in it is replaced by its bracket."""
-        p, n = self.prime, self.n_words
-        solved = {
-            self.columns[col]: {
-                (self.monomials[k - n] if k >= n else (self.columns[k],)): -v % p
-                for k, v in row.items() if k != col
-            }
-            for col, row in self.pivots.items()
-        }
-        for entry in self.entries.values():
-            for m in [m for m in entry if len(m) == 1 and m[0] in solved]:
-                _add_mod(entry, solved[m[0]], entry.pop(m), p)
-        self.entries.update(solved)
+        """Name in ``entries`` every eliminated word's right-hand side, mod
+        p, over survivors and monomials only.  ``pivots`` is fully reduced,
+        so each of its brackets names only its lead, survivors and
+        monomials; each family bracket is cleared of eliminated Lyndon
+        words once, against ``pivots``, and popped as it is named."""
+        p, pivots, families = self.prime, self.pivots, self.families
+        for lead in list(families):
+            bracket = families.pop(lead)
+            for k in [k for k in bracket if k in pivots]:
+                _add_mod(bracket, pivots[k], -bracket[k], p)
+            self.entries[self.columns[lead]] = self._rhs(lead, bracket)
+        for lead, bracket in pivots.items():
+            self.entries[self.columns[lead]] = self._rhs(lead, bracket)
 
     def survivors(self) -> list[Word]:
-        return [w for i, w in enumerate(self.columns) if i not in self.pivots]
+        lyndon = range(self.n_family, self.n_words)
+        return [self.columns[k] for k in lyndon if k not in self.pivots]
 
 
 # Elimination rows, in consumption order (stuffle relations are spent in the
@@ -624,11 +586,8 @@ class Checkpointer:
             pass
 
 
-def _entries_state(entries: dict[Word, Residues]) -> dict:
-    return {
-        _word_str(x): {_mono_str(m): c for m, c in entry.items()}
-        for x, entry in entries.items()
-    }
+def _entries_state(entries: Iterable[tuple[Word, Residues]]) -> dict:
+    return {_word_str(x): {_mono_str(m): c for m, c in entry.items()} for x, entry in entries}
 
 
 def _entries_restore(state: dict) -> dict[Word, Residues]:
@@ -689,12 +648,10 @@ def solve_weight(
 
     pool = candidate_words(w)
     columns = sorted(
-        (x for x in admissible_words(w) if is_lyndon(x)),
-        key=lambda x: elim_key(x, pool),
-        reverse=True,
+        admissible_words(w), key=lambda x: (not is_lyndon(x), elim_key(x, pool)), reverse=True
     )
     if survivor_bias is not None:
-        if survivor_bias not in columns:
+        if survivor_bias not in columns or not is_lyndon(survivor_bias):
             raise ValueError(f"survivor bias {survivor_bias!r} is not a Lyndon word at weight {w}")
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
@@ -704,24 +661,27 @@ def solve_weight(
     family_seconds = certify_seconds = 0.0
     started = time.monotonic()
     for prime in PRIMES:
+        master = MasterExpression(columns, lower, prime)
         t0 = time.monotonic()
         try:
-            # ---- family reduction, or its checkpoint
-            entries = checkpointer.load(prime) if checkpointer is not None else None
-            if entries is not None:
-                note(f"weight {w}: resuming after the family phase")
-            else:
-                entries = family_phase(w, lower, pool, prime)
-                if checkpointer is not None:
-                    checkpointer.save({
-                        "weight": w,
-                        "phase": "families",
-                        "modulus": prime,
-                        "entries": _entries_state(entries),
-                    })
-            family_seconds += time.monotonic() - t0
+            try:
+                # ---- family brackets, or their checkpoint
+                entries = checkpointer.load(prime) if checkpointer is not None else None
+                if entries is not None:
+                    note(f"weight {w}: resuming after the family phase")
+                    master.restore_families(entries)
+                else:
+                    family_phase(master)
+                    if checkpointer is not None:
+                        checkpointer.save({
+                            "weight": w,
+                            "phase": "families",
+                            "modulus": prime,
+                            "entries": _entries_state(master.family_entries()),
+                        })
+            finally:
+                family_seconds += time.monotonic() - t0
             # ---- bracketed elimination and assembly
-            master = MasterExpression(columns, entries, lower, prime)
             for done, desc in enumerate(rows, 1):
                 master.absorb(desc)
                 if done % PROGRESS_ROWS == 0:

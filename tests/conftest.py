@@ -39,8 +39,8 @@ def tables12():
 @pytest.fixture
 def lossy_first_modulus(monkeypatch):
     """A call that makes every row's image vanish under ``PRIMES[0]`` (the
-    row is multiplied by the modulus), so each elimination there finds no
-    pivot at all, until the test ends."""
+    row is multiplied by the modulus), so each family phase and elimination
+    there installs no bracket at all, until the test ends."""
     honest = MasterExpression.integer_row
 
     def lossy(self, desc):

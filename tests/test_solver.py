@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import pytest
 
 import zetaforge.solver as solver_mod
 from zetaforge.algebra import add_scaled, describe, expand_relation, relation_descriptors
-from zetaforge.lyndon import candidate_words
 from zetaforge.solver import (
     Certifier,
     Checkpointer,
@@ -28,7 +28,6 @@ from zetaforge.solver import (
     MissingTable,
     ReconstructionError,
     RunConfig,
-    SolvedWeight,
     StoreIntegrityError,
     TableStore,
     ensure_solved,
@@ -277,9 +276,9 @@ def _count_family_phases(monkeypatch):
     calls = []
     honest = solver_mod.family_phase
 
-    def counting(*args):
-        calls.append(args[0])
-        return honest(*args)
+    def counting(master):
+        calls.append(master.weight)
+        return honest(master)
 
     monkeypatch.setattr(solver_mod, "family_phase", counting)
     return calls
@@ -409,6 +408,29 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
         assert not path.exists(), name
 
 
+# canonical-JSON sha256 of weight 7's family checkpoint payload (its
+# modulus, fingerprint and entries mod PRIMES[0]); a change to it orphans
+# every checkpoint written before
+WEIGHT_7_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21c94d46a"
+
+
+def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
+    config = RunConfig(jobs=1)
+    lower = _lower_tables(6)
+    path = tmp_path / "weight-07.checkpoint.json"
+    with pytest.raises(KeyboardInterrupt):
+        solve_weight(7, lower, config,
+                     checkpointer=_InterruptAfterSave(path, config.fingerprint()))
+    wrapper = json.loads(path.read_text())
+    assert solver_mod._payload_hash(wrapper["payload"]) == wrapper["sha256"] == WEIGHT_7_CHECKPOINT
+
+    canonical = render_table(solve_weight(7, lower, config))
+    family_phases = _count_family_phases(monkeypatch)
+    resumed = solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
+    assert family_phases == []
+    assert render_table(resumed) == canonical
+
+
 # ------------------------------------------------------ crash and re-run
 
 @pytest.fixture(scope="module")
@@ -479,6 +501,25 @@ def test_solved_stats_recorded(tables8):
     )
 
 
+def test_a_failed_family_phase_is_booked_as_family_time(monkeypatch, tables8):
+    # the family phase under PRIMES[0] spends 0.2 s and then fails, so the
+    # solve moves on to 2^521 - 1; both attempts are family time
+    honest = solver_mod.family_phase
+
+    def slow_then_failing(master):
+        if master.prime == solver_mod.PRIMES[0]:
+            time.sleep(0.2)
+            raise solver_mod.UnderdeterminedFamily("simulated")
+        honest(master)
+
+    monkeypatch.setattr(solver_mod, "family_phase", slow_then_failing)
+    lower = {w: t for w, t in tables8.items() if w < 6}
+    solved = solve_weight(6, lower, RunConfig(jobs=1))
+    assert render_table(solved) == render_table(tables8[6])
+    assert solved.stats["modulus_bits"] == 521
+    assert solved.stats["families_seconds"] >= 0.2
+
+
 def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     lower = _lower_tables(5)
     with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
@@ -519,14 +560,21 @@ class _NamedRows(MasterExpression):
     """A master whose rows are half-reduced splits looked up by name, in
     place of expanded relation instances: ``absorb(("name",))``."""
 
-    def __init__(self, columns, rows, entries=None):
-        super().__init__(columns, {} if entries is None else entries, Certifier({}))
+    def __init__(self, columns, rows):
+        super().__init__(columns, Certifier({}))
         self.rows = rows
 
     def residue(self, desc):
         # the split's words as single-factor monomials, scaled to integers
         word_part, mono_part = self.rows[desc[0]]
         return solver_mod._scale({**{(w,): c for w, c in word_part.items()}, **mono_part})[1]
+
+
+def _master(w, tables, prime):
+    """A fresh master for weight ``w`` over the tables below it, with the
+    non-Lyndon words first, as its column space requires."""
+    lower = {k: t for k, t in tables.items() if k < w}
+    return MasterExpression(sorted(admissible_words(w), key=is_lyndon), Certifier(lower), prime)
 
 
 def test_rational_reconstruction_round_trips_inside_the_bound():
@@ -598,8 +646,8 @@ def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatc
         return row
 
     monkeypatch.setattr(solver_mod, "expand_row", unlucky)
-    with pytest.raises(solver_mod.UnderdeterminedFamily):
-        family_phase(4, Certifier(tables8), candidate_words(4), solver_mod.PRIMES[0])
+    with pytest.raises(solver_mod.UnderdeterminedFamily, match="left without a family bracket"):
+        family_phase(_master(4, tables8, solver_mod.PRIMES[0]))
     tables = solve_in_memory(8, RunConfig(jobs=1))
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
@@ -610,17 +658,46 @@ def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatc
         assert stats["modulus_bits"] == (127 if w == 3 else 521)
 
 
+def test_inconsistent_stuffle_row_under_the_first_modulus_falls_through(monkeypatch, tables8):
+    # under PRIMES[0] the first stuffle row of each weight becomes a row on
+    # one Lyndon word alone, so the family phase there meets a relation
+    # among Lyndon words
+    firsts = {relation_descriptors(w, ("stuffle",))[0] for w in range(4, 9)}
+    honest = MasterExpression.integer_row
+
+    def lyndon_only(self, desc):
+        if desc in firsts and self.prime == solver_mod.PRIMES[0]:
+            return {self.n_family: 1}
+        return honest(self, desc)
+
+    monkeypatch.setattr(MasterExpression, "integer_row", lyndon_only)
+    led = r"^stuffle Z\(2\)\*Z\(2,1\): left a relation led by Z\("
+    with pytest.raises(InconsistentRelation, match=led):
+        family_phase(_master(5, tables8, solver_mod.PRIMES[0]))
+    tables = solve_in_memory(8, RunConfig(jobs=1))
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+        # weight 3 has no stuffle rows
+        assert stats["modulus_bits"] == (127 if w == 3 else 521)
+
+
 def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
-    # one product coefficient of a family entry is corrupted under PRIMES[0]
-    # after the elimination, so only the certificate can reject the table;
-    # it checks every stuffle relation and rejects one of them first
+    # one product coefficient of a family bracket is corrupted under
+    # PRIMES[0] after the elimination, so only the certificate can reject the
+    # table; it checks every stuffle relation and rejects one of them first
     honest_back_substitute = MasterExpression.back_substitute
 
     def corrupted(self):
         if self.prime == solver_mod.PRIMES[0]:
-            entries = self.entries
-            x, m = next((x, m) for x in sorted(entries) for m in entries[x] if len(m) > 1)
-            entries[x][m] = (entries[x][m] + 1) % self.prime
+            families = self.families
+            lead, k = next(
+                (lead, k) for lead in sorted(families) for k in sorted(families[lead])
+                if k >= self.n_words
+            )
+            families[lead][k] = (families[lead][k] + 1) % self.prime
         honest_back_substitute(self)
 
     seen = []
@@ -672,48 +749,55 @@ def test_traced_benchmark_pass_sees_every_row(tmp_path):
 
 def test_integer_rows_are_positive_multiples_of_fraction_rows(tables8):
     all_kinds = ("stuffle", "shuffle", "hoffman", "duality")
-    nonempty = {kind: 0 for kind in all_kinds}
     p = solver_mod.PRIMES[0]
-
-    def residue(c):
-        return c.numerator * pow(c.denominator, -1, p) % p
-
     for w in range(3, 9):
         lower = {k: t for k, t in tables8.items() if k < w}
-        certifier = Certifier(lower)
-        entries = family_phase(w, certifier, candidate_words(w), p)
-        columns = [x for x in admissible_words(w) if is_lyndon(x)]
-        # weight w as a table over Fraction: every family entry rebuilt from
-        # its residues, every Lyndon word as itself
-        family = {x: {m: rational(c, p) for m, c in e.items()} for x, e in entries.items()}
-        family.update({x: {(x,): Fraction(1)} for x in columns})
-        reference_tables = {**lower, w: SolvedWeight(w, columns, family)}
-        master = MasterExpression(columns, entries, certifier, p)
+        master = _master(w, tables8, p)
         for desc in relation_descriptors(w, all_kinds):
             row = master.integer_row(desc)
-            named = {
-                (columns[k],) if k < master.n_words else master.monomials[k - master.n_words]:
-                v % p
-                for k, v in row.items() if v % p
-            }
-            # the reference: the same relation over Fraction, family entries
-            # applied and the product's tabled value subtracted
+            named = {master._name(k): v for k, v in row.items()}
+            # the reference: the same relation over Fraction, each word of
+            # weight w as itself and the product's tabled value subtracted
             combo, product = expand_relation(desc)
-            reference = substitute_tables(combo, reference_tables)
+            reference = {(x,): Fraction(c) for x, c in combo.items()}
             if product is not None:
                 add_scaled(reference, product_value(*product, lower), -1)
+            reference = {m: c for m, c in reference.items() if c}
             assert named.keys() == reference.keys(), describe(desc)
-            if reference:
-                first = next(iter(reference))
-                # the row is the reference times the lcm of its denominators
-                ratio = named[first] * pow(residue(reference[first]), -1, p) % p
-                assert 0 < ratio < 2**32, describe(desc)
-                assert all(named[k] == ratio * residue(c) % p for k, c in reference.items()), (
-                    describe(desc)
-                )
-                nonempty[desc[0]] += 1
-    # the family entries satisfy every stuffle relation, so its rows vanish
-    assert nonempty == {"stuffle": 0, "shuffle": 68, "hoffman": 63, "duality": 56}
+            # the row is the reference times the lcm of its denominators
+            first = next(iter(reference))
+            ratio = named[first] / reference[first]
+            assert ratio.denominator == 1 and 0 < ratio < 2**32, describe(desc)
+            assert all(named[k] == ratio * c for k, c in reference.items()), describe(desc)
+        # the family brackets satisfy every stuffle relation, so each of its
+        # rows vanishes against them
+        family_phase(master)
+        stuffle = relation_descriptors(w, ("stuffle",))
+        assert not any(master.reduce(desc, master.families) for desc in stuffle)
+
+
+def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
+    # the family phase reads the stuffle rows the certificate checks, each
+    # once, and none of them through absorb
+    lower = _lower_tables(9)
+    expanded, absorbed = [], []
+    honest_expand, honest_absorb = solver_mod.expand_row, MasterExpression.absorb
+
+    def expand_row(desc, entry):
+        expanded.append(desc)
+        return honest_expand(desc, entry)
+
+    def absorb(self, desc):
+        absorbed.append(desc)
+        return honest_absorb(self, desc)
+
+    monkeypatch.setattr(solver_mod, "expand_row", expand_row)
+    monkeypatch.setattr(MasterExpression, "absorb", absorb)
+    family_phase(_master(10, lower, solver_mod.PRIMES[0]))
+    stuffle = relation_descriptors(10, ("stuffle",))
+    assert len(stuffle) == len(set(stuffle)) == 228
+    assert sorted(expanded) == sorted(stuffle)
+    assert absorbed == []
 
 
 def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
@@ -730,16 +814,16 @@ def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
 
 def test_absorb_rejects_a_word_without_a_column():
     master = _NamedRows([(8,), (5, 3)], {"row": ({(4, 4): 1}, {})})
-    with pytest.raises(InconsistentRelation, match=r"Z\(4,4\) missing a family entry"):
+    with pytest.raises(InconsistentRelation, match=r"Z\(4,4\) has no column"):
         master.absorb(("row",))
 
 
 def test_a_relation_word_without_an_entry_is_inconsistent_not_missing(tables8):
-    # with no family entries the shuffle row meets non-Lyndon words; that is
-    # a relation bug, not a table to solve first (MissingTable)
+    # with two columns only the shuffle row meets weight-8 words that have
+    # none; that is a relation bug, not a table to solve first (MissingTable)
     lower = {w: t for w, t in tables8.items() if w < 8}
-    master = MasterExpression([(8,), (5, 3)], {}, Certifier(lower))
-    missing = r"^shuffle Z\(5\)\*Z\(3\): word .* missing a family entry"
+    master = MasterExpression([(8,), (5, 3)], Certifier(lower))
+    missing = r"^shuffle Z\(5\)\*Z\(3\): word .* has no column"
     with pytest.raises(InconsistentRelation, match=missing):
         master.absorb(("shuffle", (5,), (3,)))
 
@@ -780,21 +864,27 @@ def test_peak_terms_is_the_largest_live_count():
     # 2(3b+c+2m)/3: each bracket is stored mod p with lead 1; the second
     # clears b from the first, a + (b+c)/2 - (b + c/3 + 2m/3)/2 = a + c/3 - m/3
     half, third = Fraction(1, 2), Fraction(1, 3)
-    # every other weight-8 word gets a family entry: empty, except that
-    # Z(2,6) = 3 Z(8), which names the eliminated word a
+    # the columns are every weight-8 word, the non-Lyndon ones first; each
+    # non-Lyndon word gets a family bracket: empty, except that Z(2,6) =
+    # 3 Z(8), which names the eliminated word a
     x = (2, 6)
-    entries = {y: {} for y in admissible_words(8) if y not in (a, b, c)}
-    entries[x] = {(a,): 3}
-    leads = _NamedRows([a, b, c], {
+    lyndon = [y for y in admissible_words(8) if is_lyndon(y) and y not in (a, b, c)]
+    families = [y for y in admissible_words(8) if not is_lyndon(y)]
+    leads = _NamedRows(families + [a, b, c] + lyndon, {
         "r1": ({a: -one, b: -half, c: -half}, {}),
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
-    }, entries)
+    })
+    leads.restore_families({**{y: {} for y in families}, x: {(a,): 3}})
+    A, B, C = (leads.col_of[y] for y in (a, b, c))
+    M = leads.n_words  # the first monomial column
     inv3 = pow(3, -1, p)
     assert leads.absorb(("r1",)) is True
-    assert leads.pivots == {0: {0: 1, 1: pow(2, -1, p), 2: pow(2, -1, p)}}
+    assert leads.pivots == {A: {A: 1, B: pow(2, -1, p), C: pow(2, -1, p)}}
     assert leads.absorb(("r2",)) is True
-    assert leads.pivots == {0: {0: 1, 2: inv3, 3: p - inv3}, 1: {1: 1, 2: inv3, 3: 2 * inv3 % p}}
+    assert leads.pivots == {A: {A: 1, C: inv3, M: p - inv3}, B: {B: 1, C: inv3, M: 2 * inv3 % p}}
     assert leads.peak_terms == 6
+    # the family bracket of x still names a until back-substitution
+    assert leads.families[leads.col_of[x]] == {leads.col_of[x]: 1, A: p - 3}
     # the brackets stay mod p; assembly rebuilds each table coefficient once
     leads.back_substitute()
     assert leads.entries[a] == {(c,): p - inv3, m: inv3}
