@@ -46,7 +46,6 @@ from .algebra import (
     truncation_tail_bound,
 )
 from .solver import (
-    RunConfig,
     SolvedWeight,
     TableStore,
     ensure_solved,
@@ -68,7 +67,6 @@ __all__ = [
     "BasisReport",
     "ExtendedCandidate",
     "Relation",
-    "RunConfig",
     "SolvedWeight",
     "TableStore",
     "Word",

@@ -26,10 +26,10 @@ from .algebra import DEFAULT_KINDS, RELATION_KINDS, check_kinds, gen_relations, 
 from .lyndon import candidate_pool, candidate_words, collapse_word, odd_lyndon_words
 from .solver import (
     MissingTable,
-    RunConfig,
     SolverError,
     StoreIntegrityError,
     TableStore,
+    check_factors,
     ensure_solved,
 )
 from .verify import (
@@ -90,12 +90,14 @@ def _store_for_writing(table_dir: str) -> TableStore:
 
 
 def _load_range(store: TableStore, up_to: int, tables: dict | None = None) -> dict:
-    """Load weights 2..up_to from the store, hash-verified, into ``tables``;
-    weights already there are not loaded again."""
+    """Load weights 2..up_to from the store into ``tables``, each one
+    hash-verified and checked by :func:`check_factors`; weights already
+    there are not loaded again."""
     tables = {} if tables is None else tables
     for w in range(2, up_to + 1):
         if w not in tables:
             tables[w] = store.load(w)
+            check_factors(tables, w, store.table_path(w).name)
     return tables
 
 
@@ -124,9 +126,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "--depth-cap applies to `gen` only: a capped relation stream cannot "
             "produce a fully-reduced table"
         )
-    config = RunConfig(jobs=args.jobs, kinds=_parse_kinds(args.relations))
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    kinds = _parse_kinds(args.relations)
     store = _store_for_writing(args.table_dir)
-    ensure_solved(store, args.weight, config, progress=print)
+    ensure_solved(store, args.weight, kinds, progress=print)
     print(f"manifest: {store.manifest_path}")
     return EXIT_OK
 
@@ -134,8 +138,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_basis(args: argparse.Namespace) -> int:
     if args.weight < 2:
         raise ValueError(f"weight must be >= 2, got {args.weight}")
-    store = TableStore(Path(args.table_dir))
-    report = basis_report(store.load(args.weight))
+    tables = _load_range(TableStore(Path(args.table_dir)), args.weight)
+    report = basis_report(tables[args.weight])
     print(
         f"weight {report.weight}: {report.generator_count} generator(s), "
         f"depth sum {report.depth_sum}, monomial dimension {report.monomial_count}"
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve all weights up to the target and persist tables")
     p.add_argument("--weight", "-w", type=int, required=True, help="highest weight to solve")
     p.add_argument("--jobs", "-j", type=int, default=1,
-                   help="accepted; the solve runs in one process")
+                   help="accepted (>= 1); the solve runs in one process")
     p.add_argument("--table-dir", required=True, help="directory for tables and the manifest")
     p.add_argument("--relations", default=",".join(DEFAULT_KINDS), help=relations_help)
     p.add_argument(

@@ -136,26 +136,6 @@ class ReconstructionError(SolverError):
     certificate rejects."""
 
 
-# ----------------------------------------------------------- configuration
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Solve configuration.  ``jobs`` is validated but selects nothing: a
-    solve runs in one process.  It is excluded from the checkpoint
-    fingerprint."""
-
-    jobs: int = 1
-    kinds: tuple[str, ...] = DEFAULT_KINDS
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        check_kinds(self.kinds)
-
-    def fingerprint(self) -> dict:
-        return {"format": TABLE_FORMAT, "kinds": sorted(set(self.kinds))}
-
-
 @dataclass
 class SolvedWeight:
     """A fully-reduced substitution table for one weight.
@@ -169,7 +149,6 @@ class SolvedWeight:
     weight: int
     generators: list[Word]
     entries: dict[Word, Entry]
-    phase: str = "fully-reduced"
     stats: dict = field(default_factory=dict)
 
 
@@ -386,7 +365,6 @@ class MasterExpression:
         self.families: dict[int, dict[int, int]] = {}
         self.pivots: dict[int, dict[int, int]] = {}
         self.entries: dict[Word, Residues] = {}
-        self.redundant = 0
         self.peak_terms = 0
         self.prime = prime
         self.lower = lower
@@ -467,7 +445,6 @@ class MasterExpression:
         if self.reduce(desc, self.pivots):
             self.peak_terms = max(self.peak_terms, sum(map(len, self.pivots.values())))
             return True
-        self.redundant += 1
         return False
 
     def _rhs(self, lead: int, bracket: dict[int, int]) -> Residues:
@@ -525,22 +502,24 @@ def _payload_hash(payload: dict) -> str:
 
 
 class Checkpointer:
-    """Hash-guarded resume state for one weight's solve: its family entries
-    mod p and the modulus they were computed under.
+    """Hash-guarded resume state for one weight's solve under the relation
+    kinds ``kinds``: its family entries mod p and the modulus they were
+    computed under.
 
     The file holds a JSON payload plus its sha256; a payload that fails the
     hash check, or a malformed file, refuses to resume (the caller must
-    delete the file to start over).  A checkpoint written under a different
-    configuration fingerprint or another modulus is ignored with a warning
-    instead, since it describes a different run.  So is one that is not a
-    checkpoint of the whole family phase: older builds checkpointed
-    mid-elimination, or after each family depth over ``Fraction``, and such
-    a payload cannot be resumed.
+    delete the file to start over).  The payload carries a fingerprint: the
+    table format and the sorted set of ``kinds``, the only settings that can
+    change the entries.  A checkpoint written under another fingerprint or
+    another modulus is ignored with a warning instead, since it describes a
+    different run.  So is one that is not a checkpoint of the whole family
+    phase: older builds checkpointed mid-elimination, or after each family
+    depth over ``Fraction``, and such a payload cannot be resumed.
     """
 
-    def __init__(self, path: Path, fingerprint: dict):
+    def __init__(self, path: Path, kinds: tuple[str, ...]):
         self.path = Path(path)
-        self.fingerprint = fingerprint
+        self.fingerprint = {"format": TABLE_FORMAT, "kinds": sorted(check_kinds(kinds))}
 
     def load(self, modulus: int) -> dict[Word, Residues] | None:
         """The family entries saved under ``modulus``, or None when there is
@@ -618,12 +597,13 @@ def _parse_mono_str(s: str) -> Monomial:
 def solve_weight(
     w: int,
     tables: dict[int, SolvedWeight],
-    config: RunConfig = RunConfig(),
+    kinds: tuple[str, ...] = DEFAULT_KINDS,
     checkpointer: Checkpointer | None = None,
     survivor_bias: Word | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> SolvedWeight:
-    """Solve one weight given fully-reduced tables for all lower weights.
+    """Solve one weight given fully-reduced tables for all lower weights,
+    from the relations of ``kinds``, which must include ``"stuffle"``.
 
     ``survivor_bias`` moves one Lyndon word to the very end of the
     elimination scan so it survives whenever the relations allow; the
@@ -634,7 +614,7 @@ def solve_weight(
         return seed_weight_2()
     if w < 2:
         raise ValueError(f"weight must be >= 2, got {w}")
-    kinds = check_kinds(config.kinds)
+    kinds = check_kinds(kinds)
     if "stuffle" not in kinds:
         raise ValueError("the solver requires the stuffle kind for family reduction")
     for k in range(2, w):
@@ -707,6 +687,7 @@ def solve_weight(
         raise error
     elimination_seconds = time.monotonic() - started - family_seconds - certify_seconds
 
+    redundant = len(rows) - len(master.pivots)  # each row installed a pivot or was redundant
     height = max(
         (max(c.numerator.bit_length(), c.denominator.bit_length())
          for entry in solved.entries.values() for c in entry.values()),
@@ -717,7 +698,7 @@ def solve_weight(
         "elimination_seconds": round(elimination_seconds, 3),
         "certify_seconds": round(certify_seconds, 3),
         "rows": len(rows),
-        "redundant_rows": master.redundant,
+        "redundant_rows": redundant,
         "pivots": len(master.pivots),
         "modulus_bits": prime.bit_length(),
         "max_bracket_terms": master.peak_terms,
@@ -730,7 +711,7 @@ def solve_weight(
               w, len(relations), certify_seconds, prime.bit_length(), height)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
-        f"{len(master.pivots)} pivots, {master.redundant} redundant rows"
+        f"{len(master.pivots)} pivots, {redundant} redundant rows"
     )
     return solved
 
@@ -785,7 +766,7 @@ def render_table(solved: SolvedWeight) -> str:
     pool = candidate_words(solved.weight)
     lines = [
         f"# weight: {solved.weight}",
-        f"# phase: {solved.phase}",
+        "# phase: fully-reduced",
         ("# generators: " + " ".join(render_word(g) for g in solved.generators)).rstrip(),
     ]
     order = sorted(
@@ -841,7 +822,7 @@ def parse_table(text: str) -> SolvedWeight:
     for mono in monomials.values():
         if sum(map(weight, mono)) != w:
             raise ValueError(f"monomial {render_monomial(mono)} is not of weight {w}")
-    return SolvedWeight(weight=w, generators=generators, entries=entries, phase=phase)
+    return SolvedWeight(weight=w, generators=generators, entries=entries)
 
 
 # -------------------------------------------------------------- persistence
@@ -940,10 +921,25 @@ class TableStore:
         return solved
 
 
+def check_factors(tables: dict[int, SolvedWeight], w: int, name: str) -> None:
+    """Raise :class:`StoreIntegrityError`, naming the table file ``name``,
+    unless every monomial factor of the weight-``w`` table is a generator of
+    its own weight in ``tables``.  :func:`parse_table` sees one table only,
+    so a loaded range makes this check as each weight joins it."""
+    factors = {f for entry in tables[w].entries.values() for m in entry for f in m}
+    for f in sorted(factors):
+        table = tables.get(weight(f))
+        if table is None or f not in table.generators:
+            raise StoreIntegrityError(
+                f"{name}: monomial factor {render_word(f)} is not a generator of weight "
+                f"{weight(f)}"
+            )
+
+
 def ensure_solved(
     store: TableStore,
     up_to: int,
-    config: RunConfig = RunConfig(),
+    kinds: tuple[str, ...] = DEFAULT_KINDS,
     progress: Callable[[str], None] | None = None,
 ) -> dict[int, SolvedWeight]:
     """Load or solve every weight from 2 through ``up_to``, saving newly
@@ -955,11 +951,10 @@ def ensure_solved(
     for w in range(2, up_to + 1):
         if store.has(w):
             tables[w] = store.load(w)
+            check_factors(tables, w, store.table_path(w).name)
             continue
-        checkpointer = Checkpointer(store.checkpoint_path(w), config.fingerprint())
-        solved = solve_weight(
-            w, tables, config, checkpointer=checkpointer, progress=progress
-        )
+        checkpointer = Checkpointer(store.checkpoint_path(w), kinds)
+        solved = solve_weight(w, tables, kinds, checkpointer=checkpointer, progress=progress)
         store.save(solved)
         tables[w] = solved
         if progress is not None:
@@ -969,12 +964,12 @@ def ensure_solved(
 
 def solve_in_memory(
     up_to: int,
-    config: RunConfig = RunConfig(),
+    kinds: tuple[str, ...] = DEFAULT_KINDS,
     progress: Callable[[str], None] | None = None,
 ) -> dict[int, SolvedWeight]:
     """Solve weights 2..up_to without persistence (testing and verification
     reruns)."""
     tables: dict[int, SolvedWeight] = {}
     for w in range(2, up_to + 1):
-        tables[w] = solve_weight(w, tables, config, progress=progress)
+        tables[w] = solve_weight(w, tables, kinds, progress=progress)
     return tables

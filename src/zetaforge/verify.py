@@ -12,13 +12,13 @@ recomputed from the enumerations.
 
 from __future__ import annotations
 
-import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import DEFAULT_KINDS, check_kinds, describe, relation_descriptors
 from .lyndon import collapse_word, odd_lyndon_words, published_basis
-from .solver import Certifier, RunConfig, SolvedWeight, solve_weight
+from .solver import Certifier, SolvedWeight, solve_weight
 from .words import Word, admissible_words, is_lyndon, render_word, weight
 
 
@@ -29,7 +29,6 @@ class RecheckReport:
     weight: int
     population: dict[str, int]
     distinct_checked: int
-    draws: int | None
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -39,8 +38,6 @@ class RecheckReport:
     def lines(self) -> list[str]:
         out = [f"recheck.{self.weight}.population.{k} = {n}" for k, n in self.population.items()]
         out.append(f"recheck.{self.weight}.distinct_checked = {self.distinct_checked}")
-        if self.draws is not None:
-            out.append(f"recheck.{self.weight}.draws = {self.draws}")
         out.append(f"recheck.{self.weight}.failures = {len(self.failures)}")
         out.extend(f"recheck.{self.weight}.failure = {f}" for f in self.failures)
         return out
@@ -50,41 +47,24 @@ def recheck_relations(
     w: int,
     tables: dict[int, SolvedWeight],
     kinds=DEFAULT_KINDS,
-    sample: int | None = None,
-    seed: int = 0,
 ) -> RecheckReport:
-    """Regenerate relations at weight ``w`` and assert each collapses to
-    exactly zero through the tables, with one
+    """Regenerate every relation of the selected kinds at weight ``w`` and
+    assert each collapses to exactly zero through the tables, with one
     :class:`~zetaforge.solver.Certifier` for the whole recheck.
 
-    With ``sample`` set, draws that many instances with replacement from the
-    population (seeded), memoizing distinct checks; otherwise checks the
-    whole population.  Either way failures carry the relation's origin.
+    The check is exhaustive, each distinct instance once: it is the integer
+    check that every solve's certificate runs over the whole weight, so
+    checking only some instances would save little.  Failures carry the
+    relation's origin.
     """
     descs = relation_descriptors(w, kinds)
-    population: dict[str, int] = {}
-    for d in descs:
-        population[d[0]] = population.get(d[0], 0) + 1
-
-    if sample is None:
-        chosen = descs
-        draws = None
-    else:
-        rng = random.Random(seed)
-        chosen = [descs[rng.randrange(len(descs))] for _ in range(sample)]
-        draws = sample
-
     certifier = Certifier(tables)
-    failures: list[str] = []
-    seen: set[tuple] = set()
-    for desc in chosen:
-        if desc in seen:
-            continue
-        seen.add(desc)
-        residual = certifier.residue(desc)
-        if residual:
-            failures.append(f"{describe(desc)} left {len(residual)} monomial(s)")
-    return RecheckReport(w, population, len(seen), draws, failures)
+    failures = [
+        f"{describe(desc)} left {len(residual)} monomial(s)"
+        for desc in descs
+        if (residual := certifier.residue(desc))
+    ]
+    return RecheckReport(w, dict(Counter(d[0] for d in descs)), len(descs), failures)
 
 
 # ---------------------------------------------------------- dimension report
@@ -345,14 +325,10 @@ def minimal_depth_stats(
         for x in admissible_words(w)
         if is_lyndon(x) and x not in solved.generators and len(x) < max_depth
     ]
+    kinds = tuple(sorted(check_kinds(kinds) | set(DEFAULT_KINDS)))
     confirmed = True
-    checked = 0
-    config = RunConfig(jobs=1, kinds=tuple(sorted(check_kinds(kinds) | set(DEFAULT_KINDS))))
     for x in candidates:
-        checked += 1
-        alt = solve_weight(w, lower, config, survivor_bias=x)
-        if x in alt.generators:
-            alt_sum = sum(len(g) for g in alt.generators)
-            if alt_sum < depth_sum:
-                confirmed = False
-    return MinimalDepthReport(w, depth_sum, histogram, checked, confirmed)
+        alt = solve_weight(w, lower, kinds, survivor_bias=x)
+        if x in alt.generators and sum(len(g) for g in alt.generators) < depth_sum:
+            confirmed = False
+    return MinimalDepthReport(w, depth_sum, histogram, len(candidates), confirmed)

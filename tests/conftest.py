@@ -15,23 +15,22 @@ import time
 import pytest
 
 import zetaforge.solver as solver_mod
-from zetaforge.solver import MasterExpression, RunConfig, solve_in_memory, solve_weight
+from zetaforge.solver import MasterExpression, solve_in_memory, solve_weight
 
 
 @pytest.fixture(scope="session")
 def tables8():
-    return solve_in_memory(8, RunConfig(jobs=1))
+    return solve_in_memory(8)
 
 
 @pytest.fixture(scope="session")
 def tables12():
     """Solved weights 2..12 plus per-weight wall-clock seconds."""
-    config = RunConfig(jobs=1)
     tables: dict = {}
     seconds: dict[int, float] = {}
     for w in range(2, 13):
         t0 = time.monotonic()
-        tables[w] = solve_weight(w, tables, config)
+        tables[w] = solve_weight(w, tables)
         seconds[w] = time.monotonic() - t0
     return tables, seconds
 

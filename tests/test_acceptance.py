@@ -10,13 +10,15 @@ assertion output appears on failure either way).
      one twofold-extended element each (the known pair)
   2. weights 3..12 solve with generator counts equal to Lyndon counts;
      the lone 1-fold extension at weight 12 is Z(6,4,1,1); solve time
-     (4 workers): weights through 10 under 60 s combined, weight 12 under
-     600 s
+     (one process): weights through 10 under 60 s combined, weight 12
+     under 600 s
   3. classical weight-3/4 identities hold in the tables exactly, zero
      tolerance
-  4. regenerated relations collapse to exactly zero: exhaustively for
-     weights 3..10 and on 10^4 seeded draws each at weights 11 and 12
-  5. weight-10 solves with 1, 2, and 8 workers write byte-identical files
+  4. regenerated relations of all four kinds collapse to exactly zero,
+     exhaustively, at every weight 3..12
+  5. `zeta-forge solve --weight 10` with `--jobs` 1, 2 and 8 writes
+     byte-identical files (the flag selects nothing: a solve runs in one
+     process)
   6. 200 seeded random products evaluated at cutoff 2000: stuffle within
      1e-4 flat (the truncated identity is exact); shuffle within the
      certified truncation tolerance of each instance (a flat 1e-4 is
@@ -28,6 +30,8 @@ assertion output appears on failure either way).
      elements each
 """
 
+import contextlib
+import io
 import random
 import time
 
@@ -39,7 +43,7 @@ from zetaforge.algebra import (
     stuffle,
 )
 from zetaforge.lyndon import collapse_word, odd_lyndon_words
-from zetaforge.solver import RunConfig, TableStore, ensure_solved
+from zetaforge.cli import EXIT_OK, main
 from zetaforge.verify import (
     basis_report,
     dimension_report,
@@ -111,38 +115,33 @@ def test_criterion_3_classical_identities_exact(tables12):
 
 def test_criterion_4_zero_collapse(tables12):
     tables, _ = tables12
-    checked = 0
-    for w in range(3, 11):
+    checked = {}
+    for w in range(3, 13):
         report = recheck_relations(w, tables, ALL_KINDS)
         assert report.passed, (w, report.failures)
-        checked += report.distinct_checked
-    sampled = []
-    for w in (11, 12):
-        report = recheck_relations(w, tables, ALL_KINDS, sample=10_000, seed=w)
-        assert report.passed, (w, report.failures)
-        assert report.draws == 10_000
-        sampled.append(f"weight {w}: {report.distinct_checked} distinct of 10000 draws")
+        assert report.distinct_checked == sum(report.population.values())
+        checked[w] = report.distinct_checked
     print(
-        f"PASS criterion 4: {checked} relations exhaustively zero for 3..10; "
-        + "; ".join(sampled)
+        f"PASS criterion 4: {sum(checked.values())} relations exhaustively zero for 3..12 "
+        f"({checked[11]} at weight 11, {checked[12]} at weight 12)"
     )
 
 
 def test_criterion_5_parallel_byte_equality(tmp_path):
     target = 10
-    stores = {}
     elapsed = {}
     for jobs in (1, 2, 8):
-        store = TableStore(tmp_path / f"jobs{jobs}")
+        argv = ["solve", "--weight", str(target), "--jobs", str(jobs),
+                "--table-dir", str(tmp_path / f"jobs{jobs}")]
         t0 = time.monotonic()
-        ensure_solved(store, target, RunConfig(jobs=jobs))
+        with contextlib.redirect_stdout(io.StringIO()):  # the solve's progress lines
+            assert main(argv) == EXIT_OK
         elapsed[jobs] = time.monotonic() - t0
-        stores[jobs] = store
-    reference = stores[1]
     for jobs in (2, 8):
         for w in range(2, target + 1):
-            a = reference.table_path(w).read_bytes()
-            b = stores[jobs].table_path(w).read_bytes()
+            name = f"weight-{w:02d}.table"
+            a = (tmp_path / "jobs1" / name).read_bytes()
+            b = (tmp_path / f"jobs{jobs}" / name).read_bytes()
             assert a == b, f"weight {w} differs between jobs=1 and jobs={jobs}"
     print(
         "PASS criterion 5: weight-2..10 table files byte-identical for "

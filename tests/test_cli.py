@@ -21,7 +21,8 @@ from zetaforge.cli import (
     main,
 )
 from zetaforge._meta import BUILD_ID
-from zetaforge.solver import Checkpointer, RunConfig, TableStore
+from zetaforge.algebra import DEFAULT_KINDS
+from zetaforge.solver import Checkpointer, TableStore
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,10 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path), "--relations", "x"]) == EXIT_USAGE
     assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path), "--depth-cap", "3"]) == EXIT_USAGE
     assert main(["solve", "--weight", "1", "--table-dir", str(tmp_path)]) == EXIT_USAGE
+    jobs0 = tmp_path / "jobs0"
+    assert main(["solve", "--weight", "4", "--jobs", "0", "--table-dir", str(jobs0)]) == EXIT_USAGE
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not jobs0.exists()
     assert main(["verify"]) == EXIT_USAGE
     assert main(["verify", "--weight", "6"]) == EXIT_USAGE  # no --table-dir
     assert main(["gen", "--weight", "4", "--depth-cap", "0"]) == EXIT_USAGE
@@ -284,8 +289,14 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
     [
         ("# generators: Z(5)\n", "# generators:\n"),
         ("Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)", "Z(4,1) = -1*Z(3)*Z(3) + 2*Z(5)"),
+        # of weight 5, but Z(2,1) is not weight 3's generator Z(3)
+        ("Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)", "Z(4,1) = -1*Z(2,1)*Z(2) + 2*Z(5)"),
     ],
-    ids=["generators-differ-from-self-entries", "monomial-of-another-weight"],
+    ids=[
+        "generators-differ-from-self-entries",
+        "monomial-of-another-weight",
+        "monomial-factor-not-a-generator",
+    ],
 )
 def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, capsys, old, new):
     assert main(["solve", "--weight", "5", "--table-dir", str(tmp_path)]) == EXIT_OK
@@ -326,9 +337,9 @@ def _list_instead_of_wrapper(path):
 
 
 def _payload_without_depth(path):
-    # hash-valid, with this configuration's fingerprint, but with neither a
+    # hash-valid, with the default kinds' fingerprint, but with neither a
     # modulus nor the family depth of the older per-depth format
-    Checkpointer(path, RunConfig().fingerprint()).save(
+    Checkpointer(path, DEFAULT_KINDS).save(
         {"weight": 5, "phase": "families", "entries": {}}
     )
 

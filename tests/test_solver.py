@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 
 import zetaforge.solver as solver_mod
-from zetaforge.algebra import add_scaled, describe, expand_relation, relation_descriptors
+from zetaforge.algebra import (
+    DEFAULT_KINDS,
+    add_scaled,
+    describe,
+    expand_relation,
+    relation_descriptors,
+)
 from zetaforge.solver import (
     Certifier,
     Checkpointer,
@@ -27,7 +33,6 @@ from zetaforge.solver import (
     MasterExpression,
     MissingTable,
     ReconstructionError,
-    RunConfig,
     StoreIntegrityError,
     TableStore,
     ensure_solved,
@@ -51,7 +56,7 @@ def test_seed_weight_2():
     assert seed.weight == 2
     assert seed.generators == [(2,)]
     assert seed.entries == {(2,): {((2,),): Fraction(1)}}
-    assert seed.phase == "fully-reduced"
+    assert render_table(seed).splitlines()[1] == "# phase: fully-reduced"
 
 
 def test_weight_3_table(tables8):
@@ -105,24 +110,22 @@ def test_generator_self_entries(tables8):
 
 # ------------------------------------------------------------ configuration
 
-def test_run_config_validation():
+def test_checkpointer_fingerprint_follows_the_kinds(tmp_path):
+    path = tmp_path / "weight-07.checkpoint.json"
+    base = Checkpointer(path, DEFAULT_KINDS).fingerprint
+    # checkpoints already on disk carry this fingerprint; a change orphans them
+    assert base == {"format": 1, "kinds": ["hoffman", "shuffle", "stuffle"]}
+    assert Checkpointer(path, tuple(reversed(DEFAULT_KINDS))).fingerprint == base
+    assert Checkpointer(path, ("stuffle", "shuffle")).fingerprint != base
     with pytest.raises(ValueError):
-        RunConfig(jobs=0)
-    with pytest.raises(ValueError):
-        RunConfig(kinds=("bogus",))
-
-
-def test_fingerprint_ignores_jobs_but_not_kinds():
-    base = RunConfig(jobs=1).fingerprint()
-    assert RunConfig(jobs=8).fingerprint() == base
-    assert RunConfig(kinds=("stuffle", "shuffle")).fingerprint() != base
+        Checkpointer(path, ("bogus",))
 
 
 def test_solve_weight_requires_lower_tables_and_stuffle():
     with pytest.raises(MissingTable):
         solve_weight(5, {2: seed_weight_2()})
     with pytest.raises(ValueError):
-        solve_weight(3, {2: seed_weight_2()}, RunConfig(kinds=("shuffle", "hoffman")))
+        solve_weight(3, {2: seed_weight_2()}, ("shuffle", "hoffman"))
     with pytest.raises(ValueError):
         solve_weight(1, {})
 
@@ -137,11 +140,10 @@ def test_substitute_tables_names_missing_weight(tables8):
 
 # -------------------------------------------------------------- determinism
 
-def test_parallel_solve_is_byte_identical():
-    seq = solve_in_memory(7, RunConfig(jobs=1))
-    par = solve_in_memory(7, RunConfig(jobs=2))
+def test_solve_is_byte_identical_run_to_run():
+    first, second = solve_in_memory(7), solve_in_memory(7)
     for w in range(2, 8):
-        assert render_table(seq[w]) == render_table(par[w])
+        assert render_table(first[w]) == render_table(second[w])
 
 
 # -------------------------------------------------------------- text format
@@ -151,7 +153,7 @@ def test_render_parse_round_trip(tables8):
         text = render_table(tables8[w])
         back = parse_table(text)
         assert back.weight == w
-        assert back.phase == "fully-reduced"
+        assert text.splitlines()[1] == "# phase: fully-reduced"
         assert back.generators == tables8[w].generators
         assert back.entries == tables8[w].entries
 
@@ -255,7 +257,7 @@ class _InterruptAfterSave(Checkpointer):
 
 
 def _lower_tables(up_to):
-    return solve_in_memory(up_to, RunConfig(jobs=1))
+    return solve_in_memory(up_to)
 
 
 def _interrupt_absorb_after(monkeypatch, n):
@@ -286,12 +288,11 @@ def _count_family_phases(monkeypatch):
 
 @pytest.mark.parametrize("crash", ["families", "elimination"])
 def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
-    config = RunConfig(jobs=1)
     lower = _lower_tables(6)
-    fresh = solve_weight(7, lower, config)
+    fresh = solve_weight(7, lower)
 
     path = tmp_path / "weight-07.checkpoint.json"
-    checkpointer = Checkpointer(path, config.fingerprint())
+    checkpointer = Checkpointer(path, DEFAULT_KINDS)
     if crash == "families":
         # a crash inside the family phase, before its one checkpoint
         honest = solver_mod.expand_row
@@ -307,7 +308,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     else:
         _interrupt_absorb_after(monkeypatch, 5)
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, config, checkpointer=checkpointer)
+        solve_weight(7, lower, checkpointer=checkpointer)
     if crash == "families":
         assert all(desc[0] == "stuffle" for desc in calls) and not path.exists()
     else:
@@ -317,7 +318,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
 
     monkeypatch.undo()
     family_phases = _count_family_phases(monkeypatch)
-    resumed = solve_weight(7, lower, config, checkpointer=checkpointer)
+    resumed = solve_weight(7, lower, checkpointer=checkpointer)
     assert render_table(resumed) == render_table(fresh)
     # the checkpoint holds every family entry, or there is none
     assert family_phases == ([] if crash == "elimination" else [7])
@@ -325,39 +326,34 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
 
 
 def test_checkpoint_tamper_refuses_resume(tmp_path):
-    config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, config,
-                     checkpointer=_InterruptAfterSave(path, config.fingerprint()))
+        solve_weight(7, lower, checkpointer=_InterruptAfterSave(path, DEFAULT_KINDS))
 
     wrapper = json.loads(path.read_text())
     wrapper["payload"]["modulus"] += 2
     path.write_text(json.dumps(wrapper))
     with pytest.raises(StoreIntegrityError):
-        solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
+        solve_weight(7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
 
 
 def test_checkpoint_from_other_config_is_ignored(tmp_path):
-    config = RunConfig(jobs=1)
-    other = RunConfig(jobs=1, kinds=("stuffle", "shuffle"))
+    other = ("stuffle", "shuffle")
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, other,
-                     checkpointer=_InterruptAfterSave(path, other.fingerprint()))
+        solve_weight(7, lower, other, checkpointer=_InterruptAfterSave(path, other))
 
     # resuming under the default kinds ignores the foreign checkpoint and
     # still produces the canonical table
-    resumed = solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
-    assert render_table(resumed) == render_table(solve_weight(7, lower, config))
+    resumed = solve_weight(7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
+    assert render_table(resumed) == render_table(solve_weight(7, lower))
 
 
 def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypatch, caplog):
     # each payload is hash-valid and carries this configuration's
     # fingerprint, but cannot be resumed, so the weight restarts from scratch
-    config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
     older = {
@@ -390,15 +386,15 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
             "entries": {"5,2": {"6,1": 5}},
         },
     }
-    canonical = render_table(solve_weight(7, lower, config))
+    canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
     for name, payload in older.items():
-        Checkpointer(path, config.fingerprint()).save(payload)
+        Checkpointer(path, DEFAULT_KINDS).save(payload)
         family_phases.clear()
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="zetaforge.solver"):
             resumed = solve_weight(
-                7, lower, config, checkpointer=Checkpointer(path, config.fingerprint())
+                7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS)
             )
         assert [r.getMessage() for r in caplog.records] == [
             f"ignoring checkpoint {path} from a different configuration"
@@ -415,18 +411,16 @@ WEIGHT_7_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21
 
 
 def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
-    config = RunConfig(jobs=1)
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
     with pytest.raises(KeyboardInterrupt):
-        solve_weight(7, lower, config,
-                     checkpointer=_InterruptAfterSave(path, config.fingerprint()))
+        solve_weight(7, lower, checkpointer=_InterruptAfterSave(path, DEFAULT_KINDS))
     wrapper = json.loads(path.read_text())
     assert solver_mod._payload_hash(wrapper["payload"]) == wrapper["sha256"] == WEIGHT_7_CHECKPOINT
 
-    canonical = render_table(solve_weight(7, lower, config))
+    canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
-    resumed = solve_weight(7, lower, config, checkpointer=Checkpointer(path, config.fingerprint()))
+    resumed = solve_weight(7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
     assert family_phases == []
     assert render_table(resumed) == canonical
 
@@ -514,7 +508,7 @@ def test_a_failed_family_phase_is_booked_as_family_time(monkeypatch, tables8):
 
     monkeypatch.setattr(solver_mod, "family_phase", slow_then_failing)
     lower = {w: t for w, t in tables8.items() if w < 6}
-    solved = solve_weight(6, lower, RunConfig(jobs=1))
+    solved = solve_weight(6, lower)
     assert render_table(solved) == render_table(tables8[6])
     assert solved.stats["modulus_bits"] == 521
     assert solved.stats["families_seconds"] >= 0.2
@@ -610,7 +604,7 @@ def test_rational_reconstruction_agrees_with_a_search_mod_1009():
 @pytest.mark.parametrize("prime", [2, 3, 5, 7])
 def test_small_primes_give_the_same_tables(monkeypatch, tables8, prime):
     monkeypatch.setattr(solver_mod, "PRIMES", (prime, 2**127 - 1))
-    tables = solve_in_memory(8, RunConfig(jobs=1))
+    tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
     for w, counts in GOLDEN_COUNTS.items():
@@ -625,7 +619,7 @@ def test_rank_lost_under_the_first_modulus_falls_through_to_the_second(
     lossy_first_modulus, tables8
 ):
     lossy_first_modulus()
-    tables = solve_in_memory(8, RunConfig(jobs=1))
+    tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
     for w, counts in GOLDEN_COUNTS.items():
@@ -648,7 +642,7 @@ def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatc
     monkeypatch.setattr(solver_mod, "expand_row", unlucky)
     with pytest.raises(solver_mod.UnderdeterminedFamily, match="left without a family bracket"):
         family_phase(_master(4, tables8, solver_mod.PRIMES[0]))
-    tables = solve_in_memory(8, RunConfig(jobs=1))
+    tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
     for w, counts in GOLDEN_COUNTS.items():
@@ -674,7 +668,7 @@ def test_inconsistent_stuffle_row_under_the_first_modulus_falls_through(monkeypa
     led = r"^stuffle Z\(2\)\*Z\(2,1\): left a relation led by Z\("
     with pytest.raises(InconsistentRelation, match=led):
         family_phase(_master(5, tables8, solver_mod.PRIMES[0]))
-    tables = solve_in_memory(8, RunConfig(jobs=1))
+    tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
     for w, counts in GOLDEN_COUNTS.items():
@@ -711,7 +705,7 @@ def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
     monkeypatch.setattr(Certifier, "residue", recording)
     lower = {w: t for w, t in tables8.items() if w < 8}
     with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
-        solved = solve_weight(8, lower, RunConfig(jobs=1))
+        solved = solve_weight(8, lower)
     assert render_table(solved) == render_table(tables8[8])
     assert solved.stats["modulus_bits"] == 521
     failures = [r.getMessage() for r in caplog.records if "bits failed" in r.getMessage()]
