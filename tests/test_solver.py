@@ -26,6 +26,7 @@ from zetaforge.algebra import (
     expand_relation,
     relation_descriptors,
 )
+from zetaforge.cli import main as cli_main
 from zetaforge.solver import (
     Certifier,
     Checkpointer,
@@ -110,15 +111,35 @@ def test_generator_self_entries(tables8):
 
 # ------------------------------------------------------------ configuration
 
-def test_checkpointer_fingerprint_follows_the_kinds(tmp_path):
-    path = tmp_path / "weight-07.checkpoint.json"
-    base = Checkpointer(path, DEFAULT_KINDS).fingerprint
-    # checkpoints already on disk carry this fingerprint; a change orphans them
-    assert base == {"format": 1, "kinds": ["hoffman", "shuffle", "stuffle"]}
-    assert Checkpointer(path, tuple(reversed(DEFAULT_KINDS))).fingerprint == base
-    assert Checkpointer(path, ("stuffle", "shuffle")).fingerprint != base
+def test_run_config_validation(tmp_path):
+    # --jobs is accepted for compatibility but selects nothing; it is still
+    # validated, before the table directory is created
+    jobs0 = tmp_path / "jobs0"
+    assert cli_main(["solve", "--weight", "4", "--jobs", "0", "--table-dir", str(jobs0)]) == 2
+    assert not jobs0.exists()
     with pytest.raises(ValueError):
-        Checkpointer(path, ("bogus",))
+        Checkpointer(tmp_path / "weight-07.checkpoint.json", ("bogus",))
+
+
+def test_fingerprint_ignores_jobs_but_not_kinds(tmp_path, monkeypatch):
+    seen = []
+
+    class Recording(Checkpointer):
+        def __init__(self, path, kinds):
+            super().__init__(path, kinds)
+            seen.append(self.fingerprint)
+
+    monkeypatch.setattr(solver_mod, "Checkpointer", Recording)
+    for jobs in ("1", "8"):
+        args = ["solve", "--weight", "4", "--jobs", jobs, "--table-dir", str(tmp_path / jobs)]
+        assert cli_main(args) == 0
+    # one checkpointer per solved weight 2, 3 and 4, the same under either --jobs
+    assert len(seen) == 6 and all(fp == seen[0] for fp in seen)
+    # checkpoints already on disk carry this fingerprint; a change orphans them
+    assert seen[0] == {"format": 1, "kinds": ["hoffman", "shuffle", "stuffle"]}
+    path = tmp_path / "weight-07.checkpoint.json"
+    assert Checkpointer(path, tuple(reversed(DEFAULT_KINDS))).fingerprint == seen[0]
+    assert Checkpointer(path, ("stuffle", "shuffle")).fingerprint != seen[0]
 
 
 def test_solve_weight_requires_lower_tables_and_stuffle():
