@@ -15,7 +15,12 @@ the monomials (products of lower-weight generators).
 2. Bracketed elimination.  The remaining relation rows (regularized rows,
    shuffle product rows, optionally duality rows) are reduced against the
    family brackets and then over the Lyndon words of the weight.  Words
-   that never lead a bracket survive as this weight's generators.
+   that never lead a bracket survive as this weight's generators.  The
+   regularized rows come first, latest lead column first, then the other
+   rows in descriptor order (:func:`elimination_rows`): a pivot installed
+   at a late column is named by few of the brackets already there, so
+   installing it rewrites few.  The order is free: whatever it is, the
+   table is the unique reduced row-echelon form shown below.
 
 3. Assembly.  The Lyndon brackets are substituted into the family brackets
    once, so every admissible word of the weight maps to a combination of
@@ -39,7 +44,7 @@ the certificate rejects a relation is replaced by the next one in
 ``PRIMES``; when none is left the solve fails, so no table leaves
 uncertified.
 
-Why the certificate pins the bytes, whatever the modulus:
+Why the certificate pins the bytes, whatever the modulus and the row order:
 
 - every non-Lyndon word is eliminated, and its entry names only survivors
   and monomials;
@@ -66,6 +71,7 @@ A checkpoint whose payload hash does not match is never reused.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -87,6 +93,7 @@ from .algebra import (
     check_kinds,
     describe,
     expand_relation,
+    hoffman_relation,
     lc_mul,
     relation_descriptors,
 )
@@ -350,8 +357,14 @@ class MasterExpression:
     :meth:`back_substitute` clears those once, at the end, and names every
     bracket's right-hand side in ``entries``.
 
+    Rows may come in any order: the table is the unique reduced row-echelon
+    form of their span (see the module docstring), so the order sets only
+    the cost, through the brackets each install rewrites.  ``solve_weight``
+    feeds the rows of :func:`elimination_rows`, latest lead first.
+
     ``peak_terms`` is the largest number of live terms in ``pivots`` after
-    any install.
+    any install; ``bracket_updates`` counts the brackets, of either tier,
+    that installs have rewritten.
     """
 
     def __init__(self, columns: list[Word], lower: Certifier, prime: int = PRIMES[0]):
@@ -366,6 +379,7 @@ class MasterExpression:
         self.pivots: dict[int, dict[int, int]] = {}
         self.entries: dict[Word, Residues] = {}
         self.peak_terms = 0
+        self.bracket_updates = 0
         self.prime = prime
         self.lower = lower
 
@@ -436,6 +450,7 @@ class MasterExpression:
             c = other.get(lead)
             if c:
                 _add_mod(other, bracket, -c, p)
+                self.bracket_updates += 1
         tier[lead] = bracket
         return True
 
@@ -489,6 +504,28 @@ class MasterExpression:
 # Elimination rows, in consumption order (stuffle relations are spent in the
 # family phase).
 ELIMINATION_ORDER = ("hoffman", "shuffle", "duality")
+
+
+def elimination_rows(w: int, kinds: tuple[str, ...], columns: list[Word]) -> list[tuple]:
+    """The elimination rows of weight ``w`` under ``kinds``, in the order
+    :meth:`MasterExpression.absorb` consumes them: the Hoffman rows by
+    descending lead column over ``columns``, ties in descriptor order, then
+    the shuffle and duality rows in descriptor order.
+
+    A Hoffman row has no product and no lower-weight word, so its integer
+    row is its word combination and its lead is the lowest column that
+    combination names.  A pivot installed at a late column is named by few
+    of the brackets already installed, so each install rewrites few of
+    them.  The order cannot change the table (see the module docstring).
+    """
+    col_of = {x: i for i, x in enumerate(columns)}
+
+    def lead(desc: tuple) -> int:
+        return min(col_of[x] for x in hoffman_relation(desc[1]))
+
+    rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
+    hoffman = sorted((desc for desc in rows if desc[0] == "hoffman"), key=lead, reverse=True)
+    return hoffman + [desc for desc in rows if desc[0] != "hoffman"]
 
 
 # ------------------------------------------------------------- checkpointing
@@ -635,7 +672,7 @@ def solve_weight(
             raise ValueError(f"survivor bias {survivor_bias!r} is not a Lyndon word at weight {w}")
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
-    rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
+    rows = elimination_rows(w, kinds, columns)
     relations = relation_descriptors(w, kinds)
     lower = Certifier(tables)
     family_seconds = certify_seconds = 0.0
@@ -702,13 +739,15 @@ def solve_weight(
         "pivots": len(master.pivots),
         "modulus_bits": prime.bit_length(),
         "max_bracket_terms": master.peak_terms,
+        "bracket_updates": master.bracket_updates,
         "max_coeff_bits": height,
     }
     if checkpointer is not None:
         checkpointer.clear()
     log.debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
-              "max coefficient %d bits",
-              w, len(relations), certify_seconds, prime.bit_length(), height)
+              "max coefficient %d bits, %d bracket updates",
+              w, len(relations), certify_seconds, prime.bit_length(), height,
+              master.bracket_updates)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{len(master.pivots)} pivots, {redundant} redundant rows"
@@ -847,8 +886,11 @@ class TableStore:
 
     Loads verify the file bytes against the manifest hash and fail loudly on
     mismatch, or when hash-valid bytes are not a valid table; saves are
-    atomic and keep the manifest in step.  The manifest
-    also records the build identifier that produced each file.
+    atomic and keep the manifest in step.  Saves from several processes
+    into one directory update the manifest one at a time, under an
+    exclusive ``flock`` on the directory, so no save loses another's
+    record.  The manifest also records the build identifier that produced
+    each file.
     """
 
     def __init__(self, root: str | Path):
@@ -883,19 +925,24 @@ class TableStore:
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         path = self.table_path(solved.weight)
         _atomic_write(path, text)
-        manifest = self.read_manifest()
-        manifest["build"] = BUILD_ID
-        manifest["format"] = TABLE_FORMAT
-        manifest["weights"][str(solved.weight)] = {
-            "file": path.name,
-            "entries": len(solved.entries),
-            "generators": len(solved.generators),
-            "sha256": digest,
-        }
-        manifest["weights"] = dict(
-            sorted(manifest["weights"].items(), key=lambda kv: int(kv[0]))
-        )
-        _atomic_write(self.manifest_path, json.dumps(manifest, indent=2) + "\n")
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
+            manifest = self.read_manifest()
+            manifest["build"] = BUILD_ID
+            manifest["format"] = TABLE_FORMAT
+            manifest["weights"][str(solved.weight)] = {
+                "file": path.name,
+                "entries": len(solved.entries),
+                "generators": len(solved.generators),
+                "sha256": digest,
+            }
+            manifest["weights"] = dict(
+                sorted(manifest["weights"].items(), key=lambda kv: int(kv[0]))
+            )
+            _atomic_write(self.manifest_path, json.dumps(manifest, indent=2) + "\n")
+        finally:
+            os.close(fd)
         return path
 
     def load(self, w: int) -> SolvedWeight:

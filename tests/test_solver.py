@@ -251,6 +251,61 @@ def test_store_rejects_corrupt_manifest(tmp_path, tables8):
         store.read_manifest()
 
 
+# One process of the concurrent-save test: "slow" saves weight 4 and holds the
+# manifest it read for 0.5 s before writing it back; "fast" saves weight 5 as
+# soon as the slow one has read.  Each waits for the other through marker
+# files, so the fast save always falls inside the slow one's window.
+_CONCURRENT_SAVE = """
+import sys, time
+from pathlib import Path
+from zetaforge.solver import TableStore, solve_in_memory
+
+role, root = sys.argv[1], Path(sys.argv[2])
+ready, read = root.parent / "fast-ready", root.parent / "slow-read"
+
+def wait_for(marker):
+    while not marker.exists():
+        time.sleep(0.01)
+
+w = 4 if role == "slow" else 5
+table = solve_in_memory(w)[w]
+if role == "slow":
+    honest = TableStore.read_manifest
+
+    def read_then_stall(self):
+        manifest = honest(self)
+        read.touch()
+        time.sleep(0.5)
+        return manifest
+
+    TableStore.read_manifest = read_then_stall
+    wait_for(ready)
+else:
+    ready.touch()
+    wait_for(read)
+TableStore(root).save(table)
+"""
+
+
+def test_concurrent_saves_keep_both_manifest_records(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    store = TableStore(tmp_path / "tables")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _CONCURRENT_SAVE, role, str(store.root)],
+                         env=env, stderr=subprocess.PIPE, text=True)
+        for role in ("slow", "fast")
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    # without the lock the slow save writes back the manifest it read before
+    # the fast save, and the weight-5 record is lost
+    assert sorted(store.read_manifest()["weights"]) == ["4", "5"]
+    assert store.has(4) and store.has(5)
+    assert store.load(5).entries == solve_in_memory(5)[5].entries
+
+
 def test_ensure_solved_is_idempotent_and_lazy(tmp_path, monkeypatch):
     store = TableStore(tmp_path)
     ensure_solved(store, 6)
@@ -543,7 +598,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
-        r"max coefficient 7 bits",
+        r"max coefficient 7 bits, 17 bracket updates",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -557,7 +612,7 @@ def test_elimination_progress_logged_at_debug_only(monkeypatch, caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if "rows absorbed" in r.getMessage()]
     # weight 8 consumes 74 rows and ends with 29 pivots
     assert lines == [
-        "weight 8: 16/74 rows absorbed, 16 pivots",
+        "weight 8: 16/74 rows absorbed, 15 pivots",
         "weight 8: 32/74 rows absorbed, 28 pivots",
         "weight 8: 48/74 rows absorbed, 28 pivots",
         "weight 8: 64/74 rows absorbed, 29 pivots",
@@ -736,6 +791,71 @@ def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
     assert stuffle and set(stuffle) <= set(seen)
 
 
+# ------------------------------------------------------------- row schedule
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_any_row_order_gives_the_same_tables(monkeypatch, tables8, seed):
+    # the table is the unique reduced row-echelon form of the rows' span, so
+    # the elimination rows in a random order change no byte and no count
+    honest = solver_mod.elimination_rows
+    rng = random.Random(seed)
+
+    def permuted(w, kinds, columns):
+        rows = honest(w, kinds, columns)
+        rng.shuffle(rows)
+        return rows
+
+    monkeypatch.setattr(solver_mod, "elimination_rows", permuted)
+    tables = solve_in_memory(8)
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+
+
+def _absorbed(monkeypatch, lower, **kwargs):
+    """The rows that a weight-8 solve absorbs, in order, each with the lead
+    of its integer row (None for a row that is not a Hoffman row)."""
+    seen = []
+    honest = MasterExpression.absorb
+
+    def recording(self, desc):
+        seen.append((desc, min(self.integer_row(desc)) if desc[0] == "hoffman" else None))
+        return honest(self, desc)
+
+    with monkeypatch.context() as m:
+        m.setattr(MasterExpression, "absorb", recording)
+        solve_weight(8, lower, **kwargs)
+    return seen
+
+
+@pytest.mark.parametrize("bias", [None, (3, 2, 1, 1, 1)])
+def test_hoffman_rows_come_latest_lead_first(monkeypatch, tables8, bias):
+    # with the bias, Z(3,2,1,1,1) moves to the last column, and each lead is
+    # read over the biased columns
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    seen = _absorbed(monkeypatch, lower, survivor_bias=bias)
+    hoffman = relation_descriptors(8, ("hoffman",))
+    shuffle = relation_descriptors(8, ("shuffle",))
+    assert len(seen) == len(hoffman) + len(shuffle) == 74
+    # the Hoffman rows by non-increasing lead, ties in descriptor order (a
+    # stable sort of the descriptors), then the 42 shuffle rows in
+    # descriptor order
+    leads = dict(seen[:32])
+    assert sorted(leads) == sorted(hoffman)
+    assert [desc for desc, _ in seen[:32]] == sorted(hoffman, key=lambda desc: -leads[desc])
+    assert [desc for desc, _ in seen[32:]] == shuffle
+
+
+def test_bracket_updates_are_pinned_at_weight_10(tables12):
+    # descriptor order rewrote 3812 brackets at weight 10 (154 family, 3658
+    # Lyndon); the Hoffman rows latest lead first leave 997
+    tables, _ = tables12
+    assert tables[10].stats["bracket_updates"] == 997
+    assert tables[10].stats["max_bracket_terms"] == 878
+
+
 # ---------------------------------------------------- traced benchmark pass
 
 def test_traced_benchmark_pass_sees_every_row(tmp_path):
@@ -860,6 +980,8 @@ def test_peak_terms_is_the_largest_live_count():
         assert shrink.absorb((name,)) is True
     assert shrink.pivots == {0: {0: 1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
     assert shrink.peak_terms == 6
+    # only the last install rewrote brackets: the two that named c
+    assert shrink.bracket_updates == 2
 
     # {a+b, b+c+m}: 2 + 3 terms; installing the second bracket turns the
     # first into a - c - m, so 6 terms live afterwards
@@ -871,6 +993,7 @@ def test_peak_terms_is_the_largest_live_count():
     p = grow.prime
     assert grow.pivots == {0: {0: 1, 2: p - 1, 3: p - 1}, 1: {1: 1, 2: 1, 3: 1}}
     assert grow.peak_terms == 6
+    assert grow.bracket_updates == 1
     # read as "word = minus the rest": a = c + m and b = -c - m
     grow.back_substitute()
     assert grow.entries == {a: {(c,): 1, m: 1}, b: {(c,): p - 1, m: p - 1}}

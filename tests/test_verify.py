@@ -200,3 +200,12 @@ def test_minimal_depth_not_checked_above_cap(tables8, monkeypatch):
     assert rep.alternatives_checked == 0
     assert rep.depth_sum == 2
     assert MINIMALITY_CAP == 10  # the module constant itself is untouched
+
+
+def test_minimal_depth_report_at_weight_10(tables12):
+    # Z(10) is the one shallower Lyndon word; forced to survive, it does not
+    # lower the depth sum of Z(7,3)
+    tables, _ = tables12
+    rep = minimal_depth_stats(10, tables)
+    assert (rep.weight, rep.depth_sum, rep.histogram) == (10, 2, {2: 1})
+    assert (rep.alternatives_checked, rep.minimal_confirmed) == (1, True)
