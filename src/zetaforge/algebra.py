@@ -22,6 +22,7 @@ no-zero-terms invariant in place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,38 +123,57 @@ def stuffle(u: Word, v: Word) -> dict[Word, int]:
     return out
 
 
-def shuffle_binary(a: str, b: str) -> dict[str, int]:
-    """Shuffle expansion on binary words: all interleavings preserving the
-    internal order of each factor, with multiplicity.  Total count is
-    binomial(len(a)+len(b), len(a)).
+def _code(u: Word) -> int:
+    """The binary encoding of ``u`` as an integer, X = 0 and Y = 1, first
+    letter most significant; its length is the weight of ``u``."""
+    code = 0
+    for k in u:
+        code = code << k | 1
+    return code
 
-    Built by leading letter over suffix pairs: the shuffles of ``a[i:]`` and
-    ``b[j:]`` start with ``a[i]`` followed by a shuffle of ``a[i+1:]`` and
-    ``b[j:]``, or with ``b[j]`` followed by one of ``a[i:]`` and ``b[j+1:]``.
-    The table of suffix pairs lives for one call only."""
-    n = len(b)
-    row = [{b[j:]: 1} for j in range(n + 1)]  # the shuffles of "" and b[j:]
-    for i in range(len(a) - 1, -1, -1):
-        below = row  # the shuffles of a[i+1:] and b[j:]
-        row = [{}] * n + [{a[i:]: 1}]
-        for j in range(n - 1, -1, -1):
-            out = {a[i] + w: c for w, c in below[j].items()}
-            for w, c in row[j + 1].items():
-                key = b[j] + w
-                out[key] = out.get(key, 0) + c
-            row[j] = out
-    return row[0]
+
+@functools.cache
+def _decoder(w: int) -> dict[int, Word]:
+    """Code to word for every admissible word of weight ``w``, built once."""
+    return {_code(x): x for x in admissible_words(w)}
 
 
 def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
-    """Shuffle expansion mapped through the binary encoding.  Requires
-    admissible factors so every interleaving decodes to an index word."""
-    raw = shuffle_binary(to_binary(u), to_binary(v))
-    out: dict[Word, int] = {}
-    for b, c in raw.items():
-        w = from_binary(b)
-        out[w] = out.get(w, 0) + c
-    return out
+    """Shuffle expansion through the binary encoding: all interleavings of
+    the two encodings that preserve the internal order of each, with
+    multiplicity (binomial(weight(u)+weight(v), weight(u)) in all), each
+    decoded to an index word.  Requires admissible factors, so that every
+    interleaving starts with X, ends with Y and decodes.
+
+    The encodings are integer codes (:func:`_code`).  The shuffles are
+    built by leading letter over suffix pairs: the shuffles of ``a[i:]``
+    and ``b[j:]`` start with ``a[i]`` followed by a shuffle of ``a[i+1:]``
+    and ``b[j:]``, or with ``b[j]`` followed by one of ``a[i:]`` and
+    ``b[j+1:]``.  All shuffles of one suffix pair have the same length, so
+    a leading letter is one bit above the tail.  The table of suffix pairs
+    lives for one call only."""
+    if not (is_admissible(u) and is_admissible(v)):
+        raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
+    a, b = _code(u), _code(v)
+    la, lb = weight(u), weight(v)
+    row = [{b & ((1 << lb - j) - 1): 1} for j in range(lb + 1)]  # "" and b[j:]
+    for i in range(la - 1, -1, -1):
+        below = row  # the shuffles of a[i+1:] and b[j:]
+        row = [{}] * lb + [{a & ((1 << la - i) - 1): 1}]
+        a_lead = a >> (la - 1 - i) & 1
+        for j in range(lb - 1, -1, -1):
+            tail = la - i + lb - j - 1  # the length after the leading letter
+            if a_lead:
+                out = {1 << tail | x: c for x, c in below[j].items()}
+            else:
+                out = dict(below[j])
+            head = (b >> (lb - 1 - j) & 1) << tail
+            for x, c in row[j + 1].items():
+                key = head | x
+                out[key] = out.get(key, 0) + c
+            row[j] = out
+    decode = _decoder(la + lb)
+    return {decode[x]: c for x, c in row[0].items()}
 
 
 def hoffman_relation(v: Word) -> dict[Word, int]:

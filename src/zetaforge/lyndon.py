@@ -44,11 +44,7 @@ def odd_lyndon_words(w: int) -> list[Word]:
     in listing order.  Empty below weight 3."""
     if w < 3:
         return []
-    out = [
-        word
-        for word in compositions(w, 3)
-        if all(m % 2 == 1 for m in word) and is_lyndon(word)
-    ]
+    out = [word for word in compositions(w, 3, step=2) if is_lyndon(word)]
     out.sort(key=listing_key)
     return out
 

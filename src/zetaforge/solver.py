@@ -30,14 +30,17 @@ the monomials (products of lower-weight generators).
 Every row, stuffle rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its own column and each lower-weight word through its table
-entry, scaled to integers once), and its image mod p is reduced by one
-routine, :meth:`MasterExpression.reduce`.  Brackets are kept in two tiers,
-family brackets and Lyndon brackets, each fully reduced within itself: each
+entry, scaled to integers over its table's common denominator once, in the
+shared :class:`Certifier`), and its image mod p is reduced by one routine,
+:meth:`MasterExpression.reduce`.  Brackets are kept in two tiers, family
+brackets and Lyndon brackets, each fully reduced within itself: each
 bracket has lead 1 and no entry at another lead of its tier.  Each table
 coefficient is rebuilt once by Wang's rational reconstruction, and then
-*every* relation of the weight is certified exactly: substituted through
-the lower tables and the new one in integer arithmetic, it must give zero
-(the same check ``verify`` runs).  A modulus under which a non-Lyndon word
+*every* relation of the weight is certified exactly by
+:meth:`Certifier.holds`: substituted through the lower tables and the new
+one, with each word's integer vector packed into one integer under a slot
+bound that makes the comparison with zero exact, it must give zero (the
+same check ``verify`` runs).  A modulus under which a non-Lyndon word
 is left without a bracket, a relation reduces to 0 = nonzero or to a
 relation of the wrong tier, a residue has no small rational preimage, or
 the certificate rejects a relation is replaced by the next one in
@@ -77,6 +80,7 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -185,15 +189,6 @@ def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeigh
     return out
 
 
-def _scale(entry: Entry) -> tuple[int, dict[Monomial, int]]:
-    """``entry`` as integers over the lcm of its denominators."""
-    den = math.lcm(*(c.denominator for c in entry.values()))
-    return den, {
-        m: c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
-        for m, c in entry.items()
-    }
-
-
 def expand_row(
     desc: tuple, entry: Callable[[Word], tuple[int, dict[Monomial, int]]]
 ) -> dict[Monomial, int]:
@@ -215,41 +210,137 @@ def expand_row(
     return {m: v for m, v in residue.items() if v}
 
 
+SLOT_BITS = 64  # the slot width a weight's vectors are first packed at
+
+
+@dataclass
+class _ScaledTable:
+    """One weight's table in integers: ``vectors[x]`` is the entry of ``x``
+    times ``den``, the lcm of every denominator in the table, and
+    ``height`` is the largest absolute value in any vector.  ``index``
+    numbers the monomials that the entries name.  Once a relation of the
+    weight is checked, ``packed[x]`` is ``vectors[x]`` packed into one
+    integer, monomial ``i`` in the slot of ``bits`` bits at ``bits * i``."""
+
+    den: int
+    vectors: dict[Word, dict[Monomial, int]]
+    index: dict[Monomial, int]
+    height: int
+    bits: int = 0
+    packed: dict[Word, int] = field(default_factory=dict)
+
+    def pack(self, bound: int) -> dict[Word, int]:
+        """The packed vectors at a slot width ``bits`` with ``2^(bits-1) >
+        bound``, repacked at a wider slot if the current one is too narrow."""
+        if not self.bits or 1 << self.bits - 1 <= bound:
+            self.bits = max(SLOT_BITS, 2 * self.bits, bound.bit_length() + 1)
+            shift = {m: self.bits * i for m, i in self.index.items()}
+            self.packed = {
+                x: sum(n << shift[m] for m, n in vector.items())
+                for x, vector in self.vectors.items()
+            }
+        return self.packed
+
+
 class Certifier:
     """The exact check of relation instances against fully-reduced tables,
     in integer arithmetic.
 
-    A relation holds when its word combination, substituted through the
-    tables, equals the tabled value of its product (zero when it has none):
-    when its integer residue (:func:`expand_row`) is empty.  Each word's
-    entry is scaled once to integers over one denominator.  The entries of a
-    weight are scaled together on first use and cached, so a certifier
-    serves one set of tables that does not change while it is used.
+    A relation ``sum c_x Z(x) = Z(u) Z(v)`` (a right-hand side of zero when
+    it has no product) holds when its word combination, substituted
+    through the tables, equals the tabled value ``T(u) T(v)`` of its
+    product.  Each weight ``k`` is kept once as a :class:`_ScaledTable`:
+    its entries as integer vectors ``N_x = D_k T(x)`` over the table's
+    common denominator ``D_k``, the index of its monomials, and, for a
+    weight whose relations are checked, each vector packed into one integer
+    ``P_x = sum_i N_x,i 2^(s i)``.  With ``D_a``, ``D_b`` the common
+    denominators of the factors' weights (1 for both without a product),
+    a relation of weight ``w`` holds iff every slot of
+
+        R = D_a D_b sum_x c_x P_x - D_w P(N_u N_v)
+
+    is zero, where ``P(N_u N_v)`` packs ``lc_mul`` of the factors' vectors
+    (``D_a D_b T(u) T(v)``).  A product monomial that no entry of weight
+    ``w`` names has no slot, and its nonzero coefficient makes the relation
+    fail.  :meth:`holds` compares ``R`` with 0 as one integer, which is
+    exact under the slot bound it enforces for every relation: each slot
+    ``r_i`` of ``R`` has ``|r_i| <= B = D_a D_b sum_x |c_x| max|N| + D_w
+    max|product coefficient|``, and the vectors are packed at a width ``s``
+    with ``2^(s-1) > B`` (widened and repacked when a relation needs more).
+    If ``R = 0`` while some slot is not, the lowest nonzero slot ``r_j``
+    gives ``r_j = -2^s sum_(i>j) r_i 2^(s (i-j-1))``, so ``2^s`` divides
+    ``r_j``, which cannot be while ``0 < |r_j| < 2^s``.
+
+    :meth:`residue` spells a relation out monomial by monomial through
+    :func:`expand_row`; it names what is left of a failed relation.  The
+    tables are scaled on first use and cached, so a certifier serves one
+    set of tables that does not change while it is used.
     """
 
     def __init__(self, tables: dict[int, SolvedWeight]):
         self.tables = tables
-        self._scaled: dict[int, dict[Word, tuple[int, dict[Monomial, int]]]] = {}
+        self._scaled: dict[int, _ScaledTable] = {}
 
-    def entry(self, w: Word) -> tuple[int, dict[Monomial, int]]:
-        """The scaled table entry of ``w``."""
-        k = weight(w)
-        scaled = self._scaled.get(k)
-        if scaled is None:
+    def scaled(self, k: int) -> _ScaledTable:
+        """The weight-``k`` table in integers, built on first use."""
+        got = self._scaled.get(k)
+        if got is None:
             table = self.tables.get(k)
             entries = table.entries if table is not None else {}
-            scaled = self._scaled[k] = {x: _scale(entry) for x, entry in entries.items()}
-        got = scaled.get(w)
-        if got is None:
-            raise MissingTable(f"no table entry for {render_word(w)}")
+            den = math.lcm(*(c.denominator for entry in entries.values() for c in entry.values()))
+            vectors = {
+                x: {m: c.numerator * (den // c.denominator) for m, c in entry.items()}
+                for x, entry in entries.items()
+            }
+            monomials = sorted({m for vector in vectors.values() for m in vector})
+            height = max((abs(n) for vector in vectors.values() for n in vector.values()), default=0)
+            got = self._scaled[k] = _ScaledTable(
+                den, vectors, {m: i for i, m in enumerate(monomials)}, height
+            )
         return got
 
+    def entry(self, w: Word) -> tuple[int, dict[Monomial, int]]:
+        """The table entry of ``w`` in integers, with its denominator."""
+        scaled = self.scaled(weight(w))
+        vector = scaled.vectors.get(w)
+        if vector is None:
+            raise MissingTable(f"no table entry for {render_word(w)}")
+        return scaled.den, vector
+
     def with_table(self, solved: SolvedWeight) -> Certifier:
-        """A certifier over these tables plus ``solved``, reusing the entries
+        """A certifier over these tables plus ``solved``, reusing the tables
         already scaled at every other weight."""
         other = Certifier({**self.tables, solved.weight: solved})
         other._scaled = {k: v for k, v in self._scaled.items() if k != solved.weight}
         return other
+
+    def holds(self, desc: tuple) -> bool:
+        """Whether the relation ``desc`` holds, by the packed check."""
+        combo, product = expand_relation(desc)
+        if product is not None:
+            w = sum(map(weight, product))
+        elif combo:
+            w = weight(next(iter(combo)))
+        else:
+            return True
+        top = self.scaled(w)
+        scale, value = 1, {}
+        if product is not None:
+            (den_u, u), (den_v, v) = map(self.entry, product)
+            scale, value = den_u * den_v, lc_mul(u, v)
+            if not value.keys() <= top.index.keys():
+                return False
+        bound = (scale * sum(map(abs, combo.values())) * top.height
+                 + top.den * max(map(abs, value.values()), default=0))
+        packed = top.pack(bound)
+        total = 0
+        for x, c in combo.items():
+            p = packed.get(x)
+            if p is None:
+                raise MissingTable(f"no table entry for {render_word(x)}")
+            total += c * p
+        index, bits = top.index, top.bits
+        return scale * total == top.den * sum(n << bits * index[m] for m, n in value.items())
 
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
@@ -258,7 +349,7 @@ class Certifier:
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold."""
-        return [desc for desc in descs if self.residue(desc)]
+        return [desc for desc in descs if not self.holds(desc)]
 
 
 # --------------------------------------------------------- family reduction
@@ -815,6 +906,24 @@ def render_table(solved: SolvedWeight) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_coefficient(text: str) -> Fraction:
+    """A coefficient as :func:`render_table` writes it: an integer, or
+    ``n/d`` with a positive denominator, in ASCII digits with an optional
+    leading minus and nothing else (no ``+``, blank, ``_``, decimal point
+    or exponent)."""
+    if not _COEFFICIENT.fullmatch(text):
+        raise ValueError(f"malformed coefficient {text!r}")
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(int(num))
+    if not int(den):
+        raise ValueError(f"coefficient {text!r} has a zero denominator")
+    return Fraction(int(num), int(den))
+
+
 def parse_table(text: str) -> SolvedWeight:
     """Inverse of :func:`render_table`, with structural validation."""
     lines = text.splitlines()
@@ -839,7 +948,11 @@ def parse_table(text: str) -> SolvedWeight:
                 mono = monomials.get(mono_s)
                 if mono is None:
                     mono = monomials[mono_s] = tuple(parse_word(f) for f in mono_s.split("*"))
-                add_term(entry, mono, Fraction(coeff_s))
+                c = _parse_coefficient(coeff_s)
+                if mono in entry:
+                    add_term(entry, mono, c)
+                elif c:
+                    entry[mono] = c
         if word in entries:
             raise ValueError(f"duplicate table entry for {render_word(word)}")
         entries[word] = entry
@@ -961,7 +1074,7 @@ class TableStore:
             )
         try:
             solved = parse_table(data.decode("ascii"))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise StoreIntegrityError(f"{path.name} is not a valid table: {exc}") from exc
         if solved.weight != w:
             raise StoreIntegrityError(f"{path.name} declares weight {solved.weight}")

@@ -1,12 +1,14 @@
 """Independent checks over solved tables and the published listings.
 
 Everything here is read-only over the tables: regenerate relations and
-confirm they collapse to exactly zero (through the solver's integer
-:class:`~zetaforge.solver.Certifier`, the check a solve's certificate also
-runs), compare computed generator counts against the Lyndon enumeration,
-validate the combinatorial structure of the published weight-27/28
-listings, and probe depth-sum minimality of computed bases at small weights
-by re-running the elimination with perturbed scan orders.  Expected dimensions are never hardcoded: every reference number is
+confirm they collapse to exactly zero (through the packed integer check of
+the solver's :class:`~zetaforge.solver.Certifier`, the check a solve's
+certificate also runs, with a failure's leftover monomials counted from
+its residue), compare computed generator counts against the Lyndon
+enumeration, validate the combinatorial structure of the published
+weight-27/28 listings, and probe depth-sum minimality of computed bases at
+small weights by re-running the elimination with perturbed scan orders.
+Expected dimensions are never hardcoded: every reference number is
 recomputed from the enumerations.
 """
 
@@ -52,17 +54,17 @@ def recheck_relations(
     assert each collapses to exactly zero through the tables, with one
     :class:`~zetaforge.solver.Certifier` for the whole recheck.
 
-    The check is exhaustive, each distinct instance once: it is the integer
-    check that every solve's certificate runs over the whole weight, so
-    checking only some instances would save little.  Failures carry the
-    relation's origin.
+    The check is exhaustive, each distinct instance once: it is the packed
+    integer check (:meth:`~zetaforge.solver.Certifier.holds`) that every
+    solve's certificate runs over the whole weight, so checking only some
+    instances would save little.  Failures carry the relation's origin and
+    the number of monomials its residue leaves.
     """
     descs = relation_descriptors(w, kinds)
     certifier = Certifier(tables)
     failures = [
-        f"{describe(desc)} left {len(residual)} monomial(s)"
-        for desc in descs
-        if (residual := certifier.residue(desc))
+        f"{describe(desc)} left {len(certifier.residue(desc))} monomial(s)"
+        for desc in certifier.rejects(descs)
     ]
     return RecheckReport(w, dict(Counter(d[0] for d in descs)), len(descs), failures)
 

@@ -39,14 +39,15 @@ def check_word(w: Word) -> Word:
     return w
 
 
-def compositions(total: int, min_part: int = 1) -> Iterator[Word]:
-    """All compositions of ``total`` into parts >= ``min_part``, in tuple order
-    of the first part (ascending) then recursively on the remainder."""
+def compositions(total: int, min_part: int = 1, step: int = 1) -> Iterator[Word]:
+    """All compositions of ``total`` into parts ``min_part``, ``min_part +
+    step``, ``min_part + 2*step``, ..., in tuple order of the first part
+    (ascending) then recursively on the remainder."""
     if total == 0:
         yield ()
         return
-    for first in range(min_part, total + 1):
-        for rest in compositions(total - first, min_part):
+    for first in range(min_part, total + 1, step):
+        for rest in compositions(total - first, min_part, step):
             yield (first,) + rest
 
 

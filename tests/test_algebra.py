@@ -34,14 +34,13 @@ from zetaforge.algebra import (
     mono_mul,
     relation_descriptors,
     render_relation,
-    shuffle_binary,
     shuffle_words,
     stuffle,
     truncation_tail_bound,
     weight_pairs,
 )
 from zetaforge.lyndon import candidate_words
-from zetaforge.words import admissible_words, is_admissible, to_binary, weight
+from zetaforge.words import admissible_words, from_binary, is_admissible, to_binary, weight
 
 
 # ------------------------------------------------------------------ oracles
@@ -199,13 +198,21 @@ def test_stuffle_matches_surjection_oracle():
                     assert stuffle(u, v) == oracle_stuffle(u, v), (u, v)
 
 
-def test_shuffle_binary_matches_the_enumeration_definition():
+def test_shuffle_words_matches_the_enumeration_definition():
     words = [x for w in range(2, 9) for x in admissible_words(w)]
     pairs = [(u, v) for u in words for v in words if weight(u) + weight(v) <= 10]
     assert len(pairs) == 769
     for u, v in pairs:
-        a, b = to_binary(u), to_binary(v)
-        assert shuffle_binary(a, b) == enumerated_shuffle_binary(a, b), (u, v)
+        expected = {
+            from_binary(s): c
+            for s, c in enumerated_shuffle_binary(to_binary(u), to_binary(v)).items()
+        }
+        assert shuffle_words(u, v) == expected, (u, v)
+
+
+def test_shuffle_words_rejects_a_non_admissible_factor():
+    with pytest.raises(ValueError, match="admissible"):
+        shuffle_words((1, 2), (2,))
 
 
 def test_shuffle_matches_recursion_oracle():

@@ -308,6 +308,18 @@ def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, ca
     _assert_every_reader_exits_integrity(tmp_path, capsys)
 
 
+@pytest.mark.parametrize("bad", ["1.5", "1/0", "+2", " 2", "2_0"])
+def test_hash_valid_table_with_a_malformed_coefficient_exits_integrity(tmp_path, capsys, bad):
+    assert main(["solve", "--weight", "5", "--table-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "weight-05.table"
+    text = path.read_text()
+    good_line = "Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)"
+    assert good_line in text
+    path.write_text(text.replace(good_line, f"Z(4,1) = -1*Z(3)*Z(2) + {bad}*Z(5)"))
+    _rehash(tmp_path, 5)
+    _assert_every_reader_exits_integrity(tmp_path, capsys)
+
+
 def _drop_sha256(manifest):
     del manifest["weights"]["4"]["sha256"]
 

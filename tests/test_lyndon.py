@@ -20,7 +20,7 @@ from zetaforge.lyndon import (
     odd_lyndon_words,
     published_basis,
 )
-from zetaforge.words import is_admissible, is_lyndon, weight
+from zetaforge.words import compositions, is_admissible, is_lyndon, weight
 
 
 # ------------------------------------------------------------------- oracle
@@ -64,6 +64,18 @@ def test_lyndon_counts_frozen():
     ]
     assert len(odd_lyndon_words(27)) == 73
     assert len(odd_lyndon_words(28)) == 92
+
+
+def test_lyndon_words_equal_the_filtered_compositions():
+    # the enumeration builds compositions into odd parts >= 3 directly; the
+    # definition filters every composition into parts >= 3
+    for w in range(3, 29):
+        filtered = [
+            word for word in compositions(w, 3)
+            if all(m % 2 == 1 for m in word) and is_lyndon(word)
+        ]
+        assert odd_lyndon_words(w) == sorted(filtered, key=listing_key), w
+    assert (len(odd_lyndon_words(27)), len(odd_lyndon_words(28))) == (73, 92)
 
 
 def test_lyndon_words_are_lyndon_with_odd_parts():

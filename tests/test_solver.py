@@ -205,6 +205,19 @@ def test_parse_table_rejects_corruption(tables8):
         parse_table(text.replace(entry_line + "\n", ""))  # missing entry
 
 
+@pytest.mark.parametrize("bad", ["1.5", "1/0", "+1", " 1", "1_0", "1e3", "2/-5", "\uff11", ""])
+def test_parse_table_reads_coefficients_strictly(tables8, bad):
+    # the forms render_table writes parse; anything else is refused, also
+    # where Fraction(str) would read it (all but "1/0", "2/-5" and "")
+    text = render_table(tables8[4])
+    assert "Z(4) = 2/5*Z(2)*Z(2)" in text
+    assert parse_table(text.replace("= 2/5*", "= -2/5*")).entries[(4,)] == {
+        ((2,), (2,)): Fraction(-2, 5)
+    }
+    with pytest.raises(ValueError, match="coefficient"):
+        parse_table(text.replace("= 2/5*", f"= 2/5*Z(2)*Z(2) + {bad}*"))
+
+
 # -------------------------------------------------------------- persistence
 
 def test_store_round_trip_and_manifest(tmp_path, tables8):
@@ -637,7 +650,9 @@ class _NamedRows(MasterExpression):
     def residue(self, desc):
         # the split's words as single-factor monomials, scaled to integers
         word_part, mono_part = self.rows[desc[0]]
-        return solver_mod._scale({**{(w,): c for w, c in word_part.items()}, **mono_part})[1]
+        combo = {**{(w,): c for w, c in word_part.items()}, **mono_part}
+        den = math.lcm(*(Fraction(c).denominator for c in combo.values()))
+        return {m: int(c * den) for m, c in combo.items()}
 
 
 def _master(w, tables, prime):
@@ -771,14 +786,14 @@ def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
         honest_back_substitute(self)
 
     seen = []
-    honest_residue = Certifier.residue
+    honest_holds = Certifier.holds
 
     def recording(self, desc):
         seen.append(desc)
-        return honest_residue(self, desc)
+        return honest_holds(self, desc)
 
     monkeypatch.setattr(MasterExpression, "back_substitute", corrupted)
-    monkeypatch.setattr(Certifier, "residue", recording)
+    monkeypatch.setattr(Certifier, "holds", recording)
     lower = {w: t for w, t in tables8.items() if w < 8}
     with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
         solved = solve_weight(8, lower)

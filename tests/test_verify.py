@@ -11,8 +11,10 @@ import zetaforge.verify as verify_mod
 from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
 from zetaforge.solver import (
     Certifier,
+    SolvedWeight,
     product_value,
     render_table,
+    solve_in_memory,
     solve_weight,
     substitute_tables,
 )
@@ -104,6 +106,101 @@ def test_certifier_agrees_with_fraction_substitution(tables8):
         flagged[name] = exact
     assert flagged["honest"] == []
     assert {w for w, _ in flagged["tampered"]} >= {4, 6}
+
+
+# ------------------------------------------------------ packed relation check
+
+ALL_KINDS = ("stuffle", "shuffle", "hoffman", "duality")
+
+
+@pytest.fixture(scope="module")
+def tables9():
+    return solve_in_memory(9)
+
+
+def test_packed_check_agrees_with_fraction_substitution(tables9):
+    descs = [d for w in range(3, 10) for d in relation_descriptors(w, ALL_KINDS)]
+    tampered = copy.deepcopy(tables9)
+    tampered[4].entries[(3, 1)][((2,), (2,))] += Fraction(1, 3)
+    for name, tables in (("honest", tables9), ("tampered", tampered)):
+        certifier = Certifier(tables)
+        failed = [d for d in descs if not certifier.holds(d)]
+        assert failed == [d for d in descs if _fraction_residual(d, tables)], name
+        assert failed == certifier.rejects(descs)
+        assert bool(failed) == (name == "tampered")
+
+
+def test_packed_check_rejects_a_weight_8_coefficient_off_by_a_third(tables8):
+    tampered = copy.deepcopy(tables8)
+    entry = tampered[8].entries[(6, 2)]
+    entry[next(iter(entry))] += Fraction(1, 3)
+    descs = relation_descriptors(8, ALL_KINDS)
+    failed = Certifier(tampered).rejects(descs)
+    assert failed and failed == [d for d in descs if _fraction_residual(d, tampered)]
+    assert Certifier(tables8).rejects(descs) == []
+
+
+def test_packed_check_rejects_a_product_monomial_missing_from_the_index(tables8):
+    # every weight-4 entry is 0, so weight 4 indexes no monomial: a relation
+    # without a product holds, Z(2)*Z(2) = 2 Z(2,2) + Z(4) cannot
+    tables = dict(tables8)
+    tables[4] = SolvedWeight(4, [], {x: {} for x in tables8[4].entries})
+    certifier = Certifier(tables)
+    assert certifier.scaled(4).index == {}
+    for desc in relation_descriptors(4, ("hoffman", "duality")):
+        assert certifier.holds(desc)
+    stuffle = ("stuffle", (2,), (2,))
+    assert not certifier.holds(stuffle)
+    assert certifier.residue(stuffle) == {((2,), (2,)): -1}
+
+
+def test_packed_check_widens_its_slots_for_a_huge_coefficient(tables8):
+    # Z(2,1) = Z(3) + 2^200 at weight 3 reaches weight 8 only through
+    # products: the regularized rows pack at the starting width, and the
+    # first product with a factor Z(2,1) needs slots over 200 bits wide
+    tampered = copy.deepcopy(tables8)
+    tampered[3].entries[(2, 1)][((3,),)] += 2**200
+    certifier = Certifier(tampered)
+    descs = relation_descriptors(8, ("hoffman", "duality", "stuffle", "shuffle"))
+    assert all(certifier.holds(d) for d in descs if d[0] in ("hoffman", "duality"))
+    assert certifier.scaled(8).bits == solver_mod.SLOT_BITS
+    verdicts = [certifier.holds(d) for d in descs]
+    assert certifier.scaled(8).bits > 200
+    assert verdicts == [not certifier.residue(d) for d in descs]
+    assert [d for d, ok in zip(descs, verdicts) if not ok] == [
+        d for d in descs if d[0] in ("stuffle", "shuffle") and (2, 1) in d[1:]
+    ]
+
+
+def test_packed_check_rejects_a_residue_that_cancels_across_slots(tables8):
+    # with Z(2) = 2^(s/2) Z(2), Z(4) = Z(4) and Z(2,2) = 0, the relation
+    # Z(2)*Z(2) = 2 Z(2,2) + Z(4) leaves -2^s at Z(2)*Z(2) and 1 at Z(4),
+    # which cancel when packed at the starting width s
+    s = solver_mod.SLOT_BITS
+    first, second = sorted([((2,), (2,)), ((4,),)])
+    tables = dict(tables8)
+    tables[2] = SolvedWeight(2, [(2,)], {(2,): {((2,),): Fraction(2 ** (s // 2))}})
+    tables[4] = SolvedWeight(4, [], {x: {} for x in tables8[4].entries})
+    tables[4].entries[(4,)] = {second: Fraction(1)}
+    tables[4].entries[(3, 1)] = {first: Fraction(1)}  # so Z(2)*Z(2) has a slot
+    certifier = Certifier(tables)
+    certifier.holds(("hoffman", (3,)))
+    assert certifier.scaled(4).bits == s
+    stuffle = ("stuffle", (2,), (2,))
+    assert certifier.residue(stuffle) == {first: -(2**s), second: 1}
+    assert -(2**s) * 2 ** (s * 0) + 1 * 2 ** (s * 1) == 0
+    assert not certifier.holds(stuffle)
+    assert certifier.scaled(4).bits > s
+
+
+def test_recheck_counts_the_monomials_a_failure_leaves(tables8):
+    tables = dict(tables8)
+    tables[4] = SolvedWeight(4, [], {x: {} for x in tables8[4].entries})
+    rep = recheck_relations(4, tables)
+    assert rep.failures == [
+        "stuffle Z(2)*Z(2) left 1 monomial(s)",
+        "shuffle Z(2)*Z(2) left 1 monomial(s)",
+    ]
 
 
 # ---------------------------------------------------------------- dimensions
