@@ -13,46 +13,46 @@ the monomials (products of lower-weight generators).
    words and monomials.
 
 2. Bracketed elimination.  The remaining relation rows (regularized rows,
-   shuffle product rows, optionally duality rows) are reduced against the
-   family brackets and then over the Lyndon words of the weight.  Words
-   that never lead a bracket survive as this weight's generators.  The
+   shuffle product rows, optionally duality rows) are reduced against every
+   bracket; what is left is led by a Lyndon word of the weight, and its
+   install clears that lead from every bracket, family brackets included.
+   Words that never lead a bracket survive as this weight's generators.  The
    regularized rows come first, latest lead column first, then the other
    rows in descriptor order (:func:`elimination_rows`): a pivot installed
    at a late column is named by few of the brackets already there, so
    installing it rewrites few.  The order is free: whatever it is, the
    table is the unique reduced row-echelon form shown below.
 
-3. Assembly.  The Lyndon brackets are substituted into the family brackets
-   once, so every admissible word of the weight maps to a combination of
-   basis monomials (products of generators of total weight W); each
-   coefficient is then rebuilt as a rational.
+3. Assembly.  Each bracket names, besides its lead, only survivors and
+   monomials, so every admissible word of the weight maps to a combination
+   of basis monomials (products of generators of total weight W); each
+   coefficient is rebuilt as a rational.
 
 Every row, stuffle rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its own column and each lower-weight word through its table
 entry, scaled to integers over its table's common denominator once, in the
 shared :class:`Certifier`), and its image mod p is reduced by one routine,
-:meth:`MasterExpression.reduce`.  Brackets are kept in two tiers, family
-brackets and Lyndon brackets, each fully reduced within itself: each
-bracket has lead 1 and no entry at another lead of its tier.  Each table
+:meth:`MasterExpression.reduce`.  The brackets form one fully-reduced
+echelon: each bracket has lead 1 and no entry at another lead.  Each table
 coefficient is rebuilt once by Wang's rational reconstruction, and then
 *every* relation of the weight is certified exactly by
 :meth:`Certifier.holds`: substituted through the lower tables and the new
 one, with each word's integer vector packed into one integer under a slot
 bound that makes the comparison with zero exact, it must give zero (the
 same check ``verify`` runs).  A modulus under which a non-Lyndon word
-is left without a bracket, a relation reduces to 0 = nonzero or to a
-relation of the wrong tier, a residue has no small rational preimage, or
-the certificate rejects a relation is replaced by the next one in
-``PRIMES``; when none is left the solve fails, so no table leaves
-uncertified.
+is left without a bracket, a relation reduces to 0 = nonzero, a stuffle
+row leads at a Lyndon word or another row at a non-Lyndon word, a residue
+has no small rational preimage, or the certificate rejects a relation is
+replaced by the next one in ``PRIMES``; when none is left the solve fails,
+so no table leaves uncertified.
 
 Why the certificate pins the bytes, whatever the modulus and the row order:
 
 - every non-Lyndon word is eliminated, and its entry names only survivors
   and monomials;
-- each Lyndon bracket names only survivors that come later in the column
-  order;
+- each bracket has no entry at another lead, so each Lyndon bracket names
+  only survivors that come later in the column order;
 - so the table, read as "word minus its entry" for every eliminated word,
   is in reduced row-echelon form over the one column order (non-Lyndon
   words, then Lyndon words in elimination order, then monomials), with one
@@ -106,6 +106,7 @@ from .words import (
     Word,
     admissible_words,
     elim_key,
+    is_admissible,
     is_lyndon,
     parse_word,
     render_word,
@@ -365,8 +366,8 @@ def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
 
 
 def family_phase(master: MasterExpression) -> None:
-    """Give every non-Lyndon word of the master's weight a family bracket,
-    modulo ``master.prime``, from the weight's stuffle rows.
+    """Give every non-Lyndon word of the master's weight a bracket in
+    ``master.pivots``, modulo ``master.prime``, from its stuffle rows.
 
     A stuffle row mixes only the words of one index multiset (a family),
     words of lower depth and lower-weight products.  So the rows, which are
@@ -374,11 +375,12 @@ def family_phase(master: MasterExpression) -> None:
     certificate checks, are fed depth ascending and family by family to
     :meth:`MasterExpression.reduce`.  By then every lower-depth word has its
     bracket, so each row's lead is the family member without a bracket that
-    dies first in the elimination order.  A row led by a Lyndon word or a
-    monomial raises :class:`InconsistentRelation`; a non-Lyndon word left
-    without a bracket raises :class:`UnderdeterminedFamily`.  Under an
-    unlucky modulus either can happen where the rationals would not, and a
-    coefficient that vanishes mod p is never a lead.
+    dies first in the elimination order, and no Lyndon word is eliminated
+    yet.  A row led by a Lyndon word or a monomial raises
+    :class:`InconsistentRelation`; a non-Lyndon word left without a bracket
+    raises :class:`UnderdeterminedFamily`.  Under an unlucky modulus either
+    can happen where the rationals would not, and a coefficient that
+    vanishes mod p is never a lead.
     """
 
     def family(desc: tuple) -> tuple:
@@ -386,8 +388,8 @@ def family_phase(master: MasterExpression) -> None:
         return len(u) + len(v), sorted(u + v, reverse=True)
 
     for desc in sorted(relation_descriptors(master.weight, ("stuffle",)), key=family):
-        master.reduce(desc, master.families)
-    missing = [master.columns[k] for k in range(master.n_family) if k not in master.families]
+        master.reduce(desc)
+    missing = [master.columns[k] for k in range(master.n_family) if k not in master.pivots]
     if missing:
         raise UnderdeterminedFamily(
             f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
@@ -437,25 +439,22 @@ class MasterExpression:
     ``lower`` (:meth:`residue`, :meth:`integer_row`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
-    minus the rest".  Brackets come in two tiers, each fully reduced within
-    itself (no bracket has an entry at another lead of its tier):
-    ``families``, led by non-Lyndon words and filled by :func:`family_phase`
-    from the stuffle rows, and ``pivots``, led by Lyndon words and filled by
-    :meth:`absorb` from the elimination rows.  :meth:`reduce` clears a row
-    against ``families`` and then ``pivots``, so reducing a row costs one
-    pass over each tier's leads, and installs what is left in one tier.
-    Family brackets may name Lyndon words eliminated later;
-    :meth:`back_substitute` clears those once, at the end, and names every
-    bracket's right-hand side in ``entries``.
+    minus the rest".  ``pivots`` maps each lead to its bracket and is one
+    fully-reduced echelon: no bracket has an entry at another bracket's
+    lead.  The stuffle rows of :func:`family_phase` install the brackets led
+    by non-Lyndon words, the elimination rows of :meth:`absorb` those led
+    by Lyndon words.  :meth:`reduce` clears a row in one pass over its
+    leads and installs what is left, rewriting every bracket that names the
+    new lead; :meth:`back_substitute` only names the right-hand sides.
 
     Rows may come in any order: the table is the unique reduced row-echelon
     form of their span (see the module docstring), so the order sets only
     the cost, through the brackets each install rewrites.  ``solve_weight``
     feeds the rows of :func:`elimination_rows`, latest lead first.
 
-    ``peak_terms`` is the largest number of live terms in ``pivots`` after
-    any install; ``bracket_updates`` counts the brackets, of either tier,
-    that installs have rewritten.
+    ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
+    ``peak_terms`` the most live terms in Lyndon-led brackets after any of
+    them, and ``bracket_updates`` the brackets that installs rewrote.
     """
 
     def __init__(self, columns: list[Word], lower: Certifier, prime: int = PRIMES[0]):
@@ -466,9 +465,9 @@ class MasterExpression:
         self.weight = weight(columns[0])
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
-        self.families: dict[int, dict[int, int]] = {}
         self.pivots: dict[int, dict[int, int]] = {}
         self.entries: dict[Word, Residues] = {}
+        self.installed = 0
         self.peak_terms = 0
         self.bracket_updates = 0
         self.prime = prime
@@ -509,49 +508,49 @@ class MasterExpression:
                 )
         return row
 
-    def reduce(self, desc: tuple, tier: dict[int, dict[int, int]]) -> bool:
-        """Reduce the row of ``desc`` mod p against ``families`` and then
-        ``pivots``, and install what is left as a bracket of ``tier`` (one
-        of the two) at its lowest column.  Returns False when nothing is
-        left.  A lead outside ``tier``'s words raises
-        :class:`InconsistentRelation`."""
-        p = self.prime
+    def reduce(self, desc: tuple) -> bool:
+        """Reduce the row of ``desc`` mod p against ``pivots`` and install
+        what is left as a bracket at its lowest column, rewriting every
+        bracket that names that column.  Returns False when nothing is left.
+        A stuffle row must lead at a non-Lyndon word and any other row at a
+        Lyndon word; another lead raises :class:`InconsistentRelation`."""
+        p, pivots = self.prime, self.pivots
         row = {k: v % p for k, v in self.integer_row(desc).items()}
-        for brackets in (self.families, self.pivots):
-            # each bracket has lead 1 and no other lead of its tier, so
-            # subtracting it clears its lead and no other
-            for lead in [k for k in row if k in brackets]:
-                scale = row[lead]
-                if scale:
-                    for k, v in brackets[lead].items():
-                        row[k] = row.get(k, 0) - scale * v
-            row = {k: r for k, v in row.items() if (r := v % p)}
+        # each bracket has lead 1 and no entry at another lead, so
+        # subtracting it clears its lead and no other
+        for lead in [k for k in row if k in pivots]:
+            scale = row[lead]
+            for k, v in pivots[lead].items():
+                row[k] = row.get(k, 0) - scale * v
+        row = {k: r for k, v in row.items() if (r := v % p)}
         if not row:
             return False
         lead = min(row)
         if lead >= self.n_words:
             raise InconsistentRelation(f"{describe(desc)}: reduced to 0 = nonzero")
-        if (lead < self.n_family) != (tier is self.families):
+        if (lead < self.n_family) != (desc[0] == "stuffle"):
             raise InconsistentRelation(
                 f"{describe(desc)}: left a relation led by {render_word(self.columns[lead])}"
             )
         inv = pow(row[lead], -1, p)
         bracket = {k: v * inv % p for k, v in row.items()}
-        for other in tier.values():
+        for other in pivots.values():
             c = other.get(lead)
             if c:
                 _add_mod(other, bracket, -c, p)
                 self.bracket_updates += 1
-        tier[lead] = bracket
+        pivots[lead] = bracket
         return True
 
     def absorb(self, desc: tuple) -> bool:
         """Reduce one elimination row into ``pivots``.  Returns True when the
         row installed a new bracket, False when it was redundant."""
-        if self.reduce(desc, self.pivots):
-            self.peak_terms = max(self.peak_terms, sum(map(len, self.pivots.values())))
-            return True
-        return False
+        if not self.reduce(desc):
+            return False
+        self.installed += 1
+        terms = sum(len(b) for lead, b in self.pivots.items() if lead >= self.n_family)
+        self.peak_terms = max(self.peak_terms, terms)
+        return True
 
     def _rhs(self, lead: int, bracket: dict[int, int]) -> Residues:
         """The bracket's right-hand side: its word is minus the rest."""
@@ -559,37 +558,27 @@ class MasterExpression:
         return {self._name(k): -v % p for k, v in bracket.items() if k != lead}
 
     def family_entries(self) -> Iterator[tuple[Word, Residues]]:
-        """Each family bracket's word and right-hand side, one at a time
+        """Each non-Lyndon word's bracket and right-hand side, one at a time
         (the family checkpoint's payload)."""
-        for lead, bracket in self.families.items():
-            yield self.columns[lead], self._rhs(lead, bracket)
+        for lead, bracket in self.pivots.items():
+            if lead < self.n_family:
+                yield self.columns[lead], self._rhs(lead, bracket)
 
     def restore_families(self, entries: dict[Word, Residues]) -> None:
-        """Install the family brackets that :meth:`family_entries` named."""
+        """Install the brackets that :meth:`family_entries` named."""
         p = self.prime
         for x, entry in entries.items():
             combo = {(x,): 1, **{m: -c % p for m, c in entry.items()}}
-            bracket = self._over_columns(combo, ("checkpoint", x))
-            self.families[self.col_of[x]] = bracket
+            self.pivots[self.col_of[x]] = self._over_columns(combo, ("checkpoint", x))
 
     def back_substitute(self) -> None:
         """Name in ``entries`` every eliminated word's right-hand side, mod
-        p, over survivors and monomials only.  ``pivots`` is fully reduced,
-        so each of its brackets names only its lead, survivors and
-        monomials; each family bracket is cleared of eliminated Lyndon
-        words once, against ``pivots``, and popped as it is named."""
-        p, pivots, families = self.prime, self.pivots, self.families
-        for lead in list(families):
-            bracket = families.pop(lead)
-            for k in [k for k in bracket if k in pivots]:
-                _add_mod(bracket, pivots[k], -bracket[k], p)
-            self.entries[self.columns[lead]] = self._rhs(lead, bracket)
-        for lead, bracket in pivots.items():
-            self.entries[self.columns[lead]] = self._rhs(lead, bracket)
-
-    def survivors(self) -> list[Word]:
-        lyndon = range(self.n_family, self.n_words)
-        return [self.columns[k] for k in lyndon if k not in self.pivots]
+        p, popping its bracket from ``pivots``.  The echelon is fully
+        reduced, so each bracket already names only its lead, survivors and
+        monomials."""
+        pivots = self.pivots
+        for lead in list(pivots):
+            self.entries[self.columns[lead]] = self._rhs(lead, pivots.pop(lead))
 
 
 # Elimination rows, in consumption order (stuffle relations are spent in the
@@ -722,6 +711,13 @@ def _parse_mono_str(s: str) -> Monomial:
 
 # ------------------------------------------------------------- weight solve
 
+def _solver_kinds(kinds: tuple[str, ...]) -> frozenset[str]:
+    """``kinds`` checked, with ``"stuffle"`` among them for the family phase."""
+    if "stuffle" not in (kinds := check_kinds(kinds)):
+        raise ValueError("the solver requires the stuffle kind for family reduction")
+    return kinds
+
+
 def solve_weight(
     w: int,
     tables: dict[int, SolvedWeight],
@@ -738,13 +734,11 @@ def solve_weight(
     verification module uses this for minimal-depth searches.  The bias is
     never part of a persisted run.
     """
+    kinds = _solver_kinds(kinds)
     if w == 2:
         return seed_weight_2()
     if w < 2:
         raise ValueError(f"weight must be >= 2, got {w}")
-    kinds = check_kinds(kinds)
-    if "stuffle" not in kinds:
-        raise ValueError("the solver requires the stuffle kind for family reduction")
     for k in range(2, w):
         if k not in tables:
             raise MissingTable(f"weight {k} must be solved before weight {w}")
@@ -794,7 +788,7 @@ def solve_weight(
                 master.absorb(desc)
                 if done % PROGRESS_ROWS == 0:
                     log.debug("weight %d: %d/%d rows absorbed, %d pivots",
-                              w, done, len(rows), len(master.pivots))
+                              w, done, len(rows), master.installed)
             master.back_substitute()
             solved = _assemble(w, master)
         except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
@@ -815,7 +809,7 @@ def solve_weight(
         raise error
     elimination_seconds = time.monotonic() - started - family_seconds - certify_seconds
 
-    redundant = len(rows) - len(master.pivots)  # each row installed a pivot or was redundant
+    redundant = len(rows) - master.installed  # each row installed a pivot or was redundant
     height = max(
         (max(c.numerator.bit_length(), c.denominator.bit_length())
          for entry in solved.entries.values() for c in entry.values()),
@@ -827,7 +821,7 @@ def solve_weight(
         "certify_seconds": round(certify_seconds, 3),
         "rows": len(rows),
         "redundant_rows": redundant,
-        "pivots": len(master.pivots),
+        "pivots": master.installed,
         "modulus_bits": prime.bit_length(),
         "max_bracket_terms": master.peak_terms,
         "bracket_updates": master.bracket_updates,
@@ -841,7 +835,7 @@ def solve_weight(
               master.bracket_updates)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
-        f"{len(master.pivots)} pivots, {redundant} redundant rows"
+        f"{master.installed} pivots, {redundant} redundant rows"
     )
     return solved
 
@@ -852,7 +846,7 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
     every other word's entry mod p, each coefficient rebuilt by
     :func:`rational`."""
     p = master.prime
-    survivors = master.survivors()
+    survivors = [x for x in master.columns if x not in master.entries]
     table: dict[Word, Entry] = {x: {(x,): Fraction(1)} for x in survivors}
     for x, entry in master.entries.items():
         table[x] = {m: rational(c, p) for m, c in entry.items()}
@@ -965,6 +959,9 @@ def parse_table(text: str) -> SolvedWeight:
     generators = [parse_word(g) for g in gen_field.split()] if gen_field else []
     if phase != "fully-reduced":
         raise ValueError(f"unsupported table phase {phase!r}")
+    for x in entries:
+        if weight(x) != w or not is_admissible(x):
+            raise ValueError(f"{render_word(x)} is not an admissible word of weight {w}")
     if len(entries) != 2 ** (w - 2):
         raise ValueError(
             f"weight-{w} table has {len(entries)} entries, expected {2 ** (w - 2)}"
@@ -1107,6 +1104,7 @@ def ensure_solved(
     recomputed, which makes repeated runs idempotent byte for byte."""
     if up_to < 2:
         raise ValueError(f"maximum weight must be >= 2, got {up_to}")
+    _solver_kinds(kinds)
     tables: dict[int, SolvedWeight] = {}
     for w in range(2, up_to + 1):
         if store.has(w):

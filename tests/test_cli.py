@@ -210,6 +210,16 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("weight", ["2", "3"])
+def test_solve_without_stuffle_exits_usage_and_writes_nothing(tmp_path, capsys, weight):
+    # the kinds are checked before weight 2's seed is returned or saved
+    argv = ["solve", "--weight", weight, "--relations", "shuffle", "--table-dir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "stuffle" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.table")) == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_tampered_manifest_exit(tmp_path, capsys):
     assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -291,11 +301,16 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         ("Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)", "Z(4,1) = -1*Z(3)*Z(3) + 2*Z(5)"),
         # of weight 5, but Z(2,1) is not weight 3's generator Z(3)
         ("Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)", "Z(4,1) = -1*Z(2,1)*Z(2) + 2*Z(5)"),
+        # the count and the words stay distinct, but the set is not weight 5's
+        ("Z(4,1) =", "Z(4,2) ="),
+        ("Z(4,1) =", "Z(1,4) ="),
     ],
     ids=[
         "generators-differ-from-self-entries",
         "monomial-of-another-weight",
         "monomial-factor-not-a-generator",
+        "word-of-another-weight",
+        "word-not-admissible",
     ],
 )
 def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, capsys, old, new):

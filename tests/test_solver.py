@@ -151,6 +151,17 @@ def test_solve_weight_requires_lower_tables_and_stuffle():
         solve_weight(1, {})
 
 
+@pytest.mark.parametrize("kinds", [("bogus",), ("shuffle",)])
+def test_kinds_are_checked_before_the_weight_2_seed(tmp_path, kinds):
+    with pytest.raises(ValueError):
+        solve_in_memory(2, kinds=kinds)
+    with pytest.raises(ValueError):
+        solve_weight(2, {}, kinds)
+    with pytest.raises(ValueError):
+        ensure_solved(TableStore(tmp_path), 3, kinds)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_substitute_tables_names_missing_weight(tables8):
     with pytest.raises(MissingTable):
         substitute_tables({(2, 1): Fraction(1)}, {})
@@ -611,7 +622,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
-        r"max coefficient 7 bits, 17 bracket updates",
+        r"max coefficient 7 bits, 36 bracket updates",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -770,19 +781,20 @@ def test_inconsistent_stuffle_row_under_the_first_modulus_falls_through(monkeypa
 
 
 def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
-    # one product coefficient of a family bracket is corrupted under
-    # PRIMES[0] after the elimination, so only the certificate can reject the
-    # table; it checks every stuffle relation and rejects one of them first
+    # one product coefficient of a bracket led by a non-Lyndon word is
+    # corrupted under PRIMES[0] after the elimination, so only the
+    # certificate can reject the table; it checks every stuffle relation and
+    # rejects one of them first
     honest_back_substitute = MasterExpression.back_substitute
 
     def corrupted(self):
         if self.prime == solver_mod.PRIMES[0]:
-            families = self.families
+            pivots = self.pivots
             lead, k = next(
-                (lead, k) for lead in sorted(families) for k in sorted(families[lead])
-                if k >= self.n_words
+                (lead, k) for lead in sorted(pivots) if lead < self.n_family
+                for k in sorted(pivots[lead]) if k >= self.n_words
             )
-            families[lead][k] = (families[lead][k] + 1) % self.prime
+            pivots[lead][k] = (pivots[lead][k] + 1) % self.prime
         honest_back_substitute(self)
 
     seen = []
@@ -864,10 +876,12 @@ def test_hoffman_rows_come_latest_lead_first(monkeypatch, tables8, bias):
 
 
 def test_bracket_updates_are_pinned_at_weight_10(tables12):
-    # descriptor order rewrote 3812 brackets at weight 10 (154 family, 3658
-    # Lyndon); the Hoffman rows latest lead first leave 997
+    # with the Hoffman rows latest lead first, weight 10 rewrites 154
+    # brackets in the family phase and 843 Lyndon-led brackets in the
+    # elimination (997 in all), plus the 4750 family brackets that the
+    # elimination rewrites to keep the echelon fully reduced
     tables, _ = tables12
-    assert tables[10].stats["bracket_updates"] == 997
+    assert tables[10].stats["bracket_updates"] == 5747
     assert tables[10].stats["max_bracket_terms"] == 878
 
 
@@ -923,7 +937,31 @@ def test_integer_rows_are_positive_multiples_of_fraction_rows(tables8):
         # rows vanishes against them
         family_phase(master)
         stuffle = relation_descriptors(w, ("stuffle",))
-        assert not any(master.reduce(desc, master.families) for desc in stuffle)
+        assert not any(master.reduce(desc) for desc in stuffle)
+
+
+def test_every_install_keeps_one_fully_reduced_echelon(monkeypatch):
+    # after every install, by a stuffle row or an elimination row, each
+    # bracket has 1 at its lead and no entry at another bracket's lead
+    honest = MasterExpression.reduce
+    installs = []
+
+    def checked(self, desc):
+        installed = honest(self, desc)
+        if installed:
+            installs.append(desc[0] == "stuffle")
+            for lead, bracket in self.pivots.items():
+                assert bracket[lead] == 1, describe(desc)
+                assert bracket.keys() & self.pivots.keys() == {lead}, describe(desc)
+        return installed
+
+    monkeypatch.setattr(MasterExpression, "reduce", checked)
+    tables = solve_in_memory(8)
+    # every weight is solved under the first modulus, so each non-Lyndon word
+    # has one install and each pivot another
+    family = sum(not is_lyndon(x) for w in range(3, 9) for x in admissible_words(w))
+    assert installs.count(True) == family
+    assert installs.count(False) == sum(tables[w].stats["pivots"] for w in range(3, 9)) == 64
 
 
 def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
@@ -1019,7 +1057,7 @@ def test_peak_terms_is_the_largest_live_count():
     half, third = Fraction(1, 2), Fraction(1, 3)
     # the columns are every weight-8 word, the non-Lyndon ones first; each
     # non-Lyndon word gets a family bracket: empty, except that Z(2,6) =
-    # 3 Z(8), which names the eliminated word a
+    # 3 Z(8), which names the word a that r1 eliminates
     x = (2, 6)
     lyndon = [y for y in admissible_words(8) if is_lyndon(y) and y not in (a, b, c)]
     families = [y for y in admissible_words(8) if not is_lyndon(y)]
@@ -1028,16 +1066,26 @@ def test_peak_terms_is_the_largest_live_count():
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
     })
     leads.restore_families({**{y: {} for y in families}, x: {(a,): 3}})
-    A, B, C = (leads.col_of[y] for y in (a, b, c))
+    A, B, C, X = (leads.col_of[y] for y in (a, b, c, x))
     M = leads.n_words  # the first monomial column
-    inv3 = pow(3, -1, p)
+    inv2, inv3 = pow(2, -1, p), pow(3, -1, p)
+
+    def lyndon_led():
+        return {k: v for k, v in leads.pivots.items() if k >= leads.n_family}
+
     assert leads.absorb(("r1",)) is True
-    assert leads.pivots == {A: {A: 1, B: pow(2, -1, p), C: pow(2, -1, p)}}
+    assert lyndon_led() == {A: {A: 1, B: inv2, C: inv2}}
+    # installing a rewrites the bracket of x that names it:
+    # x - 3a + 3(a + b/2 + c/2) = x + 3b/2 + 3c/2
+    assert leads.pivots[X] == {X: 1, B: 3 * inv2 % p, C: 3 * inv2 % p}
+    assert leads.bracket_updates == 1
     assert leads.absorb(("r2",)) is True
-    assert leads.pivots == {A: {A: 1, C: inv3, M: p - inv3}, B: {B: 1, C: inv3, M: 2 * inv3 % p}}
+    assert lyndon_led() == {A: {A: 1, C: inv3, M: p - inv3}, B: {B: 1, C: inv3, M: 2 * inv3 % p}}
     assert leads.peak_terms == 6
-    # the family bracket of x still names a until back-substitution
-    assert leads.families[leads.col_of[x]] == {leads.col_of[x]: 1, A: p - 3}
+    # installing b rewrites a's bracket and x's:
+    # x + 3c/2 - 3(c/3 + 2m/3)/2 = x + c - m
+    assert leads.pivots[X] == {X: 1, C: 1, M: p - 1}
+    assert leads.bracket_updates == 3
     # the brackets stay mod p; assembly rebuilds each table coefficient once
     leads.back_substitute()
     assert leads.entries[a] == {(c,): p - inv3, m: inv3}
