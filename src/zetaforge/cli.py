@@ -29,6 +29,7 @@ from .solver import (
     SolverError,
     StoreIntegrityError,
     TableStore,
+    _solver_kinds,
     check_factors,
     ensure_solved,
 )
@@ -129,6 +130,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     kinds = _parse_kinds(args.relations)
+    _solver_kinds(kinds)  # before the table directory is created
     store = _store_for_writing(args.table_dir)
     ensure_solved(store, args.weight, kinds, progress=print)
     print(f"manifest: {store.manifest_path}")

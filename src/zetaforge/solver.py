@@ -21,7 +21,13 @@ the monomials (products of lower-weight generators).
    rows in descriptor order (:func:`elimination_rows`): a pivot installed
    at a late column is named by few of the brackets already there, so
    installing it rewrites few.  The order is free: whatever it is, the
-   table is the unique reduced row-echelon form shown below.
+   table is the unique reduced row-echelon form shown below.  Once the
+   Lyndon brackets reach the conjectured rank, the number of Lyndon words
+   less the number of odd Lyndon words (the generator count that ``verify
+   --dims`` checks), the remaining rows are neither expanded nor reduced:
+   the certificate checks them with every other relation.  If it rejects
+   the table after such a stop, the weight is reduced again under the same
+   modulus with every row.
 
 3. Assembly.  Each bracket names, besides its lead, only survivors and
    monomials, so every admissible word of the weight maps to a combination
@@ -33,7 +39,9 @@ one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its own column and each lower-weight word through its table
 entry, scaled to integers over its table's common denominator once, in the
 shared :class:`Certifier`), and its image mod p is reduced by one routine,
-:meth:`MasterExpression.reduce`.  The brackets form one fully-reduced
+:meth:`MasterExpression.reduce`.  Each regularized relation is expanded
+once per weight, held by that certifier, and read by the row schedule, its
+row and the certificate.  The brackets form one fully-reduced
 echelon: each bracket has lead 1 and no entry at another lead.  Each table
 coefficient is rebuilt once by Wang's rational reconstruction, and then
 *every* relation of the weight is certified exactly by
@@ -60,8 +68,8 @@ Why the certificate pins the bytes, whatever the modulus and the row order:
 - a certified table sends every relation to zero, so each relation lies in
   the span of those rows, while the reduction, each of whose brackets mod p
   is a combination of relation rows, found as many independent relations
-  mod p as there are rows, and the rank mod p is never more than the rank
-  over Q;
+  mod p as there are eliminated words, from whichever rows were reduced,
+  and the rank mod p is never more than the rank over Q;
 - so the two spans are equal, the table is their unique reduced row-echelon
   form, and no separate shape check is needed.
 
@@ -97,11 +105,10 @@ from .algebra import (
     check_kinds,
     describe,
     expand_relation,
-    hoffman_relation,
     lc_mul,
     relation_descriptors,
 )
-from .lyndon import candidate_words, listing_key
+from .lyndon import candidate_words, listing_key, odd_lyndon_words
 from .words import (
     Word,
     admissible_words,
@@ -190,14 +197,20 @@ def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeigh
     return out
 
 
+# A relation as :func:`~zetaforge.algebra.expand_relation` gives it: its
+# word combination and the product pair it equals, or None.
+Expansion = tuple[dict[Word, int], tuple[Word, Word] | None]
+
+
 def expand_row(
-    desc: tuple, entry: Callable[[Word], tuple[int, dict[Monomial, int]]]
+    relation: Expansion, entry: Callable[[Word], tuple[int, dict[Monomial, int]]]
 ) -> dict[Monomial, int]:
-    """The integer residue of the relation ``desc``: every word replaced by
-    its scaled entry ``entry(word)``, a product's value (the integer product
-    of its factors' scaled entries) subtracted, and every denominator
-    cleared with their lcm.  Zero entries are dropped."""
-    combo, product = expand_relation(desc)
+    """The integer residue of a relation, given as its expansion
+    ``(combo, product)``: every word replaced by its scaled entry
+    ``entry(word)``, a product's value (the integer product of its factors'
+    scaled entries) subtracted, and every denominator cleared with their
+    lcm.  Zero entries are dropped."""
+    combo, product = relation
     terms = [(c, *entry(x)) for x, c in combo.items()]
     if product is not None:
         (den_u, u), (den_v, v) = map(entry, product)
@@ -275,12 +288,22 @@ class Certifier:
     :meth:`residue` spells a relation out monomial by monomial through
     :func:`expand_row`; it names what is left of a failed relation.  The
     tables are scaled on first use and cached, so a certifier serves one
-    set of tables that does not change while it is used.
+    set of tables that does not change while it is used.  ``expansions``
+    holds relations already expanded, by descriptor; :meth:`expand` reads
+    them there and expands any other relation afresh.
     """
 
-    def __init__(self, tables: dict[int, SolvedWeight]):
+    def __init__(
+        self, tables: dict[int, SolvedWeight], expansions: dict[tuple, Expansion] | None = None
+    ):
         self.tables = tables
+        self.expansions = expansions if expansions is not None else {}
         self._scaled: dict[int, _ScaledTable] = {}
+
+    def expand(self, desc: tuple) -> Expansion:
+        """The ``(combo, product)`` pair of the relation ``desc``."""
+        got = self.expansions.get(desc)
+        return got if got is not None else expand_relation(desc)
 
     def scaled(self, k: int) -> _ScaledTable:
         """The weight-``k`` table in integers, built on first use."""
@@ -311,13 +334,13 @@ class Certifier:
     def with_table(self, solved: SolvedWeight) -> Certifier:
         """A certifier over these tables plus ``solved``, reusing the tables
         already scaled at every other weight."""
-        other = Certifier({**self.tables, solved.weight: solved})
+        other = Certifier({**self.tables, solved.weight: solved}, self.expansions)
         other._scaled = {k: v for k, v in self._scaled.items() if k != solved.weight}
         return other
 
     def holds(self, desc: tuple) -> bool:
         """Whether the relation ``desc`` holds, by the packed check."""
-        combo, product = expand_relation(desc)
+        combo, product = self.expand(desc)
         if product is not None:
             w = sum(map(weight, product))
         elif combo:
@@ -346,7 +369,7 @@ class Certifier:
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
         lcm of the denominators involved: empty exactly when it holds."""
-        return expand_row(desc, self.entry)
+        return expand_row(self.expand(desc), self.entry)
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold."""
@@ -436,7 +459,8 @@ class MasterExpression:
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, by :func:`expand_row`: each word of the weight as its
     own column, each lower-weight word through the shared certifier
-    ``lower`` (:meth:`residue`, :meth:`integer_row`).
+    ``lower``, which also holds the relations expanded already
+    (:meth:`residue`, :meth:`integer_row`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
     minus the rest".  ``pivots`` maps each lead to its bracket and is one
@@ -453,11 +477,19 @@ class MasterExpression:
     feeds the rows of :func:`elimination_rows`, latest lead first.
 
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
-    ``peak_terms`` the most live terms in Lyndon-led brackets after any of
-    them, and ``bracket_updates`` the brackets that installs rewrote.
+    ``skipped`` the rows it passed over once ``installed`` had reached
+    ``target`` (None: never), ``peak_terms`` the most live terms in
+    Lyndon-led brackets after any install, and ``bracket_updates`` the
+    brackets that installs rewrote.
     """
 
-    def __init__(self, columns: list[Word], lower: Certifier, prime: int = PRIMES[0]):
+    def __init__(
+        self,
+        columns: list[Word],
+        lower: Certifier,
+        prime: int = PRIMES[0],
+        target: int | None = None,
+    ):
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
         self.n_words = len(columns)
@@ -468,6 +500,8 @@ class MasterExpression:
         self.pivots: dict[int, dict[int, int]] = {}
         self.entries: dict[Word, Residues] = {}
         self.installed = 0
+        self.target = target
+        self.skipped = 0
         self.peak_terms = 0
         self.bracket_updates = 0
         self.prime = prime
@@ -489,7 +523,9 @@ class MasterExpression:
         the weight as itself and lower-weight words through the lower
         tables."""
         w, lower = self.weight, self.lower
-        return expand_row(desc, lambda x: (1, {(x,): 1}) if weight(x) == w else lower.entry(x))
+        return expand_row(
+            lower.expand(desc), lambda x: (1, {(x,): 1}) if weight(x) == w else lower.entry(x)
+        )
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
@@ -544,7 +580,14 @@ class MasterExpression:
 
     def absorb(self, desc: tuple) -> bool:
         """Reduce one elimination row into ``pivots``.  Returns True when the
-        row installed a new bracket, False when it was redundant."""
+        row installed a new bracket, False when it was redundant.  Once
+        ``installed`` has reached ``target``, a row is counted in
+        ``skipped`` and neither expanded nor reduced: at the conjectured
+        rank it has nothing to add, and the certificate checks it with
+        every other relation of the weight."""
+        if self.target is not None and self.installed >= self.target:
+            self.skipped += 1
+            return False
         if not self.reduce(desc):
             return False
         self.installed += 1
@@ -586,22 +629,28 @@ class MasterExpression:
 ELIMINATION_ORDER = ("hoffman", "shuffle", "duality")
 
 
-def elimination_rows(w: int, kinds: tuple[str, ...], columns: list[Word]) -> list[tuple]:
+def elimination_rows(
+    w: int,
+    kinds: tuple[str, ...],
+    columns: list[Word],
+    expand: Callable[[tuple], Expansion],
+) -> list[tuple]:
     """The elimination rows of weight ``w`` under ``kinds``, in the order
     :meth:`MasterExpression.absorb` consumes them: the Hoffman rows by
     descending lead column over ``columns``, ties in descriptor order, then
     the shuffle and duality rows in descriptor order.
 
     A Hoffman row has no product and no lower-weight word, so its integer
-    row is its word combination and its lead is the lowest column that
-    combination names.  A pivot installed at a late column is named by few
-    of the brackets already installed, so each install rewrites few of
-    them.  The order cannot change the table (see the module docstring).
+    row is its word combination (as ``expand`` gives it) and its lead is
+    the lowest column that combination names.  A pivot installed at a late
+    column is named by few of the brackets already installed, so each
+    install rewrites few of them.  The order cannot change the table (see
+    the module docstring).
     """
     col_of = {x: i for i, x in enumerate(columns)}
 
     def lead(desc: tuple) -> int:
-        return min(col_of[x] for x in hoffman_relation(desc[1]))
+        return min(col_of[x] for x in expand(desc)[0])
 
     rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
     hoffman = sorted((desc for desc in rows if desc[0] == "hoffman"), key=lead, reverse=True)
@@ -718,6 +767,14 @@ def _solver_kinds(kinds: tuple[str, ...]) -> frozenset[str]:
     return kinds
 
 
+def rank_target(columns: list[Word]) -> int:
+    """The number of Lyndon words among ``columns``, the admissible words of
+    one weight, that the relations eliminate, by the conjecture that the
+    odd Lyndon words count the generators (the count ``verify --dims``
+    checks): the Lyndon words less the odd Lyndon words."""
+    return sum(map(is_lyndon, columns)) - len(odd_lyndon_words(weight(columns[0])))
+
+
 def solve_weight(
     w: int,
     tables: dict[int, SolvedWeight],
@@ -757,59 +814,78 @@ def solve_weight(
             raise ValueError(f"survivor bias {survivor_bias!r} is not a Lyndon word at weight {w}")
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
-    rows = elimination_rows(w, kinds, columns)
     relations = relation_descriptors(w, kinds)
     lower = Certifier(tables)
+    rows: list[tuple] | None = None
+    target = rank_target(columns)
     family_seconds = certify_seconds = 0.0
     started = time.monotonic()
     for prime in PRIMES:
-        master = MasterExpression(columns, lower, prime)
-        t0 = time.monotonic()
-        try:
+        for stop in (target, None):
+            master = MasterExpression(columns, lower, prime, stop)
+            error = None
+            t0 = time.monotonic()
             try:
-                # ---- family brackets, or their checkpoint
-                entries = checkpointer.load(prime) if checkpointer is not None else None
-                if entries is not None:
-                    note(f"weight {w}: resuming after the family phase")
-                    master.restore_families(entries)
-                else:
-                    family_phase(master)
-                    if checkpointer is not None:
-                        checkpointer.save({
-                            "weight": w,
-                            "phase": "families",
-                            "modulus": prime,
-                            "entries": _entries_state(master.family_entries()),
-                        })
-            finally:
-                family_seconds += time.monotonic() - t0
-            # ---- bracketed elimination and assembly
-            for done, desc in enumerate(rows, 1):
-                master.absorb(desc)
-                if done % PROGRESS_ROWS == 0:
-                    log.debug("weight %d: %d/%d rows absorbed, %d pivots",
-                              w, done, len(rows), master.installed)
-            master.back_substitute()
-            solved = _assemble(w, master)
-        except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
-            error = exc
-        else:
-            # ---- exact certificate of every relation
-            t2 = time.monotonic()
-            failed = lower.with_table(solved).rejects(relations)
-            certify_seconds += time.monotonic() - t2
-            if not failed:
+                try:
+                    # ---- family brackets, or their checkpoint
+                    entries = checkpointer.load(prime) if checkpointer is not None else None
+                    if entries is not None:
+                        note(f"weight {w}: resuming after the family phase")
+                        master.restore_families(entries)
+                    else:
+                        family_phase(master)
+                        if checkpointer is not None:
+                            checkpointer.save({
+                                "weight": w,
+                                "phase": "families",
+                                "modulus": prime,
+                                "entries": _entries_state(master.family_entries()),
+                            })
+                finally:
+                    family_seconds += time.monotonic() - t0
+                if rows is None:
+                    # each regularized relation expanded once, for its lead,
+                    # its row and its certificate, and dropped with the
+                    # weight; built after the family phase, whose checkpoint
+                    # is the memory peak of a persisted solve
+                    lower.expansions.update(
+                        (desc, expand_relation(desc)) for desc in relations if desc[0] == "hoffman"
+                    )
+                    rows = elimination_rows(w, kinds, columns, lower.expand)
+                # ---- bracketed elimination and assembly
+                for done, desc in enumerate(rows, 1):
+                    master.absorb(desc)
+                    if done % PROGRESS_ROWS == 0:
+                        log.debug("weight %d: %d/%d rows absorbed, %d pivots",
+                                  w, done, len(rows), master.installed)
+                master.back_substitute()
+                solved = _assemble(w, master)
+            except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
+                error = exc
+            else:
+                # ---- exact certificate of every relation
+                t2 = time.monotonic()
+                failed = lower.with_table(solved).rejects(relations)
+                certify_seconds += time.monotonic() - t2
+                if failed:
+                    error = ReconstructionError(
+                        f"weight {w}: {len(failed)} relation(s) fail the certificate, "
+                        f"{describe(failed[0])} first"
+                    )
+            if error is None or not master.skipped:
                 break
-            error = ReconstructionError(
-                f"weight {w}: {len(failed)} relation(s) fail the certificate, "
-                f"{describe(failed[0])} first"
-            )
+            # the stop left rows unreduced: reduce them too, under this modulus
+            log.debug("weight %d: %d row(s) left unreduced at %d pivots (%s); "
+                      "reducing every row", w, master.skipped, master.installed, error)
+        if error is None:
+            break
         log.debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
     else:
         raise error
     elimination_seconds = time.monotonic() - started - family_seconds - certify_seconds
 
-    redundant = len(rows) - master.installed  # each row installed a pivot or was redundant
+    # each row installed a pivot or was redundant: reduced to nothing, or skipped
+    redundant = len(rows) - master.installed
     height = max(
         (max(c.numerator.bit_length(), c.denominator.bit_length())
          for entry in solved.entries.values() for c in entry.values()),
@@ -820,6 +896,7 @@ def solve_weight(
         "elimination_seconds": round(elimination_seconds, 3),
         "certify_seconds": round(certify_seconds, 3),
         "rows": len(rows),
+        "reduced_rows": len(rows) - master.skipped,
         "redundant_rows": redundant,
         "pivots": master.installed,
         "modulus_bits": prime.bit_length(),
@@ -830,9 +907,10 @@ def solve_weight(
     if checkpointer is not None:
         checkpointer.clear()
     log.debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
-              "max coefficient %d bits, %d bracket updates",
-              w, len(relations), certify_seconds, prime.bit_length(), height,
-              master.bracket_updates)
+              "%d of %d elimination rows reduced, max coefficient %d bits, "
+              "%d bracket updates",
+              w, len(relations), certify_seconds, prime.bit_length(),
+              solved.stats["reduced_rows"], len(rows), height, master.bracket_updates)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{master.installed} pivots, {redundant} redundant rows"
@@ -844,12 +922,13 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
     """The fully-reduced table of the weight after
     :meth:`MasterExpression.back_substitute`: each survivor as itself and
     every other word's entry mod p, each coefficient rebuilt by
-    :func:`rational`."""
+    :func:`rational`.  Each entry mod p is popped from ``master.entries`` as
+    it is rebuilt, so the residues are gone before the certificate runs."""
     p = master.prime
     survivors = [x for x in master.columns if x not in master.entries]
     table: dict[Word, Entry] = {x: {(x,): Fraction(1)} for x in survivors}
-    for x, entry in master.entries.items():
-        table[x] = {m: rational(c, p) for m, c in entry.items()}
+    for x in list(master.entries):
+        table[x] = {m: rational(c, p) for m, c in master.entries.pop(x).items()}
 
     expected = 2 ** (w - 2)
     if len(table) != expected:

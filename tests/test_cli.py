@@ -220,6 +220,15 @@ def test_solve_without_stuffle_exits_usage_and_writes_nothing(tmp_path, capsys, 
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_solve_without_stuffle_creates_no_table_dir(tmp_path, monkeypatch, capsys):
+    # the kinds are refused before the table directory and its parents exist
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--weight", "3", "--relations", "shuffle", "--table-dir", "kd/t"]
+    assert main(argv) == EXIT_USAGE
+    assert "stuffle" in capsys.readouterr().err
+    assert not (tmp_path / "kd").exists()
+
+
 def test_tampered_manifest_exit(tmp_path, capsys):
     assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
     manifest = json.loads((tmp_path / "manifest.json").read_text())

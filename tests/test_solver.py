@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import zetaforge.algebra as algebra_mod
 import zetaforge.solver as solver_mod
 from zetaforge.algebra import (
     DEFAULT_KINDS,
@@ -395,16 +396,16 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     checkpointer = Checkpointer(path, DEFAULT_KINDS)
     if crash == "families":
         # a crash inside the family phase, before its one checkpoint
-        honest = solver_mod.expand_row
+        honest = MasterExpression.residue
         calls = []
 
-        def expand_row(desc, entry):
+        def residue(self, desc):
             calls.append(desc)
             if len(calls) > 8:  # of weight 7's 16 family rows
                 raise KeyboardInterrupt("simulated crash during the family phase")
-            return honest(desc, entry)
+            return honest(self, desc)
 
-        monkeypatch.setattr(solver_mod, "expand_row", expand_row)
+        monkeypatch.setattr(MasterExpression, "residue", residue)
     else:
         _interrupt_absorb_after(monkeypatch, 5)
     with pytest.raises(KeyboardInterrupt):
@@ -622,7 +623,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
-        r"max coefficient 7 bits, 36 bracket updates",
+        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 36 bracket updates",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -733,15 +734,15 @@ def test_rank_lost_under_the_first_modulus_falls_through_to_the_second(
 def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatch, tables8):
     # every stuffle row vanishes under PRIMES[0] (its residue is multiplied
     # by the modulus), so the first family there has no pivot at all
-    honest = solver_mod.expand_row
+    honest = MasterExpression.residue
 
-    def unlucky(desc, entry):
-        row = honest(desc, entry)
+    def unlucky(self, desc):
+        row = honest(self, desc)
         if desc[0] == "stuffle":
             row = {m: v * solver_mod.PRIMES[0] for m, v in row.items()}
         return row
 
-    monkeypatch.setattr(solver_mod, "expand_row", unlucky)
+    monkeypatch.setattr(MasterExpression, "residue", unlucky)
     with pytest.raises(solver_mod.UnderdeterminedFamily, match="left without a family bracket"):
         family_phase(_master(4, tables8, solver_mod.PRIMES[0]))
     tables = solve_in_memory(8)
@@ -827,8 +828,8 @@ def test_any_row_order_gives_the_same_tables(monkeypatch, tables8, seed):
     honest = solver_mod.elimination_rows
     rng = random.Random(seed)
 
-    def permuted(w, kinds, columns):
-        rows = honest(w, kinds, columns)
+    def permuted(*args):
+        rows = honest(*args)
         rng.shuffle(rows)
         return rows
 
@@ -873,6 +874,77 @@ def test_hoffman_rows_come_latest_lead_first(monkeypatch, tables8, bias):
     assert sorted(leads) == sorted(hoffman)
     assert [desc for desc, _ in seen[:32]] == sorted(hoffman, key=lambda desc: -leads[desc])
     assert [desc for desc, _ in seen[32:]] == shuffle
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_wrong_rank_target_gives_the_same_tables(monkeypatch, caplog, tmp_path, tables8, shift):
+    # a target one too high is never reached; one too low leaves a table
+    # that misses a pivot, fails the certificate and is reduced again with
+    # every row, under the same modulus and without logging a failed modulus
+    honest = solver_mod.rank_target
+    monkeypatch.setattr(solver_mod, "rank_target", lambda columns: honest(columns) + shift)
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        tables = solve_in_memory(8)
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+        assert stats["reduced_rows"] == stats["rows"]
+        assert stats["modulus_bits"] == 127
+    messages = [r.getMessage() for r in caplog.records]
+    assert not any("bits failed" in m for m in messages)
+    reruns = [m for m in messages if m.endswith("reducing every row")]
+    assert len(reruns) == (0 if shift > 0 else len(GOLDEN_COUNTS))
+    # a persisted solve reruns from its family checkpoint and saves the same bytes
+    store = TableStore(tmp_path)
+    ensure_solved(store, 6)
+    for w in range(2, 7):
+        assert store.table_path(w).read_text() == render_table(tables8[w])
+
+
+def test_rows_past_the_rank_target_are_absorbed_unreduced(monkeypatch, tables8, tables12):
+    # weight 8 reaches its 29 pivots at its 50th row; absorb still sees all
+    # 74 rows, but the last 24 are neither expanded nor reduced
+    events = []
+    honest_absorb, honest_reduce = MasterExpression.absorb, MasterExpression.reduce
+
+    def absorb(self, desc):
+        events.append("absorb")
+        return honest_absorb(self, desc)
+
+    def reduce(self, desc):
+        if desc[0] != "stuffle":
+            events.append("reduce")
+        return honest_reduce(self, desc)
+
+    monkeypatch.setattr(MasterExpression, "absorb", absorb)
+    monkeypatch.setattr(MasterExpression, "reduce", reduce)
+    solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
+    assert render_table(solved) == render_table(tables8[8])
+    assert events == ["absorb", "reduce"] * 50 + ["absorb"] * 24
+    assert (solved.stats["rows"], solved.stats["reduced_rows"]) == (74, 50)
+    assert (solved.stats["pivots"], solved.stats["redundant_rows"]) == GOLDEN_COUNTS[8]
+    # weight 10 reduces 194 of its 356 rows and only certifies the other 162
+    tables, _ = tables12
+    assert (tables[10].stats["rows"], tables[10].stats["reduced_rows"]) == (356, 194)
+
+
+def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8):
+    # the lead sort, the row and the certificate all read one expansion
+    calls = []
+    honest = algebra_mod.hoffman_relation
+
+    def counting(v):
+        calls.append(v)
+        return honest(v)
+
+    monkeypatch.setattr(algebra_mod, "hoffman_relation", counting)
+    solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
+    assert render_table(solved) == render_table(tables8[8])
+    hoffman = [desc[1] for desc in relation_descriptors(8, ("hoffman",))]
+    assert len(hoffman) == 32
+    assert sorted(calls) == sorted(hoffman)
 
 
 def test_bracket_updates_are_pinned_at_weight_10(tables12):
@@ -969,17 +1041,17 @@ def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
     # once, and none of them through absorb
     lower = _lower_tables(9)
     expanded, absorbed = [], []
-    honest_expand, honest_absorb = solver_mod.expand_row, MasterExpression.absorb
+    honest_residue, honest_absorb = MasterExpression.residue, MasterExpression.absorb
 
-    def expand_row(desc, entry):
+    def residue(self, desc):
         expanded.append(desc)
-        return honest_expand(desc, entry)
+        return honest_residue(self, desc)
 
     def absorb(self, desc):
         absorbed.append(desc)
         return honest_absorb(self, desc)
 
-    monkeypatch.setattr(solver_mod, "expand_row", expand_row)
+    monkeypatch.setattr(MasterExpression, "residue", residue)
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
     family_phase(_master(10, lower, solver_mod.PRIMES[0]))
     stuffle = relation_descriptors(10, ("stuffle",))
