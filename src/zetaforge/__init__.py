@@ -34,11 +34,9 @@ from .lyndon import (
     published_basis,
 )
 from .algebra import (
-    Relation,
     eval_expansion,
     eval_truncated,
     expansion_tolerance,
-    gen_relations,
     hoffman_relation,
     product_comparison_tolerance,
     shuffle_words,
@@ -66,7 +64,6 @@ __all__ = [
     "BUILD_ID",
     "BasisReport",
     "ExtendedCandidate",
-    "Relation",
     "SolvedWeight",
     "TableStore",
     "Word",
@@ -85,7 +82,6 @@ __all__ = [
     "expansion_tolerance",
     "extend_word",
     "from_binary",
-    "gen_relations",
     "hoffman_relation",
     "is_admissible",
     "is_lyndon",

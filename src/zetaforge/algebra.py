@@ -8,9 +8,10 @@ encodings.  Both expand a product of two sums into an integer combination of
 single sums of the combined weight.  The difference of the two expansions of
 one pair is an integer linear relation among same-weight words; together
 with the regularized relations built from the divergent index 1 and the
-duality relations they form the one relation set that the relation dump,
-the solver and the verifier all read through :func:`relation_descriptors`
-and :func:`expand_relation`.
+duality relations they form the one relation set.  Each relation instance
+is a ``(kind, *words)`` descriptor, and the ``gen`` dump
+(:func:`relation_dump`), the solver and the verifier all read relations
+only through :func:`relation_descriptors` and :func:`expand_relation`.
 
 Linear combinations are plain dicts mapping a key (an index word, or a basis
 monomial which is a tuple of generator words) to a nonzero coefficient: an
@@ -24,14 +25,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
+from .lyndon import candidate_words
 from .words import (
     Word,
     admissible_words,
     dual,
+    elim_key,
     from_binary,
     is_admissible,
     render_word,
@@ -40,6 +42,9 @@ from .words import (
 )
 
 Monomial = tuple[Word, ...]
+# A relation instance expanded: its integer word combination, and the
+# product pair ``(u, v)`` it equals or None (see :func:`expand_relation`).
+Expansion = tuple[dict[Word, int], tuple[Word, Word] | None]
 
 RELATION_KINDS = ("stuffle", "shuffle", "hoffman", "duality")
 DEFAULT_KINDS = ("stuffle", "shuffle", "hoffman")
@@ -229,17 +234,17 @@ def _instances(w: int, kind: str) -> Iterator[tuple]:
     return (("duality", v) for v in admissible_words(w) if dual(v) > v)
 
 
-def relation_descriptors(w: int, kinds=DEFAULT_KINDS, order=RELATION_KINDS) -> list[tuple]:
+def relation_descriptors(w: int, kinds=DEFAULT_KINDS) -> list[tuple]:
     """All relation instances at weight ``w`` for the selected ``kinds``,
-    grouped by kind in ``order`` (kinds missing from ``order`` are left
-    out): one stuffle and/or shuffle product per unordered pair, one
+    grouped by kind in :data:`RELATION_KINDS` order, whatever the order of
+    ``kinds``: one stuffle and/or shuffle product per unordered pair, one
     regularized relation per admissible word of weight w-1, one duality
     relation per non-self-dual orbit."""
     ks = check_kinds(kinds)
-    return [desc for kind in order if kind in ks for desc in _instances(w, kind)]
+    return [desc for kind in RELATION_KINDS if kind in ks for desc in _instances(w, kind)]
 
 
-def expand_relation(desc: tuple) -> tuple[dict[Word, int], tuple[Word, Word] | None]:
+def expand_relation(desc: tuple) -> Expansion:
     """The integer word combination of one relation instance, plus the
     product pair ``(u, v)`` it equals, or None when the combination is zero
     outright."""
@@ -259,84 +264,47 @@ def expand_relation(desc: tuple) -> tuple[dict[Word, int], tuple[Word, Word] | N
 
 
 def describe(desc: tuple) -> str:
-    """``kind Z(u)*Z(v)`` or ``kind Z(v)``: how errors name an instance."""
+    """``kind Z(u)*Z(v)`` or ``kind Z(v)``: how errors and the dump name an
+    instance."""
     return f"{desc[0]} " + "*".join(render_word(x) for x in desc[1:])
 
 
-# --------------------------------------------------------- relation stream
+# ----------------------------------------------------------- relation dump
 
-@dataclass
-class Relation:
-    """One generated relation at a fixed weight.
+def relation_dump(w: int, kinds=DEFAULT_KINDS, depth_cap: int | None = None) -> Iterator[str]:
+    """The ``gen`` dump at weight ``w``: one line
+    ``0 = c1*Z(...) + c2*Z(...) # kind: ...`` per relation instance of
+    :func:`relation_descriptors`, terms in elimination order
+    (first-eliminated first).
 
-    ``combo`` maps index words to integer coefficients.  When ``product_of``
-    is None the combination is identically zero as a statement about real
-    numbers.  When ``product_of = (u, v)`` the combination equals the product
-    Z(u)*Z(v); the solver attaches the product's value over lower-weight
-    tables during substitution.
-    """
-
-    kind: str
-    provenance: tuple
-    combo: dict[Word, int] = field(repr=False)
-    product_of: tuple[Word, Word] | None = None
-
-
-def gen_relations(
-    w: int,
-    kinds=DEFAULT_KINDS,
-    depth_cap: int | None = None,
-) -> Iterator[Relation]:
-    """The deterministic relation stream at weight ``w``.
-
-    Emission order: product-pair relations first (when both product kinds
-    are enabled the pair contributes the single difference relation, kind
-    ``pair``; with exactly one product kind enabled each pair contributes
-    that expansion tagged with ``product_of``), then the regularized
-    relations over admissible words of weight w-1, then duality relations if
-    enabled.  ``depth_cap`` drops any relation containing a word deeper than
-    the cap, keeping every emitted relation a true identity.
+    With both product kinds selected, a pair's shuffle instance is folded
+    into its stuffle instance: the line is their difference, of kind
+    ``pair``.  With one product kind, the line is that expansion, of kind
+    ``stuffle-product`` or ``shuffle-product``, with the product itself as
+    a trailing -1 term.  ``depth_cap`` drops any relation containing a word
+    deeper than the cap, so every line is a true identity.
     """
     ks = check_kinds(kinds)
-    if w < 3:
-        return
-    products = [k for k in ("stuffle", "shuffle") if k in ks]
-
-    def capped(combo: dict[Word, int]) -> bool:
-        return depth_cap is not None and any(len(x) > depth_cap for x in combo)
-
-    # with both product kinds the pair's relation is stuffle minus shuffle
-    for u, v in weight_pairs(w) if products else ():
-        combo: dict[Word, int] = {}
-        for sign, kind in zip((1, -1), products):
-            add_scaled(combo, expand_relation((kind, u, v))[0], sign)
-        if len(products) == 2:
-            rel = Relation("pair", (u, v), combo)
-        else:
-            rel = Relation(f"{products[0]}-product", (u, v), combo, product_of=(u, v))
-        if not capped(combo):
-            yield rel
-    for desc in relation_descriptors(w, ks, order=("hoffman", "duality")):
-        combo = expand_relation(desc)[0]
-        if not capped(combo):
-            yield Relation(desc[0], desc[1:], combo)
-
-
-def render_relation(rel: Relation, pool: frozenset[Word]) -> str:
-    """One dump line: ``0 = c1*Z(...) + c2*Z(...) # kind: ...`` with terms in
-    elimination order (first-eliminated first).  A relation equal to a
-    product carries the product as a trailing -1 term."""
-    from .words import elim_key
-
-    terms = sorted(rel.combo.items(), key=lambda kv: elim_key(kv[0], pool), reverse=True)
-    parts = [f"{c}*{render_word(x)}" for x, c in terms]
-    if rel.product_of is not None:
-        u, v = rel.product_of
-        parts.append(f"-1*{render_word(u)}*{render_word(v)}")
-    if not parts:
-        parts = ["0"]
-    prov = "*".join(render_word(x) for x in rel.provenance)
-    return f"0 = {' + '.join(parts)} # kind: {rel.kind} {prov}"
+    pool = candidate_words(w)
+    fold = {"stuffle", "shuffle"} <= ks
+    for desc in relation_descriptors(w, ks):
+        if fold and desc[0] == "shuffle":
+            continue
+        combo, product = expand_relation(desc)
+        kind = desc[0]
+        if product is not None:
+            if fold:
+                add_scaled(combo, expand_relation(("shuffle", *product))[0], -1)
+                kind, product = "pair", None
+            else:
+                kind += "-product"
+        if depth_cap is not None and any(len(x) > depth_cap for x in combo):
+            continue
+        terms = sorted(combo.items(), key=lambda kv: elim_key(kv[0], pool), reverse=True)
+        parts = [f"{c}*{render_word(x)}" for x, c in terms]
+        if product is not None:
+            parts.append("-1*" + "*".join(map(render_word, product)))
+        yield f"0 = {' + '.join(parts) or '0'} # kind: {describe((kind, *desc[1:]))}"
 
 
 # ---------------------------------------------------------- numeric oracle

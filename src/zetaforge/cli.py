@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 
 from ._meta import BUILD_ID
-from .algebra import DEFAULT_KINDS, RELATION_KINDS, check_kinds, gen_relations, render_relation
-from .lyndon import candidate_pool, candidate_words, collapse_word, odd_lyndon_words
+from .algebra import DEFAULT_KINDS, RELATION_KINDS, check_kinds, relation_dump
+from .lyndon import candidate_pool, collapse_word, odd_lyndon_words
 from .solver import (
     MissingTable,
     SolverError,
@@ -110,10 +110,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.depth_cap is not None and args.depth_cap < 1:
         raise ValueError(f"depth cap must be >= 1, got {args.depth_cap}")
     kinds = _parse_kinds(args.relations)
-    pool = candidate_words(args.weight)
     count = 0
-    for rel in gen_relations(args.weight, kinds, depth_cap=args.depth_cap):
-        print(render_relation(rel, pool))
+    for line in relation_dump(args.weight, kinds, args.depth_cap):
+        print(line)
         count += 1
     print(f"# {count} relation(s) at weight {args.weight}", file=sys.stderr)
     return EXIT_OK
@@ -216,6 +215,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--table-dir is required to verify stored tables")
     if args.dims and args.max_weight is None and args.weight is None:
         raise ValueError("--dims needs --max-weight (or --weight) to bound the report")
+    if args.weight is not None and args.weight < 3:
+        raise ValueError(f"--weight must be >= 3 to recheck relations, got {args.weight}")
+    if args.max_weight is not None and args.max_weight < 2:
+        raise ValueError(f"--max-weight must be >= 2, got {args.max_weight}")
+    kinds = _parse_kinds(args.relations)
 
     machine: list[str] = [f"report.build = {BUILD_ID}"]
     failed = False
@@ -240,9 +244,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tables: dict = {}
 
     if args.weight is not None:
-        if args.weight < 3:
-            raise ValueError(f"--weight must be >= 3 to recheck relations, got {args.weight}")
-        kinds = _parse_kinds(args.relations)
         _load_range(store, args.weight, tables)
         rep = recheck_relations(args.weight, tables, kinds)
         machine.extend(rep.lines())

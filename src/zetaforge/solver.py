@@ -99,6 +99,7 @@ from typing import Callable, Iterable, Iterator
 from ._meta import BUILD_ID, TABLE_FORMAT
 from .algebra import (
     DEFAULT_KINDS,
+    Expansion,
     Monomial,
     add_scaled,
     add_term,
@@ -195,11 +196,6 @@ def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeigh
             raise MissingTable(f"no table entry for {render_word(w)}")
         add_scaled(out, table.entries[w], c)
     return out
-
-
-# A relation as :func:`~zetaforge.algebra.expand_relation` gives it: its
-# word combination and the product pair it equals, or None.
-Expansion = tuple[dict[Word, int], tuple[Word, Word] | None]
 
 
 def expand_row(
@@ -624,21 +620,16 @@ class MasterExpression:
             self.entries[self.columns[lead]] = self._rhs(lead, pivots.pop(lead))
 
 
-# Elimination rows, in consumption order (stuffle relations are spent in the
-# family phase).
-ELIMINATION_ORDER = ("hoffman", "shuffle", "duality")
-
-
 def elimination_rows(
-    w: int,
-    kinds: tuple[str, ...],
+    relations: list[tuple],
     columns: list[Word],
     expand: Callable[[tuple], Expansion],
 ) -> list[tuple]:
-    """The elimination rows of weight ``w`` under ``kinds``, in the order
-    :meth:`MasterExpression.absorb` consumes them: the Hoffman rows by
-    descending lead column over ``columns``, ties in descriptor order, then
-    the shuffle and duality rows in descriptor order.
+    """The elimination rows among a weight's ``relations`` (its
+    descriptors), in the order :meth:`MasterExpression.absorb` consumes
+    them: the Hoffman rows by descending lead column over ``columns``, ties
+    in descriptor order, then the shuffle and duality rows in descriptor
+    order.  The stuffle relations are spent in the family phase.
 
     A Hoffman row has no product and no lower-weight word, so its integer
     row is its word combination (as ``expand`` gives it) and its lead is
@@ -652,9 +643,8 @@ def elimination_rows(
     def lead(desc: tuple) -> int:
         return min(col_of[x] for x in expand(desc)[0])
 
-    rows = relation_descriptors(w, kinds, order=ELIMINATION_ORDER)
-    hoffman = sorted((desc for desc in rows if desc[0] == "hoffman"), key=lead, reverse=True)
-    return hoffman + [desc for desc in rows if desc[0] != "hoffman"]
+    hoffman = sorted((desc for desc in relations if desc[0] == "hoffman"), key=lead, reverse=True)
+    return hoffman + [desc for desc in relations if desc[0] not in ("stuffle", "hoffman")]
 
 
 # ------------------------------------------------------------- checkpointing
@@ -851,7 +841,7 @@ def solve_weight(
                     lower.expansions.update(
                         (desc, expand_relation(desc)) for desc in relations if desc[0] == "hoffman"
                     )
-                    rows = elimination_rows(w, kinds, columns, lower.expand)
+                    rows = elimination_rows(relations, columns, lower.expand)
                 # ---- bracketed elimination and assembly
                 for done, desc in enumerate(rows, 1):
                     master.absorb(desc)
@@ -1045,8 +1035,10 @@ def parse_table(text: str) -> SolvedWeight:
         raise ValueError(
             f"weight-{w} table has {len(entries)} entries, expected {2 ** (w - 2)}"
         )
-    if set(generators) != {x for x, entry in entries.items() if entry == {(x,): 1}}:
-        raise ValueError("header generators differ from the words tabled as themselves")
+    tabled = sorted((x for x, entry in entries.items() if entry == {(x,): 1}), key=listing_key)
+    if generators != tabled:
+        raise ValueError("header generators are not the words tabled as themselves, "
+                         "each once in listing order")
     for mono in monomials.values():
         if sum(map(weight, mono)) != w:
             raise ValueError(f"monomial {render_monomial(mono)} is not of weight {w}")

@@ -18,8 +18,6 @@ from itertools import combinations
 import pytest
 
 from zetaforge.algebra import (
-    DEFAULT_KINDS,
-    Relation,
     add_scaled,
     add_term,
     check_kinds,
@@ -28,19 +26,24 @@ from zetaforge.algebra import (
     eval_truncated,
     expand_relation,
     expansion_tolerance,
-    gen_relations,
     hoffman_relation,
     lc_mul,
     mono_mul,
     relation_descriptors,
-    render_relation,
+    relation_dump,
     shuffle_words,
     stuffle,
     truncation_tail_bound,
     weight_pairs,
 )
-from zetaforge.lyndon import candidate_words
-from zetaforge.words import admissible_words, from_binary, is_admissible, to_binary, weight
+from zetaforge.words import (
+    admissible_words,
+    from_binary,
+    is_admissible,
+    parse_word,
+    to_binary,
+    weight,
+)
 
 
 # ------------------------------------------------------------------ oracles
@@ -301,13 +304,11 @@ def test_describe_names_the_instance():
     assert describe(("hoffman", (2, 1))) == "hoffman Z(2,1)"
 
 
-def test_relation_descriptors_follow_the_given_kind_order():
-    # the selection's own order never matters, only ``order`` does
+def test_relation_descriptors_follow_the_kind_order():
+    # the selection's own order never matters: kinds come in RELATION_KINDS order
     descs = relation_descriptors(5, ("duality", "shuffle", "hoffman", "stuffle"))
     assert [d[0] for d in descs] == ["stuffle"] * 2 + ["shuffle"] * 2 + ["hoffman"] * 4 + ["duality"] * 4
-    rows = relation_descriptors(5, DEFAULT_KINDS, order=("hoffman", "shuffle", "duality"))
-    assert [d[0] for d in rows] == ["hoffman"] * 4 + ["shuffle"] * 2
-    assert rows[4:] == [("shuffle", u, v) for u, v in weight_pairs(5)]
+    assert descs[2:4] == [("shuffle", u, v) for u, v in weight_pairs(5)]
 
 
 # ------------------------------------------------------------ relation gen
@@ -322,47 +323,57 @@ def test_weight_pairs_cover_all_splits():
     assert len(set(pairs)) == len(pairs)
 
 
+def dump_terms(line):
+    """A dump line read back: its word terms, its trailing product term
+    ``(coefficient, (u, v))`` or None, and its label after ``# kind:``."""
+    body, _, label = line.partition(" # kind: ")
+    terms, product = {}, None
+    for term in body.removeprefix("0 = ").split(" + "):
+        coeff, _, factors = term.partition("*")
+        words = tuple(parse_word(f) for f in factors.replace(")*", ")|").split("|"))
+        if len(words) == 2:
+            product = (int(coeff), words)
+        else:
+            terms[words[0]] = int(coeff)
+    return terms, product, label
+
+
 def test_gen_relations_weight_4():
-    rels = list(gen_relations(4))
-    assert [r.kind for r in rels] == ["pair", "hoffman", "hoffman"]
+    rels = [dump_terms(line) for line in relation_dump(4)]
+    assert [label.split()[0] for _, _, label in rels] == ["pair", "hoffman", "hoffman"]
     # stuffle minus shuffle of (2)*(2): (4) + 2(2,2) - 2(2,2) - 4(3,1)
-    assert rels[0].combo == {(4,): Fraction(1), (3, 1): Fraction(-4)}
-    assert rels[0].provenance == ((2,), (2,))
-    assert rels[1].combo == {
-        (2, 2): Fraction(1),
-        (3, 1): Fraction(1),
-        (2, 1, 1): Fraction(-1),
-    }
+    assert rels[0] == ({(4,): 1, (3, 1): -4}, None, "pair Z(2)*Z(2)")
+    assert rels[1][0] == {(2, 2): 1, (3, 1): 1, (2, 1, 1): -1}
 
 
 def test_gen_relations_single_product_kind_keeps_product_term():
-    rels = [r for r in gen_relations(5, kinds=("stuffle",)) if r.kind == "stuffle-product"]
-    assert rels and all(r.product_of is not None for r in rels)
-    u, v = rels[0].product_of
-    assert {x: int(c) for x, c in rels[0].combo.items()} == stuffle(u, v)
+    rels = [dump_terms(line) for line in relation_dump(5, ("stuffle",))]
+    products = [r for r in rels if r[2].startswith("stuffle-product ")]
+    assert products and all(product is not None for _, product, _ in products)
+    for terms, (coeff, (u, v)), _ in products:
+        assert coeff == -1
+        assert terms == stuffle(u, v)
 
 
 def test_gen_relations_depth_cap_drops_whole_relations():
-    capped = list(gen_relations(6, depth_cap=2))
-    full = list(gen_relations(6))
+    capped = list(relation_dump(6, depth_cap=2))
+    full = list(relation_dump(6))
     assert 0 < len(capped) < len(full)
-    for rel in capped:
-        assert all(len(x) <= 2 for x in rel.combo)
+    # a capped dump is the full dump without the lines naming a deeper word
+    shallow = [line for line in full if all(len(x) <= 2 for x in dump_terms(line)[0])]
+    assert capped == shallow
 
 
 def test_gen_relations_duality_kind():
     # one relation per dual orbit, emitted from the lexicographically smaller
     # word: (2,1,1) < (4,) so the (2,1,1)-side carries the +1
-    rels = list(gen_relations(4, kinds=("stuffle", "duality")))
-    dual_rels = [r for r in rels if r.kind == "duality"]
-    assert len(dual_rels) == 1
-    assert dual_rels[0].combo == {(2, 1, 1): Fraction(1), (4,): Fraction(-1)}
+    rels = [dump_terms(line) for line in relation_dump(4, ("stuffle", "duality"))]
+    dual_rels = [r for r in rels if r[2].startswith("duality ")]
+    assert dual_rels == [({(2, 1, 1): 1, (4,): -1}, None, "duality Z(2,1,1)")]
 
 
 def test_render_relation_golden_lines():
-    pool = candidate_words(4)
-    lines = [render_relation(r, pool) for r in gen_relations(4)]
-    assert lines == [
+    assert list(relation_dump(4)) == [
         "0 = -4*Z(3,1) + 1*Z(4) # kind: pair Z(2)*Z(2)",
         "0 = 1*Z(2,2) + -1*Z(2,1,1) + 1*Z(3,1) # kind: hoffman Z(2,1)",
         "0 = -1*Z(2,2) + -1*Z(3,1) + 1*Z(4) # kind: hoffman Z(3)",
@@ -370,8 +381,7 @@ def test_render_relation_golden_lines():
 
 
 def test_render_relation_includes_product_term():
-    rel = next(iter(gen_relations(4, kinds=("shuffle",))))
-    line = render_relation(rel, candidate_words(4))
+    line = next(relation_dump(4, ("shuffle",)))
     assert line.endswith("# kind: shuffle-product Z(2)*Z(2)")
     assert "-1*Z(2)*Z(2)" in line
 

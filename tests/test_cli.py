@@ -93,6 +93,114 @@ def test_gen_respects_relations_and_depth_cap(capsys):
         assert "kind: stuffle-product" in line
 
 
+# sha256 of `gen --weight W` output for W = 3..9, by kind set and depth cap:
+# the dump is a file format, so any change to its bytes must be deliberate
+GEN_DIGESTS = {
+    ("stuffle,shuffle,hoffman", None): [
+        "123e1634e10825d3f8a7d4aa86fc8bf902f7902ad39d78bf39a671b278168fe5",
+        "48f9e697163c162cbecf944f68bc05a5b80a0d2f4ae49d32f1d1ffc73df500af",
+        "c325bca6dac42d9428a27965b8fc5587191665f8f8068f32d08ab556497c97f5",
+        "70c56c84e7899184de3757e4afbb850a06f6fd492fcfe8ff3c1fc76a26ed0846",
+        "65e3902cc7fb253974836179f90bfa9661fc0bc73c21c4fa8bdbdda783fcd412",
+        "caa3a83e36da971f98b64c5230acee23c7e4414198e3f8890e5fc696eb1f0b59",
+        "ab6683d806bd2bf09d4c2260d9e4a289a0d4df182050459d9eb3ff79660afd98",
+    ],
+    ("stuffle,shuffle,hoffman", 3): [
+        "123e1634e10825d3f8a7d4aa86fc8bf902f7902ad39d78bf39a671b278168fe5",
+        "48f9e697163c162cbecf944f68bc05a5b80a0d2f4ae49d32f1d1ffc73df500af",
+        "29475c8d2f8bb592f850fc2c17f3d546321ff9a6335f076dbecd0aafe3f8f6c2",
+        "e24895ed59880c7040a551bc0c506df8ee822315a15a166b21924df38b4afc5b",
+        "b34a4e665be51afe562b27b5f6913b2fba8bfe1722d7384cae2ce776bb419ab0",
+        "b0e439f88c03538d77b0c10627bb32313ccfe8b0fa8dddf7046fd16c748e64a5",
+        "c9b95f9864b74c2f7b5edd31ea26fbd1a26337b498574bd25a598c3bf326900d",
+    ],
+    ("stuffle", None): [
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b77d16514f44d030c44c6befcc18d3d425be042f61644ca5547f1cdf176db0ba",
+        "cb6d6cface4c99b83425e78ec210fb7a24da0450c9ef3cf6c688cc42101eb499",
+        "05dbc6a0b5380933e0ba6ab26acf9f3283e5c4bedfcf4b894dcc7527eb3859cc",
+        "3e0a5185a6bc360fed782f7762d5056b0e807ca314a704f765651d9539e38d42",
+        "ea6802fe390d3b6e60a3b15d919ab8d41a0f8b931f718b6ba2ae33d6ea14133a",
+        "e553268dbe45ff74526cb44cec41af9ad26fc2c8bd1d223e30c19e65a84a8481",
+    ],
+    ("stuffle", 3): [
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b77d16514f44d030c44c6befcc18d3d425be042f61644ca5547f1cdf176db0ba",
+        "cb6d6cface4c99b83425e78ec210fb7a24da0450c9ef3cf6c688cc42101eb499",
+        "bbc9e561472f3a5b5b9d3142d9788e69438479438068220c0ab5d13042b70716",
+        "f078c28756da3d36ec3b35f029d6963ca800126daa64493319f22b0dcf028eca",
+        "1e7371ad4f670b14550935296ed6d3af363f56be09663c349991456c9eb4ae5a",
+        "708521934735f3668139c13d9a3f01f6d0c6fd57e6668b16add7c3d3034368f2",
+    ],
+    ("stuffle,shuffle,hoffman,duality", None): [
+        "5fb7b7737d886515e1c337d6e3dcb94ec5c1bd016ca9614c64e729373107dcd2",
+        "6f959a6cc58441bcbab377fd0129bd13f8da5e1da333ac299d077a1887fb260a",
+        "f62348fa1ea3ba26f6cef075566b732c7cef06da892f1e5da46287494da63d9f",
+        "806c34133965a799c77bb021352707902e0639962d016a9d70eb850e24f7d4c2",
+        "4459906c6762c60b8e7b15b1eff946b6bbef2b2e19f76b00c29c09d8b1151f86",
+        "30018d2ad2c31f6be33e3dbe5d726d4f01e0c25f8c680065822f105529d9e4ad",
+        "89475526d8faeff349e5184f9a68d59bdc542f525bf8df5f2acb8e3917a1e33a",
+    ],
+    ("stuffle,shuffle,hoffman,duality", 3): [
+        "5fb7b7737d886515e1c337d6e3dcb94ec5c1bd016ca9614c64e729373107dcd2",
+        "6f959a6cc58441bcbab377fd0129bd13f8da5e1da333ac299d077a1887fb260a",
+        "44703d1e2ee5b4e43ff25ff16a540a2354b0b72a4a3dc616c64d0fda36b1ef70",
+        "0196e56242c051783215eba701161974a7c0504589161e00e65cec8449a6456f",
+        "b34a4e665be51afe562b27b5f6913b2fba8bfe1722d7384cae2ce776bb419ab0",
+        "b0e439f88c03538d77b0c10627bb32313ccfe8b0fa8dddf7046fd16c748e64a5",
+        "c9b95f9864b74c2f7b5edd31ea26fbd1a26337b498574bd25a598c3bf326900d",
+    ],
+    ("shuffle,duality", None): [
+        "2917370780b97805a667d4ff5150a52f6e5a31e95b6a9e38061caa8f578909ca",
+        "15861bb55811c07a6b69dca73f22dba39bb42accd6a4f2cf8da8b2116e98ad1d",
+        "c6e9ef2b7339bd8f1ce71391843455ce55b9eea78d147c94150075ffa83f23a1",
+        "3d09b95354985456168593fb32fd3d48a04845a8165703afe5d45be22bb6131b",
+        "0393e337baa97710f94be7d4606a9c8ef328a87ed751fb00113213347dddc54c",
+        "76b6669defda77a3fc01a1ee87d5d20c02eb9990ae80bca3313d57387190749e",
+        "553a151f0508f97bdcd04277d0c280fd9bcc71c71447000fcefeeea645024809",
+    ],
+    ("shuffle,duality", 3): [
+        "2917370780b97805a667d4ff5150a52f6e5a31e95b6a9e38061caa8f578909ca",
+        "15861bb55811c07a6b69dca73f22dba39bb42accd6a4f2cf8da8b2116e98ad1d",
+        "dd80e51f5335ef577ad0933dc6f2bbb87c191562aa8728209833e5c384a149a0",
+        "4abdebbf006249136b692c5ed005d36dd52fb443e784d38d5e37a67bcf851d13",
+        "9aa62da631700041d49af62e78448c0aca5a4d2ac81d2b6a6547872c4cbce854",
+        "aecee7cfd7be0f27b265ff3b93b23b340ff82d8d8b0cc124ad0528f1f5a5d2af",
+        "fdf2389878d14beebe632672e91cfca1fc5441c55cccdcb594324e31a8563f62",
+    ],
+    ("hoffman", None): [
+        "123e1634e10825d3f8a7d4aa86fc8bf902f7902ad39d78bf39a671b278168fe5",
+        "a830ae2f708f5161bd878484e7d492130039035e44fcd56467532e45ccfc2e50",
+        "ae73c4c44c754e5c3d88969830849372628a92a7db70eca89fc9c02a20ceb91f",
+        "8d73b07260c609ea63f7a89e28fcbb2ac8dbe59df2973954f4744a36be5dcfa0",
+        "d65146b31ad548d30a3346c9eff7bc0e959fb4d9304498132aa98ea873a33065",
+        "d862a06a45f9a4e9b6b448020afab095b7c4c2abf1f2ac9565fa6924e9213dfd",
+        "66f8f512e2cd6fb16069876e51641fee84b79846e430f5ce4fe7eac21e898c7c",
+    ],
+    ("hoffman", 3): [
+        "123e1634e10825d3f8a7d4aa86fc8bf902f7902ad39d78bf39a671b278168fe5",
+        "a830ae2f708f5161bd878484e7d492130039035e44fcd56467532e45ccfc2e50",
+        "c25de7276bb76df1b3f5e019e6f1fe36cd9cd18927287ce9587e1af4fa2d12c0",
+        "a916d2ae26854a91d6a4469784c52e5f882d834bfa5b011a25f00ba751a49853",
+        "5db5db3df8100dada41b39d93164fb51edb8d52f79e95cf4d7333385c4038a01",
+        "914ca13c8ff9c87a6aa1bcbcdfc00fa6768bb742bfda02f8d2f7cf3d81b95185",
+        "1adf8cf2804b061f75a19dc41f7798384e6f2a3e009a48a1e31e5b379a2e6ff6",
+    ],
+}
+
+
+@pytest.mark.parametrize("kinds, cap", list(GEN_DIGESTS))
+def test_gen_output_matches_recorded_digests(capsys, kinds, cap):
+    digests = []
+    for w in range(3, 10):
+        argv = ["gen", "--weight", str(w), "--relations", kinds]
+        if cap is not None:
+            argv += ["--depth-cap", str(cap)]
+        assert main(argv) == EXIT_OK
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == GEN_DIGESTS[kinds, cap]
+
+
 def test_solve_reports_and_persists(solved_dir, capsys):
     # a second run is a pure load: no solver lines, manifest untouched
     before = (solved_dir / "manifest.json").read_bytes()
@@ -204,6 +312,23 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--published-basis", "--relations", "bogus"],
+        ["verify", "--dims", "--max-weight", "1", "--table-dir", "tables"],
+        ["verify", "--weight", "2", "--published-basis", "--table-dir", "tables"],
+    ],
+    ids=["unknown-kind", "max-weight-below-2", "weight-below-3"],
+)
+def test_verify_checks_its_arguments_before_any_check(tmp_path, monkeypatch, capsys, argv):
+    # a bad argument stops verify before its first check prints or writes
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.rglob("verify-report.txt")) == []
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--weight", "4", "--bogus"])
@@ -313,6 +438,7 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         # the count and the words stay distinct, but the set is not weight 5's
         ("Z(4,1) =", "Z(4,2) ="),
         ("Z(4,1) =", "Z(1,4) ="),
+        ("# generators: Z(5)\n", "# generators: Z(5) Z(5)\n"),
     ],
     ids=[
         "generators-differ-from-self-entries",
@@ -320,6 +446,7 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         "monomial-factor-not-a-generator",
         "word-of-another-weight",
         "word-not-admissible",
+        "generator-listed-twice",
     ],
 )
 def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, capsys, old, new):
