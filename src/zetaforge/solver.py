@@ -6,21 +6,21 @@ reduction over one column space: every admissible word of the weight (the
 non-Lyndon words, then the Lyndon words, each in elimination order), then
 the monomials (products of lower-weight generators).
 
-1. Family brackets.  Stuffle relations mix only words sharing one index
-   multiset (a family) plus lower-depth merge terms and lower-weight
-   products, so the stuffle rows, fed depth ascending and family by family,
-   give every non-Lyndon admissible word a bracket over same-weight Lyndon
-   words and monomials.
+1. Family brackets, depth by depth.  Stuffle relations mix only words
+   sharing one index multiset (a family) plus lower-depth merge terms and
+   lower-weight products, so the stuffle rows, fed depth ascending and
+   family by family, give every non-Lyndon admissible word a bracket.
+   After each depth's stuffle rows come the regularized rows whose words
+   are no deeper (:func:`family_phase`).
 
-2. Bracketed elimination.  The remaining relation rows (regularized rows,
-   shuffle product rows, optionally duality rows) are reduced against every
-   bracket; what is left is led by a Lyndon word of the weight, and its
-   install clears that lead from every bracket, family brackets included.
-   Words that never lead a bracket survive as this weight's generators.  The
-   regularized rows come first, latest lead column first, then the other
-   rows in descriptor order (:func:`elimination_rows`): a pivot installed
-   at a late column is named by few of the brackets already there, so
-   installing it rewrites few.  The order is free: whatever it is, the
+2. Bracketed elimination.  Every other row (regularized, shuffle product,
+   optionally duality) is reduced against every bracket; what is left is
+   led by a Lyndon word of the weight, and its install clears that lead
+   from every bracket, family brackets included.  Words that never lead a
+   bracket survive as this weight's generators.  A pivot installed at a
+   late column, or before the deeper brackets exist, is named by few
+   brackets, so installing it rewrites few (:func:`elimination_rows`).
+   The order is free: whatever it is, the
    table is the unique reduced row-echelon form shown below.  Once the
    Lyndon brackets reach the conjectured rank, the number of Lyndon words
    less the number of odd Lyndon words (the generator count that ``verify
@@ -74,10 +74,11 @@ Why the certificate pins the bytes, whatever the modulus and the row order:
   form, and no separate shape check is needed.
 
 Tables persist as one text file per weight plus a manifest with content
-hashes.  The family brackets are checkpointed once per weight, as each
-non-Lyndon word's entry mod p, with their modulus, so a crash in elimination
-redoes only that weight's elimination.
-A checkpoint whose payload hash does not match is never reused.
+hashes.  The brackets left by the family phase, family and Lyndon brackets
+alike, are checkpointed once per weight, as each lead's entry mod p, with
+their modulus, so a crash in elimination redoes only the shuffle and
+duality rows of that weight.  A checkpoint whose payload hash does not
+match is never reused.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -384,36 +386,49 @@ def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
             target.pop(k, None)
 
 
-def family_phase(master: MasterExpression) -> None:
+def family_phase(master: MasterExpression, regularized: Iterable[tuple] = ()) -> None:
     """Give every non-Lyndon word of the master's weight a bracket in
-    ``master.pivots``, modulo ``master.prime``, from its stuffle rows.
+    ``master.pivots``, modulo ``master.prime``, from its stuffle rows, and
+    absorb the ``regularized`` rows depth by depth among them.
 
     A stuffle row mixes only the words of one index multiset (a family),
     words of lower depth and lower-weight products.  So the rows, which are
     exactly the ``relation_descriptors(w, ("stuffle",))`` that the
     certificate checks, are fed depth ascending and family by family to
-    :meth:`MasterExpression.reduce`.  By then every lower-depth word has its
-    bracket, so each row's lead is the family member without a bracket that
-    dies first in the elimination order, and no Lyndon word is eliminated
-    yet.  A row led by a Lyndon word or a monomial raises
-    :class:`InconsistentRelation`; a non-Lyndon word left without a bracket
-    raises :class:`UnderdeterminedFamily`.  Under an unlucky modulus either
-    can happen where the rationals would not, and a coefficient that
-    vanishes mod p is never a lead.
+    :meth:`MasterExpression.reduce`, each led by the family member without
+    a bracket that dies first.  Right after the rows of depth d, a
+    non-Lyndon word of depth d left without a bracket raises
+    :class:`UnderdeterminedFamily`; then each regularized row on a word v
+    with ``len(v) + 1 == d``, in the given order, goes to
+    :meth:`MasterExpression.absorb`.  It names only words of depth
+    ``len(v)`` and d, so it leads at a Lyndon word, and its pivot is
+    installed before any deeper bracket exists to be rewritten.  A stuffle
+    row led by a Lyndon word or a monomial raises
+    :class:`InconsistentRelation`.  Under an unlucky modulus either error
+    can happen where the rationals would not.
     """
 
     def family(desc: tuple) -> tuple:
         u, v = desc[1:]
         return len(u) + len(v), sorted(u + v, reverse=True)
 
-    for desc in sorted(relation_descriptors(master.weight, ("stuffle",)), key=family):
-        master.reduce(desc)
-    missing = [master.columns[k] for k in range(master.n_family) if k not in master.pivots]
-    if missing:
-        raise UnderdeterminedFamily(
-            f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
-            f"family bracket"
-        )
+    stuffle = sorted(relation_descriptors(master.weight, ("stuffle",)), key=family)
+    by_depth = {d: list(descs) for d, descs in groupby(stuffle, lambda desc: family(desc)[0])}
+    layers: dict[int, list[tuple]] = {}
+    for desc in regularized:
+        layers.setdefault(len(desc[1]) + 1, []).append(desc)
+    for depth in range(2, master.weight):
+        for desc in by_depth.get(depth, ()):
+            master.reduce(desc)
+        missing = [x for x in master.columns[:master.n_family]
+                   if len(x) == depth and master.col_of[x] not in master.pivots]
+        if missing:
+            raise UnderdeterminedFamily(
+                f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
+                f"family bracket"
+            )
+        for desc in layers.get(depth, ()):
+            master.absorb(desc)
 
 
 # ------------------------------------------------------ bracketed elimination
@@ -469,10 +484,11 @@ class MasterExpression:
 
     Rows may come in any order: the table is the unique reduced row-echelon
     form of their span (see the module docstring), so the order sets only
-    the cost, through the brackets each install rewrites.  ``solve_weight``
-    feeds the rows of :func:`elimination_rows`, latest lead first.
+    the cost, through the brackets each install rewrites; ``solve_weight``
+    feeds them as :func:`family_phase` and :func:`elimination_rows` say.
 
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
+    ``absorbed`` the rows it was given, of the ``n_rows`` a solve gives it,
     ``skipped`` the rows it passed over once ``installed`` had reached
     ``target`` (None: never), ``peak_terms`` the most live terms in
     Lyndon-led brackets after any install, and ``bracket_updates`` the
@@ -485,6 +501,7 @@ class MasterExpression:
         lower: Certifier,
         prime: int = PRIMES[0],
         target: int | None = None,
+        n_rows: int = 0,
     ):
         self.columns = columns
         self.col_of = {w: i for i, w in enumerate(columns)}
@@ -496,6 +513,8 @@ class MasterExpression:
         self.pivots: dict[int, dict[int, int]] = {}
         self.entries: dict[Word, Residues] = {}
         self.installed = 0
+        self.absorbed = 0
+        self.n_rows = n_rows
         self.target = target
         self.skipped = 0
         self.peak_terms = 0
@@ -580,35 +599,40 @@ class MasterExpression:
         ``installed`` has reached ``target``, a row is counted in
         ``skipped`` and neither expanded nor reduced: at the conjectured
         rank it has nothing to add, and the certificate checks it with
-        every other relation of the weight."""
+        every other relation of the weight.  Every ``PROGRESS_ROWS`` rows
+        log a progress line at debug level."""
+        pivot = False
         if self.target is not None and self.installed >= self.target:
             self.skipped += 1
-            return False
-        if not self.reduce(desc):
-            return False
-        self.installed += 1
-        terms = sum(len(b) for lead, b in self.pivots.items() if lead >= self.n_family)
-        self.peak_terms = max(self.peak_terms, terms)
-        return True
+        elif pivot := self.reduce(desc):
+            self.installed += 1
+            terms = sum(len(b) for lead, b in self.pivots.items() if lead >= self.n_family)
+            self.peak_terms = max(self.peak_terms, terms)
+        self.absorbed += 1
+        if self.absorbed % PROGRESS_ROWS == 0:
+            log.debug("weight %d: %d/%d rows absorbed, %d pivots",
+                      self.weight, self.absorbed, self.n_rows, self.installed)
+        return pivot
 
     def _rhs(self, lead: int, bracket: dict[int, int]) -> Residues:
         """The bracket's right-hand side: its word is minus the rest."""
         p = self.prime
         return {self._name(k): -v % p for k, v in bracket.items() if k != lead}
 
-    def family_entries(self) -> Iterator[tuple[Word, Residues]]:
-        """Each non-Lyndon word's bracket and right-hand side, one at a time
-        (the family checkpoint's payload)."""
+    def bracket_entries(self) -> Iterator[tuple[Word, Residues]]:
+        """Each bracket's word and right-hand side, one at a time (the
+        checkpoint's payload)."""
         for lead, bracket in self.pivots.items():
-            if lead < self.n_family:
-                yield self.columns[lead], self._rhs(lead, bracket)
+            yield self.columns[lead], self._rhs(lead, bracket)
 
-    def restore_families(self, entries: dict[Word, Residues]) -> None:
-        """Install the brackets that :meth:`family_entries` named."""
+    def restore(self, entries: dict[Word, Residues]) -> None:
+        """Install the brackets that :meth:`bracket_entries` named, the
+        Lyndon-led ones counted as installed pivots."""
         p = self.prime
         for x, entry in entries.items():
             combo = {(x,): 1, **{m: -c % p for m, c in entry.items()}}
             self.pivots[self.col_of[x]] = self._over_columns(combo, ("checkpoint", x))
+        self.installed = sum(lead >= self.n_family for lead in self.pivots)
 
     def back_substitute(self) -> None:
         """Name in ``entries`` every eliminated word's right-hand side, mod
@@ -627,9 +651,10 @@ def elimination_rows(
 ) -> list[tuple]:
     """The elimination rows among a weight's ``relations`` (its
     descriptors), in the order :meth:`MasterExpression.absorb` consumes
-    them: the Hoffman rows by descending lead column over ``columns``, ties
-    in descriptor order, then the shuffle and duality rows in descriptor
-    order.  The stuffle relations are spent in the family phase.
+    them: the Hoffman rows on words v by ascending ``len(v)`` (the layers
+    of :func:`family_phase`), then by descending lead column over
+    ``columns``, ties in descriptor order, then the shuffle and duality
+    rows in descriptor order.
 
     A Hoffman row has no product and no lower-weight word, so its integer
     row is its word combination (as ``expand`` gives it) and its lead is
@@ -640,10 +665,10 @@ def elimination_rows(
     """
     col_of = {x: i for i, x in enumerate(columns)}
 
-    def lead(desc: tuple) -> int:
-        return min(col_of[x] for x in expand(desc)[0])
+    def key(desc: tuple) -> tuple[int, int]:
+        return len(desc[1]), -min(col_of[x] for x in expand(desc)[0])
 
-    hoffman = sorted((desc for desc in relations if desc[0] == "hoffman"), key=lead, reverse=True)
+    hoffman = sorted((desc for desc in relations if desc[0] == "hoffman"), key=key)
     return hoffman + [desc for desc in relations if desc[0] not in ("stuffle", "hoffman")]
 
 
@@ -659,8 +684,8 @@ def _payload_hash(payload: dict) -> str:
 
 class Checkpointer:
     """Hash-guarded resume state for one weight's solve under the relation
-    kinds ``kinds``: its family entries mod p and the modulus they were
-    computed under.
+    kinds ``kinds``: every bracket mod p after the family phase and the
+    modulus they were computed under.
 
     The file holds a JSON payload plus its sha256; a payload that fails the
     hash check, or a malformed file, refuses to resume (the caller must
@@ -668,9 +693,10 @@ class Checkpointer:
     table format and the sorted set of ``kinds``, the only settings that can
     change the entries.  A checkpoint written under another fingerprint or
     another modulus is ignored with a warning instead, since it describes a
-    different run.  So is one that is not a checkpoint of the whole family
-    phase: older builds checkpointed mid-elimination, or after each family
-    depth over ``Fraction``, and such a payload cannot be resumed.
+    different run.  So is one that is not a checkpoint of the whole layered
+    family phase: older builds checkpointed mid-elimination, after each
+    family depth over ``Fraction``, or the family brackets alone (phase
+    ``families``), and such a payload cannot be resumed.
     """
 
     def __init__(self, path: Path, kinds: tuple[str, ...]):
@@ -678,7 +704,7 @@ class Checkpointer:
         self.fingerprint = {"format": TABLE_FORMAT, "kinds": sorted(check_kinds(kinds))}
 
     def load(self, modulus: int) -> dict[Word, Residues] | None:
-        """The family entries saved under ``modulus``, or None when there is
+        """The brackets saved under ``modulus``, or None when there is
         nothing to resume."""
         if not self.path.exists():
             return None
@@ -698,9 +724,10 @@ class Checkpointer:
         try:
             usable = (
                 payload.get("fingerprint") == self.fingerprint
-                and payload.get("phase") == "families"
+                and payload.get("phase") in ("families", "layers")
                 and "depth_done" not in payload  # the per-depth format of older builds
                 and int(payload["modulus"]) == modulus
+                and payload["phase"] == "layers"  # not the family brackets alone
             )
             entries = _entries_restore(payload["entries"]) if usable else None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -805,49 +832,42 @@ def solve_weight(
         columns.remove(survivor_bias)
         columns.append(survivor_bias)
     relations = relation_descriptors(w, kinds)
-    lower = Certifier(tables)
-    rows: list[tuple] | None = None
+    # each regularized relation expanded once, for its lead, row and certificate
+    lower = Certifier(tables, {d: expand_relation(d) for d in relations if d[0] == "hoffman"})
+    rows = elimination_rows(relations, columns, lower.expand)
+    regularized = [desc for desc in rows if desc[0] == "hoffman"]
     target = rank_target(columns)
     family_seconds = certify_seconds = 0.0
     started = time.monotonic()
     for prime in PRIMES:
         for stop in (target, None):
-            master = MasterExpression(columns, lower, prime, stop)
+            master = MasterExpression(columns, lower, prime, stop, len(rows))
             error = None
             t0 = time.monotonic()
             try:
                 try:
-                    # ---- family brackets, or their checkpoint
-                    entries = checkpointer.load(prime) if checkpointer is not None else None
-                    if entries is not None:
+                    # ---- family brackets and regularized rows, or their checkpoint
+                    brackets = checkpointer.load(prime) if checkpointer is not None else None
+                    if brackets is not None:
                         note(f"weight {w}: resuming after the family phase")
-                        master.restore_families(entries)
+                        master.restore(brackets)
+                        master.absorbed = len(regularized)
                     else:
-                        family_phase(master)
-                        if checkpointer is not None:
+                        family_phase(master, regularized)
+                        # not after a stop at the rank target: a rerun needs every row
+                        if checkpointer is not None and not master.skipped:
                             checkpointer.save({
                                 "weight": w,
-                                "phase": "families",
+                                "phase": "layers",
                                 "modulus": prime,
-                                "entries": _entries_state(master.family_entries()),
+                                "entries": _entries_state(master.bracket_entries()),
                             })
                 finally:
                     family_seconds += time.monotonic() - t0
-                if rows is None:
-                    # each regularized relation expanded once, for its lead,
-                    # its row and its certificate, and dropped with the
-                    # weight; built after the family phase, whose checkpoint
-                    # is the memory peak of a persisted solve
-                    lower.expansions.update(
-                        (desc, expand_relation(desc)) for desc in relations if desc[0] == "hoffman"
-                    )
-                    rows = elimination_rows(relations, columns, lower.expand)
                 # ---- bracketed elimination and assembly
-                for done, desc in enumerate(rows, 1):
-                    master.absorb(desc)
-                    if done % PROGRESS_ROWS == 0:
-                        log.debug("weight %d: %d/%d rows absorbed, %d pivots",
-                                  w, done, len(rows), master.installed)
+                for desc in rows:
+                    if desc[0] != "hoffman":
+                        master.absorb(desc)
                 master.back_substitute()
                 solved = _assemble(w, master)
             except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:

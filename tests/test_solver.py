@@ -48,7 +48,7 @@ from zetaforge.solver import (
     solve_weight,
     substitute_tables,
 )
-from zetaforge.words import admissible_words, is_lyndon, weight
+from zetaforge.words import admissible_words, is_lyndon, render_word, weight
 
 
 # ------------------------------------------------------------- exact tables
@@ -362,12 +362,14 @@ def _lower_tables(up_to):
 
 
 def _interrupt_absorb_after(monkeypatch, n):
-    """Make ``MasterExpression.absorb`` crash on its (n+1)-th call."""
+    """Make ``MasterExpression.absorb`` crash on its (n+1)-th row after the
+    family phase, whose regularized rows it lets through."""
     honest = MasterExpression.absorb
     calls = []
 
     def absorb(self, desc):
-        calls.append(desc)
+        if desc[0] != "hoffman":
+            calls.append(desc)
         if len(calls) > n:
             raise KeyboardInterrupt("simulated crash during elimination")
         return honest(self, desc)
@@ -379,9 +381,9 @@ def _count_family_phases(monkeypatch):
     calls = []
     honest = solver_mod.family_phase
 
-    def counting(master):
+    def counting(master, *args):
         calls.append(master.weight)
-        return honest(master)
+        return honest(master, *args)
 
     monkeypatch.setattr(solver_mod, "family_phase", counting)
     return calls
@@ -401,7 +403,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
 
         def residue(self, desc):
             calls.append(desc)
-            if len(calls) > 8:  # of weight 7's 16 family rows
+            if len(calls) > 8:  # of weight 7's 16 family and 16 regularized rows
                 raise KeyboardInterrupt("simulated crash during the family phase")
             return honest(self, desc)
 
@@ -411,16 +413,20 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     with pytest.raises(KeyboardInterrupt):
         solve_weight(7, lower, checkpointer=checkpointer)
     if crash == "families":
-        assert all(desc[0] == "stuffle" for desc in calls) and not path.exists()
+        # the family phase interleaves each depth's regularized rows
+        assert {desc[0] for desc in calls} == {"stuffle", "hoffman"} and not path.exists()
     else:
         payload = json.loads(path.read_text())["payload"]
-        assert payload["phase"] == "families"
+        assert payload["phase"] == "layers"
         assert payload["modulus"] == solver_mod.PRIMES[0]
 
     monkeypatch.undo()
     family_phases = _count_family_phases(monkeypatch)
     resumed = solve_weight(7, lower, checkpointer=checkpointer)
     assert render_table(resumed) == render_table(fresh)
+    # the restored Lyndon brackets count as pivots of the resumed solve
+    for key in ("rows", "pivots", "redundant_rows"):
+        assert resumed.stats[key] == fresh.stats[key], key
     # the checkpoint holds every family entry, or there is none
     assert family_phases == ([] if crash == "elimination" else [7])
     assert not path.exists()  # cleared on success
@@ -450,6 +456,27 @@ def test_checkpoint_from_other_config_is_ignored(tmp_path):
     # still produces the canonical table
     resumed = solve_weight(7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
     assert render_table(resumed) == render_table(solve_weight(7, lower))
+
+
+# canonical-JSON sha256 of the payload below, pinned before the
+# depth-layered schedule
+WEIGHT_7_FAMILY_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21c94d46a"
+
+
+def _family_only_payload(lower):
+    """Weight 7's checkpoint payload as the builds before the depth-layered
+    schedule wrote it: the family brackets mod PRIMES[0], and no others."""
+    pool = solver_mod.candidate_words(7)
+    columns = sorted(admissible_words(7), reverse=True,
+                     key=lambda x: (not is_lyndon(x), solver_mod.elim_key(x, pool)))
+    master = MasterExpression(columns, Certifier(lower))
+    family_phase(master)
+    return {
+        "weight": 7,
+        "phase": "families",
+        "modulus": solver_mod.PRIMES[0],
+        "entries": solver_mod._entries_state(master.bracket_entries()),
+    }
 
 
 def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypatch, caplog):
@@ -486,7 +513,14 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
             "modulus": 2**61 - 1,
             "entries": {"5,2": {"6,1": 5}},
         },
+        # and then the family brackets alone, without the Lyndon brackets
+        # of the regularized rows
+        "family brackets alone": _family_only_payload(lower),
     }
+    fingerprint = Checkpointer(path, DEFAULT_KINDS).fingerprint
+    assert solver_mod._payload_hash(
+        dict(older["family brackets alone"], fingerprint=fingerprint)
+    ) == WEIGHT_7_FAMILY_CHECKPOINT
     canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
     for name, payload in older.items():
@@ -502,13 +536,16 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
         ], name
         assert family_phases == [7], name
         assert render_table(resumed) == canonical, name
+        # under the first modulus: a family-only payload resumed would fail
+        # the certificate there and fall through to the next
+        assert resumed.stats["modulus_bits"] == 127, name
         assert not path.exists(), name
 
 
-# canonical-JSON sha256 of weight 7's family checkpoint payload (its
-# modulus, fingerprint and entries mod PRIMES[0]); a change to it orphans
-# every checkpoint written before
-WEIGHT_7_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21c94d46a"
+# canonical-JSON sha256 of weight 7's checkpoint payload (its modulus,
+# fingerprint and every bracket mod PRIMES[0] after the layered family
+# phase); a change to it orphans every checkpoint written before
+WEIGHT_7_CHECKPOINT = "244a2825016bb6bad20991ecd59c69bca72527e08aa948f045d6ba283b407f0e"
 
 
 def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
@@ -601,11 +638,11 @@ def test_a_failed_family_phase_is_booked_as_family_time(monkeypatch, tables8):
     # solve moves on to 2^521 - 1; both attempts are family time
     honest = solver_mod.family_phase
 
-    def slow_then_failing(master):
+    def slow_then_failing(master, *args):
         if master.prime == solver_mod.PRIMES[0]:
             time.sleep(0.2)
             raise solver_mod.UnderdeterminedFamily("simulated")
-        honest(master)
+        honest(master, *args)
 
     monkeypatch.setattr(solver_mod, "family_phase", slow_then_failing)
     lower = {w: t for w, t in tables8.items() if w < 6}
@@ -623,7 +660,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
-        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 36 bracket updates",
+        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 28 bracket updates",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -755,6 +792,35 @@ def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatc
         assert stats["modulus_bits"] == (127 if w == 3 else 521)
 
 
+def test_an_incomplete_depth_is_named_before_its_regularized_rows(monkeypatch, tables8):
+    # under PRIMES[0] weight 6's stuffle rows of depth 3 vanish; the family
+    # phase absorbs the regularized rows on words of depth 1, then names the
+    # depth-3 words left without a bracket before a regularized row on a
+    # word of depth 2 (which names them) reaches absorb
+    honest_residue, honest_absorb = MasterExpression.residue, MasterExpression.absorb
+    absorbed = []
+
+    def unlucky(self, desc):
+        row = honest_residue(self, desc)
+        if desc[0] == "stuffle" and len(desc[1]) + len(desc[2]) == 3:
+            row = {m: v * self.prime for m, v in row.items()}
+        return row
+
+    def absorb(self, desc):
+        absorbed.append(desc)
+        return honest_absorb(self, desc)
+
+    monkeypatch.setattr(MasterExpression, "residue", unlucky)
+    monkeypatch.setattr(MasterExpression, "absorb", absorb)
+    master = _master(6, tables8, solver_mod.PRIMES[0])
+    hoffman = relation_descriptors(6, ("hoffman",))
+    with pytest.raises(solver_mod.UnderdeterminedFamily) as err:
+        family_phase(master, hoffman)
+    depth3 = [render_word(x) for x in master.columns[:master.n_family] if len(x) == 3]
+    assert depth3 and str(err.value) == f"weight 6: {depth3} left without a family bracket"
+    assert absorbed == [desc for desc in hoffman if len(desc[1]) == 1]
+
+
 def test_inconsistent_stuffle_row_under_the_first_modulus_falls_through(monkeypatch, tables8):
     # under PRIMES[0] the first stuffle row of each weight becomes a row on
     # one Lyndon word alone, so the family phase there meets a relation
@@ -842,38 +908,57 @@ def test_any_row_order_gives_the_same_tables(monkeypatch, tables8, seed):
         assert (stats["pivots"], stats["redundant_rows"]) == counts
 
 
-def _absorbed(monkeypatch, lower, **kwargs):
-    """The rows that a weight-8 solve absorbs, in order, each with the lead
-    of its integer row (None for a row that is not a Hoffman row)."""
-    seen = []
-    honest = MasterExpression.absorb
-
-    def recording(self, desc):
-        seen.append((desc, min(self.integer_row(desc)) if desc[0] == "hoffman" else None))
-        return honest(self, desc)
-
-    with monkeypatch.context() as m:
-        m.setattr(MasterExpression, "absorb", recording)
-        solve_weight(8, lower, **kwargs)
-    return seen
-
-
 @pytest.mark.parametrize("bias", [None, (3, 2, 1, 1, 1)])
-def test_hoffman_rows_come_latest_lead_first(monkeypatch, tables8, bias):
-    # with the bias, Z(3,2,1,1,1) moves to the last column, and each lead is
-    # read over the biased columns
-    lower = {w: t for w, t in tables8.items() if w < 8}
-    seen = _absorbed(monkeypatch, lower, survivor_bias=bias)
+def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(
+    monkeypatch, tables8, bias
+):
+    # the rows of a weight-8 solve in order: each stuffle row with its depth,
+    # each absorbed row with its layer and lead (for a Hoffman row on v, the
+    # depth len(v) + 1 and the lowest column of its integer row); with the
+    # bias, Z(3,2,1,1,1) moves to the last column, and each lead is read over
+    # the biased columns
+    seen = []
+    honest_reduce, honest_absorb = MasterExpression.reduce, MasterExpression.absorb
+
+    def reduce(self, desc):
+        if desc[0] == "stuffle":
+            seen.append((desc, len(desc[1]) + len(desc[2]), None))
+        return honest_reduce(self, desc)
+
+    def absorb(self, desc):
+        if desc[0] == "hoffman":
+            seen.append((desc, len(desc[1]) + 1, min(self.integer_row(desc))))
+        else:
+            seen.append((desc, None, None))
+        return honest_absorb(self, desc)
+
+    monkeypatch.setattr(MasterExpression, "reduce", reduce)
+    monkeypatch.setattr(MasterExpression, "absorb", absorb)
+    solve_weight(8, {w: t for w, t in tables8.items() if w < 8}, survivor_bias=bias)
+    stuffle = relation_descriptors(8, ("stuffle",))
     hoffman = relation_descriptors(8, ("hoffman",))
     shuffle = relation_descriptors(8, ("shuffle",))
-    assert len(seen) == len(hoffman) + len(shuffle) == 74
-    # the Hoffman rows by non-increasing lead, ties in descriptor order (a
-    # stable sort of the descriptors), then the 42 shuffle rows in
-    # descriptor order
-    leads = dict(seen[:32])
+    # every stuffle row once, depth ascending
+    depths = [(desc, d) for desc, d, _ in seen if desc[0] == "stuffle"]
+    assert sorted(desc for desc, _ in depths) == sorted(stuffle)
+    assert [d for _, d in depths] == sorted(d for _, d in depths)
+    # each Hoffman row on v comes after every stuffle row of depth
+    # len(v) + 1 and before any deeper stuffle row
+    layered = [(i, desc, depth) for i, (desc, depth, _) in enumerate(seen) if desc[0] == "hoffman"]
+    assert len({depth for _, _, depth in layered}) == 6  # v of depth 1 to 6
+    for i, desc, depth in layered:
+        assert all(d <= depth for x, d, _ in seen[:i] if x[0] == "stuffle"), describe(desc)
+        assert all(d > depth for x, d, _ in seen[i:] if x[0] == "stuffle"), describe(desc)
+    # within a layer, the latest lead first, ties in descriptor order (a
+    # stable sort of the descriptors)
+    leads = {desc: lead for desc, _, lead in seen if desc[0] == "hoffman"}
     assert sorted(leads) == sorted(hoffman)
-    assert [desc for desc, _ in seen[:32]] == sorted(hoffman, key=lambda desc: -leads[desc])
-    assert [desc for desc, _ in seen[32:]] == shuffle
+    assert [desc for _, desc, _ in layered] == sorted(
+        hoffman, key=lambda desc: (len(desc[1]), -leads[desc])
+    )
+    # then the 42 shuffle rows, in descriptor order
+    assert [desc for desc, _, _ in seen[-len(shuffle):]] == shuffle
+    assert len(seen) == len(stuffle) + len(hoffman) + len(shuffle)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -901,6 +986,31 @@ def test_a_wrong_rank_target_gives_the_same_tables(monkeypatch, caplog, tmp_path
     ensure_solved(store, 6)
     for w in range(2, 7):
         assert store.table_path(w).read_text() == render_table(tables8[w])
+
+
+def test_a_family_phase_stopped_at_the_rank_target_writes_no_checkpoint(
+    monkeypatch, tmp_path, tables8
+):
+    # with a target of 1, weight 8 stops at its first regularized pivot,
+    # inside the family phase, and skips the rest; that phase writes no
+    # checkpoint, so the rerun with every row reduces them all (and writes
+    # the one checkpoint) instead of resuming without them
+    monkeypatch.setattr(solver_mod, "rank_target", lambda columns: 1)
+    saves = []
+
+    class Recording(Checkpointer):
+        def save(self, payload):
+            saves.append(payload["modulus"])
+            super().save(payload)
+
+    path = tmp_path / "weight-08.checkpoint.json"
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    solved = solve_weight(8, lower, checkpointer=Recording(path, DEFAULT_KINDS))
+    assert render_table(solved) == render_table(tables8[8])
+    assert (solved.stats["pivots"], solved.stats["redundant_rows"]) == GOLDEN_COUNTS[8]
+    assert solved.stats["modulus_bits"] == 127
+    assert saves == [solver_mod.PRIMES[0]]
+    assert not path.exists()
 
 
 def test_rows_past_the_rank_target_are_absorbed_unreduced(monkeypatch, tables8, tables12):
@@ -948,13 +1058,12 @@ def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8)
 
 
 def test_bracket_updates_are_pinned_at_weight_10(tables12):
-    # with the Hoffman rows latest lead first, weight 10 rewrites 154
-    # brackets in the family phase and 843 Lyndon-led brackets in the
-    # elimination (997 in all), plus the 4750 family brackets that the
-    # elimination rewrites to keep the echelon fully reduced
+    # with each depth's regularized rows absorbed before any deeper family
+    # bracket is built, weight 10's installs rewrite 2510 brackets (5747
+    # when every family bracket was built before the first Lyndon pivot)
     tables, _ = tables12
-    assert tables[10].stats["bracket_updates"] == 5747
-    assert tables[10].stats["max_bracket_terms"] == 878
+    assert tables[10].stats["bracket_updates"] == 2510
+    assert tables[10].stats["max_bracket_terms"] == 874
 
 
 # ---------------------------------------------------- traced benchmark pass
@@ -1137,7 +1246,7 @@ def test_peak_terms_is_the_largest_live_count():
         "r1": ({a: -one, b: -half, c: -half}, {}),
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
     })
-    leads.restore_families({**{y: {} for y in families}, x: {(a,): 3}})
+    leads.restore({**{y: {} for y in families}, x: {(a,): 3}})
     A, B, C, X = (leads.col_of[y] for y in (a, b, c, x))
     M = leads.n_words  # the first monomial column
     inv2, inv3 = pow(2, -1, p), pow(3, -1, p)
