@@ -74,11 +74,11 @@ Why the certificate pins the bytes, whatever the modulus and the row order:
   form, and no separate shape check is needed.
 
 Tables persist as one text file per weight plus a manifest with content
-hashes.  The brackets left by the family phase, family and Lyndon brackets
-alike, are checkpointed once per weight, as each lead's entry mod p, with
-their modulus, so a crash in elimination redoes only the shuffle and
-duality rows of that weight.  A checkpoint whose payload hash does not
-match is never reused.
+hashes.  The echelon left by the family phase is checkpointed once per
+weight, in its own column space (:meth:`MasterExpression.state`), with its
+modulus, so a crash in elimination redoes only the shuffle and duality rows
+of that weight.  A checkpoint whose payload hash does not match is never
+reused.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ._meta import BUILD_ID, TABLE_FORMAT
 from .algebra import (
@@ -126,9 +126,6 @@ from .words import (
 log = logging.getLogger(__name__)
 
 Entry = dict[Monomial, Fraction]
-# A combination modulo the solve's prime, in which a word ``y`` of the weight
-# being solved is the single-factor monomial ``(y,)``.
-Residues = dict[Monomial, int]
 
 
 class SolverError(Exception):
@@ -492,7 +489,9 @@ class MasterExpression:
     ``skipped`` the rows it passed over once ``installed`` had reached
     ``target`` (None: never), ``peak_terms`` the most live terms in
     Lyndon-led brackets after any install, and ``bracket_updates`` the
-    brackets that installs rewrote.
+    brackets that installs rewrote.  :meth:`state` gives the monomials, the
+    echelon and these counters, in the master's own column space, as plain
+    data (the checkpoint's payload), and :meth:`restore` takes them up.
     """
 
     def __init__(
@@ -511,7 +510,7 @@ class MasterExpression:
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
         self.pivots: dict[int, dict[int, int]] = {}
-        self.entries: dict[Word, Residues] = {}
+        self.entries: dict[Word, dict[Monomial, int]] = {}
         self.installed = 0
         self.absorbed = 0
         self.n_rows = n_rows
@@ -530,9 +529,6 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def _name(self, k: int) -> Monomial:
-        return (self.columns[k],) if k < self.n_words else self.monomials[k - self.n_words]
-
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The integer residue of the relation ``desc``, with each word of
         the weight as itself and lower-weight words through the lower
@@ -544,11 +540,8 @@ class MasterExpression:
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
-        return self._over_columns(self.residue(desc), desc)
-
-    def _over_columns(self, combo: dict[Monomial, int], desc: tuple) -> dict[int, int]:
         row: dict[int, int] = {}
-        for m, v in combo.items():
+        for m, v in self.residue(desc).items():
             if len(m) > 1:
                 row[self._mono_col(m)] = v
             elif (col := self.col_of.get(m[0])) is not None:
@@ -614,34 +607,59 @@ class MasterExpression:
                       self.weight, self.absorbed, self.n_rows, self.installed)
         return pivot
 
-    def _rhs(self, lead: int, bracket: dict[int, int]) -> Residues:
-        """The bracket's right-hand side: its word is minus the rest."""
-        p = self.prime
-        return {self._name(k): -v % p for k, v in bracket.items() if k != lead}
+    def state(self) -> dict:
+        """The monomials of the monomial columns, each bracket as ``[lead,
+        col, c, col, c, ...]`` (its lead, then every column it names, the
+        lead included, with its coefficient), and the counters
+        ``[installed, absorbed, peak_terms, bracket_updates]``."""
+        return {
+            "monomials": self.monomials,
+            "pivots": [[lead, *chain.from_iterable(b.items())] for lead, b in self.pivots.items()],
+            "counters": [self.installed, self.absorbed, self.peak_terms, self.bracket_updates],
+        }
 
-    def bracket_entries(self) -> Iterator[tuple[Word, Residues]]:
-        """Each bracket's word and right-hand side, one at a time (the
-        checkpoint's payload)."""
-        for lead, bracket in self.pivots.items():
-            yield self.columns[lead], self._rhs(lead, bracket)
-
-    def restore(self, entries: dict[Word, Residues]) -> None:
-        """Install the brackets that :meth:`bracket_entries` named, the
-        Lyndon-led ones counted as installed pivots."""
-        p = self.prime
-        for x, entry in entries.items():
-            combo = {(x,): 1, **{m: -c % p for m, c in entry.items()}}
-            self.pivots[self.col_of[x]] = self._over_columns(combo, ("checkpoint", x))
-        self.installed = sum(lead >= self.n_family for lead in self.pivots)
+    def restore(self, state: dict) -> None:
+        """Take up a :meth:`state` in place.  Raises :class:`ValueError`
+        unless the monomials are distinct products of the weight, each
+        bracket is led by its own word column with 1, its integer columns
+        lie in the space and its coefficients in ``[1, p)``, and
+        ``installed`` counts the Lyndon-led brackets."""
+        monomials = [tuple(map(tuple, m)) for m in state["monomials"]]
+        if len(set(monomials)) < len(monomials) or any(
+            len(m) < 2 or sum(map(weight, m)) != self.weight for m in monomials
+        ):
+            raise ValueError(f"the monomials are not distinct products of weight {self.weight}")
+        p, n_columns = self.prime, self.n_words + len(monomials)
+        pivots: dict[int, dict[int, int]] = {}
+        for lead, *flat in state["pivots"]:
+            bracket = dict(zip(flat[::2], flat[1::2]))
+            if not (type(lead) is int and 0 <= lead < self.n_words and lead not in pivots
+                    and bracket.get(lead) == 1 and 2 * len(bracket) == len(flat)
+                    and all(type(k) is type(c) is int and 0 <= k < n_columns and 0 < c < p
+                            for k, c in bracket.items())):
+                raise ValueError(f"the bracket led at column {lead!r} is not led by its own "
+                                 f"word column with 1, or names a column outside the space "
+                                 f"or a coefficient outside [1, p)")
+            pivots[lead] = bracket
+        counters = state["counters"]
+        if not (len(counters) == 4 and all(type(n) is int and n >= 0 for n in counters)
+                and counters[0] == sum(lead >= self.n_family for lead in pivots)):
+            raise ValueError(f"counters {counters!r} do not fit the brackets")
+        self.monomials, self.mono_ids = monomials, {m: i for i, m in enumerate(monomials)}
+        self.pivots = pivots
+        self.installed, self.absorbed, self.peak_terms, self.bracket_updates = counters
 
     def back_substitute(self) -> None:
-        """Name in ``entries`` every eliminated word's right-hand side, mod
-        p, popping its bracket from ``pivots``.  The echelon is fully
-        reduced, so each bracket already names only its lead, survivors and
-        monomials."""
-        pivots = self.pivots
+        """Name in ``entries`` every eliminated word's right-hand side mod p
+        (its word is minus the rest, a word ``y`` of the weight as the
+        monomial ``(y,)``), popping its bracket from ``pivots``.  The echelon
+        is fully reduced, so each bracket already names only its lead,
+        survivors and monomials."""
+        p, pivots = self.prime, self.pivots
+        names = [(x,) for x in self.columns] + self.monomials
         for lead in list(pivots):
-            self.entries[self.columns[lead]] = self._rhs(lead, pivots.pop(lead))
+            rhs = {names[k]: -v % p for k, v in pivots.pop(lead).items() if k != lead}
+            self.entries[self.columns[lead]] = rhs
 
 
 def elimination_rows(
@@ -674,105 +692,73 @@ def elimination_rows(
 
 # ------------------------------------------------------------- checkpointing
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _payload_hash(payload: dict) -> str:
-    return hashlib.sha256(_canonical_json(payload).encode("ascii")).hexdigest()
+def _canonical_json(payload: dict) -> tuple[str, str]:
+    """``payload`` as canonical JSON text, and the sha256 of that text."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return text, hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 class Checkpointer:
     """Hash-guarded resume state for one weight's solve under the relation
-    kinds ``kinds``: every bracket mod p after the family phase and the
-    modulus they were computed under.
+    kinds ``kinds``: the master's :meth:`~MasterExpression.state` after the
+    family phase, with the modulus it was computed under.
 
-    The file holds a JSON payload plus its sha256; a payload that fails the
-    hash check, or a malformed file, refuses to resume (the caller must
-    delete the file to start over).  The payload carries a fingerprint: the
-    table format and the sorted set of ``kinds``, the only settings that can
-    change the entries.  A checkpoint written under another fingerprint or
-    another modulus is ignored with a warning instead, since it describes a
-    different run.  So is one that is not a checkpoint of the whole layered
-    family phase: older builds checkpointed mid-elimination, after each
-    family depth over ``Fraction``, or the family brackets alone (phase
-    ``families``), and such a payload cannot be resumed.
+    The file holds a JSON payload plus the sha256 of its canonical form; a
+    payload that fails the hash check, or a malformed file, refuses to
+    resume (the caller must delete the file to start over).  The payload
+    carries a fingerprint: the table format and the sorted set of ``kinds``,
+    the only settings that can change the entries.  A payload of another
+    fingerprint, modulus or phase tag (every older build wrote another tag)
+    describes a different run and is ignored with a warning; one that
+    matches all three but does not restore is malformed.
     """
 
     def __init__(self, path: Path, kinds: tuple[str, ...]):
         self.path = Path(path)
         self.fingerprint = {"format": TABLE_FORMAT, "kinds": sorted(check_kinds(kinds))}
 
-    def load(self, modulus: int) -> dict[Word, Residues] | None:
-        """The brackets saved under ``modulus``, or None when there is
-        nothing to resume."""
+    def load(self, master: MasterExpression) -> bool:
+        """Restore ``master`` from the checkpoint saved under its modulus;
+        False when there is none to resume."""
         if not self.path.exists():
-            return None
+            return False
         try:
             wrapper = json.loads(self.path.read_text(encoding="ascii"))
             payload = wrapper["payload"]
             recorded = wrapper["sha256"]
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreIntegrityError(f"unreadable checkpoint {self.path}: {exc}") from exc
-        if _payload_hash(payload) != recorded:
+        if _canonical_json(payload)[1] != recorded:
             raise StoreIntegrityError(
                 f"checkpoint {self.path} fails its hash check; refusing to resume "
                 f"(delete the file to restart this weight)"
             )
         if not isinstance(payload, dict):
             raise StoreIntegrityError(f"checkpoint {self.path} holds no payload object")
+        expected = {"fingerprint": self.fingerprint, "phase": "echelon", "modulus": master.prime}
+        if any(payload.get(key) != value for key, value in expected.items()):
+            log.warning("ignoring checkpoint %s from a different configuration", self.path)
+            return False
         try:
-            usable = (
-                payload.get("fingerprint") == self.fingerprint
-                and payload.get("phase") in ("families", "layers")
-                and "depth_done" not in payload  # the per-depth format of older builds
-                and int(payload["modulus"]) == modulus
-                and payload["phase"] == "layers"  # not the family brackets alone
-            )
-            entries = _entries_restore(payload["entries"]) if usable else None
+            master.restore(payload["state"])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise StoreIntegrityError(f"malformed checkpoint {self.path}: {exc!r}") from exc
-        if entries is None:
-            log.warning("ignoring checkpoint %s from a different configuration", self.path)
-        return entries
+        return True
 
-    def save(self, payload: dict) -> None:
-        payload = dict(payload, fingerprint=self.fingerprint)
-        wrapper = {"payload": payload, "sha256": _payload_hash(payload)}
-        _atomic_write(self.path, json.dumps(wrapper))
+    def save(self, master: MasterExpression) -> None:
+        text, digest = _canonical_json({
+            "fingerprint": self.fingerprint,
+            "phase": "echelon",
+            "modulus": master.prime,
+            "state": master.state(),
+        })
+        _atomic_write(self.path, f'{{"payload":{text},"sha256":"{digest}"}}')
 
     def clear(self) -> None:
         try:
             self.path.unlink()
         except FileNotFoundError:
             pass
-
-
-def _entries_state(entries: Iterable[tuple[Word, Residues]]) -> dict:
-    return {_word_str(x): {_mono_str(m): c for m, c in entry.items()} for x, entry in entries}
-
-
-def _entries_restore(state: dict) -> dict[Word, Residues]:
-    return {
-        _parse_word_str(x): {_parse_mono_str(m): int(c) for m, c in entry.items()}
-        for x, entry in state.items()
-    }
-
-
-def _word_str(w: Word) -> str:
-    return ",".join(str(m) for m in w)
-
-
-def _parse_word_str(s: str) -> Word:
-    return tuple(int(p) for p in s.split(","))
-
-
-def _mono_str(m: Monomial) -> str:
-    return "|".join(_word_str(f) for f in m)
-
-
-def _parse_mono_str(s: str) -> Monomial:
-    return tuple(_parse_word_str(p) for p in s.split("|"))
 
 
 # ------------------------------------------------------------- weight solve
@@ -847,21 +833,13 @@ def solve_weight(
             try:
                 try:
                     # ---- family brackets and regularized rows, or their checkpoint
-                    brackets = checkpointer.load(prime) if checkpointer is not None else None
-                    if brackets is not None:
+                    if checkpointer is not None and checkpointer.load(master):
                         note(f"weight {w}: resuming after the family phase")
-                        master.restore(brackets)
-                        master.absorbed = len(regularized)
                     else:
                         family_phase(master, regularized)
                         # not after a stop at the rank target: a rerun needs every row
                         if checkpointer is not None and not master.skipped:
-                            checkpointer.save({
-                                "weight": w,
-                                "phase": "layers",
-                                "modulus": prime,
-                                "entries": _entries_state(master.bracket_entries()),
-                            })
+                            checkpointer.save(master)
                 finally:
                     family_seconds += time.monotonic() - t0
                 # ---- bracketed elimination and assembly

@@ -499,15 +499,27 @@ def _list_instead_of_wrapper(path):
     path.write_text(json.dumps([1, 2]))
 
 
-def _payload_without_depth(path):
-    # hash-valid, with the default kinds' fingerprint, but with neither a
-    # modulus nor the family depth of the older per-depth format
-    Checkpointer(path, DEFAULT_KINDS).save(
-        {"weight": 5, "phase": "families", "entries": {}}
-    )
+def _write_echelon(path, **fields):
+    # hash-valid, with the default kinds' fingerprint and the solve's modulus
+    payload = {"fingerprint": Checkpointer(path, DEFAULT_KINDS).fingerprint,
+               "phase": "echelon", "modulus": solver_mod.PRIMES[0], **fields}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    path.write_text(json.dumps({"payload": payload,
+                                "sha256": hashlib.sha256(text.encode()).hexdigest()}))
 
 
-@pytest.mark.parametrize("spoil", [_list_instead_of_wrapper, _payload_without_depth])
+def _echelon_without_state(path):
+    _write_echelon(path)
+
+
+def _column_out_of_range(path):
+    # weight 5 has 8 words and no monomial here, so column 8 is outside
+    _write_echelon(path, state={"monomials": [], "pivots": [[0, 0, 1, 8, 1]],
+                                "counters": [0, 0, 0, 0]})
+
+
+@pytest.mark.parametrize("spoil", [_list_instead_of_wrapper, _echelon_without_state,
+                                   _column_out_of_range])
 def test_malformed_checkpoint_exits_integrity(tmp_path, capsys, spoil):
     assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
     spoil(tmp_path / "weight-05.checkpoint.json")

@@ -352,8 +352,8 @@ def test_ensure_solved_is_idempotent_and_lazy(tmp_path, monkeypatch):
 class _InterruptAfterSave(Checkpointer):
     """Raise a deliberate failure right after the checkpoint is written."""
 
-    def save(self, payload):
-        super().save(payload)
+    def save(self, master):
+        super().save(master)
         raise KeyboardInterrupt("simulated crash after checkpoint write")
 
 
@@ -389,6 +389,10 @@ def _count_family_phases(monkeypatch):
     return calls
 
 
+def _untimed(stats):
+    return {key: value for key, value in stats.items() if not key.endswith("_seconds")}
+
+
 @pytest.mark.parametrize("crash", ["families", "elimination"])
 def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     lower = _lower_tables(6)
@@ -417,16 +421,20 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
         assert {desc[0] for desc in calls} == {"stuffle", "hoffman"} and not path.exists()
     else:
         payload = json.loads(path.read_text())["payload"]
-        assert payload["phase"] == "layers"
+        assert payload["phase"] == "echelon"
         assert payload["modulus"] == solver_mod.PRIMES[0]
 
     monkeypatch.undo()
     family_phases = _count_family_phases(monkeypatch)
     resumed = solve_weight(7, lower, checkpointer=checkpointer)
     assert render_table(resumed) == render_table(fresh)
-    # the restored Lyndon brackets count as pivots of the resumed solve
-    for key in ("rows", "pivots", "redundant_rows"):
-        assert resumed.stats[key] == fresh.stats[key], key
+    # the checkpoint restores the counters too, so every stat but the
+    # timings is the fresh solve's
+    assert _untimed(resumed.stats) == _untimed(fresh.stats)
+    assert set(_untimed(fresh.stats)) == {
+        "rows", "reduced_rows", "redundant_rows", "pivots", "modulus_bits",
+        "max_bracket_terms", "bracket_updates", "max_coeff_bits",
+    }
     # the checkpoint holds every family entry, or there is none
     assert family_phases == ([] if crash == "elimination" else [7])
     assert not path.exists()  # cleared on success
@@ -458,30 +466,98 @@ def test_checkpoint_from_other_config_is_ignored(tmp_path):
     assert render_table(resumed) == render_table(solve_weight(7, lower))
 
 
-# canonical-JSON sha256 of the payload below, pinned before the
-# depth-layered schedule
+def _spoil_state(state, defect, n_words, p):
+    """Give ``state`` the one ``defect``, which
+    :meth:`MasterExpression.restore` must refuse."""
+    monomials, pivots, counters = state["monomials"], state["pivots"], state["counters"]
+    bracket = max((b for b in pivots if len(b) > 3), key=lambda b: b[0])  # Lyndon-led
+    lead = bracket.index(bracket[0], 1)  # the lead's own column among the pairs
+    other = next(j for j in range(1, len(bracket), 2) if bracket[j] != bracket[0])
+    if defect == "monomial of another weight":
+        monomials[0] = [[5], [3]]
+    elif defect == "repeated monomial":
+        monomials.append(monomials[0])
+    elif defect == "lead past the words":
+        # led, with 1, at the column of a new monomial Z(4)Z(3), which no
+        # bracket names (Z(4) is no generator)
+        monomials.append([[4], [3]])
+        bracket[0] = bracket[lead] = n_words + len(monomials) - 1
+    elif defect == "lead without 1":
+        bracket[lead + 1] = 2
+    elif defect == "repeated lead":
+        pivots.append(bracket)
+    elif defect == "column past the space":
+        bracket[other] = n_words + len(monomials)
+    elif defect == "miscounted pivots":
+        counters[0] += 1
+    else:
+        coefficients = {"coefficient 0": 0, "coefficient p": p, "fractional coefficient": 0.5}
+        bracket[other + 1] = coefficients[defect]
+
+
+@pytest.mark.parametrize("defect", [
+    "monomial of another weight", "repeated monomial", "lead past the words", "lead without 1",
+    "repeated lead", "column past the space", "coefficient 0", "coefficient p",
+    "fractional coefficient", "miscounted pivots",
+])
+def test_restore_refuses_a_malformed_state(tables8, defect):
+    # a state taken up by a fresh master restores every bracket and counter
+    master = _master(7, tables8, solver_mod.PRIMES[0])
+    family_phase(master, relation_descriptors(7, ("hoffman",)))
+    state = json.loads(json.dumps(master.state()))
+    again = _master(7, tables8, solver_mod.PRIMES[0])
+    again.restore(json.loads(json.dumps(state)))
+    assert again.state() == master.state() and again.pivots == master.pivots
+    assert again.mono_ids == master.mono_ids
+    # one defect, and the state is refused and nothing taken up
+    _spoil_state(state, defect, master.n_words, master.prime)
+    fresh = _master(7, tables8, solver_mod.PRIMES[0])
+    with pytest.raises(ValueError):
+        fresh.restore(state)
+    assert fresh.pivots == {} and fresh.monomials == [] and fresh.installed == 0
+
+
+# canonical-JSON sha256 of weight 7's checkpoint payloads as older builds
+# wrote them: the family brackets alone, pinned before the depth-layered
+# schedule, and every bracket after the layered family phase, pinned before
+# the checkpoint took the master's own state
 WEIGHT_7_FAMILY_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21c94d46a"
+WEIGHT_7_LAYERS_CHECKPOINT = "244a2825016bb6bad20991ecd59c69bca72527e08aa948f045d6ba283b407f0e"
 
 
-def _family_only_payload(lower):
-    """Weight 7's checkpoint payload as the builds before the depth-layered
-    schedule wrote it: the family brackets mod PRIMES[0], and no others."""
+def _older_payload(lower, phase):
+    """Weight 7's checkpoint payload as an older build wrote it under the
+    tag ``phase``: mod PRIMES[0], every bracket after the layered family
+    phase (``layers``) or the family brackets alone (``families``), each
+    lead's word as "5,2" mapped to its right-hand side, each word or
+    monomial there as "6,1" or "5|2"."""
     pool = solver_mod.candidate_words(7)
     columns = sorted(admissible_words(7), reverse=True,
                      key=lambda x: (not is_lyndon(x), solver_mod.elim_key(x, pool)))
     master = MasterExpression(columns, Certifier(lower))
-    family_phase(master)
-    return {
-        "weight": 7,
-        "phase": "families",
-        "modulus": solver_mod.PRIMES[0],
-        "entries": solver_mod._entries_state(master.bracket_entries()),
-    }
+    rows = solver_mod.elimination_rows(
+        relation_descriptors(7, DEFAULT_KINDS), columns, master.lower.expand
+    )
+    family_phase(master, [desc for desc in rows if desc[0] == "hoffman" and phase == "layers"])
+    names = ["|".join(",".join(map(str, f)) for f in m)
+             for m in [(x,) for x in columns] + master.monomials]
+    entries = {names[lead]: {names[k]: -v % master.prime for k, v in b.items() if k != lead}
+               for lead, b in master.pivots.items()}
+    return {"weight": 7, "phase": phase, "modulus": master.prime, "entries": entries}
+
+
+def _write_checkpoint(path, payload):
+    """Write ``payload`` as a hash-valid checkpoint with the default kinds'
+    fingerprint, in the wrapper every build has used; returns its digest."""
+    payload = dict(payload, fingerprint=Checkpointer(path, DEFAULT_KINDS).fingerprint)
+    digest = solver_mod._canonical_json(payload)[1]
+    path.write_text(json.dumps({"payload": payload, "sha256": digest}))
+    return digest
 
 
 def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypatch, caplog):
     # each payload is hash-valid and carries this configuration's
-    # fingerprint, but cannot be resumed, so the weight restarts from scratch
+    # fingerprint, but another phase tag, so the weight restarts from scratch
     lower = _lower_tables(6)
     path = tmp_path / "weight-07.checkpoint.json"
     older = {
@@ -513,18 +589,21 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
             "modulus": 2**61 - 1,
             "entries": {"5,2": {"6,1": 5}},
         },
+        # family entries without a modulus
+        "no modulus": {"weight": 7, "phase": "families", "entries": {}},
         # and then the family brackets alone, without the Lyndon brackets
         # of the regularized rows
-        "family brackets alone": _family_only_payload(lower),
+        "family brackets alone": _older_payload(lower, "families"),
+        # and then every bracket after the layered family phase, as words
+        "layers": _older_payload(lower, "layers"),
     }
-    fingerprint = Checkpointer(path, DEFAULT_KINDS).fingerprint
-    assert solver_mod._payload_hash(
-        dict(older["family brackets alone"], fingerprint=fingerprint)
-    ) == WEIGHT_7_FAMILY_CHECKPOINT
+    pinned = {"family brackets alone": WEIGHT_7_FAMILY_CHECKPOINT,
+              "layers": WEIGHT_7_LAYERS_CHECKPOINT}
     canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
     for name, payload in older.items():
-        Checkpointer(path, DEFAULT_KINDS).save(payload)
+        digest = _write_checkpoint(path, payload)
+        assert digest == pinned.get(name, digest), name
         family_phases.clear()
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="zetaforge.solver"):
@@ -536,16 +615,16 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
         ], name
         assert family_phases == [7], name
         assert render_table(resumed) == canonical, name
-        # under the first modulus: a family-only payload resumed would fail
-        # the certificate there and fall through to the next
+        # under the first modulus: a payload wrongly resumed would fail the
+        # certificate there and fall through to the next
         assert resumed.stats["modulus_bits"] == 127, name
         assert not path.exists(), name
 
 
-# canonical-JSON sha256 of weight 7's checkpoint payload (its modulus,
-# fingerprint and every bracket mod PRIMES[0] after the layered family
-# phase); a change to it orphans every checkpoint written before
-WEIGHT_7_CHECKPOINT = "244a2825016bb6bad20991ecd59c69bca72527e08aa948f045d6ba283b407f0e"
+# canonical-JSON sha256 of weight 7's checkpoint payload (its fingerprint,
+# modulus and the master's state after the layered family phase); a change
+# to it orphans every checkpoint written before
+WEIGHT_7_CHECKPOINT = "238d8370d7862d44063fdfcae6b8a49072a6cc1f9a24ada9069adedb5d3c3086"
 
 
 def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
@@ -553,8 +632,11 @@ def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
     path = tmp_path / "weight-07.checkpoint.json"
     with pytest.raises(KeyboardInterrupt):
         solve_weight(7, lower, checkpointer=_InterruptAfterSave(path, DEFAULT_KINDS))
-    wrapper = json.loads(path.read_text())
-    assert solver_mod._payload_hash(wrapper["payload"]) == wrapper["sha256"] == WEIGHT_7_CHECKPOINT
+    payload = json.loads(path.read_text())["payload"]
+    text, digest = solver_mod._canonical_json(payload)
+    assert digest == WEIGHT_7_CHECKPOINT
+    # the canonical text is written as it was hashed, once
+    assert path.read_text() == f'{{"payload":{text},"sha256":"{digest}"}}'
 
     canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
@@ -999,9 +1081,9 @@ def test_a_family_phase_stopped_at_the_rank_target_writes_no_checkpoint(
     saves = []
 
     class Recording(Checkpointer):
-        def save(self, payload):
-            saves.append(payload["modulus"])
-            super().save(payload)
+        def save(self, master):
+            saves.append(master.prime)
+            super().save(master)
 
     path = tmp_path / "weight-08.checkpoint.json"
     lower = {w: t for w, t in tables8.items() if w < 8}
@@ -1100,7 +1182,8 @@ def test_integer_rows_are_positive_multiples_of_fraction_rows(tables8):
         master = _master(w, tables8, p)
         for desc in relation_descriptors(w, all_kinds):
             row = master.integer_row(desc)
-            named = {master._name(k): v for k, v in row.items()}
+            names = [(x,) for x in master.columns] + master.monomials
+            named = {names[k]: v for k, v in row.items()}
             # the reference: the same relation over Fraction, each word of
             # weight w as itself and the product's tabled value subtracted
             combo, product = expand_relation(desc)
@@ -1246,8 +1329,12 @@ def test_peak_terms_is_the_largest_live_count():
         "r1": ({a: -one, b: -half, c: -half}, {}),
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
     })
-    leads.restore({**{y: {} for y in families}, x: {(a,): 3}})
     A, B, C, X = (leads.col_of[y] for y in (a, b, c, x))
+    leads.restore({
+        "monomials": [],
+        "pivots": [[k, k, 1, A, p - 3] if k == X else [k, k, 1] for k in range(leads.n_family)],
+        "counters": [0, 0, 0, 0],
+    })
     M = leads.n_words  # the first monomial column
     inv2, inv3 = pow(2, -1, p), pow(3, -1, p)
 
