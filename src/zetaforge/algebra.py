@@ -11,19 +11,23 @@ with the regularized relations built from the divergent index 1 and the
 duality relations they form the one relation set.  Each relation instance
 is a ``(kind, *words)`` descriptor, and the ``gen`` dump
 (:func:`relation_dump`), the solver and the verifier all read relations
-only through :func:`relation_descriptors` and :func:`expand_relation`.
+only through :func:`relation_descriptors` and :func:`relation_codes`.
 
-Linear combinations are plain dicts mapping a key (an index word, or a basis
-monomial which is a tuple of generator words) to a nonzero coefficient: an
-``int`` in a relation's expansion and in the solver's integer residues
-(exact, or modulo a prime while a weight is solved), a
+Expansions are computed on integer word codes
+(:func:`~zetaforge.words.code`; the words of one expansion share a weight).
+:func:`stuffle`, :func:`shuffle_words`, :func:`hoffman_relation` and
+:func:`expand_relation` decode them to words, keys in the same order.
+
+Linear combinations are plain dicts mapping a key (a word code, an index
+word, or a basis monomial which is a tuple of generator words) to a nonzero
+coefficient: an ``int`` in a relation's expansion and in the solver's
+integer residues (exact, or modulo a prime while a weight is solved), a
 :class:`~fractions.Fraction` in a table.  The helpers here maintain the
 no-zero-terms invariant in place.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -32,19 +36,20 @@ from .lyndon import candidate_words
 from .words import (
     Word,
     admissible_words,
+    code,
+    decoder,
     dual,
     elim_key,
-    from_binary,
     is_admissible,
     render_word,
-    to_binary,
     weight,
 )
 
 Monomial = tuple[Word, ...]
-# A relation instance expanded: its integer word combination, and the
-# product pair ``(u, v)`` it equals or None (see :func:`expand_relation`).
-Expansion = tuple[dict[Word, int], tuple[Word, Word] | None]
+# A relation instance expanded on codes: its weight, its integer
+# combination of word codes, and the product pair ``(u, v)`` it equals or
+# None (see :func:`relation_codes`).
+Expansion = tuple[int, dict[int, int], tuple[Word, Word] | None]
 
 RELATION_KINDS = ("stuffle", "shuffle", "hoffman", "duality")
 DEFAULT_KINDS = ("stuffle", "shuffle", "hoffman")
@@ -100,6 +105,51 @@ def lc_mul(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]) -> dict[Mon
 
 # ---------------------------------------------------------------- products
 
+def _decoded(w: int, combo: dict[int, int]) -> dict[Word, int]:
+    decode = decoder(w)
+    return {decode[x]: c for x, c in combo.items()}
+
+
+def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
+    """The ``"stuffle"`` or ``"shuffle"`` expansion of ``u`` and ``v`` on
+    codes, by leading part over suffix pairs, a part being an index
+    (stuffle) or a letter of the encoding (shuffle): the products of
+    ``u[i:]`` and ``v[j:]`` start with ``u[i]`` followed by a product of
+    ``u[i+1:]`` and ``v[j:]``, with ``v[j]`` followed by one of ``u[i:]``
+    and ``v[j+1:]``, or (stuffle only) with the index ``u[i] + v[j]``
+    followed by one of ``u[i+1:]`` and ``v[j+1:]``, in that order.  All
+    products of one suffix pair have one length, so prepending a part to a
+    tail of length t shifts its letters up t bits: an index sets bit t."""
+    if kind == "shuffle" and not (is_admissible(u) and is_admissible(v)):
+        raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
+    merge = kind == "stuffle"
+    tu, tv = ([sum(x[i:]) for i in range(len(x) + 1)] if merge
+              else list(range(weight(x), -1, -1)) for x in (u, v))  # the length of each suffix
+    a, b = code(u), code(v)
+    cu = [a & (1 << t) - 1 for t in tu]  # the code of each suffix
+    cv = [b & (1 << t) - 1 for t in tv]
+    hv = [cv[j] ^ cv[j + 1] for j in range(len(tv) - 1)]  # each part of v, in place
+    row = [{x: 1} for x in cv]  # the products of "" and v[j:]
+    for i in range(len(tu) - 2, -1, -1):
+        below = row  # the products of u[i+1:] and v[j:]
+        row = [{}] * len(hv) + [{cu[i]: 1}]
+        hu, ti = cu[i] ^ cu[i + 1], tu[i]
+        for j in range(len(hv) - 1, -1, -1):
+            lead = hu << tv[j]
+            out = {lead | x: c for x, c in below[j].items()} if lead else dict(below[j])
+            lead = hv[j] << ti
+            for x, c in row[j + 1].items():
+                key = lead | x
+                out[key] = out.get(key, 0) + c
+            if merge:
+                lead = 1 << tu[i + 1] + tv[j + 1]
+                for x, c in below[j + 1].items():
+                    key = lead | x
+                    out[key] = out.get(key, 0) + c
+            row[j] = out
+    return row[0]
+
+
 def stuffle(u: Word, v: Word) -> dict[Word, int]:
     """Stuffle (quasi-shuffle) expansion of the product of two nested sums.
 
@@ -109,38 +159,7 @@ def stuffle(u: Word, v: Word) -> dict[Word, int]:
     the inputs is not required; the regularized relations need the divergent
     word (1) transiently.
     """
-    out: dict[Word, int] = {}
-
-    def rec(x: Word, y: Word, prefix: Word) -> None:
-        if not x:
-            w = prefix + y
-            out[w] = out.get(w, 0) + 1
-            return
-        if not y:
-            w = prefix + x
-            out[w] = out.get(w, 0) + 1
-            return
-        rec(x[1:], y, prefix + (x[0],))
-        rec(x, y[1:], prefix + (y[0],))
-        rec(x[1:], y[1:], prefix + (x[0] + y[0],))
-
-    rec(u, v, ())
-    return out
-
-
-def _code(u: Word) -> int:
-    """The binary encoding of ``u`` as an integer, X = 0 and Y = 1, first
-    letter most significant; its length is the weight of ``u``."""
-    code = 0
-    for k in u:
-        code = code << k | 1
-    return code
-
-
-@functools.cache
-def _decoder(w: int) -> dict[int, Word]:
-    """Code to word for every admissible word of weight ``w``, built once."""
-    return {_code(x): x for x in admissible_words(w)}
+    return _decoded(weight(u) + weight(v), _product_codes("stuffle", u, v))
 
 
 def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
@@ -148,37 +167,26 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     the two encodings that preserve the internal order of each, with
     multiplicity (binomial(weight(u)+weight(v), weight(u)) in all), each
     decoded to an index word.  Requires admissible factors, so that every
-    interleaving starts with X, ends with Y and decodes.
+    interleaving starts with X, ends with Y and decodes."""
+    return _decoded(weight(u) + weight(v), _product_codes("shuffle", u, v))
 
-    The encodings are integer codes (:func:`_code`).  The shuffles are
-    built by leading letter over suffix pairs: the shuffles of ``a[i:]``
-    and ``b[j:]`` start with ``a[i]`` followed by a shuffle of ``a[i+1:]``
-    and ``b[j:]``, or with ``b[j]`` followed by one of ``a[i:]`` and
-    ``b[j+1:]``.  All shuffles of one suffix pair have the same length, so
-    a leading letter is one bit above the tail.  The table of suffix pairs
-    lives for one call only."""
-    if not (is_admissible(u) and is_admissible(v)):
-        raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
-    a, b = _code(u), _code(v)
-    la, lb = weight(u), weight(v)
-    row = [{b & ((1 << lb - j) - 1): 1} for j in range(lb + 1)]  # "" and b[j:]
-    for i in range(la - 1, -1, -1):
-        below = row  # the shuffles of a[i+1:] and b[j:]
-        row = [{}] * lb + [{a & ((1 << la - i) - 1): 1}]
-        a_lead = a >> (la - 1 - i) & 1
-        for j in range(lb - 1, -1, -1):
-            tail = la - i + lb - j - 1  # the length after the leading letter
-            if a_lead:
-                out = {1 << tail | x: c for x, c in below[j].items()}
-            else:
-                out = dict(below[j])
-            head = (b >> (lb - 1 - j) & 1) << tail
-            for x, c in row[j + 1].items():
-                key = head | x
-                out[key] = out.get(key, 0) + c
-            row[j] = out
-    decode = _decoder(la + lb)
-    return {decode[x]: c for x, c in row[0].items()}
+
+def _hoffman_codes(v: Word) -> dict[int, int]:
+    """:func:`hoffman_relation` on codes: the stuffle of (1) and ``v``, then
+    minus one for each place where a Y can be inserted into the code of
+    ``v``, front first."""
+    if not is_admissible(v):
+        raise ValueError(f"regularized relation needs an admissible word, got {v!r}")
+    a, t = code(v), weight(v)
+    out = _product_codes("stuffle", (1,), v)
+    for k in range(t, -1, -1):  # Y inserted above the last k letters
+        add_term(out, (a >> k) << (k + 1) | 1 << k | (a & (1 << k) - 1), -1)
+    for x in out:
+        if x >> t:  # the first of the t + 1 letters is Y
+            raise AssertionError(
+                f"non-admissible word {decoder(t + 1)[x]!r} survived regularization of {v!r}"
+            )
+    return out
 
 
 def hoffman_relation(v: Word) -> dict[Word, int]:
@@ -187,19 +195,7 @@ def hoffman_relation(v: Word) -> dict[Word, int]:
     of v.  The single non-admissible term, the word 1v common to both
     products, cancels exactly; everything that survives is admissible.
     """
-    if not is_admissible(v):
-        raise ValueError(f"regularized relation needs an admissible word, got {v!r}")
-    out: dict[Word, int] = dict(stuffle((1,), v))
-    bv = to_binary(v)
-    for i in range(len(bv) + 1):
-        w = from_binary(bv[:i] + "Y" + bv[i:])
-        add_term(out, w, -1)
-    for w in out:
-        if not is_admissible(w):
-            raise AssertionError(
-                f"non-admissible word {w!r} survived regularization of {v!r}"
-            )
-    return out
+    return _decoded(weight(v) + 1, _hoffman_codes(v))
 
 
 # ------------------------------------------------------ relation instances
@@ -209,7 +205,8 @@ def hoffman_relation(v: Word) -> dict[Word, int]:
 # Z(u)*Z(v), ("hoffman", v) is the regularized relation built on v, and
 # ("duality", v) is Z(v) - Z(dual(v)).  Every consumer (the relation dump,
 # the solver's rows, the verifier's rechecks) reads relations through
-# these descriptors and :func:`expand_relation`.
+# these descriptors and :func:`relation_codes`, or its decoded form
+# :func:`expand_relation`.
 
 def weight_pairs(w: int) -> Iterator[tuple[Word, Word]]:
     """Unordered pairs of admissible words with weights summing to ``w``,
@@ -244,23 +241,29 @@ def relation_descriptors(w: int, kinds=DEFAULT_KINDS) -> list[tuple]:
     return [desc for kind in RELATION_KINDS if kind in ks for desc in _instances(w, kind)]
 
 
-def expand_relation(desc: tuple) -> Expansion:
-    """The integer word combination of one relation instance, plus the
+def relation_codes(desc: tuple) -> Expansion:
+    """One relation instance expanded on codes: its weight ``w``, its
+    integer combination of the codes of words of weight ``w``, and the
     product pair ``(u, v)`` it equals, or None when the combination is zero
     outright."""
     kind = desc[0]
-    if kind == "stuffle":
-        expansion, product = stuffle(desc[1], desc[2]), desc[1:]
-    elif kind == "shuffle":
-        expansion, product = shuffle_words(desc[1], desc[2]), desc[1:]
-    elif kind == "hoffman":
-        expansion, product = hoffman_relation(desc[1]), None
-    elif kind == "duality":
-        expansion, product = {desc[1]: 1}, None
-        add_term(expansion, dual(desc[1]), -1)
-    else:
-        raise ValueError(f"unknown relation descriptor {desc!r}")
-    return expansion, product
+    if kind in ("stuffle", "shuffle"):
+        u, v = desc[1:]
+        return weight(u) + weight(v), _product_codes(kind, u, v), (u, v)
+    if kind == "hoffman":
+        return weight(desc[1]) + 1, _hoffman_codes(desc[1]), None
+    if kind == "duality":
+        combo = {code(desc[1]): 1}
+        add_term(combo, code(dual(desc[1])), -1)
+        return weight(desc[1]), combo, None
+    raise ValueError(f"unknown relation descriptor {desc!r}")
+
+
+def expand_relation(desc: tuple) -> tuple[dict[Word, int], tuple[Word, Word] | None]:
+    """:func:`relation_codes` with the combination decoded to words, and
+    without the weight."""
+    w, combo, product = relation_codes(desc)
+    return _decoded(w, combo), product
 
 
 def describe(desc: tuple) -> str:

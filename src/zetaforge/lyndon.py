@@ -11,7 +11,7 @@ listings used by the verification suite.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import (
     Word,
@@ -99,8 +99,7 @@ def collapse_word(w: Word) -> tuple[Word, int]:
     return source, n
 
 
-@dataclass(frozen=True)
-class ExtendedCandidate:
+class ExtendedCandidate(NamedTuple):
     """One conjectured basis candidate: an odd-Lyndon source word, an
     extension order n, and the resulting extended word."""
 

@@ -36,10 +36,10 @@ the monomials (products of lower-weight generators).
 
 Every row, stuffle rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
-weight as its own column and each lower-weight word through its table
-entry, scaled to integers over its table's common denominator once, in the
-shared :class:`Certifier`), and its image mod p is reduced by one routine,
-:meth:`MasterExpression.reduce`.  Each regularized relation is expanded
+weight as its code and its own column, each lower-weight word through its
+table entry, scaled to integers over its table's common denominator once,
+in the shared :class:`Certifier`), and its image mod p is reduced by one
+routine, :meth:`MasterExpression.reduce`.  Each regularized relation is expanded
 once per weight, held by that certifier, and read by the row schedule, its
 row and the certificate.  The brackets form one fully-reduced
 echelon: each bracket has lead 1 and no entry at another lead.  Each table
@@ -47,8 +47,9 @@ coefficient is rebuilt once by Wang's rational reconstruction, and then
 *every* relation of the weight is certified exactly by
 :meth:`Certifier.holds`: substituted through the lower tables and the new
 one, with each word's integer vector packed into one integer under a slot
-bound that makes the comparison with zero exact, it must give zero (the
-same check ``verify`` runs).  A modulus under which a non-Lyndon word
+bound that makes the comparison with zero exact, and each product pair's
+tabled value computed once, it must give zero (the same check ``verify``
+runs).  A modulus under which a non-Lyndon word
 is left without a bracket, a relation reduces to 0 = nonzero, a stuffle
 row leads at a Lyndon word or another row at a non-Lyndon word, a residue
 has no small rational preimage, or the certificate rejects a relation is
@@ -92,7 +93,6 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby
 from pathlib import Path
@@ -107,14 +107,16 @@ from .algebra import (
     add_term,
     check_kinds,
     describe,
-    expand_relation,
     lc_mul,
+    relation_codes,
     relation_descriptors,
 )
 from .lyndon import candidate_words, listing_key, odd_lyndon_words
 from .words import (
     Word,
     admissible_words,
+    code,
+    decoder,
     elim_key,
     is_admissible,
     is_lyndon,
@@ -155,20 +157,18 @@ class ReconstructionError(SolverError):
     certificate rejects."""
 
 
-@dataclass
 class SolvedWeight:
     """A fully-reduced substitution table for one weight.
 
     ``entries`` maps every admissible word of the weight (generators
     included, as their own single-factor monomial) to a combination of basis
     monomials.  ``generators`` are the surviving single words, in listing
-    order.
+    order.  ``stats`` holds the solve's timings and counters.
     """
 
-    weight: int
-    generators: list[Word]
-    entries: dict[Word, Entry]
-    stats: dict = field(default_factory=dict)
+    def __init__(self, weight: int, generators: list[Word], entries: dict[Word, Entry]):
+        self.weight, self.generators, self.entries = weight, generators, entries
+        self.stats: dict = {}
 
 
 def seed_weight_2() -> SolvedWeight:
@@ -197,18 +197,17 @@ def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeigh
     return out
 
 
-def expand_row(
-    relation: Expansion, entry: Callable[[Word], tuple[int, dict[Monomial, int]]]
-) -> dict[Monomial, int]:
-    """The integer residue of a relation, given as its expansion
-    ``(combo, product)``: every word replaced by its scaled entry
-    ``entry(word)``, a product's value (the integer product of its factors'
-    scaled entries) subtracted, and every denominator cleared with their
-    lcm.  Zero entries are dropped."""
-    combo, product = relation
-    terms = [(c, *entry(x)) for x, c in combo.items()]
+def expand_row(relation: Expansion, entry: Callable[[int, int], tuple[int, dict]]) -> dict:
+    """The integer residue of a relation, given as its expansion ``(w,
+    combo, product)``: every word code ``x`` of the combination replaced by
+    its scaled entry ``entry(w, x)``, a product's value (the integer product
+    of its factors' scaled entries ``entry(weight(f), code(f))``)
+    subtracted, and every denominator cleared with their lcm.  Zero entries
+    are dropped."""
+    w, combo, product = relation
+    terms = [(c, *entry(w, x)) for x, c in combo.items()]
     if product is not None:
-        (den_u, u), (den_v, v) = map(entry, product)
+        (den_u, u), (den_v, v) = (entry(weight(f), code(f)) for f in product)
         terms.append((-1, den_u * den_v, lc_mul(u, v)))
     lcd = math.lcm(*(den for _, den, _ in terms))
     residue: dict[Monomial, int] = {}
@@ -222,58 +221,73 @@ def expand_row(
 SLOT_BITS = 64  # the slot width a weight's vectors are first packed at
 
 
-@dataclass
 class _ScaledTable:
-    """One weight's table in integers: ``vectors[x]`` is the entry of ``x``
-    times ``den``, the lcm of every denominator in the table, and
-    ``height`` is the largest absolute value in any vector.  ``index``
-    numbers the monomials that the entries name.  Once a relation of the
-    weight is checked, ``packed[x]`` is ``vectors[x]`` packed into one
-    integer, monomial ``i`` in the slot of ``bits`` bits at ``bits * i``."""
+    """One weight's table ``entries`` in integers: ``vectors[x]`` is the
+    entry of the word of code ``x`` times ``den``, the lcm of every
+    denominator in the table, and ``height`` is the largest absolute value
+    in any vector.  ``index`` numbers the monomials that the entries name.
+    Once a relation of the weight is checked, ``packed[x]`` is
+    ``vectors[x]`` packed into one integer, monomial ``i`` in the slot of
+    ``bits`` bits at ``bits * i``.  ``products`` holds the tabled value of
+    each product pair of the weight met so far (see :meth:`Certifier.holds`),
+    and ``packed_products`` its packing at the current width."""
 
-    den: int
-    vectors: dict[Word, dict[Monomial, int]]
-    index: dict[Monomial, int]
-    height: int
-    bits: int = 0
-    packed: dict[Word, int] = field(default_factory=dict)
+    def __init__(self, entries: dict[Word, Entry]):
+        den = math.lcm(*(c.denominator for entry in entries.values() for c in entry.values()))
+        self.den = den
+        self.vectors = {
+            code(x): {m: c.numerator * (den // c.denominator) for m, c in entry.items()}
+            for x, entry in entries.items()
+        }
+        monomials = sorted({m for vector in self.vectors.values() for m in vector})
+        self.index = {m: i for i, m in enumerate(monomials)}
+        self.height = max(
+            (abs(n) for vector in self.vectors.values() for n in vector.values()), default=0
+        )
+        self.bits = 0
+        self.packed: dict[int, int] = {}
+        self.products: dict[tuple[Word, Word], tuple[int, int, dict[Monomial, int]]] = {}
+        self.packed_products: dict[tuple[Word, Word], int] = {}
 
-    def pack(self, bound: int) -> dict[Word, int]:
+    def pack_vector(self, vector: dict[Monomial, int]) -> int:
+        index, bits = self.index, self.bits
+        return sum(n << bits * index[m] for m, n in vector.items())
+
+    def pack(self, bound: int) -> dict[int, int]:
         """The packed vectors at a slot width ``bits`` with ``2^(bits-1) >
         bound``, repacked at a wider slot if the current one is too narrow."""
         if not self.bits or 1 << self.bits - 1 <= bound:
             self.bits = max(SLOT_BITS, 2 * self.bits, bound.bit_length() + 1)
-            shift = {m: self.bits * i for m, i in self.index.items()}
-            self.packed = {
-                x: sum(n << shift[m] for m, n in vector.items())
-                for x, vector in self.vectors.items()
-            }
+            self.packed = {x: self.pack_vector(vector) for x, vector in self.vectors.items()}
+            self.packed_products = {}
         return self.packed
 
 
 class Certifier:
     """The exact check of relation instances against fully-reduced tables,
-    in integer arithmetic.
+    in integer arithmetic, with every word of a relation as its code.
 
     A relation ``sum c_x Z(x) = Z(u) Z(v)`` (a right-hand side of zero when
     it has no product) holds when its word combination, substituted
     through the tables, equals the tabled value ``T(u) T(v)`` of its
     product.  Each weight ``k`` is kept once as a :class:`_ScaledTable`:
     its entries as integer vectors ``N_x = D_k T(x)`` over the table's
-    common denominator ``D_k``, the index of its monomials, and, for a
-    weight whose relations are checked, each vector packed into one integer
-    ``P_x = sum_i N_x,i 2^(s i)``.  With ``D_a``, ``D_b`` the common
-    denominators of the factors' weights (1 for both without a product),
-    a relation of weight ``w`` holds iff every slot of
+    common denominator ``D_k``, keyed by word code, the index of its
+    monomials, and, for a weight whose relations are checked, each vector
+    packed into one integer ``P_x = sum_i N_x,i 2^(s i)``.  With ``D_a``,
+    ``D_b`` the common denominators of the factors' weights (1 for both
+    without a product), a relation of weight ``w`` holds iff every slot of
 
         R = D_a D_b sum_x c_x P_x - D_w P(N_u N_v)
 
     is zero, where ``P(N_u N_v)`` packs ``lc_mul`` of the factors' vectors
-    (``D_a D_b T(u) T(v)``).  A product monomial that no entry of weight
-    ``w`` names has no slot, and its nonzero coefficient makes the relation
-    fail.  :meth:`holds` compares ``R`` with 0 as one integer, which is
-    exact under the slot bound it enforces for every relation: each slot
-    ``r_i`` of ``R`` has ``|r_i| <= B = D_a D_b sum_x |c_x| max|N| + D_w
+    (``D_a D_b T(u) T(v)``).  That product is computed once per pair, and
+    packed once per slot width, so the stuffle and shuffle instances of a
+    pair share it.  A product monomial that no entry of weight ``w`` names
+    has no slot, and its nonzero coefficient makes the relation fail.
+    :meth:`holds` compares ``R`` with 0 as one integer, which is exact
+    under the slot bound it enforces for every relation: each slot ``r_i``
+    of ``R`` has ``|r_i| <= B = D_a D_b sum_x |c_x| max|N| + D_w
     max|product coefficient|``, and the vectors are packed at a width ``s``
     with ``2^(s-1) > B`` (widened and repacked when a relation needs more).
     If ``R = 0`` while some slot is not, the lowest nonzero slot ``r_j``
@@ -284,8 +298,8 @@ class Certifier:
     :func:`expand_row`; it names what is left of a failed relation.  The
     tables are scaled on first use and cached, so a certifier serves one
     set of tables that does not change while it is used.  ``expansions``
-    holds relations already expanded, by descriptor; :meth:`expand` reads
-    them there and expands any other relation afresh.
+    holds relations already expanded on codes, by descriptor;
+    :meth:`expand` reads them there and expands any other relation afresh.
     """
 
     def __init__(
@@ -296,34 +310,25 @@ class Certifier:
         self._scaled: dict[int, _ScaledTable] = {}
 
     def expand(self, desc: tuple) -> Expansion:
-        """The ``(combo, product)`` pair of the relation ``desc``."""
+        """The ``(w, combo, product)`` expansion of the relation ``desc``."""
         got = self.expansions.get(desc)
-        return got if got is not None else expand_relation(desc)
+        return got if got is not None else relation_codes(desc)
 
     def scaled(self, k: int) -> _ScaledTable:
         """The weight-``k`` table in integers, built on first use."""
         got = self._scaled.get(k)
         if got is None:
             table = self.tables.get(k)
-            entries = table.entries if table is not None else {}
-            den = math.lcm(*(c.denominator for entry in entries.values() for c in entry.values()))
-            vectors = {
-                x: {m: c.numerator * (den // c.denominator) for m, c in entry.items()}
-                for x, entry in entries.items()
-            }
-            monomials = sorted({m for vector in vectors.values() for m in vector})
-            height = max((abs(n) for vector in vectors.values() for n in vector.values()), default=0)
-            got = self._scaled[k] = _ScaledTable(
-                den, vectors, {m: i for i, m in enumerate(monomials)}, height
-            )
+            got = self._scaled[k] = _ScaledTable(table.entries if table is not None else {})
         return got
 
-    def entry(self, w: Word) -> tuple[int, dict[Monomial, int]]:
-        """The table entry of ``w`` in integers, with its denominator."""
-        scaled = self.scaled(weight(w))
-        vector = scaled.vectors.get(w)
+    def entry(self, k: int, x: int) -> tuple[int, dict[Monomial, int]]:
+        """The table entry of the word of weight ``k`` and code ``x`` in
+        integers, with its denominator."""
+        scaled = self.scaled(k)
+        vector = scaled.vectors.get(x)
         if vector is None:
-            raise MissingTable(f"no table entry for {render_word(w)}")
+            raise MissingTable(f"no table entry for {render_word(decoder(k)[x])}")
         return scaled.den, vector
 
     def with_table(self, solved: SolvedWeight) -> Certifier:
@@ -335,31 +340,32 @@ class Certifier:
 
     def holds(self, desc: tuple) -> bool:
         """Whether the relation ``desc`` holds, by the packed check."""
-        combo, product = self.expand(desc)
-        if product is not None:
-            w = sum(map(weight, product))
-        elif combo:
-            w = weight(next(iter(combo)))
-        else:
-            return True
+        w, combo, product = self.expand(desc)
         top = self.scaled(w)
-        scale, value = 1, {}
+        scale, height, value = 1, 0, None
         if product is not None:
-            (den_u, u), (den_v, v) = map(self.entry, product)
-            scale, value = den_u * den_v, lc_mul(u, v)
+            if product not in top.products:  # D_a D_b, max|coefficient| and N_u N_v
+                (den_u, u), (den_v, v) = (self.entry(weight(f), code(f)) for f in product)
+                value = lc_mul(u, v)
+                height = max(map(abs, value.values()), default=0)
+                top.products[product] = den_u * den_v, height, value
+            scale, height, value = top.products[product]
             if not value.keys() <= top.index.keys():
                 return False
-        bound = (scale * sum(map(abs, combo.values())) * top.height
-                 + top.den * max(map(abs, value.values()), default=0))
+        bound = scale * sum(map(abs, combo.values())) * top.height + top.den * height
         packed = top.pack(bound)
         total = 0
         for x, c in combo.items():
             p = packed.get(x)
             if p is None:
-                raise MissingTable(f"no table entry for {render_word(x)}")
+                raise MissingTable(f"no table entry for {render_word(decoder(w)[x])}")
             total += c * p
-        index, bits = top.index, top.bits
-        return scale * total == top.den * sum(n << bits * index[m] for m, n in value.items())
+        if value is None:
+            return total == 0
+        packed_value = top.packed_products.get(product)
+        if packed_value is None:
+            packed_value = top.packed_products[product] = top.pack_vector(value)
+        return scale * total == top.den * packed_value
 
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
@@ -417,8 +423,8 @@ def family_phase(master: MasterExpression, regularized: Iterable[tuple] = ()) ->
     for depth in range(2, master.weight):
         for desc in by_depth.get(depth, ()):
             master.reduce(desc)
-        missing = [x for x in master.columns[:master.n_family]
-                   if len(x) == depth and master.col_of[x] not in master.pivots]
+        missing = [x for k, x in enumerate(master.columns[:master.n_family])
+                   if len(x) == depth and k not in master.pivots]
         if missing:
             raise UnderdeterminedFamily(
                 f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
@@ -461,13 +467,14 @@ class MasterExpression:
 
     Column ``k < n_words`` is the word ``columns[k]``: first the
     ``n_family`` non-Lyndon words, then the Lyndon words, each group in
-    elimination order, so a lower column dies sooner.  Monomial
-    ``monomials[i]`` is column ``n_words + i``, after every word.
+    elimination order, so a lower column dies sooner.  ``col_of`` maps the
+    code of each word to its column.  Monomial ``monomials[i]`` is column
+    ``n_words + i``, after every word.
 
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, by :func:`expand_row`: each word of the weight as its
-    own column, each lower-weight word through the shared certifier
-    ``lower``, which also holds the relations expanded already
+    code and so its own column, each lower-weight word through the shared
+    certifier ``lower``, which also holds the relations expanded already
     (:meth:`residue`, :meth:`integer_row`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
@@ -503,7 +510,7 @@ class MasterExpression:
         n_rows: int = 0,
     ):
         self.columns = columns
-        self.col_of = {w: i for i, w in enumerate(columns)}
+        self.col_of = {code(x): k for k, x in enumerate(columns)}
         self.n_words = len(columns)
         self.n_family = sum(not is_lyndon(x) for x in columns)
         self.weight = weight(columns[0])
@@ -529,26 +536,26 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def residue(self, desc: tuple) -> dict[Monomial, int]:
+    def residue(self, desc: tuple) -> dict:
         """The integer residue of the relation ``desc``, with each word of
-        the weight as itself and lower-weight words through the lower
-        tables."""
+        the weight as its code and lower-weight words through the lower
+        tables, as monomials."""
         w, lower = self.weight, self.lower
         return expand_row(
-            lower.expand(desc), lambda x: (1, {(x,): 1}) if weight(x) == w else lower.entry(x)
+            lower.expand(desc), lambda k, x: (1, {x: 1}) if k == w else lower.entry(k, x)
         )
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
         row: dict[int, int] = {}
         for m, v in self.residue(desc).items():
-            if len(m) > 1:
+            if type(m) is tuple:
                 row[self._mono_col(m)] = v
-            elif (col := self.col_of.get(m[0])) is not None:
+            elif (col := self.col_of.get(m)) is not None:
                 row[col] = v
             else:
                 raise InconsistentRelation(
-                    f"{describe(desc)}: word {render_word(m[0])} has no column"
+                    f"{describe(desc)}: word {render_word(decoder(self.weight)[m])} has no column"
                 )
         return row
 
@@ -675,16 +682,16 @@ def elimination_rows(
     rows in descriptor order.
 
     A Hoffman row has no product and no lower-weight word, so its integer
-    row is its word combination (as ``expand`` gives it) and its lead is
-    the lowest column that combination names.  A pivot installed at a late
+    row is its combination of word codes (as ``expand`` gives it) and its
+    lead is the lowest column that combination names.  A pivot installed at a late
     column is named by few of the brackets already installed, so each
     install rewrites few of them.  The order cannot change the table (see
     the module docstring).
     """
-    col_of = {x: i for i, x in enumerate(columns)}
+    col_of = {code(x): k for k, x in enumerate(columns)}
 
     def key(desc: tuple) -> tuple[int, int]:
-        return len(desc[1]), -min(col_of[x] for x in expand(desc)[0])
+        return len(desc[1]), -min(col_of[x] for x in expand(desc)[1])
 
     hoffman = sorted((desc for desc in relations if desc[0] == "hoffman"), key=key)
     return hoffman + [desc for desc in relations if desc[0] not in ("stuffle", "hoffman")]
@@ -819,7 +826,7 @@ def solve_weight(
         columns.append(survivor_bias)
     relations = relation_descriptors(w, kinds)
     # each regularized relation expanded once, for its lead, row and certificate
-    lower = Certifier(tables, {d: expand_relation(d) for d in relations if d[0] == "hoffman"})
+    lower = Certifier(tables, {d: relation_codes(d) for d in relations if d[0] == "hoffman"})
     rows = elimination_rows(relations, columns, lower.expand)
     regularized = [desc for desc in rows if desc[0] == "hoffman"]
     target = rank_target(columns)
@@ -991,6 +998,7 @@ def parse_table(text: str) -> SolvedWeight:
     header: dict[str, str] = {}
     entries: dict[Word, Entry] = {}
     monomials: dict[str, Monomial] = {}  # each distinct monomial parsed once
+    coefficients: dict[str, Fraction] = {}  # and each distinct coefficient
     for raw in lines:
         line = raw.strip()
         if not line:
@@ -1009,7 +1017,9 @@ def parse_table(text: str) -> SolvedWeight:
                 mono = monomials.get(mono_s)
                 if mono is None:
                     mono = monomials[mono_s] = tuple(parse_word(f) for f in mono_s.split("*"))
-                c = _parse_coefficient(coeff_s)
+                c = coefficients.get(coeff_s)
+                if c is None:
+                    c = coefficients[coeff_s] = _parse_coefficient(coeff_s)
                 if mono in entry:
                     add_term(entry, mono, c)
                 elif c:

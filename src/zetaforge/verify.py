@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import DEFAULT_KINDS, check_kinds, describe, relation_descriptors
 from .lyndon import collapse_word, odd_lyndon_words, published_basis
@@ -26,12 +26,11 @@ from .words import Word, admissible_words, is_lyndon, render_word, weight
 
 # ---------------------------------------------------------- relation recheck
 
-@dataclass
-class RecheckReport:
+class RecheckReport(NamedTuple):
     weight: int
     population: dict[str, int]
     distinct_checked: int
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
     @property
     def passed(self) -> bool:
@@ -71,8 +70,7 @@ def recheck_relations(
 
 # ---------------------------------------------------------- dimension report
 
-@dataclass
-class DimensionRow:
+class DimensionRow(NamedTuple):
     weight: int
     monomial_count: int
     generator_count: int
@@ -131,8 +129,7 @@ def dimension_report(tables: dict[int, SolvedWeight], max_weight: int) -> list[D
 
 # ------------------------------------------------------------- basis report
 
-@dataclass
-class BasisReport:
+class BasisReport(NamedTuple):
     weight: int
     generators: list[Word]
     generator_count: int
@@ -171,8 +168,7 @@ def basis_report(solved: SolvedWeight) -> BasisReport:
 
 # ------------------------------------------------- published-listing checks
 
-@dataclass
-class PublishedBasisReport:
+class PublishedBasisReport(NamedTuple):
     counts: dict[int, int]
     lyndon_counts: dict[int, int]
     bijection: dict[int, bool]
@@ -271,8 +267,7 @@ def published_basis_check() -> PublishedBasisReport:
 
 # ------------------------------------------------------ depth-sum minimality
 
-@dataclass
-class MinimalDepthReport:
+class MinimalDepthReport(NamedTuple):
     weight: int
     depth_sum: int
     histogram: dict[int, int]

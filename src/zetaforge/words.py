@@ -13,6 +13,7 @@ convention plus the explicit keys defined here.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, NamedTuple
 
 Word = tuple[int, ...]
@@ -52,13 +53,12 @@ def compositions(total: int, min_part: int = 1, step: int = 1) -> Iterator[Word]
 
 
 def admissible_words(w: int) -> list[Word]:
-    """All admissible words of weight ``w``, sorted ascending.
+    """All admissible words of weight ``w``, sorted ascending, in a fresh
+    list (:func:`decoder` enumerates the compositions once per weight).
 
     There are exactly 2**(w-2) of them for w >= 2.
     """
-    if w < 2:
-        return []
-    return sorted(word for word in compositions(w) if word[0] >= 2)
+    return sorted(word for word in decoder(w).values() if is_admissible(word))
 
 
 # ----------------------------------------------------------------- encoding
@@ -68,6 +68,24 @@ def to_binary(w: Word) -> str:
     k-1 letters X followed by one Y.  The encoding of an admissible word
     starts with X and ends with Y, and its length equals the weight."""
     return "".join("X" * (k - 1) + "Y" for k in w)
+
+
+def code(w: Word) -> int:
+    """The binary encoding of ``w`` as an integer, X = 0 and Y = 1, first
+    letter most significant.  Its length is the weight, so the code names
+    the word only together with the weight: prepending an index to a word
+    of weight t sets bit t."""
+    c = 0
+    for k in w:
+        c = c << k | 1
+    return c
+
+
+@functools.cache
+def decoder(w: int) -> dict[int, Word]:
+    """Code to word for every composition of ``w``, built once per weight;
+    regularized relations pass through the non-admissible word 1v."""
+    return {code(x): x for x in compositions(w)}
 
 
 def from_binary(b: str) -> Word:

@@ -2,12 +2,14 @@
 
 Independent oracles: the stuffle is re-derived from the order-preserving
 surjection-pair picture (choose which result slots receive letters of each
-factor), the shuffle from the leading-letter recursion on strings and from
-its definition (every placement of one factor's letters), and the numeric
-evaluator from explicit nested loops.  The implementations under test use
-different algorithms (leading-letter recursion for the stuffle, a table over
-suffix pairs for the shuffle, prefix-sum dynamic programming for
-evaluation).
+factor) and from the leading-letter recursion on index tuples, the shuffle
+from the leading-letter recursion on strings and from its definition (every
+placement of one factor's letters), the regularized relation from Y
+insertions into the string encoding, and the numeric evaluator from explicit
+nested loops.  The implementations under test use different algorithms (a
+table over suffix pairs on integer word codes for both products,
+prefix-sum dynamic programming for evaluation).  The recursions also fix
+the key order of every expansion, which reaches the checkpoint bytes.
 """
 
 import math
@@ -29,6 +31,7 @@ from zetaforge.algebra import (
     hoffman_relation,
     lc_mul,
     mono_mul,
+    relation_codes,
     relation_descriptors,
     relation_dump,
     shuffle_words,
@@ -38,6 +41,7 @@ from zetaforge.algebra import (
 )
 from zetaforge.words import (
     admissible_words,
+    decoder,
     from_binary,
     is_admissible,
     parse_word,
@@ -68,6 +72,35 @@ def oracle_stuffle(u, v):
                     word[pos] += v[j]
                 t = tuple(word)
                 out[t] = out.get(t, 0) + 1
+    return out
+
+
+def recursion_stuffle(u, v):
+    """Leading-letter recursion on index tuples: the a-leading, b-leading
+    and merged terms, in that order, each word kept where it first
+    appears."""
+    out = {}
+
+    def rec(x, y, prefix):
+        if not x or not y:
+            w = prefix + x + y
+            out[w] = out.get(w, 0) + 1
+            return
+        rec(x[1:], y, prefix + (x[0],))
+        rec(x, y[1:], prefix + (y[0],))
+        rec(x[1:], y[1:], prefix + (x[0] + y[0],))
+
+    rec(u, v, ())
+    return out
+
+
+def insertion_hoffman(v):
+    """stuffle((1), v) minus the word of each Y inserted into the string
+    encoding of v, front first."""
+    out = recursion_stuffle((1,), v)
+    b = to_binary(v)
+    for i in range(len(b) + 1):
+        add_term(out, from_binary(b[:i] + "Y" + b[i:]), -1)
     return out
 
 
@@ -211,6 +244,26 @@ def test_shuffle_words_matches_the_enumeration_definition():
             for s, c in enumerated_shuffle_binary(to_binary(u), to_binary(v)).items()
         }
         assert shuffle_words(u, v) == expected, (u, v)
+
+
+def test_code_expansions_decode_to_the_word_expansions_in_order():
+    for w in range(4, 12):
+        decode = decoder(w)
+        for desc in relation_descriptors(w, ("stuffle", "shuffle", "hoffman")):
+            k, combo, product = relation_codes(desc)
+            decoded = [(decode[x], c) for x, c in combo.items()]
+            if desc[0] == "hoffman":
+                expected = insertion_hoffman(desc[1])
+                assert list(hoffman_relation(desc[1]).items()) == decoded, desc
+            else:
+                u, v = desc[1:]
+                oracle, expand = {"stuffle": (recursion_stuffle, stuffle),
+                                  "shuffle": (oracle_shuffle_words, shuffle_words)}[desc[0]]
+                expected = oracle(u, v)
+                assert list(expand(v, u).items()) == list(oracle(v, u).items()), desc
+            assert (k, product) == (w, None if desc[0] == "hoffman" else (u, v)), desc
+            assert decoded == list(expected.items()), desc
+            assert list(expand_relation(desc)[0].items()) == decoded, desc
 
 
 def test_shuffle_words_rejects_a_non_admissible_factor():

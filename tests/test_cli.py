@@ -6,6 +6,10 @@ are asserted directly.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,19 @@ def test_public_exports_resolve():
 
     missing = [name for name in zetaforge.__all__ if not hasattr(zetaforge, name)]
     assert missing == []
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # importing dataclasses pulls in inspect, about 13 ms of every command
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, zetaforge.cli; "
+             "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_version_flag(capsys):

@@ -48,7 +48,7 @@ from zetaforge.solver import (
     solve_weight,
     substitute_tables,
 )
-from zetaforge.words import admissible_words, is_lyndon, render_word, weight
+from zetaforge.words import admissible_words, code, is_lyndon, render_word, weight
 
 
 # ------------------------------------------------------------- exact tables
@@ -779,9 +779,9 @@ class _NamedRows(MasterExpression):
         self.rows = rows
 
     def residue(self, desc):
-        # the split's words as single-factor monomials, scaled to integers
+        # the split's words as their codes, scaled to integers
         word_part, mono_part = self.rows[desc[0]]
-        combo = {**{(w,): c for w, c in word_part.items()}, **mono_part}
+        combo = {**{code(w): c for w, c in word_part.items()}, **mono_part}
         den = math.lcm(*(Fraction(c).denominator for c in combo.values()))
         return {m: int(c * den) for m, c in combo.items()}
 
@@ -1125,13 +1125,13 @@ def test_rows_past_the_rank_target_are_absorbed_unreduced(monkeypatch, tables8, 
 def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8):
     # the lead sort, the row and the certificate all read one expansion
     calls = []
-    honest = algebra_mod.hoffman_relation
+    honest = algebra_mod._hoffman_codes
 
     def counting(v):
         calls.append(v)
         return honest(v)
 
-    monkeypatch.setattr(algebra_mod, "hoffman_relation", counting)
+    monkeypatch.setattr(algebra_mod, "_hoffman_codes", counting)
     solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
     assert render_table(solved) == render_table(tables8[8])
     hoffman = [desc[1] for desc in relation_descriptors(8, ("hoffman",))]
@@ -1329,7 +1329,7 @@ def test_peak_terms_is_the_largest_live_count():
         "r1": ({a: -one, b: -half, c: -half}, {}),
         "r2": ({b: 2 * one, c: 2 * third}, {m: 4 * third}),
     })
-    A, B, C, X = (leads.col_of[y] for y in (a, b, c, x))
+    A, B, C, X = (leads.col_of[code(y)] for y in (a, b, c, x))
     leads.restore({
         "monomials": [],
         "pivots": [[k, k, 1, A, p - 3] if k == X else [k, k, 1] for k in range(leads.n_family)],
