@@ -266,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
         if args.weight <= MINIMALITY_CAP:
-            mrep = minimal_depth_stats(args.weight, tables, kinds)
+            mrep = minimal_depth_stats(args.weight, tables)
             machine.extend(mrep.lines())
             failed |= mrep.minimal_confirmed is False
             word = {True: "confirmed", False: "REFUTED", None: "not checked"}[
@@ -274,7 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ]
             print(
                 f"depth-sum minimality at weight {args.weight}: {word} "
-                f"({mrep.alternatives_checked} alternative(s) re-eliminated)"
+                f"({mrep.alternatives_checked} alternative(s) checked)"
             )
 
     if args.dims:

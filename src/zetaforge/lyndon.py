@@ -10,6 +10,7 @@ listings used by the verification suite.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from typing import NamedTuple
 
@@ -134,7 +135,6 @@ def candidate_words(w: int) -> frozenset[Word]:
 
 _DATA_PACKAGE = "zetaforge.data"
 _DATA_FILE = "published_basis_27_28.txt"
-_published_cache: dict[int, list[Word]] = {}
 
 
 def published_basis(w: int) -> list[Word]:
@@ -144,11 +144,10 @@ def published_basis(w: int) -> list[Word]:
     :func:`odd_lyndon_words` and :func:`collapse_word`."""
     if w not in (27, 28):
         raise ValueError(f"published listings exist for weights 27 and 28 only, got {w}")
-    if not _published_cache:
-        _published_cache.update(_load_published())
-    return list(_published_cache[w])
+    return list(_load_published()[w])
 
 
+@functools.cache
 def _load_published() -> dict[int, list[Word]]:
     text = (
         importlib.resources.files(_DATA_PACKAGE)

@@ -790,17 +790,10 @@ def solve_weight(
     tables: dict[int, SolvedWeight],
     kinds: tuple[str, ...] = DEFAULT_KINDS,
     checkpointer: Checkpointer | None = None,
-    survivor_bias: Word | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> SolvedWeight:
     """Solve one weight given fully-reduced tables for all lower weights,
-    from the relations of ``kinds``, which must include ``"stuffle"``.
-
-    ``survivor_bias`` moves one Lyndon word to the very end of the
-    elimination scan so it survives whenever the relations allow; the
-    verification module uses this for minimal-depth searches.  The bias is
-    never part of a persisted run.
-    """
+    from the relations of ``kinds``, which must include ``"stuffle"``."""
     kinds = _solver_kinds(kinds)
     if w == 2:
         return seed_weight_2()
@@ -819,11 +812,6 @@ def solve_weight(
     columns = sorted(
         admissible_words(w), key=lambda x: (not is_lyndon(x), elim_key(x, pool)), reverse=True
     )
-    if survivor_bias is not None:
-        if survivor_bias not in columns or not is_lyndon(survivor_bias):
-            raise ValueError(f"survivor bias {survivor_bias!r} is not a Lyndon word at weight {w}")
-        columns.remove(survivor_bias)
-        columns.append(survivor_bias)
     relations = relation_descriptors(w, kinds)
     # each regularized relation expanded once, for its lead, row and certificate
     lower = Certifier(tables, {d: relation_codes(d) for d in relations if d[0] == "hoffman"})
@@ -1007,10 +995,9 @@ def parse_table(text: str) -> SolvedWeight:
             key, _, value = line[1:].partition(":")
             header[key.strip()] = value.strip()
             continue
-        left, _, right = line.partition("=")
+        left, _, right = line.partition(" = ")
         word = parse_word(left)
         entry: Entry = {}
-        right = right.strip()
         if right != "0":
             for term in right.split(" + "):
                 coeff_s, _, mono_s = term.partition("*")

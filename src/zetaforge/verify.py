@@ -7,9 +7,10 @@ certificate also runs, with a failure's leftover monomials counted from
 its residue), compare computed generator counts against the Lyndon
 enumeration, validate the combinatorial structure of the published
 weight-27/28 listings, and probe depth-sum minimality of computed bases at
-small weights by re-running the elimination with perturbed scan orders.
-Expected dimensions are never hardcoded: every reference number is
-recomputed from the enumerations.
+small weights by reading, off each table entry, the basis exchange that
+moving one word behind every other would make.  No check here runs an
+elimination.  Expected dimensions are never hardcoded: every reference
+number is recomputed from the enumerations.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import time
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import DEFAULT_KINDS, check_kinds, describe, relation_descriptors
-from .lyndon import collapse_word, odd_lyndon_words, published_basis
-from .solver import Certifier, SolvedWeight, solve_weight
-from .words import Word, admissible_words, is_lyndon, render_word, weight
+from .algebra import DEFAULT_KINDS, describe, relation_descriptors
+from .lyndon import candidate_words, collapse_word, listing_key, odd_lyndon_words, published_basis
+from .solver import Certifier, SolvedWeight
+from .words import Word, admissible_words, elim_key, is_lyndon, render_word, weight
 
 
 # ---------------------------------------------------------- relation recheck
@@ -291,41 +292,46 @@ class MinimalDepthReport(NamedTuple):
 MINIMALITY_CAP = 10
 
 
-def minimal_depth_stats(
-    w: int,
-    tables: dict[int, SolvedWeight],
-    kinds=DEFAULT_KINDS,
-) -> MinimalDepthReport:
+def alternative_basis(solved: SolvedWeight, x: Word) -> list[Word]:
+    """The generators, in listing order, that the elimination would keep if
+    the eliminated Lyndon word ``x`` were moved behind every other word.
+
+    ``solved`` is the reduced row-echelon form of the relations over the
+    elimination order (see :mod:`zetaforge.solver`), so x's entry names only
+    generators that die after it, and the move swaps x for the first of
+    them: the y named as ``(y,)`` with the largest
+    :func:`~zetaforge.words.elim_key`.  An entry that names no generator
+    leaves the basis as it is.
+    """
+    named = [m[0] for m in solved.entries[x] if len(m) == 1]
+    if not named:
+        return list(solved.generators)
+    pool = candidate_words(solved.weight)
+    y = max(named, key=lambda g: elim_key(g, pool))
+    return sorted([g for g in solved.generators if g != y] + [x], key=listing_key)
+
+
+def minimal_depth_stats(w: int, tables: dict[int, SolvedWeight]) -> MinimalDepthReport:
     """Depth-sum statistics of the computed basis at weight ``w``.
 
-    Up to weight 10 the report verifies minimality exhaustively: for every
-    Lyndon word shallower than the deepest computed generator, the
-    elimination is re-run with that word forced to survive whenever the
-    relations allow; if it then survives, the alternative basis it belongs
-    to must not have a smaller depth sum.  Beyond the cap only the depth sum
-    is reported, with no minimality claim.  The re-eliminations run the
-    default kinds plus any extra ones in ``kinds``: the solver needs the
-    stuffle kind for its family phase whatever kinds a recheck covers.
+    Up to weight 10 minimality is verified exhaustively from ``tables[w]``
+    alone: for every non-generator Lyndon word x shallower than the deepest
+    generator, the :func:`alternative_basis` in which x survives trades x
+    for a generator y and must not lower the depth sum (``len(x) >=
+    len(y)``).  Beyond the cap only the depth sum is reported, with no
+    minimality claim.
     """
     solved = tables[w]
-    histogram: dict[int, int] = {}
-    for g in solved.generators:
-        histogram[len(g)] = histogram.get(len(g), 0) + 1
+    histogram = dict(Counter(len(g) for g in solved.generators))
     depth_sum = sum(len(g) for g in solved.generators)
     if w > MINIMALITY_CAP:
         return MinimalDepthReport(w, depth_sum, histogram, 0, None)
 
-    lower = {k: v for k, v in tables.items() if k < w}
-    max_depth = max((len(g) for g in solved.generators), default=0)
+    max_depth = max(histogram, default=0)
     candidates = [
         x
         for x in admissible_words(w)
         if is_lyndon(x) and x not in solved.generators and len(x) < max_depth
     ]
-    kinds = tuple(sorted(check_kinds(kinds) | set(DEFAULT_KINDS)))
-    confirmed = True
-    for x in candidates:
-        alt = solve_weight(w, lower, kinds, survivor_bias=x)
-        if x in alt.generators and sum(len(g) for g in alt.generators) < depth_sum:
-            confirmed = False
+    confirmed = all(sum(map(len, alternative_basis(solved, x))) >= depth_sum for x in candidates)
     return MinimalDepthReport(w, depth_sum, histogram, len(candidates), confirmed)

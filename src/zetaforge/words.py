@@ -14,6 +14,7 @@ convention plus the explicit keys defined here.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Iterator, NamedTuple
 
 Word = tuple[int, ...]
@@ -144,19 +145,17 @@ def render_word(w: Word) -> str:
     return "Z(" + ",".join(str(m) for m in w) + ")"
 
 
+_WORD = re.compile(r"Z\(([1-9][0-9]*(?:,[1-9][0-9]*)*)\)")
+
+
 def parse_word(text: str) -> Word:
-    """Inverse of :func:`render_word`."""
-    s = text.strip()
-    if not (s.startswith("Z(") and s.endswith(")")):
-        raise ValueError(f"not a Z(...) word: {text!r}")
-    body = s[2:-1]
-    if not body:
-        raise ValueError(f"empty index list: {text!r}")
-    try:
-        w = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise ValueError(f"malformed index list: {text!r}") from None
-    return check_word(w)
+    """Inverse of :func:`render_word`: ``Z(`` and ``)`` around indices in
+    ASCII digits, comma-separated, with no sign, blank, ``_`` or leading
+    zero."""
+    match = _WORD.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed word {text!r}")
+    return tuple(map(int, match[1].split(",")))
 
 
 # ------------------------------------------------------- elimination order

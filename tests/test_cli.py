@@ -271,8 +271,8 @@ def test_verify_command_writes_machine_report(solved_dir, capsys):
 
 
 def test_verify_minimality_probe_without_stuffle(solved_dir8, tmp_path, capsys):
-    # the recheck covers only shuffle and hoffman; the minimality probe's
-    # re-eliminations still need stuffle for the family phase
+    # the recheck covers only shuffle and hoffman; the minimality probe reads
+    # the stored table, whatever kinds the recheck covers
     report = tmp_path / "report.txt"
     argv = ["verify", "--weight", "8", "--relations", "shuffle,hoffman",
             "--table-dir", str(solved_dir8), "--report", str(report)]
@@ -282,6 +282,25 @@ def test_verify_minimality_probe_without_stuffle(solved_dir8, tmp_path, capsys):
     assert "minimal_depth.8.confirmed = yes" in lines
     assert "verify.passed = yes" in lines
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("w", [8, 10])
+def test_verify_runs_no_elimination(tables12, tmp_path, capsys, monkeypatch, w):
+    tables, _ = tables12
+    store = TableStore(tmp_path)
+    for k in range(2, w + 1):
+        store.save(tables[k])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran an elimination")
+
+    monkeypatch.setattr(solver_mod.MasterExpression, "reduce", refuse)
+    monkeypatch.setattr(solver_mod, "solve_weight", refuse)
+    argv = ["verify", "--weight", str(w), "--dims", "--table-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert f"depth-sum minimality at weight {w}: confirmed (1 alternative(s) checked)" in (
+        capsys.readouterr().out
+    )
 
 
 def test_verify_loads_each_table_once(solved_dir8, tmp_path, capsys, monkeypatch):
@@ -456,6 +475,8 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         ("Z(4,1) =", "Z(4,2) ="),
         ("Z(4,1) =", "Z(1,4) ="),
         ("# generators: Z(5)\n", "# generators: Z(5) Z(5)\n"),
+        # the same word, in a spelling that render_table never writes
+        ("Z(4,1) =", "Z(4,01) ="),
     ],
     ids=[
         "generators-differ-from-self-entries",
@@ -464,6 +485,7 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         "word-of-another-weight",
         "word-not-admissible",
         "generator-listed-twice",
+        "word-with-a-leading-zero",
     ],
 )
 def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, capsys, old, new):

@@ -990,15 +990,10 @@ def test_any_row_order_gives_the_same_tables(monkeypatch, tables8, seed):
         assert (stats["pivots"], stats["redundant_rows"]) == counts
 
 
-@pytest.mark.parametrize("bias", [None, (3, 2, 1, 1, 1)])
-def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(
-    monkeypatch, tables8, bias
-):
+def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monkeypatch, tables8):
     # the rows of a weight-8 solve in order: each stuffle row with its depth,
     # each absorbed row with its layer and lead (for a Hoffman row on v, the
-    # depth len(v) + 1 and the lowest column of its integer row); with the
-    # bias, Z(3,2,1,1,1) moves to the last column, and each lead is read over
-    # the biased columns
+    # depth len(v) + 1 and the lowest column of its integer row)
     seen = []
     honest_reduce, honest_absorb = MasterExpression.reduce, MasterExpression.absorb
 
@@ -1016,7 +1011,7 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(
 
     monkeypatch.setattr(MasterExpression, "reduce", reduce)
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
-    solve_weight(8, {w: t for w, t in tables8.items() if w < 8}, survivor_bias=bias)
+    solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
     stuffle = relation_descriptors(8, ("stuffle",))
     hoffman = relation_descriptors(8, ("hoffman",))
     shuffle = relation_descriptors(8, ("shuffle",))

@@ -2,6 +2,7 @@
 minimality probes, and fault injection proving the rechecks can fail."""
 
 import copy
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,18 @@ import pytest
 import zetaforge.solver as solver_mod
 import zetaforge.verify as verify_mod
 from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
+from zetaforge.lyndon import listing_key
 from zetaforge.solver import (
     Certifier,
     SolvedWeight,
     product_value,
-    render_table,
     solve_in_memory,
     solve_weight,
     substitute_tables,
 )
 from zetaforge.verify import (
     MINIMALITY_CAP,
+    alternative_basis,
     basis_report,
     dimension_report,
     minimal_depth_stats,
@@ -27,6 +29,7 @@ from zetaforge.verify import (
     published_basis_check,
     recheck_relations,
 )
+from zetaforge.words import admissible_words, is_lyndon, render_word
 
 
 # ----------------------------------------------------------------- rechecks
@@ -268,26 +271,62 @@ def test_minimal_depth_confirmed_at_weight_8(tables8):
     assert rep.alternatives_checked == 1  # (8,) is the only shallower Lyndon word
 
 
-def test_minimality_reeliminations_are_certified(tables8, monkeypatch, lossy_first_modulus):
-    # every elimination loses rank under the first modulus, so the
-    # re-elimination comes out right only because its certificate rejects
-    # that attempt and the second modulus is certified
-    lower = {w: t for w, t in tables8.items() if w < 8}
-    honest = solve_weight(8, lower, survivor_bias=(8,))
-    assert honest.stats["modulus_bits"] == 127
-    alts = []
+# sha256 of one line "w x alternative generators" per Lyndon word x that is
+# not a generator at weights 3-10, each line ending in a newline, recorded
+# from full re-eliminations that moved x behind every other word column
+ALTERNATIVES_SHA256 = "b8465387842178b0ab80feae0ef1ee613dee256c46c7b0bd226818151ee68c9d"
 
-    def recording(*args, **kwargs):
-        alts.append(solve_weight(*args, **kwargs))
-        return alts[-1]
 
-    monkeypatch.setattr(verify_mod, "solve_weight", recording)
-    lossy_first_modulus()
-    rep = minimal_depth_stats(8, tables8)
-    assert rep.minimal_confirmed is True
-    assert len(alts) == 1
-    assert alts[0].stats["modulus_bits"] == 521
-    assert render_table(alts[0]) == render_table(honest)
+def test_alternative_bases_match_the_recorded_re_eliminations(tables12):
+    tables, _ = tables12
+    lines, survived = [], 0
+    for w in range(3, 11):
+        solved = tables[w]
+        for x in admissible_words(w):
+            if is_lyndon(x) and x not in solved.generators:
+                alt = alternative_basis(solved, x)
+                survived += x in alt
+                lines.append(f"{w} {render_word(x)} {' '.join(map(render_word, alt))}\n")
+    assert (len(lines), survived) == (217, 189)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ALTERNATIVES_SHA256
+
+
+def _doctored8(tables8, entries, generators=((5, 3),)):
+    """``tables8`` with weight 8's generators and some of its entries replaced."""
+    solved = copy.deepcopy(tables8[8])
+    solved.generators = sorted(generators, key=listing_key)
+    solved.entries.update({g: {(g,): Fraction(1)} for g in generators})
+    solved.entries.update(entries)
+    return {**tables8, 8: solved}
+
+
+def test_minimality_refuted_when_an_entry_names_a_deeper_generator(tables8):
+    # Z(8) would survive in place of Z(5,3) and lower the depth sum
+    tables = _doctored8(tables8, {(8,): {((5, 3),): Fraction(1)}})
+    assert alternative_basis(tables[8], (8,)) == [(8,)]
+    rep = minimal_depth_stats(8, tables)
+    assert (rep.alternatives_checked, rep.minimal_confirmed) == (1, False)
+    assert "minimal_depth.8.confirmed = NO" in rep.lines()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # the first of the two to die is the non-candidate Z(7,1), as deep as
+        # Z(6,2); picking the deepest, Z(4,2,1,1), would lower the depth sum
+        {((4, 2, 1, 1),): Fraction(1), ((7, 1),): Fraction(-2)},
+        # no generator named: Z(6,2) stays eliminated
+        {((5,), (3,)): Fraction(1)},
+    ],
+    ids=["names-two-generators", "names-no-generator"],
+)
+def test_minimality_confirmed_when_no_exchange_lowers_the_depth_sum(tables8, entry):
+    tables = _doctored8(tables8, {(6, 2): entry}, [(5, 3), (7, 1), (4, 2, 1, 1)])
+    rep = minimal_depth_stats(8, tables)
+    assert (rep.depth_sum, rep.histogram) == (8, {2: 2, 4: 1})
+    assert (rep.alternatives_checked, rep.minimal_confirmed) == (9, True)
+    alt = alternative_basis(tables[8], (6, 2))
+    assert sum(map(len, alt)) == rep.depth_sum
 
 
 def test_minimal_depth_not_checked_above_cap(tables8, monkeypatch):

@@ -176,7 +176,9 @@ def test_render_parse_round_trip():
 
 
 def test_parse_word_rejects_garbage():
-    for bad in ("Z()", "Z(2,)", "Z(2", "W(2)", "Z(a)", "Z(2, 1)x"):
+    for bad in ("Z()", "Z(2,)", "Z(2", "W(2)", "Z(a)", "Z(2, 1)x", "Z(0)",
+                # spellings of real words that render_word never writes
+                "Z(1_0)", "Z(+3,2)", "Z( 2)", "Z(\uff12)", "Z(02,1)", " Z(2)", "Z(2,1) "):
         with pytest.raises(ValueError):
             parse_word(bad)
 
