@@ -15,7 +15,6 @@ from .words import (
     Word,
     admissible_words,
     dual,
-    elim_key,
     from_binary,
     is_admissible,
     is_lyndon,
@@ -29,6 +28,7 @@ from .lyndon import (
     candidate_pool,
     candidate_words,
     collapse_word,
+    elimination_order,
     extend_word,
     odd_lyndon_words,
     published_basis,
@@ -75,7 +75,7 @@ __all__ = [
     "collapse_word",
     "dimension_report",
     "dual",
-    "elim_key",
+    "elimination_order",
     "ensure_solved",
     "eval_expansion",
     "eval_truncated",

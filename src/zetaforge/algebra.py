@@ -32,14 +32,13 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .lyndon import candidate_words
+from .lyndon import elimination_order
 from .words import (
     Word,
     admissible_words,
     code,
     decoder,
     dual,
-    elim_key,
     is_admissible,
     render_word,
     weight,
@@ -277,8 +276,8 @@ def describe(desc: tuple) -> str:
 def relation_dump(w: int, kinds=DEFAULT_KINDS, depth_cap: int | None = None) -> Iterator[str]:
     """The ``gen`` dump at weight ``w``: one line
     ``0 = c1*Z(...) + c2*Z(...) # kind: ...`` per relation instance of
-    :func:`relation_descriptors`, terms in elimination order
-    (first-eliminated first).
+    :func:`relation_descriptors`, terms in
+    :func:`~zetaforge.lyndon.elimination_order` (first-eliminated first).
 
     With both product kinds selected, a pair's shuffle instance is folded
     into its stuffle instance: the line is their difference, of kind
@@ -288,7 +287,7 @@ def relation_dump(w: int, kinds=DEFAULT_KINDS, depth_cap: int | None = None) -> 
     deeper than the cap, so every line is a true identity.
     """
     ks = check_kinds(kinds)
-    pool = candidate_words(w)
+    rank = elimination_order(w)
     fold = {"stuffle", "shuffle"} <= ks
     for desc in relation_descriptors(w, ks):
         if fold and desc[0] == "shuffle":
@@ -303,7 +302,7 @@ def relation_dump(w: int, kinds=DEFAULT_KINDS, depth_cap: int | None = None) -> 
                 kind += "-product"
         if depth_cap is not None and any(len(x) > depth_cap for x in combo):
             continue
-        terms = sorted(combo.items(), key=lambda kv: elim_key(kv[0], pool), reverse=True)
+        terms = sorted(combo.items(), key=lambda kv: rank[kv[0]])
         parts = [f"{c}*{render_word(x)}" for x, c in terms]
         if product is not None:
             parts.append("-1*" + "*".join(map(render_word, product)))

@@ -34,7 +34,6 @@ from .solver import (
     ensure_solved,
 )
 from .verify import (
-    MINIMALITY_CAP,
     basis_report,
     dimension_report,
     minimal_depth_stats,
@@ -265,17 +264,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"monomial dimension {brep.monomial_count}"
         )
 
-        if args.weight <= MINIMALITY_CAP:
-            mrep = minimal_depth_stats(args.weight, tables)
-            machine.extend(mrep.lines())
-            failed |= mrep.minimal_confirmed is False
-            word = {True: "confirmed", False: "REFUTED", None: "not checked"}[
-                mrep.minimal_confirmed
-            ]
-            print(
-                f"depth-sum minimality at weight {args.weight}: {word} "
-                f"({mrep.alternatives_checked} alternative(s) checked)"
-            )
+        mrep = minimal_depth_stats(args.weight, tables)
+        machine.extend(mrep.lines())
+        failed |= not mrep.minimal_confirmed
+        word = "confirmed" if mrep.minimal_confirmed else "REFUTED"
+        print(
+            f"depth-sum minimality at weight {args.weight}: {word} "
+            f"({mrep.alternatives_checked} alternative(s) checked)"
+        )
 
     if args.dims:
         up_to = args.max_weight if args.max_weight is not None else args.weight

@@ -1,11 +1,13 @@
-"""Lyndon words over odd indices, n-fold extensions, and candidate pools.
+"""Lyndon words over odd indices, n-fold extensions, candidate pools and
+the elimination order.
 
 The conjectured generators at weight W are drawn from the Lyndon words whose
 indices are all odd and >= 3 and sum to W, together with their n-fold
 extensions: subtract 1 from each of the first 2n indices and append 2n
 trailing 1s.  Extension preserves weight and raises depth by 2n; collapse is
-the exact inverse.  This module also ships the published weight-27/28
-listings used by the verification suite.
+the exact inverse.  :func:`elimination_order` ranks every admissible word of
+a weight so that these candidates are eliminated last.  This module also
+ships the published weight-27/28 listings used by the verification suite.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import NamedTuple
 
 from .words import (
     Word,
+    admissible_words,
     compositions,
     is_admissible,
     is_lyndon,
@@ -27,6 +30,7 @@ __all__ = [
     "ExtendedCandidate",
     "candidate_pool",
     "collapse_word",
+    "elimination_order",
     "extend_word",
     "listing_key",
     "odd_lyndon_words",
@@ -126,9 +130,26 @@ def candidate_pool(w: int) -> list[ExtendedCandidate]:
 
 
 def candidate_words(w: int) -> frozenset[Word]:
-    """The candidate pool as a plain set of words (the form the elimination
-    order consumes)."""
+    """The candidate pool as a plain set of words."""
     return frozenset(c.word for c in candidate_pool(w))
+
+
+@functools.cache
+def elimination_order(w: int) -> dict[Word, int]:
+    """The column of every admissible word of weight ``w``, its keys in
+    column order, first-eliminated first: the non-Lyndon words, then the
+    Lyndon words; within each group non-candidates before candidates, then
+    deeper words before shallower ones, then the lexicographically larger
+    word first.  The survivors of a full elimination are therefore shallow
+    basis candidates.  The one order of the solver's columns, the table
+    files and the ``gen`` dump; shared, so never mutate it."""
+    pool = candidate_words(w)
+    words = sorted(
+        admissible_words(w),
+        key=lambda x: (not is_lyndon(x), x not in pool, len(x), x),
+        reverse=True,
+    )
+    return {x: k for k, x in enumerate(words)}
 
 
 # ------------------------------------------------------- published listings

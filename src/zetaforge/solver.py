@@ -2,9 +2,9 @@
 
 The pipeline per weight W, given fully-reduced tables for all lower weights,
 runs modulo a prime (the first of ``PRIMES``), in one process, as one row
-reduction over one column space: every admissible word of the weight (the
-non-Lyndon words, then the Lyndon words, each in elimination order), then
-the monomials (products of lower-weight generators).
+reduction over one column space: every admissible word of the weight in
+:func:`~zetaforge.lyndon.elimination_order` (the non-Lyndon words, then the
+Lyndon words), then the monomials (products of lower-weight generators).
 
 1. Family brackets, depth by depth.  Stuffle relations mix only words
    sharing one index multiset (a family) plus lower-depth merge terms and
@@ -63,9 +63,8 @@ Why the certificate pins the bytes, whatever the modulus and the row order:
 - each bracket has no entry at another lead, so each Lyndon bracket names
   only survivors that come later in the column order;
 - so the table, read as "word minus its entry" for every eliminated word,
-  is in reduced row-echelon form over the one column order (non-Lyndon
-  words, then Lyndon words in elimination order, then monomials), with one
-  row per eliminated word;
+  is in reduced row-echelon form over the one column order (the words in
+  elimination order, then the monomials), with one row per eliminated word;
 - a certified table sends every relation to zero, so each relation lies in
   the span of those rows, while the reduction, each of whose brackets mod p
   is a combination of relation rows, found as many independent relations
@@ -111,13 +110,11 @@ from .algebra import (
     relation_codes,
     relation_descriptors,
 )
-from .lyndon import candidate_words, listing_key, odd_lyndon_words
+from .lyndon import elimination_order, listing_key, odd_lyndon_words
 from .words import (
     Word,
-    admissible_words,
     code,
     decoder,
-    elim_key,
     is_admissible,
     is_lyndon,
     parse_word,
@@ -466,10 +463,11 @@ class MasterExpression:
     space.
 
     Column ``k < n_words`` is the word ``columns[k]``: first the
-    ``n_family`` non-Lyndon words, then the Lyndon words, each group in
-    elimination order, so a lower column dies sooner.  ``col_of`` maps the
-    code of each word to its column.  Monomial ``monomials[i]`` is column
-    ``n_words + i``, after every word.
+    ``n_family`` non-Lyndon words, then the Lyndon words, in elimination
+    order (:func:`~zetaforge.lyndon.elimination_order` in a solve), so a
+    lower column dies sooner.  ``col_of`` maps the code of each word to its
+    column.  Monomial ``monomials[i]`` is column ``n_words + i``, after
+    every word.
 
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, by :func:`expand_row`: each word of the weight as its
@@ -808,10 +806,7 @@ def solve_weight(
             progress(msg)
         log.debug("%s", msg)
 
-    pool = candidate_words(w)
-    columns = sorted(
-        admissible_words(w), key=lambda x: (not is_lyndon(x), elim_key(x, pool)), reverse=True
-    )
+    columns = list(elimination_order(w))
     relations = relation_descriptors(w, kinds)
     # each regularized relation expanded once, for its lead, row and certificate
     lower = Certifier(tables, {d: relation_codes(d) for d in relations if d[0] == "hoffman"})
@@ -946,18 +941,17 @@ def render_entry(word: Word, entry: Entry) -> str:
 
 def render_table(solved: SolvedWeight) -> str:
     """The persistent text form of a fully-reduced table.  Entries appear in
-    elimination order (first-eliminated first), so the file ends with the
-    generators' self-entries; monomials within an entry are sorted, factors
-    within a monomial descend by weight; all signs live in the coefficients."""
-    pool = candidate_words(solved.weight)
+    the solver's column order, :func:`~zetaforge.lyndon.elimination_order`
+    (first-eliminated first), so the file ends with the generators'
+    self-entries; monomials within an entry are sorted, factors within a
+    monomial descend by weight; all signs live in the coefficients."""
+    rank = elimination_order(solved.weight)
     lines = [
         f"# weight: {solved.weight}",
         "# phase: fully-reduced",
         ("# generators: " + " ".join(render_word(g) for g in solved.generators)).rstrip(),
     ]
-    order = sorted(
-        solved.entries, key=lambda x: elim_key(x, pool), reverse=True
-    )
+    order = sorted(solved.entries, key=rank.__getitem__)
     lines.extend(render_entry(word, solved.entries[word]) for word in order)
     return "\n".join(lines) + "\n"
 

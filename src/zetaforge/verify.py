@@ -6,11 +6,11 @@ the solver's :class:`~zetaforge.solver.Certifier`, the check a solve's
 certificate also runs, with a failure's leftover monomials counted from
 its residue), compare computed generator counts against the Lyndon
 enumeration, validate the combinatorial structure of the published
-weight-27/28 listings, and probe depth-sum minimality of computed bases at
-small weights by reading, off each table entry, the basis exchange that
-moving one word behind every other would make.  No check here runs an
-elimination.  Expected dimensions are never hardcoded: every reference
-number is recomputed from the enumerations.
+weight-27/28 listings, and probe depth-sum minimality of computed bases by
+reading, off each table entry, the basis exchange that moving one word
+behind every other would make.  No check here runs an elimination.
+Expected dimensions are never hardcoded: every reference number is
+recomputed from the enumerations.
 """
 
 from __future__ import annotations
@@ -20,9 +20,15 @@ from collections import Counter
 from typing import NamedTuple
 
 from .algebra import DEFAULT_KINDS, describe, relation_descriptors
-from .lyndon import candidate_words, collapse_word, listing_key, odd_lyndon_words, published_basis
+from .lyndon import (
+    collapse_word,
+    elimination_order,
+    listing_key,
+    odd_lyndon_words,
+    published_basis,
+)
 from .solver import Certifier, SolvedWeight
-from .words import Word, admissible_words, elim_key, is_lyndon, render_word, weight
+from .words import Word, admissible_words, is_lyndon, render_word, weight
 
 
 # ---------------------------------------------------------- relation recheck
@@ -273,23 +279,17 @@ class MinimalDepthReport(NamedTuple):
     depth_sum: int
     histogram: dict[int, int]
     alternatives_checked: int
-    minimal_confirmed: bool | None  # None above the exhaustive-search cap
+    minimal_confirmed: bool
 
     def lines(self) -> list[str]:
         hist = " ".join(f"{d}:{c}" for d, c in sorted(self.histogram.items()))
-        confirmed = (
-            "not-checked" if self.minimal_confirmed is None
-            else ("yes" if self.minimal_confirmed else "NO")
-        )
+        confirmed = "yes" if self.minimal_confirmed else "NO"
         return [
             f"minimal_depth.{self.weight}.depth_sum = {self.depth_sum}",
             f"minimal_depth.{self.weight}.histogram = {hist or '(empty)'}",
             f"minimal_depth.{self.weight}.alternatives_checked = {self.alternatives_checked}",
             f"minimal_depth.{self.weight}.confirmed = {confirmed}",
         ]
-
-
-MINIMALITY_CAP = 10
 
 
 def alternative_basis(solved: SolvedWeight, x: Word) -> list[Word]:
@@ -299,34 +299,28 @@ def alternative_basis(solved: SolvedWeight, x: Word) -> list[Word]:
     ``solved`` is the reduced row-echelon form of the relations over the
     elimination order (see :mod:`zetaforge.solver`), so x's entry names only
     generators that die after it, and the move swaps x for the first of
-    them: the y named as ``(y,)`` with the largest
-    :func:`~zetaforge.words.elim_key`.  An entry that names no generator
-    leaves the basis as it is.
+    them: the y named as ``(y,)`` with the lowest rank in
+    :func:`~zetaforge.lyndon.elimination_order`.  An entry that names no
+    generator leaves the basis as it is.
     """
     named = [m[0] for m in solved.entries[x] if len(m) == 1]
     if not named:
         return list(solved.generators)
-    pool = candidate_words(solved.weight)
-    y = max(named, key=lambda g: elim_key(g, pool))
+    y = min(named, key=elimination_order(solved.weight).__getitem__)
     return sorted([g for g in solved.generators if g != y] + [x], key=listing_key)
 
 
 def minimal_depth_stats(w: int, tables: dict[int, SolvedWeight]) -> MinimalDepthReport:
     """Depth-sum statistics of the computed basis at weight ``w``.
 
-    Up to weight 10 minimality is verified exhaustively from ``tables[w]``
-    alone: for every non-generator Lyndon word x shallower than the deepest
-    generator, the :func:`alternative_basis` in which x survives trades x
-    for a generator y and must not lower the depth sum (``len(x) >=
-    len(y)``).  Beyond the cap only the depth sum is reported, with no
-    minimality claim.
+    Minimality is verified exhaustively from ``tables[w]`` alone: for every
+    non-generator Lyndon word x shallower than the deepest generator, the
+    :func:`alternative_basis` in which x survives trades x for a generator
+    y and must not lower the depth sum (``len(x) >= len(y)``).
     """
     solved = tables[w]
     histogram = dict(Counter(len(g) for g in solved.generators))
     depth_sum = sum(len(g) for g in solved.generators)
-    if w > MINIMALITY_CAP:
-        return MinimalDepthReport(w, depth_sum, histogram, 0, None)
-
     max_depth = max(histogram, default=0)
     candidates = [
         x

@@ -8,14 +8,15 @@ Comparison convention used across the whole package: words compare as plain
 Python tuples, so indices compare by integer value and a proper prefix sorts
 before any of its extensions.  Every deterministic ordering in the package
 (elimination priority, file layouts, relation streams) reduces to this one
-convention plus the explicit keys defined here.
+convention plus explicit keys (the elimination order is
+:func:`zetaforge.lyndon.elimination_order`).
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Word = tuple[int, ...]
 
@@ -26,19 +27,6 @@ def weight(w: Word) -> int:
 
 def is_admissible(w: Word) -> bool:
     return len(w) >= 1 and w[0] >= 2
-
-
-def check_word(w: Word) -> Word:
-    """Validate an index word, returning it unchanged.
-
-    Raises ValueError for empty words or non-positive indices.
-    """
-    if not isinstance(w, tuple) or len(w) == 0:
-        raise ValueError(f"index word must be a nonempty tuple, got {w!r}")
-    for m in w:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"index word entries must be integers >= 1, got {w!r}")
-    return w
 
 
 def compositions(total: int, min_part: int = 1, step: int = 1) -> Iterator[Word]:
@@ -156,28 +144,4 @@ def parse_word(text: str) -> Word:
     if match is None:
         raise ValueError(f"malformed word {text!r}")
     return tuple(map(int, match[1].split(",")))
-
-
-# ------------------------------------------------------- elimination order
-
-class ElimKey(NamedTuple):
-    """Sort key fixing the global elimination priority at one weight.
-
-    The word with the LARGEST key is eliminated first, so comparing keys
-    tells you who dies sooner.  Field order encodes the preference:
-    non-candidates die before basis candidates, non-Lyndon words die before
-    Lyndon words, deeper words die before shallower ones, and remaining ties
-    break on the lexicographically larger word dying first.  The survivors
-    of a full elimination are therefore shallow basis candidates.
-    """
-
-    non_candidate: bool
-    non_lyndon: bool
-    depth: int
-    tiebreak: Word
-
-
-def elim_key(w: Word, pool: frozenset[Word] | set[Word]) -> ElimKey:
-    """Elimination key of ``w`` given the candidate ``pool`` for its weight."""
-    return ElimKey(w not in pool, not is_lyndon(w), len(w), w)
 

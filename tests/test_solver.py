@@ -28,6 +28,7 @@ from zetaforge.algebra import (
     relation_descriptors,
 )
 from zetaforge.cli import main as cli_main
+from zetaforge.lyndon import elimination_order
 from zetaforge.solver import (
     Certifier,
     Checkpointer,
@@ -35,6 +36,7 @@ from zetaforge.solver import (
     MasterExpression,
     MissingTable,
     ReconstructionError,
+    SolvedWeight,
     StoreIntegrityError,
     TableStore,
     ensure_solved,
@@ -204,6 +206,13 @@ def test_table_entry_lines_golden(tables8):
     text = render_table(tables8[4])
     assert "Z(4) = 2/5*Z(2)*Z(2)" in text
     assert "Z(3,1) = 1/10*Z(2)*Z(2)" in text
+
+
+def test_table_lists_entries_in_the_solver_column_order():
+    # Z(4,4,5,3,1,1) is a candidate but not Lyndon, Z(17,1) a Lyndon
+    # non-candidate: the solver eliminates the non-Lyndon word first
+    solved = SolvedWeight(18, [], {(17, 1): {}, (4, 4, 5, 3, 1, 1): {}})
+    assert render_table(solved).splitlines()[3:] == ["Z(4,4,5,3,1,1) = 0", "Z(17,1) = 0"]
 
 
 def test_parse_table_rejects_corruption(tables8):
@@ -531,9 +540,7 @@ def _older_payload(lower, phase):
     phase (``layers``) or the family brackets alone (``families``), each
     lead's word as "5,2" mapped to its right-hand side, each word or
     monomial there as "6,1" or "5|2"."""
-    pool = solver_mod.candidate_words(7)
-    columns = sorted(admissible_words(7), reverse=True,
-                     key=lambda x: (not is_lyndon(x), solver_mod.elim_key(x, pool)))
+    columns = list(elimination_order(7))
     master = MasterExpression(columns, Certifier(lower))
     rows = solver_mod.elimination_rows(
         relation_descriptors(7, DEFAULT_KINDS), columns, master.lower.expand

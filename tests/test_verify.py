@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import zetaforge.solver as solver_mod
-import zetaforge.verify as verify_mod
 from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
 from zetaforge.lyndon import listing_key
 from zetaforge.solver import (
@@ -20,7 +19,6 @@ from zetaforge.solver import (
     substitute_tables,
 )
 from zetaforge.verify import (
-    MINIMALITY_CAP,
     alternative_basis,
     basis_report,
     dimension_report,
@@ -329,13 +327,11 @@ def test_minimality_confirmed_when_no_exchange_lowers_the_depth_sum(tables8, ent
     assert sum(map(len, alt)) == rep.depth_sum
 
 
-def test_minimal_depth_not_checked_above_cap(tables8, monkeypatch):
-    monkeypatch.setattr(verify_mod, "MINIMALITY_CAP", 7)
-    rep = minimal_depth_stats(8, tables8)
-    assert rep.minimal_confirmed is None
-    assert rep.alternatives_checked == 0
-    assert rep.depth_sum == 2
-    assert MINIMALITY_CAP == 10  # the module constant itself is untouched
+def test_minimal_depth_confirmed_at_weights_11_and_12(tables12):
+    tables, _ = tables12
+    for w, alternatives in ((11, 5), (12, 23)):
+        rep = minimal_depth_stats(w, tables)
+        assert (rep.alternatives_checked, rep.minimal_confirmed) == (alternatives, True)
 
 
 def test_minimal_depth_report_at_weight_10(tables12):

@@ -1,21 +1,18 @@
-"""Index words, binary encoding, duality, Lyndon test, elimination order.
+"""Index words, binary encoding, duality, Lyndon test, elimination order
+(:func:`zetaforge.lyndon.elimination_order`).
 
 Oracles used here are deliberately independent implementations: composition
 enumeration via gap bitmasks, rotation lists built explicitly, and the
 binary encoding rebuilt character by character.
 """
 
-import random
-
 import pytest
 
-from zetaforge.lyndon import candidate_words
+from zetaforge.lyndon import candidate_words, elimination_order
 from zetaforge.words import (
     admissible_words,
-    check_word,
     compositions,
     dual,
-    elim_key,
     from_binary,
     is_admissible,
     is_lyndon,
@@ -69,13 +66,6 @@ def test_weight_depth_admissible():
     assert is_admissible((2, 1))
     assert not is_admissible((1, 2))
     assert not is_admissible(())
-
-
-def test_check_word_rejects_bad_input():
-    for bad in ((), (0,), (2, -1), (2.0, 1), [2, 1]):
-        with pytest.raises(ValueError):
-            check_word(bad)
-    assert check_word((2, 1)) == (2, 1)
 
 
 def test_compositions_match_bitmask_oracle():
@@ -185,44 +175,41 @@ def test_parse_word_rejects_garbage():
 
 # ------------------------------------------------------- elimination order
 
-def test_elim_key_fields():
-    pool = candidate_words(4)  # empty at weight 4
-    assert pool == frozenset()
-    k = elim_key((2, 2), pool)
-    assert (k.non_candidate, k.non_lyndon, k.depth, k.tiebreak) == (
-        True,
-        True,
-        2,
-        (2, 2),
-    )
+def test_elimination_order_at_weight_4():
+    assert candidate_words(4) == frozenset()  # no candidate at weight 4
+    # non-Lyndon Z(2,2) first, then the Lyndon words deepest first
+    assert elimination_order(4) == {(2, 2): 0, (2, 1, 1): 1, (3, 1): 2, (4,): 3}
 
 
 def test_elim_order_prefers_non_candidates_then_non_lyndon_then_deep():
-    pool = candidate_words(12)
-
-    def key(w):
-        return elim_key(w, pool)
-
-    # (9,3) is a pool candidate, (2,10) is not: the non-candidate dies first.
-    assert key((2, 10)) > key((9, 3))
-    # among non-candidates, non-Lyndon (3,9) dies before Lyndon (11,1)
-    assert key((3, 9)) > key((11, 1))
+    rank = elimination_order(12)
+    # non-Lyndon Z(3,9) dies before the deeper non-candidate Lyndon Z(10,1,1)
+    assert rank[(3, 9)] < rank[(10, 1, 1)]
+    # among Lyndon words, the shallow non-candidate Z(12) dies before the
+    # deeper candidate Z(6,4,1,1)
+    assert (6, 4, 1, 1) in candidate_words(12)
+    assert rank[(12,)] < rank[(6, 4, 1, 1)]
     # among non-candidate Lyndon words, deeper dies first
-    assert key((10, 1, 1)) > key((11, 1))
+    assert rank[(10, 1, 1)] < rank[(11, 1)]
     # equal class and depth: lexicographically larger dies first
-    assert key((11, 1)) > key((10, 2))
-    assert key((10, 2)) < key((11, 1))
+    assert rank[(11, 1)] < rank[(10, 2)]
+    # the candidates survive longest
+    assert list(rank)[-4:] == [(8, 2, 1, 1), (6, 4, 1, 1), (9, 3), (7, 5)]
 
 
 def test_elim_order_is_total_and_consistent():
-    pool = candidate_words(9)
-    words = admissible_words(9)
-    rng = random.Random(7)
-    for _ in range(300):
-        a, b, c = (rng.choice(words) for _ in range(3))
-        ka, kb, kc = (elim_key(x, pool) for x in (a, b, c))
-        assert (ka < kb) + (ka == kb) + (ka > kb) == 1
-        if ka > kb and kb > kc:
-            assert ka > kc
-        if ka == kb:
-            assert a == b  # the key is injective at fixed weight
+    rank = elimination_order(9)
+    words = list(rank)
+    assert sorted(words) == admissible_words(9)  # every admissible word once
+    assert list(rank.values()) == list(range(len(words)))  # keys in column order
+    lyndon = [is_lyndon(x) for x in words]
+    assert lyndon == sorted(lyndon)  # the non-Lyndon words first
+    assert candidate_words(9) == {(9,)} and words[-1] == (9,)  # the candidate last
+
+
+def test_non_lyndon_candidate_dies_before_every_lyndon_word_at_weight_18():
+    # the 1-fold extension of Z(5,5,5,3), the first candidate that is not Lyndon
+    x = (4, 4, 5, 3, 1, 1)
+    assert x in candidate_words(18) and not is_lyndon(x)
+    rank = elimination_order(18)
+    assert rank[x] < min(k for y, k in rank.items() if is_lyndon(y))
