@@ -16,7 +16,14 @@ only through :func:`relation_descriptors` and :func:`relation_codes`.
 Expansions are computed on integer word codes
 (:func:`~zetaforge.words.code`; the words of one expansion share a weight).
 :func:`stuffle`, :func:`shuffle_words`, :func:`hoffman_relation` and
-:func:`expand_relation` decode them to words, keys in the same order.
+:func:`expand_relation` decode them to words, keys in the same order.  The
+products of one weight share their small cells: each cell of the
+suffix-pair table whose two suffixes weigh at most :data:`CELL_MEMO_WEIGHT`
+together is computed once while the products keep one weight, and the
+memo is cleared when a product of another weight comes.  Its bound is a
+constant, not a share of the weight, so the memo stays small at every
+weight (1,258 cells holding 11,965 terms after the relations of weight
+13), and every expansion is a fresh dict that its caller may change.
 
 Linear combinations are plain dicts mapping a key (a word code, an index
 word, or a basis monomial which is a tuple of generator words) to a nonzero
@@ -109,6 +116,15 @@ def _decoded(w: int, combo: dict[int, int]) -> dict[Word, int]:
     return {decode[x]: c for x, c in combo.items()}
 
 
+# Cells of the suffix-pair table of :func:`_product_codes` whose suffixes
+# weigh at most CELL_MEMO_WEIGHT together, keyed by the product kind and the
+# two suffixes, each as its code with a bit set above it, and kept for the
+# products of one weight, _cells_weight.
+CELL_MEMO_WEIGHT = 8
+_cells: dict[tuple[bool, int, int], dict[int, int]] = {}
+_cells_weight = 0
+
+
 def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     """The ``"stuffle"`` or ``"shuffle"`` expansion of ``u`` and ``v`` on
     codes, by leading part over suffix pairs, a part being an index
@@ -118,7 +134,10 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     and ``v[j+1:]``, or (stuffle only) with the index ``u[i] + v[j]``
     followed by one of ``u[i+1:]`` and ``v[j+1:]``, in that order.  All
     products of one suffix pair have one length, so prepending a part to a
-    tail of length t shifts its letters up t bits: an index sets bit t."""
+    tail of length t shifts its letters up t bits: an index sets bit t.
+    A cell depends only on its two suffixes, so the small ones come from
+    the memo (see the module docstring), which no caller sees."""
+    global _cells_weight
     if kind == "shuffle" and not (is_admissible(u) and is_admissible(v)):
         raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
     merge = kind == "stuffle"
@@ -127,6 +146,11 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     a, b = code(u), code(v)
     cu = [a & (1 << t) - 1 for t in tu]  # the code of each suffix
     cv = [b & (1 << t) - 1 for t in tv]
+    su = [c | 1 << t for c, t in zip(cu, tu)]  # each suffix as a memo key
+    sv = [c | 1 << t for c, t in zip(cv, tv)]
+    if tu[0] + tv[0] != _cells_weight:
+        _cells.clear()
+        _cells_weight = tu[0] + tv[0]
     hv = [cv[j] ^ cv[j + 1] for j in range(len(tv) - 1)]  # each part of v, in place
     row = [{x: 1} for x in cv]  # the products of "" and v[j:]
     for i in range(len(tu) - 2, -1, -1):
@@ -134,6 +158,10 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
         row = [{}] * len(hv) + [{cu[i]: 1}]
         hu, ti = cu[i] ^ cu[i + 1], tu[i]
         for j in range(len(hv) - 1, -1, -1):
+            small = ti + tv[j] <= CELL_MEMO_WEIGHT
+            if small and (out := _cells.get((merge, su[i], sv[j]))) is not None:
+                row[j] = out
+                continue
             lead = hu << tv[j]
             out = {lead | x: c for x, c in below[j].items()} if lead else dict(below[j])
             lead = hv[j] << ti
@@ -145,8 +173,10 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
                 for x, c in below[j + 1].items():
                     key = lead | x
                     out[key] = out.get(key, 0) + c
+            if small:
+                _cells[merge, su[i], sv[j]] = out
             row[j] = out
-    return row[0]
+    return dict(row[0]) if _cells_weight <= CELL_MEMO_WEIGHT else row[0]
 
 
 def stuffle(u: Word, v: Word) -> dict[Word, int]:

@@ -36,25 +36,26 @@ Lyndon words), then the monomials (products of lower-weight generators).
 
 Every row, stuffle rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
-weight as its code and its own column, each lower-weight word through its
-table entry, scaled to integers over its table's common denominator once,
+weight as its code and its own column, and a product pair's tabled value
+``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
 in the shared :class:`Certifier`), and its image mod p is reduced by one
-routine, :meth:`MasterExpression.reduce`.  Each regularized relation is expanded
-once per weight, held by that certifier, and read by the row schedule, its
-row and the certificate.  The brackets form one fully-reduced
-echelon: each bracket has lead 1 and no entry at another lead.  Each table
-coefficient is rebuilt once by Wang's rational reconstruction, and then
-*every* relation of the weight is certified exactly by
-:meth:`Certifier.holds`: substituted through the lower tables and the new
-one, with each word's integer vector packed into one integer under a slot
-bound that makes the comparison with zero exact, and each product pair's
-tabled value computed once, it must give zero (the same check ``verify``
-runs).  A modulus under which a non-Lyndon word
-is left without a bracket, a relation reduces to 0 = nonzero, a stuffle
-row leads at a Lyndon word or another row at a non-Lyndon word, a residue
-has no small rational preimage, or the certificate rejects a relation is
-replaced by the next one in ``PRIMES``; when none is left the solve fails,
-so no table leaves uncertified.
+routine, :meth:`MasterExpression.reduce`.  Each regularized relation is
+expanded once per weight, held by that certifier, and read by the row
+schedule, its row and the certificate.  Each product pair's tabled value
+is computed once per weight, by :meth:`Certifier.product`, and read by the
+pair's stuffle row, its shuffle row and the certificate of both.  The
+brackets form one fully-reduced echelon: each bracket has lead 1 and no
+entry at another lead.  Each table coefficient is rebuilt once by Wang's
+rational reconstruction, and then *every* relation of the weight is
+certified exactly by :meth:`Certifier.holds`: substituted through the
+lower tables and the new one, with each word's integer vector packed into
+one integer under a slot bound that makes the comparison with zero exact,
+it must give zero (the same check ``verify`` runs).  A modulus under
+which a non-Lyndon word is left without a bracket, a relation reduces to
+0 = nonzero, a stuffle row leads at a Lyndon word or another row at a
+non-Lyndon word, a residue has no small rational preimage, or the
+certificate rejects a relation is replaced by the next one in ``PRIMES``;
+when none is left the solve fails, so no table leaves uncertified.
 
 Why the certificate pins the bytes, whatever the modulus and the row order:
 
@@ -194,18 +195,22 @@ def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeigh
     return out
 
 
-def expand_row(relation: Expansion, entry: Callable[[int, int], tuple[int, dict]]) -> dict:
+def expand_row(
+    relation: Expansion,
+    product: Callable[[tuple[Word, Word]], tuple[int, dict]],
+    entry: Callable[[int, int], tuple[int, dict]] | None = None,
+) -> dict:
     """The integer residue of a relation, given as its expansion ``(w,
-    combo, product)``: every word code ``x`` of the combination replaced by
-    its scaled entry ``entry(w, x)``, a product's value (the integer product
-    of its factors' scaled entries ``entry(weight(f), code(f))``)
+    combo, pair)``: every word code ``x`` of the combination replaced by its
+    scaled entry ``entry(w, x)`` (kept as itself when ``entry`` is None), a
+    product pair's scaled value ``product(pair)`` (a denominator and an
+    integer combination of monomials, :meth:`Certifier.product`)
     subtracted, and every denominator cleared with their lcm.  Zero entries
     are dropped."""
-    w, combo, product = relation
-    terms = [(c, *entry(w, x)) for x, c in combo.items()]
-    if product is not None:
-        (den_u, u), (den_v, v) = (entry(weight(f), code(f)) for f in product)
-        terms.append((-1, den_u * den_v, lc_mul(u, v)))
+    w, combo, pair = relation
+    terms = [(1, 1, combo)] if entry is None else [(c, *entry(w, x)) for x, c in combo.items()]
+    if pair is not None:
+        terms.append((-1, *product(pair)))
     lcd = math.lcm(*(den for _, den, _ in terms))
     residue: dict[Monomial, int] = {}
     for c, den, scaled in terms:
@@ -225,9 +230,9 @@ class _ScaledTable:
     in any vector.  ``index`` numbers the monomials that the entries name.
     Once a relation of the weight is checked, ``packed[x]`` is
     ``vectors[x]`` packed into one integer, monomial ``i`` in the slot of
-    ``bits`` bits at ``bits * i``.  ``products`` holds the tabled value of
-    each product pair of the weight met so far (see :meth:`Certifier.holds`),
-    and ``packed_products`` its packing at the current width."""
+    ``bits`` bits at ``bits * i``, and ``packed_products`` holds the
+    packing of each product pair's tabled value at the current width (see
+    :meth:`Certifier.holds`)."""
 
     def __init__(self, entries: dict[Word, Entry]):
         den = math.lcm(*(c.denominator for entry in entries.values() for c in entry.values()))
@@ -243,7 +248,6 @@ class _ScaledTable:
         )
         self.bits = 0
         self.packed: dict[int, int] = {}
-        self.products: dict[tuple[Word, Word], tuple[int, int, dict[Monomial, int]]] = {}
         self.packed_products: dict[tuple[Word, Word], int] = {}
 
     def pack_vector(self, vector: dict[Monomial, int]) -> int:
@@ -278,10 +282,12 @@ class Certifier:
         R = D_a D_b sum_x c_x P_x - D_w P(N_u N_v)
 
     is zero, where ``P(N_u N_v)`` packs ``lc_mul`` of the factors' vectors
-    (``D_a D_b T(u) T(v)``).  That product is computed once per pair, and
+    (``D_a D_b T(u) T(v)``).  That product, with ``D_a D_b``, is computed
+    once per pair (:meth:`product`), kept for the pairs of one weight and
     packed once per slot width, so the stuffle and shuffle instances of a
-    pair share it.  A product monomial that no entry of weight ``w`` names
-    has no slot, and its nonzero coefficient makes the relation fail.
+    pair, their rows and their checks all share it.  A product monomial
+    that no entry of weight ``w`` names has no slot, and its nonzero
+    coefficient makes the relation fail.
     :meth:`holds` compares ``R`` with 0 as one integer, which is exact
     under the slot bound it enforces for every relation: each slot ``r_i``
     of ``R`` has ``|r_i| <= B = D_a D_b sum_x |c_x| max|N| + D_w
@@ -293,10 +299,12 @@ class Certifier:
 
     :meth:`residue` spells a relation out monomial by monomial through
     :func:`expand_row`; it names what is left of a failed relation.  The
-    tables are scaled on first use and cached, so a certifier serves one
-    set of tables that does not change while it is used.  ``expansions``
-    holds relations already expanded on codes, by descriptor;
-    :meth:`expand` reads them there and expands any other relation afresh.
+    tables are scaled on first use and cached, and the products with them,
+    so a certifier serves one set of tables that does not change while it
+    is used; one built later sees the tables as they are then.
+    ``expansions`` holds relations already expanded on codes, by
+    descriptor; :meth:`expand` reads them there and expands any other
+    relation afresh.
     """
 
     def __init__(
@@ -305,6 +313,9 @@ class Certifier:
         self.tables = tables
         self.expansions = expansions if expansions is not None else {}
         self._scaled: dict[int, _ScaledTable] = {}
+        # the scaled value of each product pair of weight _products_weight
+        self._products: dict[tuple[Word, Word], tuple[int, dict[Monomial, int]]] = {}
+        self._products_weight = 0
 
     def expand(self, desc: tuple) -> Expansion:
         """The ``(w, combo, product)`` expansion of the relation ``desc``."""
@@ -328,27 +339,39 @@ class Certifier:
             raise MissingTable(f"no table entry for {render_word(decoder(k)[x])}")
         return scaled.den, vector
 
+    def product(self, pair: tuple[Word, Word]) -> tuple[int, dict[Monomial, int]]:
+        """``D_a D_b`` and ``N_u N_v``: the tabled value of the product pair
+        ``(u, v)`` in integers, with its denominator.  Computed once per
+        pair; only the pairs of the last weight asked for are kept."""
+        got = self._products.get(pair)
+        if got is None:
+            w = weight(pair[0]) + weight(pair[1])
+            if w != self._products_weight:
+                self._products, self._products_weight = {}, w
+            (den_u, u), (den_v, v) = (self.entry(weight(f), code(f)) for f in pair)
+            got = self._products[pair] = den_u * den_v, lc_mul(u, v)
+        return got
+
     def with_table(self, solved: SolvedWeight) -> Certifier:
         """A certifier over these tables plus ``solved``, reusing the tables
-        already scaled at every other weight."""
+        already scaled at every other weight, and the products kept unless
+        one of their factors may have the weight of ``solved``."""
         other = Certifier({**self.tables, solved.weight: solved}, self.expansions)
         other._scaled = {k: v for k, v in self._scaled.items() if k != solved.weight}
+        if solved.weight >= self._products_weight - 1:  # every factor weighs at most w - 2
+            other._products, other._products_weight = self._products, self._products_weight
         return other
 
     def holds(self, desc: tuple) -> bool:
         """Whether the relation ``desc`` holds, by the packed check."""
-        w, combo, product = self.expand(desc)
+        w, combo, pair = self.expand(desc)
         top = self.scaled(w)
         scale, height, value = 1, 0, None
-        if product is not None:
-            if product not in top.products:  # D_a D_b, max|coefficient| and N_u N_v
-                (den_u, u), (den_v, v) = (self.entry(weight(f), code(f)) for f in product)
-                value = lc_mul(u, v)
-                height = max(map(abs, value.values()), default=0)
-                top.products[product] = den_u * den_v, height, value
-            scale, height, value = top.products[product]
+        if pair is not None:
+            scale, value = self.product(pair)
             if not value.keys() <= top.index.keys():
                 return False
+            height = max(map(abs, value.values()), default=0)
         bound = scale * sum(map(abs, combo.values())) * top.height + top.den * height
         packed = top.pack(bound)
         total = 0
@@ -359,15 +382,15 @@ class Certifier:
             total += c * p
         if value is None:
             return total == 0
-        packed_value = top.packed_products.get(product)
+        packed_value = top.packed_products.get(pair)
         if packed_value is None:
-            packed_value = top.packed_products[product] = top.pack_vector(value)
+            packed_value = top.packed_products[pair] = top.pack_vector(value)
         return scale * total == top.den * packed_value
 
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
         lcm of the denominators involved: empty exactly when it holds."""
-        return expand_row(self.expand(desc), self.entry)
+        return expand_row(self.expand(desc), self.product, self.entry)
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold."""
@@ -471,9 +494,10 @@ class MasterExpression:
 
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, by :func:`expand_row`: each word of the weight as its
-    code and so its own column, each lower-weight word through the shared
-    certifier ``lower``, which also holds the relations expanded already
-    (:meth:`residue`, :meth:`integer_row`).
+    code and so its own column, a product pair's tabled value through the
+    shared certifier ``lower``, which also holds the relations expanded
+    already and each pair's value once computed (:meth:`residue`,
+    :meth:`integer_row`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
     minus the rest".  ``pivots`` maps each lead to its bracket and is one
@@ -492,11 +516,12 @@ class MasterExpression:
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
     ``absorbed`` the rows it was given, of the ``n_rows`` a solve gives it,
     ``skipped`` the rows it passed over once ``installed`` had reached
-    ``target`` (None: never), ``peak_terms`` the most live terms in
-    Lyndon-led brackets after any install, and ``bracket_updates`` the
-    brackets that installs rewrote.  :meth:`state` gives the monomials, the
-    echelon and these counters, in the master's own column space, as plain
-    data (the checkpoint's payload), and :meth:`restore` takes them up.
+    ``target`` (None: never), ``terms`` the live terms in Lyndon-led
+    brackets, kept up to date by every install, ``peak_terms`` the most of
+    them after any install, and ``bracket_updates`` the brackets that
+    installs rewrote.  :meth:`state` gives the monomials, the echelon and
+    these counters, in the master's own column space, as plain data (the
+    checkpoint's payload), and :meth:`restore` takes them up.
     """
 
     def __init__(
@@ -521,6 +546,7 @@ class MasterExpression:
         self.n_rows = n_rows
         self.target = target
         self.skipped = 0
+        self.terms = 0
         self.peak_terms = 0
         self.bracket_updates = 0
         self.prime = prime
@@ -538,10 +564,7 @@ class MasterExpression:
         """The integer residue of the relation ``desc``, with each word of
         the weight as its code and lower-weight words through the lower
         tables, as monomials."""
-        w, lower = self.weight, self.lower
-        return expand_row(
-            lower.expand(desc), lambda k, x: (1, {x: 1}) if k == w else lower.entry(k, x)
-        )
+        return expand_row(self.lower.expand(desc), self.lower.product)
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
@@ -583,12 +606,18 @@ class MasterExpression:
             )
         inv = pow(row[lead], -1, p)
         bracket = {k: v * inv % p for k, v in row.items()}
-        for other in pivots.values():
+        n_family = self.n_family
+        for other_lead, other in pivots.items():
             c = other.get(lead)
             if c:
+                size = len(other)
                 _add_mod(other, bracket, -c, p)
                 self.bracket_updates += 1
+                if other_lead >= n_family:
+                    self.terms += len(other) - size
         pivots[lead] = bracket
+        if lead >= n_family:
+            self.terms += len(bracket)
         return True
 
     def absorb(self, desc: tuple) -> bool:
@@ -604,8 +633,7 @@ class MasterExpression:
             self.skipped += 1
         elif pivot := self.reduce(desc):
             self.installed += 1
-            terms = sum(len(b) for lead, b in self.pivots.items() if lead >= self.n_family)
-            self.peak_terms = max(self.peak_terms, terms)
+            self.peak_terms = max(self.peak_terms, self.terms)
         self.absorbed += 1
         if self.absorbed % PROGRESS_ROWS == 0:
             log.debug("weight %d: %d/%d rows absorbed, %d pivots",
@@ -652,6 +680,7 @@ class MasterExpression:
             raise ValueError(f"counters {counters!r} do not fit the brackets")
         self.monomials, self.mono_ids = monomials, {m: i for i, m in enumerate(monomials)}
         self.pivots = pivots
+        self.terms = sum(len(b) for lead, b in pivots.items() if lead >= self.n_family)
         self.installed, self.absorbed, self.peak_terms, self.bracket_updates = counters
 
     def back_substitute(self) -> None:
@@ -665,6 +694,7 @@ class MasterExpression:
         for lead in list(pivots):
             rhs = {names[k]: -v % p for k, v in pivots.pop(lead).items() if k != lead}
             self.entries[self.columns[lead]] = rhs
+        self.terms = 0
 
 
 def elimination_rows(
@@ -900,13 +930,20 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
     """The fully-reduced table of the weight after
     :meth:`MasterExpression.back_substitute`: each survivor as itself and
     every other word's entry mod p, each coefficient rebuilt by
-    :func:`rational`.  Each entry mod p is popped from ``master.entries`` as
-    it is rebuilt, so the residues are gone before the certificate runs."""
+    :func:`rational`, each distinct residue once.  Each entry mod p is
+    popped from ``master.entries`` as it is rebuilt, so the residues are
+    gone before the certificate runs."""
     p = master.prime
     survivors = [x for x in master.columns if x not in master.entries]
     table: dict[Word, Entry] = {x: {(x,): Fraction(1)} for x in survivors}
+    rebuilt: dict[int, Fraction] = {}
     for x in list(master.entries):
-        table[x] = {m: rational(c, p) for m, c in master.entries.pop(x).items()}
+        entry = table[x] = {}
+        for m, c in master.entries.pop(x).items():
+            q = rebuilt.get(c)
+            if q is None:
+                q = rebuilt[c] = rational(c, p)
+            entry[m] = q
 
     expected = 2 ** (w - 2)
     if len(table) != expected:
@@ -932,27 +969,28 @@ def render_monomial(m: Monomial) -> str:
     return "*".join(render_word(f) for f in m)
 
 
-def render_entry(word: Word, entry: Entry) -> str:
-    if not entry:
-        return f"{render_word(word)} = 0"
-    terms = [f"{c}*{render_monomial(m)}" for m, c in sorted(entry.items())]
-    return f"{render_word(word)} = {' + '.join(terms)}"
-
-
 def render_table(solved: SolvedWeight) -> str:
     """The persistent text form of a fully-reduced table.  Entries appear in
     the solver's column order, :func:`~zetaforge.lyndon.elimination_order`
     (first-eliminated first), so the file ends with the generators'
     self-entries; monomials within an entry are sorted, factors within a
-    monomial descend by weight; all signs live in the coefficients."""
+    monomial descend by weight; all signs live in the coefficients.  Each
+    distinct monomial is rendered once."""
     rank = elimination_order(solved.weight)
     lines = [
         f"# weight: {solved.weight}",
         "# phase: fully-reduced",
         ("# generators: " + " ".join(render_word(g) for g in solved.generators)).rstrip(),
     ]
-    order = sorted(solved.entries, key=rank.__getitem__)
-    lines.extend(render_entry(word, solved.entries[word]) for word in order)
+    names: dict[Monomial, str] = {}
+    for word in sorted(solved.entries, key=rank.__getitem__):
+        terms = []
+        for m, c in sorted(solved.entries[word].items()):
+            name = names.get(m)
+            if name is None:
+                name = names[m] = render_monomial(m)
+            terms.append(f"{c}*{name}")
+        lines.append(f"{render_word(word)} = {' + '.join(terms) or '0'}")
     return "\n".join(lines) + "\n"
 
 

@@ -96,7 +96,8 @@ def from_binary(b: str) -> Word:
 
 
 def dual(w: Word) -> Word:
-    """Reverse-and-swap involution on the binary encoding.
+    """Reverse-and-swap involution on the binary encoding, computed on the
+    code: the word whose code is the bit reversal of the complemented code.
 
     Induces equalities between nested sums; weight is preserved and the
     depth of the dual is weight minus depth.  Defined for admissible words
@@ -104,9 +105,9 @@ def dual(w: Word) -> Word:
     """
     if not is_admissible(w):
         raise ValueError(f"dual is defined for admissible words only, got {w!r}")
-    b = to_binary(w)
-    swapped = "".join("X" if c == "Y" else "Y" for c in reversed(b))
-    return from_binary(swapped)
+    t = weight(w)
+    # the complemented code, its t bits reversed
+    return decoder(t)[int(f"{code(w) ^ (1 << t) - 1:0{t}b}"[::-1], 2)]
 
 
 # ------------------------------------------------------------------ Lyndon

@@ -13,13 +13,18 @@ the key order of every expansion, which reaches the checkpoint bytes.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from zetaforge.algebra import (
+    _product_codes,
     add_scaled,
     add_term,
     check_kinds,
@@ -264,6 +269,61 @@ def test_code_expansions_decode_to_the_word_expansions_in_order():
             assert (k, product) == (w, None if desc[0] == "hoffman" else (u, v)), desc
             assert decoded == list(expected.items()), desc
             assert list(expand_relation(desc)[0].items()) == decoded, desc
+
+
+def test_a_changed_expansion_leaves_every_later_expansion_unchanged():
+    # weight 8 is within the cell memo's bound, so the whole product of a
+    # pair is a cell there; the regularized relation changes the stuffle it
+    # gets, and a caller may change what it gets back
+    u, v = (3,), (2, 1, 2)
+    expansions = [
+        lambda: stuffle(u, v),
+        lambda: shuffle_words(u, v),
+        lambda: _product_codes("stuffle", u, v),
+        lambda: _product_codes("shuffle", u, v),
+        lambda: _product_codes("stuffle", (1,), (3, 2, 2)),
+        lambda: relation_codes(("stuffle", u, v))[1],
+        lambda: relation_codes(("shuffle", u, v))[1],
+        lambda: relation_codes(("hoffman", (3, 2, 2)))[1],
+        lambda: relation_codes(("stuffle", (2,), (3, 3)))[1],  # a cell of (3,)*(2,1,2)
+    ]
+    expected = [list(expand().items()) for expand in expansions]
+    for expand in expansions:
+        got = expand()
+        for key in list(got):
+            got[key] += 7
+        got[next(iter(got))] = 0
+        got[-1] = 1
+    assert [list(expand().items()) for expand in expansions] == expected
+
+
+_EXPANSIONS_DIGEST = """
+import hashlib, sys
+from zetaforge.algebra import relation_codes, relation_descriptors
+
+def digest(w):
+    h = hashlib.sha256()
+    for desc in relation_descriptors(w, ("stuffle", "shuffle", "hoffman")):
+        h.update(repr(list(relation_codes(desc)[1].items())).encode())
+    return h.hexdigest()
+"""
+
+
+def test_expansions_do_not_depend_on_the_weights_expanded_before():
+    # expanding weights 12, 7 and 11 in turn gives each weight's expansions,
+    # key order included, as a fresh interpreter expanding that weight alone
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", _EXPANSIONS_DIGEST + f"print(digest({w}))"],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        ).stdout.strip()
+        for w in (12, 7, 11)
+    ]
+    namespace: dict = {}
+    exec(_EXPANSIONS_DIGEST, namespace)
+    assert [namespace["digest"](w) for w in (12, 7, 11)] == fresh
 
 
 def test_shuffle_words_rejects_a_non_admissible_factor():

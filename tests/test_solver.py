@@ -10,6 +10,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from zetaforge.algebra import (
     describe,
     expand_relation,
     relation_descriptors,
+    weight_pairs,
 )
 from zetaforge.cli import main as cli_main
 from zetaforge.lyndon import elimination_order
@@ -1141,6 +1143,22 @@ def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8)
     assert sorted(calls) == sorted(hoffman)
 
 
+def test_each_product_pair_is_tabled_once_per_weight(monkeypatch, tables8):
+    # the stuffle row, the shuffle row and the certificate of a pair all
+    # read one tabled product T(u) T(v)
+    calls = []
+    honest = solver_mod.lc_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return honest(a, b)
+
+    monkeypatch.setattr(solver_mod, "lc_mul", counting)
+    solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
+    assert render_table(solved) == render_table(tables8[8])
+    assert len(calls) == len(list(weight_pairs(8))) == 42
+
+
 def test_bracket_updates_are_pinned_at_weight_10(tables12):
     # with each depth's regularized rows absorbed before any deeper family
     # bracket is built, weight 10's installs rewrite 2510 brackets (5747
@@ -1172,6 +1190,33 @@ def test_traced_benchmark_pass_sees_every_row(tmp_path):
     assert layers["solver.absorb.rows"] == sum(p + r for p, r in counts) == 25
     assert layers["solver.absorb.pivots"] == sum(p for p, _ in counts) == 18
     assert layers["solver.expand_row.calls"] > 0
+
+
+def test_weights_2_to_9_solve_to_the_golden_digests_under_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; its oldest release
+    # must give the same bytes
+    exe = shutil.which("python3.10")
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"],
+        capture_output=True, timeout=60,
+    )
+    if not exe or probe.returncode:
+        pytest.skip("no working python3.10 on PATH")
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import hashlib, json\n"
+        "from zetaforge.solver import render_table, solve_in_memory\n"
+        "tables = solve_in_memory(9)\n"
+        "print(json.dumps({w: hashlib.sha256(render_table(t).encode('ascii')).hexdigest()"
+        " for w, t in tables.items()}))\n"
+    )
+    proc = subprocess.run(
+        [exe, "-c", code], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads((root / "perfbench" / "golden.json").read_text())["tables"]
+    assert json.loads(proc.stdout) == {str(w): golden[str(w)] for w in range(2, 10)}
 
 
 # ------------------------------------------------------- master expression
@@ -1280,6 +1325,31 @@ def test_a_relation_word_without_an_entry_is_inconsistent_not_missing(tables8):
     missing = r"^shuffle Z\(5\)\*Z\(3\): word .* has no column"
     with pytest.raises(InconsistentRelation, match=missing):
         master.absorb(("shuffle", (5,), (3,)))
+
+
+def test_the_live_term_count_follows_installs_and_restores(tables8):
+    # the count kept up by each install is the live terms in Lyndon-led
+    # brackets, and a master restored from a state counts what it took up,
+    # so the peaks after the later installs agree
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    columns = list(elimination_order(8))
+    certifier = Certifier(lower)
+    rows = solver_mod.elimination_rows(relation_descriptors(8), columns, certifier.expand)
+
+    def live(master):
+        return sum(len(b) for lead, b in master.pivots.items() if lead >= master.n_family)
+
+    made = MasterExpression(columns, certifier)
+    family_phase(made, [desc for desc in rows if desc[0] == "hoffman"])
+    taken = MasterExpression(columns, certifier)
+    taken.restore(json.loads(json.dumps(made.state())))
+    assert taken.terms == made.terms == live(made) > 0
+    for desc in rows:
+        if desc[0] != "hoffman":
+            made.absorb(desc)
+            taken.absorb(desc)
+            assert taken.terms == made.terms == live(made)
+    assert taken.peak_terms == made.peak_terms == tables8[8].stats["max_bracket_terms"]
 
 
 def test_peak_terms_is_the_largest_live_count():

@@ -141,6 +141,20 @@ def test_packed_check_rejects_a_weight_8_coefficient_off_by_a_third(tables8):
     assert Certifier(tables8).rejects(descs) == []
 
 
+def test_a_certifier_sees_an_in_place_edit_that_an_earlier_one_scaled(tables8):
+    # nothing derived from a table is kept on the table: a certifier built
+    # after an edit sees it, at the edited weight and through the products
+    # whose factor it names
+    tables = copy.deepcopy(tables8)
+    six, eight = relation_descriptors(6, ALL_KINDS), relation_descriptors(8, ALL_KINDS)
+    assert Certifier(tables).rejects(six + eight) == []
+    entry = tables[6].entries[(4, 2)]
+    entry[next(iter(entry))] += 1
+    failed = Certifier(tables).rejects(six + eight)
+    assert failed == [d for d in six + eight if _fraction_residual(d, tables)]
+    assert set(failed) & set(six) and set(failed) & set(eight)
+
+
 def test_packed_check_rejects_a_product_monomial_missing_from_the_index(tables8):
     # every weight-4 entry is 0, so weight 4 indexes no monomial: a relation
     # without a product holds, Z(2)*Z(2) = 2 Z(2,2) + Z(4) cannot
