@@ -6,21 +6,24 @@ reduction over one column space: every admissible word of the weight in
 :func:`~zetaforge.lyndon.elimination_order` (the non-Lyndon words, then the
 Lyndon words), then the monomials (products of lower-weight generators).
 
+Every row comes from one list, the weight's relation descriptors, and is
+taken in its list order within each step below.
+
 1. Family brackets, depth by depth.  Stuffle relations mix only words
    sharing one index multiset (a family) plus lower-depth merge terms and
-   lower-weight products, so the stuffle rows, fed depth ascending and
-   family by family, give every non-Lyndon admissible word a bracket.
-   After each depth's stuffle rows come the regularized rows whose words
-   are no deeper (:func:`family_phase`).
+   lower-weight products, so the stuffle rows, fed depth ascending, give
+   every non-Lyndon admissible word a bracket.  After each depth's stuffle
+   rows come the regularized rows whose words are no deeper
+   (:func:`family_phase`).
 
 2. Bracketed elimination.  Every other row (regularized, shuffle product,
    optionally duality) is reduced against every bracket; what is left is
    led by a Lyndon word of the weight, and its install clears that lead
    from every bracket, family brackets included.  Words that never lead a
-   bracket survive as this weight's generators.  A pivot installed at a
-   late column, or before the deeper brackets exist, is named by few
-   brackets, so installing it rewrites few (:func:`elimination_rows`).
-   The order is free: whatever it is, the
+   bracket survive as this weight's generators.  A pivot installed before
+   the deeper brackets exist is named by few brackets, so installing it
+   rewrites few; that is why the regularized rows come depth by depth.
+   The order is free otherwise: whatever it is, the
    table is the unique reduced row-echelon form shown below.  Once the
    Lyndon brackets reach the conjectured rank, the number of Lyndon words
    less the number of odd Lyndon words (the generator count that ``verify
@@ -40,8 +43,8 @@ weight as its code and its own column, and a product pair's tabled value
 ``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
 in the shared :class:`Certifier`), and its image mod p is reduced by one
 routine, :meth:`MasterExpression.reduce`.  Each regularized relation is
-expanded once per weight, held by that certifier, and read by the row
-schedule, its row and the certificate.  Each product pair's tabled value
+expanded once per weight, held by that certifier, and read by its row
+and the certificate.  Each product pair's tabled value
 is computed once per weight, by :meth:`Certifier.product`, and read by the
 pair's stuffle row, its shuffle row and the certificate of both.  The
 brackets form one fully-reduced echelon: each bracket has lead 1 and no
@@ -94,9 +97,9 @@ import re
 import tempfile
 import time
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from ._meta import BUILD_ID, TABLE_FORMAT
 from .algebra import (
@@ -409,39 +412,36 @@ def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
             target.pop(k, None)
 
 
-def family_phase(master: MasterExpression, regularized: Iterable[tuple] = ()) -> None:
+def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
     """Give every non-Lyndon word of the master's weight a bracket in
-    ``master.pivots``, modulo ``master.prime``, from its stuffle rows, and
-    absorb the ``regularized`` rows depth by depth among them.
+    ``master.pivots``, modulo ``master.prime``, from the stuffle rows among
+    ``relations`` (the weight's descriptors), and absorb the regularized
+    rows among them depth by depth.
 
-    A stuffle row mixes only the words of one index multiset (a family),
-    words of lower depth and lower-weight products.  So the rows, which are
-    exactly the ``relation_descriptors(w, ("stuffle",))`` that the
-    certificate checks, are fed depth ascending and family by family to
-    :meth:`MasterExpression.reduce`, each led by the family member without
-    a bracket that dies first.  Right after the rows of depth d, a
-    non-Lyndon word of depth d left without a bracket raises
-    :class:`UnderdeterminedFamily`; then each regularized row on a word v
-    with ``len(v) + 1 == d``, in the given order, goes to
-    :meth:`MasterExpression.absorb`.  It names only words of depth
-    ``len(v)`` and d, so it leads at a Lyndon word, and its pivot is
+    A stuffle row on ``(u, v)`` mixes only words of one index multiset (a
+    family) of depth ``d = len(u) + len(v)``, words of lower depth and
+    lower-weight products.  So the rows of each depth d, ascending, go in
+    list order to :meth:`MasterExpression.reduce`, each led by the word
+    without a bracket that dies first.  Right after them, a non-Lyndon word
+    of depth d left without a bracket raises :class:`UnderdeterminedFamily`;
+    then each regularized row on a word v with ``len(v) + 1 == d``, in list
+    order, goes to :meth:`MasterExpression.absorb`.  It names only words of
+    depth ``len(v)`` and d, so it leads at a Lyndon word, and its pivot is
     installed before any deeper bracket exists to be rewritten.  A stuffle
     row led by a Lyndon word or a monomial raises
     :class:`InconsistentRelation`.  Under an unlucky modulus either error
     can happen where the rationals would not.
     """
-
-    def family(desc: tuple) -> tuple:
-        u, v = desc[1:]
-        return len(u) + len(v), sorted(u + v, reverse=True)
-
-    stuffle = sorted(relation_descriptors(master.weight, ("stuffle",)), key=family)
-    by_depth = {d: list(descs) for d, descs in groupby(stuffle, lambda desc: family(desc)[0])}
-    layers: dict[int, list[tuple]] = {}
-    for desc in regularized:
-        layers.setdefault(len(desc[1]) + 1, []).append(desc)
-    for depth in range(2, master.weight):
-        for desc in by_depth.get(depth, ()):
+    layers: dict[int, tuple[list[tuple], list[tuple]]] = {
+        d: ([], []) for d in range(2, master.weight)
+    }
+    for desc in relations:
+        if desc[0] == "stuffle":
+            layers[len(desc[1]) + len(desc[2])][0].append(desc)
+        elif desc[0] == "hoffman":
+            layers[len(desc[1]) + 1][1].append(desc)
+    for depth, (stuffle, regularized) in layers.items():
+        for desc in stuffle:
             master.reduce(desc)
         missing = [x for k, x in enumerate(master.columns[:master.n_family])
                    if len(x) == depth and k not in master.pivots]
@@ -450,15 +450,15 @@ def family_phase(master: MasterExpression, regularized: Iterable[tuple] = ()) ->
                 f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
                 f"family bracket"
             )
-        for desc in layers.get(depth, ()):
+        for desc in regularized:
             master.absorb(desc)
 
 
 # ------------------------------------------------------ bracketed elimination
 
 # Moduli of the solve, tried in turn (Mersenne primes).  Wang's bound under
-# the first, |n|, d < 2^63, covers every table coefficient up to weight 12
-# (39 bits); the tables do not depend on the modulus that certifies them.
+# the first, |n|, d < 2^63, covers every table coefficient through weight 14
+# (51 bits); the tables do not depend on the modulus that certifies them.
 PRIMES = (2**127 - 1, 2**521 - 1)
 
 PROGRESS_ROWS = 256  # rows between two elimination progress lines (debug level)
@@ -511,7 +511,8 @@ class MasterExpression:
     Rows may come in any order: the table is the unique reduced row-echelon
     form of their span (see the module docstring), so the order sets only
     the cost, through the brackets each install rewrites; ``solve_weight``
-    feeds them as :func:`family_phase` and :func:`elimination_rows` say.
+    feeds the weight's descriptor list, depth by depth through
+    :func:`family_phase`, then its shuffle and duality rows in list order.
 
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
     ``absorbed`` the rows it was given, of the ``n_rows`` a solve gives it,
@@ -697,34 +698,6 @@ class MasterExpression:
         self.terms = 0
 
 
-def elimination_rows(
-    relations: list[tuple],
-    columns: list[Word],
-    expand: Callable[[tuple], Expansion],
-) -> list[tuple]:
-    """The elimination rows among a weight's ``relations`` (its
-    descriptors), in the order :meth:`MasterExpression.absorb` consumes
-    them: the Hoffman rows on words v by ascending ``len(v)`` (the layers
-    of :func:`family_phase`), then by descending lead column over
-    ``columns``, ties in descriptor order, then the shuffle and duality
-    rows in descriptor order.
-
-    A Hoffman row has no product and no lower-weight word, so its integer
-    row is its combination of word codes (as ``expand`` gives it) and its
-    lead is the lowest column that combination names.  A pivot installed at a late
-    column is named by few of the brackets already installed, so each
-    install rewrites few of them.  The order cannot change the table (see
-    the module docstring).
-    """
-    col_of = {code(x): k for k, x in enumerate(columns)}
-
-    def key(desc: tuple) -> tuple[int, int]:
-        return len(desc[1]), -min(col_of[x] for x in expand(desc)[1])
-
-    hoffman = sorted((desc for desc in relations if desc[0] == "hoffman"), key=key)
-    return hoffman + [desc for desc in relations if desc[0] not in ("stuffle", "hoffman")]
-
-
 # ------------------------------------------------------------- checkpointing
 
 def _canonical_json(payload: dict) -> tuple[str, str]:
@@ -743,9 +716,10 @@ class Checkpointer:
     resume (the caller must delete the file to start over).  The payload
     carries a fingerprint: the table format and the sorted set of ``kinds``,
     the only settings that can change the entries.  A payload of another
-    fingerprint, modulus or phase tag (every older build wrote another tag)
-    describes a different run and is ignored with a warning; one that
-    matches all three but does not restore is malformed.
+    fingerprint, modulus or phase tag (builds before the echelon state
+    wrote another tag) describes a different run and is ignored with a
+    warning; one that matches all three but does not restore is malformed.
+    The row order may differ: the echelon spans the same rows.
     """
 
     def __init__(self, path: Path, kinds: tuple[str, ...]):
@@ -838,16 +812,15 @@ def solve_weight(
 
     columns = list(elimination_order(w))
     relations = relation_descriptors(w, kinds)
-    # each regularized relation expanded once, for its lead, row and certificate
+    # each regularized relation expanded once, for its row and its certificate
     lower = Certifier(tables, {d: relation_codes(d) for d in relations if d[0] == "hoffman"})
-    rows = elimination_rows(relations, columns, lower.expand)
-    regularized = [desc for desc in rows if desc[0] == "hoffman"]
+    n_rows = sum(desc[0] != "stuffle" for desc in relations)
     target = rank_target(columns)
     family_seconds = certify_seconds = 0.0
     started = time.monotonic()
     for prime in PRIMES:
         for stop in (target, None):
-            master = MasterExpression(columns, lower, prime, stop, len(rows))
+            master = MasterExpression(columns, lower, prime, stop, n_rows)
             error = None
             t0 = time.monotonic()
             try:
@@ -856,15 +829,15 @@ def solve_weight(
                     if checkpointer is not None and checkpointer.load(master):
                         note(f"weight {w}: resuming after the family phase")
                     else:
-                        family_phase(master, regularized)
+                        family_phase(master, relations)
                         # not after a stop at the rank target: a rerun needs every row
                         if checkpointer is not None and not master.skipped:
                             checkpointer.save(master)
                 finally:
                     family_seconds += time.monotonic() - t0
                 # ---- bracketed elimination and assembly
-                for desc in rows:
-                    if desc[0] != "hoffman":
+                for desc in relations:
+                    if desc[0] not in ("stuffle", "hoffman"):
                         master.absorb(desc)
                 master.back_substitute()
                 solved = _assemble(w, master)
@@ -893,7 +866,7 @@ def solve_weight(
     elimination_seconds = time.monotonic() - started - family_seconds - certify_seconds
 
     # each row installed a pivot or was redundant: reduced to nothing, or skipped
-    redundant = len(rows) - master.installed
+    redundant = n_rows - master.installed
     height = max(
         (max(c.numerator.bit_length(), c.denominator.bit_length())
          for entry in solved.entries.values() for c in entry.values()),
@@ -903,8 +876,8 @@ def solve_weight(
         "families_seconds": round(family_seconds, 3),
         "elimination_seconds": round(elimination_seconds, 3),
         "certify_seconds": round(certify_seconds, 3),
-        "rows": len(rows),
-        "reduced_rows": len(rows) - master.skipped,
+        "rows": n_rows,
+        "reduced_rows": n_rows - master.skipped,
         "redundant_rows": redundant,
         "pivots": master.installed,
         "modulus_bits": prime.bit_length(),
@@ -918,7 +891,7 @@ def solve_weight(
               "%d of %d elimination rows reduced, max coefficient %d bits, "
               "%d bracket updates",
               w, len(relations), certify_seconds, prime.bit_length(),
-              solved.stats["reduced_rows"], len(rows), height, master.bracket_updates)
+              solved.stats["reduced_rows"], n_rows, height, master.bracket_updates)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{master.installed} pivots, {redundant} redundant rows"

@@ -230,7 +230,7 @@ def published_basis_check() -> PublishedBasisReport:
         lyndon = odd_lyndon_words(w)
         lyndon_counts[w] = len(lyndon)
         sources: list[Word] = []
-        orders: list[int] = []
+        passed: list[tuple[Word, int]] = []  # each element that passes, with its order
         for h in listing:
             if weight(h) != w:
                 failures.append(f"{render_word(h)} has weight {weight(h)}, listed under {w}")
@@ -241,18 +241,18 @@ def published_basis_check() -> PublishedBasisReport:
                 failures.append(f"{render_word(h)}: {exc}")
                 continue
             sources.append(source)
-            orders.append(n)
+            passed.append((h, n))
         ok = sorted(sources) == sorted(lyndon) and len(set(sources)) == len(sources)
         bijection[w] = ok
         if not ok:
             failures.append(f"weight {w}: collapse is not a bijection onto the Lyndon set")
-        twofold[w] = [h for h, n in zip(listing, orders) if n == 2]
+        twofold[w] = [h for h, n in passed if n == 2]
         if len(twofold[w]) != 1:
             failures.append(
                 f"weight {w}: expected exactly one twofold-extended element, "
                 f"found {len(twofold[w])}"
             )
-        plain = [h for h, n in zip(listing, orders) if n == 0]
+        plain = [h for h, n in passed if n == 0]
         bad = [h for h in plain if not is_lyndon(h)]
         plain_ok[w] = not bad
         failures.extend(f"{render_word(h)} is plain but not Lyndon" for h in bad)

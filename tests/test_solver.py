@@ -514,7 +514,7 @@ def _spoil_state(state, defect, n_words, p):
 def test_restore_refuses_a_malformed_state(tables8, defect):
     # a state taken up by a fresh master restores every bracket and counter
     master = _master(7, tables8, solver_mod.PRIMES[0])
-    family_phase(master, relation_descriptors(7, ("hoffman",)))
+    family_phase(master, relation_descriptors(7))
     state = json.loads(json.dumps(master.state()))
     again = _master(7, tables8, solver_mod.PRIMES[0])
     again.restore(json.loads(json.dumps(state)))
@@ -544,10 +544,8 @@ def _older_payload(lower, phase):
     monomial there as "6,1" or "5|2"."""
     columns = list(elimination_order(7))
     master = MasterExpression(columns, Certifier(lower))
-    rows = solver_mod.elimination_rows(
-        relation_descriptors(7, DEFAULT_KINDS), columns, master.lower.expand
-    )
-    family_phase(master, [desc for desc in rows if desc[0] == "hoffman" and phase == "layers"])
+    kinds = ("stuffle", "hoffman") if phase == "layers" else ("stuffle",)
+    family_phase(master, relation_descriptors(7, kinds))
     names = ["|".join(",".join(map(str, f)) for f in m)
              for m in [(x,) for x in columns] + master.monomials]
     entries = {names[lead]: {names[k]: -v % master.prime for k, v in b.items() if k != lead}
@@ -632,8 +630,10 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
 
 # canonical-JSON sha256 of weight 7's checkpoint payload (its fingerprint,
 # modulus and the master's state after the layered family phase); a change
-# to it orphans every checkpoint written before
-WEIGHT_7_CHECKPOINT = "238d8370d7862d44063fdfcae6b8a49072a6cc1f9a24ada9069adedb5d3c3086"
+# to the row order changes it, through the brackets' insertion order and the
+# counters, while a payload of the same tag written by an earlier build
+# still restores
+WEIGHT_7_CHECKPOINT = "d73a86a8baf1256e8bb15658e96f4cb0fda0c9b7f2bd00b2656bf2e91f12c191"
 
 
 def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
@@ -652,6 +652,31 @@ def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
     resumed = solve_weight(7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
     assert family_phases == []
     assert render_table(resumed) == canonical
+
+
+def test_a_checkpoint_of_another_row_order_resumes_to_the_same_table(tmp_path, monkeypatch):
+    # the echelon after the family phase spans the same rows whatever their
+    # order, so a checkpoint written after the regularized rows came in
+    # reverse (its brackets inserted and counted otherwise) resumes to the
+    # same bytes and pivots
+    lower = _lower_tables(6)
+    stuffle, hoffman = (relation_descriptors(7, (kind,)) for kind in ("stuffle", "hoffman"))
+
+    def layered(regularized):
+        master = MasterExpression(list(elimination_order(7)), Certifier(lower))
+        family_phase(master, stuffle + regularized)
+        return master
+
+    reversed_order = layered(hoffman[::-1])
+    assert reversed_order.state() != layered(hoffman).state()
+    path = tmp_path / "weight-07.checkpoint.json"
+    Checkpointer(path, DEFAULT_KINDS).save(reversed_order)
+    fresh = solve_weight(7, lower)
+    family_phases = _count_family_phases(monkeypatch)
+    resumed = solve_weight(7, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
+    assert family_phases == []
+    assert render_table(resumed) == render_table(fresh)
+    assert (resumed.stats["pivots"], resumed.stats["redundant_rows"]) == GOLDEN_COUNTS[7]
 
 
 # ------------------------------------------------------ crash and re-run
@@ -751,7 +776,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
-        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 28 bracket updates",
+        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 27 bracket updates",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -872,7 +897,7 @@ def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatc
 
     monkeypatch.setattr(MasterExpression, "residue", unlucky)
     with pytest.raises(solver_mod.UnderdeterminedFamily, match="left without a family bracket"):
-        family_phase(_master(4, tables8, solver_mod.PRIMES[0]))
+        family_phase(_master(4, tables8, solver_mod.PRIMES[0]), relation_descriptors(4))
     tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
@@ -906,7 +931,7 @@ def test_an_incomplete_depth_is_named_before_its_regularized_rows(monkeypatch, t
     master = _master(6, tables8, solver_mod.PRIMES[0])
     hoffman = relation_descriptors(6, ("hoffman",))
     with pytest.raises(solver_mod.UnderdeterminedFamily) as err:
-        family_phase(master, hoffman)
+        family_phase(master, relation_descriptors(6))
     depth3 = [render_word(x) for x in master.columns[:master.n_family] if len(x) == 3]
     assert depth3 and str(err.value) == f"weight 6: {depth3} left without a family bracket"
     assert absorbed == [desc for desc in hoffman if len(desc[1]) == 1]
@@ -927,7 +952,7 @@ def test_inconsistent_stuffle_row_under_the_first_modulus_falls_through(monkeypa
     monkeypatch.setattr(MasterExpression, "integer_row", lyndon_only)
     led = r"^stuffle Z\(2\)\*Z\(2,1\): left a relation led by Z\("
     with pytest.raises(InconsistentRelation, match=led):
-        family_phase(_master(5, tables8, solver_mod.PRIMES[0]))
+        family_phase(_master(5, tables8, solver_mod.PRIMES[0]), relation_descriptors(5))
     tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
@@ -981,16 +1006,18 @@ def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_any_row_order_gives_the_same_tables(monkeypatch, tables8, seed):
     # the table is the unique reduced row-echelon form of the rows' span, so
-    # the elimination rows in a random order change no byte and no count
-    honest = solver_mod.elimination_rows
+    # the weight's descriptors in a random order, stuffle rows included,
+    # change no byte, pivot or redundant row (the rows reduced before the
+    # early stop do depend on the order)
+    honest = solver_mod.relation_descriptors
     rng = random.Random(seed)
 
     def permuted(*args):
-        rows = honest(*args)
-        rng.shuffle(rows)
-        return rows
+        relations = honest(*args)
+        rng.shuffle(relations)
+        return relations
 
-    monkeypatch.setattr(solver_mod, "elimination_rows", permuted)
+    monkeypatch.setattr(solver_mod, "relation_descriptors", permuted)
     tables = solve_in_memory(8)
     for w in range(2, 9):
         assert render_table(tables[w]) == render_table(tables8[w])
@@ -1001,21 +1028,18 @@ def test_any_row_order_gives_the_same_tables(monkeypatch, tables8, seed):
 
 def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monkeypatch, tables8):
     # the rows of a weight-8 solve in order: each stuffle row with its depth,
-    # each absorbed row with its layer and lead (for a Hoffman row on v, the
-    # depth len(v) + 1 and the lowest column of its integer row)
+    # each absorbed row with its layer (for a Hoffman row on v, the depth
+    # len(v) + 1)
     seen = []
     honest_reduce, honest_absorb = MasterExpression.reduce, MasterExpression.absorb
 
     def reduce(self, desc):
         if desc[0] == "stuffle":
-            seen.append((desc, len(desc[1]) + len(desc[2]), None))
+            seen.append((desc, len(desc[1]) + len(desc[2])))
         return honest_reduce(self, desc)
 
     def absorb(self, desc):
-        if desc[0] == "hoffman":
-            seen.append((desc, len(desc[1]) + 1, min(self.integer_row(desc))))
-        else:
-            seen.append((desc, None, None))
+        seen.append((desc, len(desc[1]) + 1 if desc[0] == "hoffman" else None))
         return honest_absorb(self, desc)
 
     monkeypatch.setattr(MasterExpression, "reduce", reduce)
@@ -1024,26 +1048,23 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monk
     stuffle = relation_descriptors(8, ("stuffle",))
     hoffman = relation_descriptors(8, ("hoffman",))
     shuffle = relation_descriptors(8, ("shuffle",))
-    # every stuffle row once, depth ascending
-    depths = [(desc, d) for desc, d, _ in seen if desc[0] == "stuffle"]
-    assert sorted(desc for desc, _ in depths) == sorted(stuffle)
-    assert [d for _, d in depths] == sorted(d for _, d in depths)
+    # every stuffle row once, depth ascending, and in descriptor order within
+    # a depth (a stable sort of the descriptors)
+    depths = [(desc, d) for desc, d in seen if desc[0] == "stuffle"]
+    assert [desc for desc, _ in depths] == sorted(
+        stuffle, key=lambda desc: len(desc[1]) + len(desc[2])
+    )
     # each Hoffman row on v comes after every stuffle row of depth
     # len(v) + 1 and before any deeper stuffle row
-    layered = [(i, desc, depth) for i, (desc, depth, _) in enumerate(seen) if desc[0] == "hoffman"]
+    layered = [(i, desc, depth) for i, (desc, depth) in enumerate(seen) if desc[0] == "hoffman"]
     assert len({depth for _, _, depth in layered}) == 6  # v of depth 1 to 6
     for i, desc, depth in layered:
-        assert all(d <= depth for x, d, _ in seen[:i] if x[0] == "stuffle"), describe(desc)
-        assert all(d > depth for x, d, _ in seen[i:] if x[0] == "stuffle"), describe(desc)
-    # within a layer, the latest lead first, ties in descriptor order (a
-    # stable sort of the descriptors)
-    leads = {desc: lead for desc, _, lead in seen if desc[0] == "hoffman"}
-    assert sorted(leads) == sorted(hoffman)
-    assert [desc for _, desc, _ in layered] == sorted(
-        hoffman, key=lambda desc: (len(desc[1]), -leads[desc])
-    )
+        assert all(d <= depth for x, d in seen[:i] if x[0] == "stuffle"), describe(desc)
+        assert all(d > depth for x, d in seen[i:] if x[0] == "stuffle"), describe(desc)
+    # within a layer, in descriptor order
+    assert [desc for _, desc, _ in layered] == sorted(hoffman, key=lambda desc: len(desc[1]))
     # then the 42 shuffle rows, in descriptor order
-    assert [desc for desc, _, _ in seen[-len(shuffle):]] == shuffle
+    assert [desc for desc, _ in seen[-len(shuffle):]] == shuffle
     assert len(seen) == len(stuffle) + len(hoffman) + len(shuffle)
 
 
@@ -1127,7 +1148,7 @@ def test_rows_past_the_rank_target_are_absorbed_unreduced(monkeypatch, tables8, 
 
 
 def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8):
-    # the lead sort, the row and the certificate all read one expansion
+    # the row and the certificate both read one expansion
     calls = []
     honest = algebra_mod._hoffman_codes
 
@@ -1159,13 +1180,17 @@ def test_each_product_pair_is_tabled_once_per_weight(monkeypatch, tables8):
     assert len(calls) == len(list(weight_pairs(8))) == 42
 
 
-def test_bracket_updates_are_pinned_at_weight_10(tables12):
+def test_bracket_updates_are_pinned_at_weights_10_to_12(tables12):
     # with each depth's regularized rows absorbed before any deeper family
-    # bracket is built, weight 10's installs rewrite 2510 brackets (5747
-    # when every family bracket was built before the first Lyndon pivot)
+    # bracket is built, the installs of weights 10, 11 and 12 rewrite 2435,
+    # 7931 and 22278 brackets (5747 at weight 10 when every family bracket
+    # was built before the first Lyndon pivot), and at most 874, 2569 and
+    # 5356 terms are live in Lyndon-led brackets
     tables, _ = tables12
-    assert tables[10].stats["bracket_updates"] == 2510
-    assert tables[10].stats["max_bracket_terms"] == 874
+    pinned = {10: (2435, 874), 11: (7931, 2569), 12: (22278, 5356)}
+    for w, (updates, terms) in pinned.items():
+        assert tables[w].stats["bracket_updates"] == updates, w
+        assert tables[w].stats["max_bracket_terms"] == terms, w
 
 
 # ---------------------------------------------------- traced benchmark pass
@@ -1246,8 +1271,8 @@ def test_integer_rows_are_positive_multiples_of_fraction_rows(tables8):
             assert all(named[k] == ratio * c for k, c in reference.items()), describe(desc)
         # the family brackets satisfy every stuffle relation, so each of its
         # rows vanishes against them
-        family_phase(master)
         stuffle = relation_descriptors(w, ("stuffle",))
+        family_phase(master, stuffle)
         assert not any(master.reduce(desc) for desc in stuffle)
 
 
@@ -1276,8 +1301,9 @@ def test_every_install_keeps_one_fully_reduced_echelon(monkeypatch):
 
 
 def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
-    # the family phase reads the stuffle rows the certificate checks, each
-    # once, and none of them through absorb
+    # the family phase reads the stuffle rows of the descriptor list that
+    # the certificate checks, each once, and none of them through absorb;
+    # of the list's other rows it absorbs the regularized ones alone
     lower = _lower_tables(9)
     expanded, absorbed = [], []
     honest_residue, honest_absorb = MasterExpression.residue, MasterExpression.absorb
@@ -1292,11 +1318,13 @@ def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
 
     monkeypatch.setattr(MasterExpression, "residue", residue)
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
-    family_phase(_master(10, lower, solver_mod.PRIMES[0]))
-    stuffle = relation_descriptors(10, ("stuffle",))
+    relations = relation_descriptors(10)
+    family_phase(_master(10, lower, solver_mod.PRIMES[0]), relations)
+    stuffle = [desc for desc in relations if desc[0] == "stuffle"]
+    hoffman = [desc for desc in relations if desc[0] == "hoffman"]
     assert len(stuffle) == len(set(stuffle)) == 228
-    assert sorted(expanded) == sorted(stuffle)
-    assert absorbed == []
+    assert sorted(expanded) == sorted(stuffle + hoffman)
+    assert sorted(absorbed) == sorted(hoffman)
 
 
 def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
@@ -1334,18 +1362,18 @@ def test_the_live_term_count_follows_installs_and_restores(tables8):
     lower = {w: t for w, t in tables8.items() if w < 8}
     columns = list(elimination_order(8))
     certifier = Certifier(lower)
-    rows = solver_mod.elimination_rows(relation_descriptors(8), columns, certifier.expand)
+    relations = relation_descriptors(8)
 
     def live(master):
         return sum(len(b) for lead, b in master.pivots.items() if lead >= master.n_family)
 
     made = MasterExpression(columns, certifier)
-    family_phase(made, [desc for desc in rows if desc[0] == "hoffman"])
+    family_phase(made, relations)
     taken = MasterExpression(columns, certifier)
     taken.restore(json.loads(json.dumps(made.state())))
     assert taken.terms == made.terms == live(made) > 0
-    for desc in rows:
-        if desc[0] != "hoffman":
+    for desc in relations:
+        if desc[0] not in ("stuffle", "hoffman"):
             made.absorb(desc)
             taken.absorb(desc)
             assert taken.terms == made.terms == live(made)

@@ -3,16 +3,24 @@ minimality probes, and fault injection proving the rechecks can fail."""
 
 import copy
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import zetaforge.solver as solver_mod
+import zetaforge.verify as verify_mod
 from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
 from zetaforge.lyndon import listing_key
 from zetaforge.solver import (
     Certifier,
     SolvedWeight,
+    TableStore,
+    ensure_solved,
     product_value,
     solve_in_memory,
     solve_weight,
@@ -273,6 +281,27 @@ def test_published_basis_check_passes_quickly():
     assert rep.seconds < 1.0
 
 
+def test_an_element_of_another_weight_shifts_no_other_element(monkeypatch):
+    # the weight-28 word Z(2,25,1) listed first under weight 27 is named
+    # once; every other element keeps its own collapse order
+    honest = verify_mod.published_basis
+    monkeypatch.setattr(
+        verify_mod, "published_basis",
+        lambda w: ([(2, 25, 1)] if w == 27 else []) + honest(w),
+    )
+    rep = published_basis_check()
+    assert rep.failures == [
+        "Z(2,25,1) has weight 28, listed under 27",
+        "weight 27: listing has 74 elements but there are 73 Lyndon words",
+    ]
+    assert rep.twofold == {
+        27: [(6, 4, 6, 4, 3, 1, 1, 1, 1)],
+        28: [(8, 6, 6, 4, 1, 1, 1, 1)],
+    }
+    assert rep.bijection == {27: True, 28: True}
+    assert rep.plain_all_lyndon == {27: True, 28: True}
+
+
 # ----------------------------------------------------------- minimal depth
 
 def test_minimal_depth_confirmed_at_weight_8(tables8):
@@ -355,3 +384,31 @@ def test_minimal_depth_report_at_weight_10(tables12):
     rep = minimal_depth_stats(10, tables)
     assert (rep.weight, rep.depth_sum, rep.histogram) == (10, 2, {2: 1})
     assert (rep.alternatives_checked, rep.minimal_confirmed) == (1, True)
+
+
+# ---------------------------------------------------- traced benchmark pass
+
+def test_traced_verify_pass_reads_every_verify_layer(tmp_path):
+    # the benchmark's tracer wraps verify names and reads a report field
+    # from outside the package; a rename that breaks it fails here
+    all_kinds = ("stuffle", "shuffle", "hoffman", "duality")
+    tables = tmp_path / "tables"
+    ensure_solved(TableStore(tables), 6)
+    root = Path(__file__).resolve().parents[1]
+    result, spans = tmp_path / "result.json", tmp_path / "spans.json"
+    command = ["verify", "--weight", "6", "--dims", "--published-basis",
+               "--relations", ",".join(all_kinds), "--table-dir", str(tables)]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "client.py"), str(result),
+         "--trace", str(spans), "--", *command],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text())
+    assert report["rc"] == 0, proc.stderr
+    layers = report["layers"]
+    assert layers["verify.relations_checked"] == len(relation_descriptors(6, all_kinds)) == 28
+    assert layers["solver.store.loads"] == 5  # weights 2 to 6
+    assert layers["verify.published_basis_check.s"] > 0
+    assert layers["verify.dimension_report.s"] > 0
