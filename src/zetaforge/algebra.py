@@ -11,7 +11,8 @@ with the regularized relations built from the divergent index 1 and the
 duality relations they form the one relation set.  Each relation instance
 is a ``(kind, *words)`` descriptor, and the ``gen`` dump
 (:func:`relation_dump`), the solver and the verifier all read relations
-only through :func:`relation_descriptors` and :func:`relation_codes`.
+only through :func:`relation_descriptors` and :func:`relation_codes` (or
+:func:`relation_shape`, its weight and product pair alone).
 
 Expansions are computed on integer word codes
 (:func:`~zetaforge.words.code`; the words of one expansion share a weight).
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .lyndon import elimination_order
@@ -141,13 +143,11 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     if kind == "shuffle" and not (is_admissible(u) and is_admissible(v)):
         raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
     merge = kind == "stuffle"
-    tu, tv = ([sum(x[i:]) for i in range(len(x) + 1)] if merge
+    tu, tv = ([*accumulate(reversed(x), initial=0)][::-1] if merge
               else list(range(weight(x), -1, -1)) for x in (u, v))  # the length of each suffix
     a, b = code(u), code(v)
     cu = [a & (1 << t) - 1 for t in tu]  # the code of each suffix
     cv = [b & (1 << t) - 1 for t in tv]
-    su = [c | 1 << t for c, t in zip(cu, tu)]  # each suffix as a memo key
-    sv = [c | 1 << t for c, t in zip(cv, tv)]
     if tu[0] + tv[0] != _cells_weight:
         _cells.clear()
         _cells_weight = tu[0] + tv[0]
@@ -159,9 +159,11 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
         hu, ti = cu[i] ^ cu[i + 1], tu[i]
         for j in range(len(hv) - 1, -1, -1):
             small = ti + tv[j] <= CELL_MEMO_WEIGHT
-            if small and (out := _cells.get((merge, su[i], sv[j]))) is not None:
-                row[j] = out
-                continue
+            if small:  # each suffix as a memo key, its code with a bit set above it
+                cell = merge, cu[i] | 1 << ti, cv[j] | 1 << tv[j]
+                if (out := _cells.get(cell)) is not None:
+                    row[j] = out
+                    continue
             lead = hu << tv[j]
             out = {lead | x: c for x, c in below[j].items()} if lead else dict(below[j])
             lead = hv[j] << ti
@@ -174,7 +176,7 @@ def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
                     key = lead | x
                     out[key] = out.get(key, 0) + c
             if small:
-                _cells[merge, su[i], sv[j]] = out
+                _cells[cell] = out
             row[j] = out
     return dict(row[0]) if _cells_weight <= CELL_MEMO_WEIGHT else row[0]
 
@@ -270,22 +272,33 @@ def relation_descriptors(w: int, kinds=DEFAULT_KINDS) -> list[tuple]:
     return [desc for kind in RELATION_KINDS if kind in ks for desc in _instances(w, kind)]
 
 
+def relation_shape(desc: tuple) -> tuple[int, tuple[Word, Word] | None]:
+    """The weight of a relation instance and the product pair it equals, or
+    None: :func:`relation_codes` without the combination, read off the
+    descriptor."""
+    kind = desc[0]
+    if kind in ("stuffle", "shuffle"):
+        u, v = desc[1:]
+        return weight(u) + weight(v), (u, v)
+    if kind in ("hoffman", "duality"):
+        return weight(desc[1]) + (kind == "hoffman"), None
+    raise ValueError(f"unknown relation descriptor {desc!r}")
+
+
 def relation_codes(desc: tuple) -> Expansion:
     """One relation instance expanded on codes: its weight ``w``, its
     integer combination of the codes of words of weight ``w``, and the
     product pair ``(u, v)`` it equals, or None when the combination is zero
     outright."""
-    kind = desc[0]
-    if kind in ("stuffle", "shuffle"):
-        u, v = desc[1:]
-        return weight(u) + weight(v), _product_codes(kind, u, v), (u, v)
-    if kind == "hoffman":
-        return weight(desc[1]) + 1, _hoffman_codes(desc[1]), None
-    if kind == "duality":
+    w, pair = relation_shape(desc)
+    if pair is not None:
+        combo = _product_codes(desc[0], *pair)
+    elif desc[0] == "hoffman":
+        combo = _hoffman_codes(desc[1])
+    else:
         combo = {code(desc[1]): 1}
         add_term(combo, code(dual(desc[1])), -1)
-        return weight(desc[1]), combo, None
-    raise ValueError(f"unknown relation descriptor {desc!r}")
+    return w, combo, pair
 
 
 def expand_relation(desc: tuple) -> tuple[dict[Word, int], tuple[Word, Word] | None]:

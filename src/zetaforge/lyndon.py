@@ -1,5 +1,5 @@
-"""Lyndon words over odd indices, n-fold extensions, candidate pools and
-the elimination order.
+"""Lyndon words over odd indices, n-fold extensions, candidate pools, the
+Lyndon factorization and the elimination order.
 
 The conjectured generators at weight W are drawn from the Lyndon words whose
 indices are all odd and >= 3 and sum to W, together with their n-fold
@@ -33,6 +33,7 @@ __all__ = [
     "elimination_order",
     "extend_word",
     "listing_key",
+    "lyndon_factorization",
     "odd_lyndon_words",
     "published_basis",
 ]
@@ -132,6 +133,26 @@ def candidate_pool(w: int) -> list[ExtendedCandidate]:
 def candidate_words(w: int) -> frozenset[Word]:
     """The candidate pool as a plain set of words."""
     return frozenset(c.word for c in candidate_pool(w))
+
+
+def lyndon_factorization(w: Word) -> list[Word]:
+    """The Chen-Fox-Lyndon factorization of ``w``: the one way to write it
+    as Lyndon words (:func:`~zetaforge.words.is_lyndon`) ``l1 l2 ... lk``,
+    by Duval's algorithm.  The max-rotation convention is the usual one with
+    the order of the indices reversed, so Duval's letter comparisons are
+    reversed here, and each factor is at least the next in that reversed
+    order.  The first factor is the longest Lyndon prefix of ``w``."""
+    factors: list[Word] = []
+    n, i = len(w), 0
+    while i < n:
+        j, k = i + 1, i
+        while j < n and w[k] >= w[j]:
+            k = i if w[k] > w[j] else k + 1
+            j += 1
+        while i <= k:
+            factors.append(w[i:i + j - k])
+            i += j - k
+    return factors
 
 
 @functools.cache

@@ -7,14 +7,19 @@ reduction over one column space: every admissible word of the weight in
 Lyndon words), then the monomials (products of lower-weight generators).
 
 Every row comes from one list, the weight's relation descriptors, and is
-taken in its list order within each step below.
+taken in its list order within each step below (a depth's canonical
+stuffle rows before its other ones).
 
 1. Family brackets, depth by depth.  Stuffle relations mix only words
    sharing one index multiset (a family) plus lower-depth merge terms and
    lower-weight products, so the stuffle rows, fed depth ascending, give
-   every non-Lyndon admissible word a bracket.  After each depth's stuffle
-   rows come the regularized rows whose words are no deeper
-   (:func:`family_phase`).
+   every non-Lyndon admissible word a bracket.  The quasi-shuffle algebra
+   is free on the Lyndon words (Hoffman), so one row per non-Lyndon word
+   is enough: its first Lyndon factor times the rest of it
+   (:func:`canonical_row`).  Each depth reduces those rows first and, once
+   each of its words has a bracket, passes its other stuffle rows over.
+   After each depth's stuffle rows come the regularized rows whose words
+   are no deeper (:func:`family_phase`).
 
 2. Bracketed elimination.  Every other row (regularized, shuffle product,
    optionally duality) is reduced against every bracket; what is left is
@@ -28,9 +33,10 @@ taken in its list order within each step below.
    Lyndon brackets reach the conjectured rank, the number of Lyndon words
    less the number of odd Lyndon words (the generator count that ``verify
    --dims`` checks), the remaining rows are neither expanded nor reduced:
-   the certificate checks them with every other relation.  If it rejects
-   the table after such a stop, the weight is reduced again under the same
-   modulus with every row.
+   the certificate checks them with every other relation, as it checks the
+   stuffle rows passed over.  The pass with that target passes rows over;
+   if it fails, the weight is reduced again under the same modulus with
+   every row.
 
 3. Assembly.  Each bracket names, besides its lead, only survivors and
    monomials, so every admissible word of the weight maps to a combination
@@ -42,13 +48,15 @@ one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its code and its own column, and a product pair's tabled value
 ``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
 in the shared :class:`Certifier`), and its image mod p is reduced by one
-routine, :meth:`MasterExpression.reduce`.  Each regularized relation is
-expanded once per weight, held by that certifier, and read by its row
-and the certificate.  Each product pair's tabled value
-is computed once per weight, by :meth:`Certifier.product`, and read by the
-pair's stuffle row, its shuffle row and the certificate of both.  The
-brackets form one fully-reduced echelon: each bracket has lead 1 and no
-entry at another lead.  Each table coefficient is rebuilt once by Wang's
+routine, :meth:`MasterExpression.reduce`.  Each relation is expanded once
+per weight: that certifier holds a row's combination, as arrays of its
+codes and their coefficients, until the certificate checks the relation
+and drops it, and a relation no row reduced is expanded by its check
+alone.  Each product pair's tabled value is computed once per weight, by
+:meth:`Certifier.product`, and read by the pair's stuffle row, its shuffle
+row and the certificate of both.  The brackets form one fully-reduced
+echelon: each bracket has lead 1 and no entry at another lead.  Each
+table coefficient is rebuilt once by Wang's
 rational reconstruction, and then *every* relation of the weight is
 certified exactly by :meth:`Certifier.holds`: substituted through the
 lower tables and the new one, with each word's integer vector packed into
@@ -81,8 +89,9 @@ Tables persist as one text file per weight plus a manifest with content
 hashes.  The echelon left by the family phase is checkpointed once per
 weight, in its own column space (:meth:`MasterExpression.state`), with its
 modulus, so a crash in elimination redoes only the shuffle and duality rows
-of that weight.  A checkpoint whose payload hash does not match is never
-reused.
+of that weight.  Only a pass with the rank target takes it up: the rerun
+with every row redoes the family phase.  A checkpoint whose payload hash
+does not match is never reused.
 """
 
 from __future__ import annotations
@@ -96,6 +105,7 @@ import os
 import re
 import tempfile
 import time
+from array import array
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -113,8 +123,9 @@ from .algebra import (
     lc_mul,
     relation_codes,
     relation_descriptors,
+    relation_shape,
 )
-from .lyndon import elimination_order, listing_key, odd_lyndon_words
+from .lyndon import elimination_order, listing_key, lyndon_factorization, odd_lyndon_words
 from .words import (
     Word,
     code,
@@ -305,25 +316,33 @@ class Certifier:
     tables are scaled on first use and cached, and the products with them,
     so a certifier serves one set of tables that does not change while it
     is used; one built later sees the tables as they are then.
-    ``expansions`` holds relations already expanded on codes, by
-    descriptor; :meth:`expand` reads them there and expands any other
-    relation afresh.
+
+    Each relation is expanded once per weight: :meth:`expand` expands a
+    row's relation and ``held`` keeps its combination, by descriptor, as a
+    pair of 64-bit integer arrays (the codes and their coefficients), until
+    :meth:`holds` checks that relation and drops it.  A relation no row
+    expanded is expanded by its check alone, and nothing is held after a
+    check of every relation that was.  An array keeps no int object per
+    term; a code of weight w is below 2^w, and no coefficient reaches 2000
+    through weight 14, so both fit in 64 bits far past any weight a solve
+    reaches (``array`` raises :class:`OverflowError` otherwise).
     """
 
-    def __init__(
-        self, tables: dict[int, SolvedWeight], expansions: dict[tuple, Expansion] | None = None
-    ):
+    def __init__(self, tables: dict[int, SolvedWeight]):
         self.tables = tables
-        self.expansions = expansions if expansions is not None else {}
+        self.held: dict[tuple, tuple[array, array]] = {}
         self._scaled: dict[int, _ScaledTable] = {}
         # the scaled value of each product pair of weight _products_weight
         self._products: dict[tuple[Word, Word], tuple[int, dict[Monomial, int]]] = {}
         self._products_weight = 0
 
     def expand(self, desc: tuple) -> Expansion:
-        """The ``(w, combo, product)`` expansion of the relation ``desc``."""
-        got = self.expansions.get(desc)
-        return got if got is not None else relation_codes(desc)
+        """The ``(w, combo, product)`` expansion of the relation ``desc``,
+        its combination held until :meth:`holds` checks it."""
+        expansion = relation_codes(desc)
+        combo = expansion[1]
+        self.held[desc] = array("q", combo), array("q", combo.values())
+        return expansion
 
     def scaled(self, k: int) -> _ScaledTable:
         """The weight-``k`` table in integers, built on first use."""
@@ -359,15 +378,22 @@ class Certifier:
         """A certifier over these tables plus ``solved``, reusing the tables
         already scaled at every other weight, and the products kept unless
         one of their factors may have the weight of ``solved``."""
-        other = Certifier({**self.tables, solved.weight: solved}, self.expansions)
+        other = Certifier({**self.tables, solved.weight: solved})
+        other.held = self.held
         other._scaled = {k: v for k, v in self._scaled.items() if k != solved.weight}
         if solved.weight >= self._products_weight - 1:  # every factor weighs at most w - 2
             other._products, other._products_weight = self._products, self._products_weight
         return other
 
     def holds(self, desc: tuple) -> bool:
-        """Whether the relation ``desc`` holds, by the packed check."""
-        w, combo, pair = self.expand(desc)
+        """Whether the relation ``desc`` holds, by the packed check, on its
+        held combination (which it drops) or a fresh expansion."""
+        held = self.held.pop(desc, None) if self.held else None
+        if held is None:
+            w, combo, pair = relation_codes(desc)
+            codes, coefficients = combo.keys(), combo.values()
+        else:
+            (codes, coefficients), (w, pair) = held, relation_shape(desc)
         top = self.scaled(w)
         scale, height, value = 1, 0, None
         if pair is not None:
@@ -375,10 +401,10 @@ class Certifier:
             if not value.keys() <= top.index.keys():
                 return False
             height = max(map(abs, value.values()), default=0)
-        bound = scale * sum(map(abs, combo.values())) * top.height + top.den * height
+        bound = scale * sum(map(abs, coefficients)) * top.height + top.den * height
         packed = top.pack(bound)
         total = 0
-        for x, c in combo.items():
+        for x, c in zip(codes, coefficients):
             p = packed.get(x)
             if p is None:
                 raise MissingTable(f"no table entry for {render_word(decoder(w)[x])}")
@@ -393,7 +419,7 @@ class Certifier:
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
         lcm of the denominators involved: empty exactly when it holds."""
-        return expand_row(self.expand(desc), self.product, self.entry)
+        return expand_row(relation_codes(desc), self.product, self.entry)
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold."""
@@ -412,6 +438,15 @@ def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
             target.pop(k, None)
 
 
+def canonical_row(x: Word) -> tuple:
+    """The stuffle descriptor of the non-Lyndon admissible word ``x``:
+    the product of its first Lyndon factor (:func:`lyndon_factorization`)
+    and the rest of ``x``, as :func:`~zetaforge.algebra.weight_pairs` orders
+    the pair.  The rest starts at an index above 1, so both are admissible."""
+    head = lyndon_factorization(x)[0]
+    return ("stuffle", *sorted((head, x[len(head):]), key=lambda f: (weight(f), f)))
+
+
 def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
     """Give every non-Lyndon word of the master's weight a bracket in
     ``master.pivots``, modulo ``master.prime``, from the stuffle rows among
@@ -420,13 +455,22 @@ def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
 
     A stuffle row on ``(u, v)`` mixes only words of one index multiset (a
     family) of depth ``d = len(u) + len(v)``, words of lower depth and
-    lower-weight products.  So the rows of each depth d, ascending, go in
-    list order to :meth:`MasterExpression.reduce`, each led by the word
-    without a bracket that dies first.  Right after them, a non-Lyndon word
-    of depth d left without a bracket raises :class:`UnderdeterminedFamily`;
-    then each regularized row on a word v with ``len(v) + 1 == d``, in list
-    order, goes to :meth:`MasterExpression.absorb`.  It names only words of
-    depth ``len(v)`` and d, so it leads at a Lyndon word, and its pivot is
+    lower-weight products.  So the rows of each depth d, ascending, go to
+    :meth:`MasterExpression.reduce`, each led by the word without a bracket
+    that dies first: first the canonical row (:func:`canonical_row`) of
+    every non-Lyndon word of depth d, then the other stuffle rows, each
+    group in list order.  The quasi-shuffle algebra is free on the Lyndon
+    words (Hoffman), so over the rationals the canonical rows alone give
+    every such word a bracket, and the other rows reduce to nothing.  Once
+    every non-Lyndon word of depth d has a bracket, the depth's remaining
+    stuffle rows are passed over while ``master.target`` is set: the
+    certificate checks them, and a rerun without a target reduces them.
+    ``master.family_rows`` counts the stuffle rows reduced.  Right after
+    them, a non-Lyndon word of depth d left without a bracket raises
+    :class:`UnderdeterminedFamily`; then each regularized row on a word v
+    with ``len(v) + 1 == d``, in list order, goes to
+    :meth:`MasterExpression.absorb`.  It names only words of depth
+    ``len(v)`` and d, so it leads at a Lyndon word, and its pivot is
     installed before any deeper bracket exists to be rewritten.  A stuffle
     row led by a Lyndon word or a monomial raises
     :class:`InconsistentRelation`.  Under an unlucky modulus either error
@@ -440,11 +484,18 @@ def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
             layers[len(desc[1]) + len(desc[2])][0].append(desc)
         elif desc[0] == "hoffman":
             layers[len(desc[1]) + 1][1].append(desc)
+    family = master.columns[:master.n_family]
+    canonical = set(map(canonical_row, family))
     for depth, (stuffle, regularized) in layers.items():
-        for desc in stuffle:
-            master.reduce(desc)
-        missing = [x for k, x in enumerate(master.columns[:master.n_family])
-                   if len(x) == depth and k not in master.pivots]
+        # each install at this depth gives one of its words a bracket: the
+        # shallower ones have theirs
+        left = sum(len(x) == depth for x in family)
+        for desc in sorted(stuffle, key=lambda desc: desc not in canonical):
+            if not left and master.target is not None:
+                break
+            master.family_rows += 1
+            left -= master.reduce(desc)
+        missing = [x for k, x in enumerate(family) if len(x) == depth and k not in master.pivots]
         if missing:
             raise UnderdeterminedFamily(
                 f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
@@ -495,9 +546,9 @@ class MasterExpression:
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, by :func:`expand_row`: each word of the weight as its
     code and so its own column, a product pair's tabled value through the
-    shared certifier ``lower``, which also holds the relations expanded
-    already and each pair's value once computed (:meth:`residue`,
-    :meth:`integer_row`).
+    shared certifier ``lower``, which computes each pair's value once and
+    holds the row's combination until the certificate checks its relation
+    (:meth:`residue`, :meth:`integer_row`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
     minus the rest".  ``pivots`` maps each lead to its bracket and is one
@@ -517,7 +568,9 @@ class MasterExpression:
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
     ``absorbed`` the rows it was given, of the ``n_rows`` a solve gives it,
     ``skipped`` the rows it passed over once ``installed`` had reached
-    ``target`` (None: never), ``terms`` the live terms in Lyndon-led
+    ``target`` (None: never; :func:`family_phase` also passes stuffle rows
+    over while it is set), ``family_rows`` the stuffle rows
+    :func:`family_phase` reduced, ``terms`` the live terms in Lyndon-led
     brackets, kept up to date by every install, ``peak_terms`` the most of
     them after any install, and ``bracket_updates`` the brackets that
     installs rewrote.  :meth:`state` gives the monomials, the echelon and
@@ -547,6 +600,7 @@ class MasterExpression:
         self.n_rows = n_rows
         self.target = target
         self.skipped = 0
+        self.family_rows = 0
         self.terms = 0
         self.peak_terms = 0
         self.bracket_updates = 0
@@ -645,19 +699,21 @@ class MasterExpression:
         """The monomials of the monomial columns, each bracket as ``[lead,
         col, c, col, c, ...]`` (its lead, then every column it names, the
         lead included, with its coefficient), and the counters
-        ``[installed, absorbed, peak_terms, bracket_updates]``."""
+        ``[installed, absorbed, peak_terms, bracket_updates, family_rows]``."""
         return {
             "monomials": self.monomials,
             "pivots": [[lead, *chain.from_iterable(b.items())] for lead, b in self.pivots.items()],
-            "counters": [self.installed, self.absorbed, self.peak_terms, self.bracket_updates],
+            "counters": [self.installed, self.absorbed, self.peak_terms, self.bracket_updates,
+                         self.family_rows],
         }
 
     def restore(self, state: dict) -> None:
         """Take up a :meth:`state` in place.  Raises :class:`ValueError`
         unless the monomials are distinct products of the weight, each
         bracket is led by its own word column with 1, its integer columns
-        lie in the space and its coefficients in ``[1, p)``, and
-        ``installed`` counts the Lyndon-led brackets."""
+        lie in the space and its coefficients in ``[1, p)``, ``installed``
+        counts the Lyndon-led brackets and ``family_rows`` is at least the
+        count of the others."""
         monomials = [tuple(map(tuple, m)) for m in state["monomials"]]
         if len(set(monomials)) < len(monomials) or any(
             len(m) < 2 or sum(map(weight, m)) != self.weight for m in monomials
@@ -676,13 +732,15 @@ class MasterExpression:
                                  f"or a coefficient outside [1, p)")
             pivots[lead] = bracket
         counters = state["counters"]
-        if not (len(counters) == 4 and all(type(n) is int and n >= 0 for n in counters)
-                and counters[0] == sum(lead >= self.n_family for lead in pivots)):
+        lyndon_led = sum(lead >= self.n_family for lead in pivots)
+        if not (len(counters) == 5 and all(type(n) is int and n >= 0 for n in counters)
+                and counters[0] == lyndon_led and counters[4] >= len(pivots) - lyndon_led):
             raise ValueError(f"counters {counters!r} do not fit the brackets")
         self.monomials, self.mono_ids = monomials, {m: i for i, m in enumerate(monomials)}
         self.pivots = pivots
         self.terms = sum(len(b) for lead, b in pivots.items() if lead >= self.n_family)
-        self.installed, self.absorbed, self.peak_terms, self.bracket_updates = counters
+        (self.installed, self.absorbed, self.peak_terms, self.bracket_updates,
+         self.family_rows) = counters
 
     def back_substitute(self) -> None:
         """Name in ``entries`` every eliminated word's right-hand side mod p
@@ -716,11 +774,16 @@ class Checkpointer:
     resume (the caller must delete the file to start over).  The payload
     carries a fingerprint: the table format and the sorted set of ``kinds``,
     the only settings that can change the entries.  A payload of another
-    fingerprint, modulus or phase tag (builds before the echelon state
-    wrote another tag) describes a different run and is ignored with a
-    warning; one that matches all three but does not restore is malformed.
-    The row order may differ: the echelon spans the same rows.
+    fingerprint, modulus or phase tag (:attr:`PHASE`; a build with another
+    family schedule or state wrote another tag) describes a different run
+    and is ignored with a warning; one that matches all three but does not
+    restore is malformed.  The row order may differ: the echelon spans the
+    same rows.
     """
+
+    # the echelon and counters after the family phase of canonical rows
+    # first; older builds wrote "families", "layers" and "echelon"
+    PHASE = "canonical"
 
     def __init__(self, path: Path, kinds: tuple[str, ...]):
         self.path = Path(path)
@@ -744,7 +807,7 @@ class Checkpointer:
             )
         if not isinstance(payload, dict):
             raise StoreIntegrityError(f"checkpoint {self.path} holds no payload object")
-        expected = {"fingerprint": self.fingerprint, "phase": "echelon", "modulus": master.prime}
+        expected = {"fingerprint": self.fingerprint, "phase": self.PHASE, "modulus": master.prime}
         if any(payload.get(key) != value for key, value in expected.items()):
             log.warning("ignoring checkpoint %s from a different configuration", self.path)
             return False
@@ -757,7 +820,7 @@ class Checkpointer:
     def save(self, master: MasterExpression) -> None:
         text, digest = _canonical_json({
             "fingerprint": self.fingerprint,
-            "phase": "echelon",
+            "phase": self.PHASE,
             "modulus": master.prime,
             "state": master.state(),
         })
@@ -812,8 +875,7 @@ def solve_weight(
 
     columns = list(elimination_order(w))
     relations = relation_descriptors(w, kinds)
-    # each regularized relation expanded once, for its row and its certificate
-    lower = Certifier(tables, {d: relation_codes(d) for d in relations if d[0] == "hoffman"})
+    lower = Certifier(tables)
     n_rows = sum(desc[0] != "stuffle" for desc in relations)
     target = rank_target(columns)
     family_seconds = certify_seconds = 0.0
@@ -825,12 +887,13 @@ def solve_weight(
             t0 = time.monotonic()
             try:
                 try:
-                    # ---- family brackets and regularized rows, or their checkpoint
-                    if checkpointer is not None and checkpointer.load(master):
+                    # ---- family brackets and regularized rows, or their checkpoint,
+                    # which a rerun does not take up: it reduces every row
+                    if stop is not None and checkpointer is not None and checkpointer.load(master):
                         note(f"weight {w}: resuming after the family phase")
                     else:
                         family_phase(master, relations)
-                        # not after a stop at the rank target: a rerun needs every row
+                        # not after a stop at the rank target
                         if checkpointer is not None and not master.skipped:
                             checkpointer.save(master)
                 finally:
@@ -853,11 +916,12 @@ def solve_weight(
                         f"weight {w}: {len(failed)} relation(s) fail the certificate, "
                         f"{describe(failed[0])} first"
                     )
-            if error is None or not master.skipped:
+            if error is None or stop is None:
                 break
-            # the stop left rows unreduced: reduce them too, under this modulus
-            log.debug("weight %d: %d row(s) left unreduced at %d pivots (%s); "
-                      "reducing every row", w, master.skipped, master.installed, error)
+            # the target may have left rows unreduced: reduce them too, under this modulus
+            log.debug("weight %d: %d of %d row(s) reduced at %d pivots (%s); reducing every row",
+                      w, master.family_rows + master.absorbed - master.skipped, len(relations),
+                      master.installed, error)
         if error is None:
             break
         log.debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
@@ -877,6 +941,7 @@ def solve_weight(
         "elimination_seconds": round(elimination_seconds, 3),
         "certify_seconds": round(certify_seconds, 3),
         "rows": n_rows,
+        "family_rows": master.family_rows,
         "reduced_rows": n_rows - master.skipped,
         "redundant_rows": redundant,
         "pivots": master.installed,
@@ -903,7 +968,8 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
     """The fully-reduced table of the weight after
     :meth:`MasterExpression.back_substitute`: each survivor as itself and
     every other word's entry mod p, each coefficient rebuilt by
-    :func:`rational`, each distinct residue once.  Each entry mod p is
+    :func:`rational`, each distinct residue once, and each distinct
+    monomial's weight checked once.  Each entry mod p is
     popped from ``master.entries`` as it is rebuilt, so the residues are
     gone before the certificate runs."""
     p = master.prime
@@ -923,9 +989,11 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
         raise SolverError(
             f"weight {w} table has {len(table)} entries, expected {expected}"
         )
-    for word, entry in table.items():
-        for mono in entry:
-            if sum(weight(f) for f in mono) != w:
+    # an entry's other monomials are words of the weight, as (y,)
+    wrong = {m for m in master.monomials if sum(map(weight, m)) != w}
+    if wrong:
+        for word, entry in table.items():
+            if not wrong.isdisjoint(entry):
                 raise SolverError(
                     f"entry for {render_word(word)} contains a monomial of wrong weight"
                 )

@@ -539,9 +539,10 @@ def _list_instead_of_wrapper(path):
 
 
 def _write_echelon(path, **fields):
-    # hash-valid, with the default kinds' fingerprint and the solve's modulus
+    # hash-valid, with the default kinds' fingerprint, this build's phase tag
+    # and the solve's modulus
     payload = {"fingerprint": Checkpointer(path, DEFAULT_KINDS).fingerprint,
-               "phase": "echelon", "modulus": solver_mod.PRIMES[0], **fields}
+               "phase": Checkpointer.PHASE, "modulus": solver_mod.PRIMES[0], **fields}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     path.write_text(json.dumps({"payload": payload,
                                 "sha256": hashlib.sha256(text.encode()).hexdigest()}))
@@ -554,7 +555,7 @@ def _echelon_without_state(path):
 def _column_out_of_range(path):
     # weight 5 has 8 words and no monomial here, so column 8 is outside
     _write_echelon(path, state={"monomials": [], "pivots": [[0, 0, 1, 8, 1]],
-                                "counters": [0, 0, 0, 0]})
+                                "counters": [0, 0, 0, 0, 0]})
 
 
 @pytest.mark.parametrize("spoil", [_list_instead_of_wrapper, _echelon_without_state,

@@ -17,10 +17,11 @@ from zetaforge.lyndon import (
     collapse_word,
     extend_word,
     listing_key,
+    lyndon_factorization,
     odd_lyndon_words,
     published_basis,
 )
-from zetaforge.words import compositions, is_admissible, is_lyndon, weight
+from zetaforge.words import admissible_words, compositions, is_admissible, is_lyndon, weight
 
 
 # ------------------------------------------------------------------- oracle
@@ -169,6 +170,36 @@ def test_candidate_pool_structure():
             assert extend_word(c.source, c.n) == c.word
         plain = [c.word for c in pool if c.n == 0]
         assert plain == odd_lyndon_words(w)
+
+
+# ---------------------------------------------------- Lyndon factorization
+
+def _longest_lyndon_prefixes(w):
+    """The factorization by brute force: the longest Lyndon prefix, then
+    the same on the rest."""
+    factors = []
+    while w:
+        n = max(k for k in range(1, len(w) + 1) if is_lyndon(w[:k]))
+        factors.append(w[:n])
+        w = w[n:]
+    return factors
+
+
+def test_duval_factorization_is_the_longest_lyndon_prefix_factorization():
+    for w in range(2, 13):
+        for x in admissible_words(w):
+            assert lyndon_factorization(x) == _longest_lyndon_prefixes(x), x
+
+
+def test_lyndon_factorization_examples():
+    # under the max-rotation convention a larger index is the smaller letter,
+    # so Z(2)Z(3) and Z(2,1)Z(3) are no Lyndon words, while Z(3)Z(2) is
+    assert lyndon_factorization((2, 3)) == [(2,), (3,)]
+    assert lyndon_factorization((2, 1, 3)) == [(2, 1), (3,)]
+    assert lyndon_factorization((3, 2)) == [(3, 2)]
+    assert lyndon_factorization((2, 1, 2, 1)) == [(2, 1), (2, 1)]
+    assert lyndon_factorization((2, 2, 1)) == [(2, 2, 1)]
+    assert lyndon_factorization(()) == []
 
 
 # -------------------------------------------------------- published listings

@@ -4,6 +4,7 @@ The weight-3/4 expectations are hand Gaussian eliminations over at most four
 unknowns, written out in the comments where they are asserted.
 """
 
+import hashlib
 import json
 import logging
 import math
@@ -418,7 +419,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
 
         def residue(self, desc):
             calls.append(desc)
-            if len(calls) > 8:  # of weight 7's 16 family and 16 regularized rows
+            if len(calls) > 8:  # of weight 7's 14 canonical and 16 regularized rows
                 raise KeyboardInterrupt("simulated crash during the family phase")
             return honest(self, desc)
 
@@ -432,7 +433,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
         assert {desc[0] for desc in calls} == {"stuffle", "hoffman"} and not path.exists()
     else:
         payload = json.loads(path.read_text())["payload"]
-        assert payload["phase"] == "echelon"
+        assert payload["phase"] == Checkpointer.PHASE == "canonical"
         assert payload["modulus"] == solver_mod.PRIMES[0]
 
     monkeypatch.undo()
@@ -443,7 +444,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     # timings is the fresh solve's
     assert _untimed(resumed.stats) == _untimed(fresh.stats)
     assert set(_untimed(fresh.stats)) == {
-        "rows", "reduced_rows", "redundant_rows", "pivots", "modulus_bits",
+        "rows", "family_rows", "reduced_rows", "redundant_rows", "pivots", "modulus_bits",
         "max_bracket_terms", "bracket_updates", "max_coeff_bits",
     }
     # the checkpoint holds every family entry, or there is none
@@ -530,10 +531,13 @@ def test_restore_refuses_a_malformed_state(tables8, defect):
 
 # canonical-JSON sha256 of weight 7's checkpoint payloads as older builds
 # wrote them: the family brackets alone, pinned before the depth-layered
-# schedule, and every bracket after the layered family phase, pinned before
-# the checkpoint took the master's own state
+# schedule, every bracket after the layered family phase, pinned before
+# the checkpoint took the master's own state, and the master's state with
+# four counters after every stuffle row in list order, pinned before the
+# canonical rows came first
 WEIGHT_7_FAMILY_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21c94d46a"
 WEIGHT_7_LAYERS_CHECKPOINT = "244a2825016bb6bad20991ecd59c69bca72527e08aa948f045d6ba283b407f0e"
+WEIGHT_7_ECHELON_CHECKPOINT = "d73a86a8baf1256e8bb15658e96f4cb0fda0c9b7f2bd00b2656bf2e91f12c191"
 
 
 def _older_payload(lower, phase):
@@ -551,6 +555,20 @@ def _older_payload(lower, phase):
     entries = {names[lead]: {names[k]: -v % master.prime for k, v in b.items() if k != lead}
                for lead, b in master.pivots.items()}
     return {"weight": 7, "phase": phase, "modulus": master.prime, "entries": entries}
+
+
+def _echelon_payload(lower, monkeypatch):
+    """Weight 7's checkpoint payload as the build before the canonical rows
+    wrote it, under the tag "echelon": mod PRIMES[0], the master's state
+    after a family phase of every stuffle row in list order, with the
+    counters [installed, absorbed, peak_terms, bracket_updates]."""
+    master = MasterExpression(list(elimination_order(7)), Certifier(lower))
+    with monkeypatch.context() as patched:
+        patched.setattr(solver_mod, "canonical_row", lambda x: None)
+        family_phase(master, relation_descriptors(7))
+    state = master.state()
+    state["counters"] = state["counters"][:4]
+    return {"phase": "echelon", "modulus": master.prime, "state": state}
 
 
 def _write_checkpoint(path, payload):
@@ -603,9 +621,11 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
         "family brackets alone": _older_payload(lower, "families"),
         # and then every bracket after the layered family phase, as words
         "layers": _older_payload(lower, "layers"),
+        # and then the master's own state, after every stuffle row
+        "echelon": _echelon_payload(lower, monkeypatch),
     }
     pinned = {"family brackets alone": WEIGHT_7_FAMILY_CHECKPOINT,
-              "layers": WEIGHT_7_LAYERS_CHECKPOINT}
+              "layers": WEIGHT_7_LAYERS_CHECKPOINT, "echelon": WEIGHT_7_ECHELON_CHECKPOINT}
     canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
     for name, payload in older.items():
@@ -629,11 +649,11 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
 
 
 # canonical-JSON sha256 of weight 7's checkpoint payload (its fingerprint,
-# modulus and the master's state after the layered family phase); a change
-# to the row order changes it, through the brackets' insertion order and the
-# counters, while a payload of the same tag written by an earlier build
-# still restores
-WEIGHT_7_CHECKPOINT = "d73a86a8baf1256e8bb15658e96f4cb0fda0c9b7f2bd00b2656bf2e91f12c191"
+# modulus, phase tag and the master's state after the layered family phase,
+# canonical rows first); a change to the row order changes it, through the
+# brackets' insertion order and the counters, and then the phase tag
+# changes too, so that an earlier build's payload is ignored
+WEIGHT_7_CHECKPOINT = "efe6ab45823d5a23a487da78993db0f35786bc91bdec8d9da1e9b25420dd34f6"
 
 
 def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
@@ -1048,12 +1068,14 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monk
     stuffle = relation_descriptors(8, ("stuffle",))
     hoffman = relation_descriptors(8, ("hoffman",))
     shuffle = relation_descriptors(8, ("shuffle",))
-    # every stuffle row once, depth ascending, and in descriptor order within
-    # a depth (a stable sort of the descriptors)
-    depths = [(desc, d) for desc, d in seen if desc[0] == "stuffle"]
-    assert [desc for desc, _ in depths] == sorted(
-        stuffle, key=lambda desc: len(desc[1]) + len(desc[2])
-    )
+    # the canonical row of every non-Lyndon word once, which completes each
+    # depth, so no other stuffle row: depth ascending, and in descriptor
+    # order within a depth (a stable sort of the descriptors)
+    canonical = {solver_mod.canonical_row(x) for x in admissible_words(8) if not is_lyndon(x)}
+    reduced = [desc for desc, _ in seen if desc[0] == "stuffle"]
+    assert len(reduced) == len(canonical) == 34
+    assert reduced == sorted((desc for desc in stuffle if desc in canonical),
+                             key=lambda desc: len(desc[1]) + len(desc[2]))
     # each Hoffman row on v comes after every stuffle row of depth
     # len(v) + 1 and before any deeper stuffle row
     layered = [(i, desc, depth) for i, (desc, depth) in enumerate(seen) if desc[0] == "hoffman"]
@@ -1065,7 +1087,7 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monk
     assert [desc for _, desc, _ in layered] == sorted(hoffman, key=lambda desc: len(desc[1]))
     # then the 42 shuffle rows, in descriptor order
     assert [desc for desc, _ in seen[-len(shuffle):]] == shuffle
-    assert len(seen) == len(stuffle) + len(hoffman) + len(shuffle)
+    assert len(seen) == len(reduced) + len(hoffman) + len(shuffle)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -1182,15 +1204,124 @@ def test_each_product_pair_is_tabled_once_per_weight(monkeypatch, tables8):
 
 def test_bracket_updates_are_pinned_at_weights_10_to_12(tables12):
     # with each depth's regularized rows absorbed before any deeper family
-    # bracket is built, the installs of weights 10, 11 and 12 rewrite 2435,
-    # 7931 and 22278 brackets (5747 at weight 10 when every family bracket
-    # was built before the first Lyndon pivot), and at most 874, 2569 and
-    # 5356 terms are live in Lyndon-led brackets
+    # bracket is built, and each depth's canonical stuffle rows alone
+    # reduced, the installs of weights 10, 11 and 12 rewrite 2394, 7812 and
+    # 21972 brackets (2435, 7931 and 22278 when every stuffle row was
+    # reduced in list order; 5747 at weight 10 when every family bracket was
+    # built before the first Lyndon pivot), and at most 874, 2569 and 5356
+    # terms are live in Lyndon-led brackets
     tables, _ = tables12
-    pinned = {10: (2435, 874), 11: (7931, 2569), 12: (22278, 5356)}
+    pinned = {10: (2394, 874), 11: (7812, 2569), 12: (21972, 5356)}
     for w, (updates, terms) in pinned.items():
         assert tables[w].stats["bracket_updates"] == updates, w
         assert tables[w].stats["max_bracket_terms"] == terms, w
+
+
+# ------------------------------------------------------------ canonical rows
+
+def test_each_non_lyndon_word_has_its_own_canonical_stuffle_row():
+    # its first Lyndon factor times the rest, both admissible, is a pair of
+    # the weight's stuffle descriptors, and no two words share one
+    for w in range(3, 17):
+        stuffle = set(relation_descriptors(w, ("stuffle",)))
+        rows = [solver_mod.canonical_row(x) for x in admissible_words(w) if not is_lyndon(x)]
+        assert set(rows) <= stuffle, w
+        assert len(set(rows)) == len(rows), w
+
+
+def test_the_family_phase_reduces_one_stuffle_row_per_non_lyndon_word(tables12):
+    # the canonical rows alone complete every depth of weights 3 to 12, and
+    # the other stuffle rows are left to the certificate (weight 10 reduces
+    # 157 of its 228)
+    tables, _ = tables12
+    for w in range(3, 13):
+        non_lyndon = sum(not is_lyndon(x) for x in admissible_words(w))
+        assert tables[w].stats["family_rows"] == non_lyndon, w
+    assert len(relation_descriptors(10, ("stuffle",))) == 228
+    assert tables[10].stats["family_rows"] == 157
+
+
+def test_withheld_canonical_rows_give_the_same_tables(monkeypatch, tables8):
+    # without canonical rows each depth takes its stuffle rows in list
+    # order, and completes only with its last one, so every stuffle row is
+    # reduced, as before the canonical rows came first
+    monkeypatch.setattr(solver_mod, "canonical_row", lambda x: None)
+    tables = solve_in_memory(8)
+    for w in range(2, 9):
+        assert render_table(tables[w]) == render_table(tables8[w])
+    for w, counts in GOLDEN_COUNTS.items():
+        stats = tables[w].stats
+        assert (stats["pivots"], stats["redundant_rows"]) == counts
+        assert stats["family_rows"] == len(relation_descriptors(w, ("stuffle",)))
+        assert stats["modulus_bits"] == 127
+
+
+def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog, tables8):
+    # under PRIMES[0] the bracket of weight 8's first non-Lyndon word x is
+    # off by one at a monomial when the elimination ends, so x's entry is
+    # wrong and the certificate rejects the canonical row of x, after the
+    # pass with the rank target and after the rerun with every row; the
+    # weight is then solved under 2^521 - 1
+    honest_back_substitute, honest_rejects = MasterExpression.back_substitute, Certifier.rejects
+    x = next(y for y in elimination_order(8) if not is_lyndon(y))
+
+    def corrupted(self):
+        if self.prime == solver_mod.PRIMES[0]:
+            bracket = self.pivots[self.col_of[code(x)]]
+            k = min(k for k in bracket if k >= self.n_words)
+            bracket[k] = (bracket[k] + 1) % self.prime
+        honest_back_substitute(self)
+
+    rejected = []
+
+    def rejects(self, descs):
+        failed = honest_rejects(self, descs)
+        rejected.append(failed)
+        return failed
+
+    monkeypatch.setattr(MasterExpression, "back_substitute", corrupted)
+    monkeypatch.setattr(Certifier, "rejects", rejects)
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        solved = solve_weight(8, lower)
+    assert render_table(solved) == render_table(tables8[8])
+    assert solved.stats["modulus_bits"] == 521
+    assert [solver_mod.canonical_row(x) in failed for failed in rejected] == [True, True, False]
+    assert rejected[-1] == []
+    messages = [r.getMessage() for r in caplog.records]
+    assert len([m for m in messages if m.endswith("reducing every row")]) == 1
+    failures = [m for m in messages if "bits failed" in m]
+    assert len(failures) == 1 and "fail the certificate" in failures[0]
+
+
+def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
+    # a cold solve to weight 10 expands each of its 1039 relations once: a
+    # reduced row's combination is held for its check, which drops it, and
+    # a relation no row reduced is expanded by its check alone
+    calls = []
+    honest = algebra_mod._product_codes
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    certifiers = []
+
+    class Recording(Certifier):
+        def __init__(self, tables):
+            super().__init__(tables)
+            certifiers.append(self)
+
+    monkeypatch.setattr(algebra_mod, "_product_codes", counting)
+    monkeypatch.setattr(solver_mod, "Certifier", Recording)
+    tables = {}
+    for w in range(2, 11):
+        tables[w] = solve_weight(w, tables)
+        assert not any(certifier.held for certifier in certifiers), w
+    assert len(calls) == sum(len(relation_descriptors(w)) for w in range(3, 11)) == 1039
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+                        .read_text())["tables"]
+    assert hashlib.sha256(render_table(tables[10]).encode("ascii")).hexdigest() == golden["10"]
 
 
 # ---------------------------------------------------- traced benchmark pass
@@ -1433,7 +1564,7 @@ def test_peak_terms_is_the_largest_live_count():
     leads.restore({
         "monomials": [],
         "pivots": [[k, k, 1, A, p - 3] if k == X else [k, k, 1] for k in range(leads.n_family)],
-        "counters": [0, 0, 0, 0],
+        "counters": [0, 0, 0, 0, leads.n_family],
     })
     M = leads.n_words  # the first monomial column
     inv2, inv3 = pow(2, -1, p), pow(3, -1, p)
