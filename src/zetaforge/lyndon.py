@@ -29,6 +29,7 @@ from .words import (
 __all__ = [
     "ExtendedCandidate",
     "candidate_pool",
+    "candidate_words",
     "collapse_word",
     "elimination_order",
     "extend_word",

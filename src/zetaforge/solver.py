@@ -6,20 +6,19 @@ reduction over one column space: every admissible word of the weight in
 :func:`~zetaforge.lyndon.elimination_order` (the non-Lyndon words, then the
 Lyndon words), then the monomials (products of lower-weight generators).
 
-Every row comes from one list, the weight's relation descriptors, and is
-taken in its list order within each step below (a depth's canonical
-stuffle rows before its other ones).
+Every row is a relation of one list, the weight's relation descriptors,
+which the certificate checks in full.
 
 1. Family brackets, depth by depth.  Stuffle relations mix only words
    sharing one index multiset (a family) plus lower-depth merge terms and
-   lower-weight products, so the stuffle rows, fed depth ascending, give
-   every non-Lyndon admissible word a bracket.  The quasi-shuffle algebra
-   is free on the Lyndon words (Hoffman), so one row per non-Lyndon word
-   is enough: its first Lyndon factor times the rest of it
-   (:func:`canonical_row`).  Each depth reduces those rows first and, once
-   each of its words has a bracket, passes its other stuffle rows over.
-   After each depth's stuffle rows come the regularized rows whose words
-   are no deeper (:func:`family_phase`).
+   lower-weight products, so stuffle rows, fed depth ascending, give every
+   non-Lyndon admissible word a bracket.  The quasi-shuffle algebra is free
+   on the Lyndon words (Hoffman), so one row per non-Lyndon word is
+   enough: its first Lyndon factor times the rest of it
+   (:func:`canonical_row`), each depth's in column order.  The other
+   stuffle rows are left to the certificate.  After each depth's canonical
+   rows come the regularized rows whose words are no deeper, in list order
+   (:func:`family_phase`).
 
 2. Bracketed elimination.  Every other row (regularized, shuffle product,
    optionally duality) is reduced against every bracket; what is left is
@@ -33,17 +32,16 @@ stuffle rows before its other ones).
    Lyndon brackets reach the conjectured rank, the number of Lyndon words
    less the number of odd Lyndon words (the generator count that ``verify
    --dims`` checks), the remaining rows are neither expanded nor reduced:
-   the certificate checks them with every other relation, as it checks the
-   stuffle rows passed over.  The pass with that target passes rows over;
-   if it fails, the weight is reduced again under the same modulus with
-   every row.
+   the certificate checks them with every other relation.  The pass with
+   that target passes rows over; if it fails, the weight is reduced again
+   under the same modulus with every row.
 
 3. Assembly.  Each bracket names, besides its lead, only survivors and
    monomials, so every admissible word of the weight maps to a combination
    of basis monomials (products of generators of total weight W); each
    coefficient is rebuilt as a rational.
 
-Every row, stuffle rows included, is expanded exactly in integers by the
+Every row, canonical rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its code and its own column, and a product pair's tabled value
 ``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
@@ -89,8 +87,8 @@ Tables persist as one text file per weight plus a manifest with content
 hashes.  The echelon left by the family phase is checkpointed once per
 weight, in its own column space (:meth:`MasterExpression.state`), with its
 modulus, so a crash in elimination redoes only the shuffle and duality rows
-of that weight.  Only a pass with the rank target takes it up: the rerun
-with every row redoes the family phase.  A checkpoint whose payload hash
+of that weight.  The family phase does not depend on the rank target, so
+the rerun with every row takes it up too.  A checkpoint whose payload hash
 does not match is never reused.
 """
 
@@ -449,24 +447,22 @@ def canonical_row(x: Word) -> tuple:
 
 def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
     """Give every non-Lyndon word of the master's weight a bracket in
-    ``master.pivots``, modulo ``master.prime``, from the stuffle rows among
-    ``relations`` (the weight's descriptors), and absorb the regularized
-    rows among them depth by depth.
+    ``master.pivots``, modulo ``master.prime``, from its canonical stuffle
+    row (:func:`canonical_row`), and absorb the regularized rows among
+    ``relations`` (the weight's descriptors) depth by depth.
 
     A stuffle row on ``(u, v)`` mixes only words of one index multiset (a
     family) of depth ``d = len(u) + len(v)``, words of lower depth and
-    lower-weight products.  So the rows of each depth d, ascending, go to
-    :meth:`MasterExpression.reduce`, each led by the word without a bracket
-    that dies first: first the canonical row (:func:`canonical_row`) of
-    every non-Lyndon word of depth d, then the other stuffle rows, each
-    group in list order.  The quasi-shuffle algebra is free on the Lyndon
-    words (Hoffman), so over the rationals the canonical rows alone give
-    every such word a bracket, and the other rows reduce to nothing.  Once
-    every non-Lyndon word of depth d has a bracket, the depth's remaining
-    stuffle rows are passed over while ``master.target`` is set: the
-    certificate checks them, and a rerun without a target reduces them.
-    ``master.family_rows`` counts the stuffle rows reduced.  Right after
-    them, a non-Lyndon word of depth d left without a bracket raises
+    lower-weight products.  So for each depth d, ascending, the canonical
+    row of each non-Lyndon word of depth d, in column order (first
+    eliminated first), goes to :meth:`MasterExpression.reduce`.  The
+    quasi-shuffle algebra is free on the Lyndon words (Hoffman), and the
+    canonical row of x names, of the non-Lyndon words of depth d, only x
+    and lexicographically larger words, with a coefficient at x between 1
+    and ``len(x)``.  These rows are triangular, so under any modulus above
+    the weight they give every non-Lyndon word of depth d a bracket, and
+    the weight's other stuffle rows are left to the certificate.  Right
+    after them, a non-Lyndon word of depth d left without a bracket raises
     :class:`UnderdeterminedFamily`; then each regularized row on a word v
     with ``len(v) + 1 == d``, in list order, goes to
     :meth:`MasterExpression.absorb`.  It names only words of depth
@@ -476,33 +472,20 @@ def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
     :class:`InconsistentRelation`.  Under an unlucky modulus either error
     can happen where the rationals would not.
     """
-    layers: dict[int, tuple[list[tuple], list[tuple]]] = {
-        d: ([], []) for d in range(2, master.weight)
-    }
-    for desc in relations:
-        if desc[0] == "stuffle":
-            layers[len(desc[1]) + len(desc[2])][0].append(desc)
-        elif desc[0] == "hoffman":
-            layers[len(desc[1]) + 1][1].append(desc)
-    family = master.columns[:master.n_family]
-    canonical = set(map(canonical_row, family))
-    for depth, (stuffle, regularized) in layers.items():
-        # each install at this depth gives one of its words a bracket: the
-        # shallower ones have theirs
-        left = sum(len(x) == depth for x in family)
-        for desc in sorted(stuffle, key=lambda desc: desc not in canonical):
-            if not left and master.target is not None:
-                break
-            master.family_rows += 1
-            left -= master.reduce(desc)
-        missing = [x for k, x in enumerate(family) if len(x) == depth and k not in master.pivots]
+    family = list(enumerate(master.columns[:master.n_family]))
+    for depth in range(2, master.weight):
+        words = [(k, x) for k, x in family if len(x) == depth]
+        for _, x in words:
+            master.reduce(canonical_row(x))
+        missing = [x for k, x in words if k not in master.pivots]
         if missing:
             raise UnderdeterminedFamily(
                 f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
                 f"family bracket"
             )
-        for desc in regularized:
-            master.absorb(desc)
+        for desc in relations:
+            if desc[0] == "hoffman" and len(desc[1]) + 1 == depth:
+                master.absorb(desc)
 
 
 # ------------------------------------------------------ bracketed elimination
@@ -553,11 +536,12 @@ class MasterExpression:
     A bracket is a row mod p with entry 1 at its lead, read as "word =
     minus the rest".  ``pivots`` maps each lead to its bracket and is one
     fully-reduced echelon: no bracket has an entry at another bracket's
-    lead.  The stuffle rows of :func:`family_phase` install the brackets led
-    by non-Lyndon words, the elimination rows of :meth:`absorb` those led
-    by Lyndon words.  :meth:`reduce` clears a row in one pass over its
-    leads and installs what is left, rewriting every bracket that names the
-    new lead; :meth:`back_substitute` only names the right-hand sides.
+    lead.  The canonical stuffle rows of :func:`family_phase`, one per
+    non-Lyndon word, install the brackets led by non-Lyndon words, the
+    elimination rows of :meth:`absorb` those led by Lyndon words.
+    :meth:`reduce` clears a row in one pass over its leads and installs
+    what is left, rewriting every bracket that names the new lead;
+    :meth:`back_substitute` only names the right-hand sides.
 
     Rows may come in any order: the table is the unique reduced row-echelon
     form of their span (see the module docstring), so the order sets only
@@ -568,9 +552,7 @@ class MasterExpression:
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
     ``absorbed`` the rows it was given, of the ``n_rows`` a solve gives it,
     ``skipped`` the rows it passed over once ``installed`` had reached
-    ``target`` (None: never; :func:`family_phase` also passes stuffle rows
-    over while it is set), ``family_rows`` the stuffle rows
-    :func:`family_phase` reduced, ``terms`` the live terms in Lyndon-led
+    ``target`` (None: never), ``terms`` the live terms in Lyndon-led
     brackets, kept up to date by every install, ``peak_terms`` the most of
     them after any install, and ``bracket_updates`` the brackets that
     installs rewrote.  :meth:`state` gives the monomials, the echelon and
@@ -600,7 +582,6 @@ class MasterExpression:
         self.n_rows = n_rows
         self.target = target
         self.skipped = 0
-        self.family_rows = 0
         self.terms = 0
         self.peak_terms = 0
         self.bracket_updates = 0
@@ -699,21 +680,19 @@ class MasterExpression:
         """The monomials of the monomial columns, each bracket as ``[lead,
         col, c, col, c, ...]`` (its lead, then every column it names, the
         lead included, with its coefficient), and the counters
-        ``[installed, absorbed, peak_terms, bracket_updates, family_rows]``."""
+        ``[installed, absorbed, peak_terms, bracket_updates]``."""
         return {
             "monomials": self.monomials,
             "pivots": [[lead, *chain.from_iterable(b.items())] for lead, b in self.pivots.items()],
-            "counters": [self.installed, self.absorbed, self.peak_terms, self.bracket_updates,
-                         self.family_rows],
+            "counters": [self.installed, self.absorbed, self.peak_terms, self.bracket_updates],
         }
 
     def restore(self, state: dict) -> None:
         """Take up a :meth:`state` in place.  Raises :class:`ValueError`
         unless the monomials are distinct products of the weight, each
         bracket is led by its own word column with 1, its integer columns
-        lie in the space and its coefficients in ``[1, p)``, ``installed``
-        counts the Lyndon-led brackets and ``family_rows`` is at least the
-        count of the others."""
+        lie in the space and its coefficients in ``[1, p)``, and
+        ``installed`` counts the Lyndon-led brackets."""
         monomials = [tuple(map(tuple, m)) for m in state["monomials"]]
         if len(set(monomials)) < len(monomials) or any(
             len(m) < 2 or sum(map(weight, m)) != self.weight for m in monomials
@@ -732,15 +711,13 @@ class MasterExpression:
                                  f"or a coefficient outside [1, p)")
             pivots[lead] = bracket
         counters = state["counters"]
-        lyndon_led = sum(lead >= self.n_family for lead in pivots)
-        if not (len(counters) == 5 and all(type(n) is int and n >= 0 for n in counters)
-                and counters[0] == lyndon_led and counters[4] >= len(pivots) - lyndon_led):
+        if not (len(counters) == 4 and all(type(n) is int and n >= 0 for n in counters)
+                and counters[0] == sum(lead >= self.n_family for lead in pivots)):
             raise ValueError(f"counters {counters!r} do not fit the brackets")
         self.monomials, self.mono_ids = monomials, {m: i for i, m in enumerate(monomials)}
         self.pivots = pivots
         self.terms = sum(len(b) for lead, b in pivots.items() if lead >= self.n_family)
-        (self.installed, self.absorbed, self.peak_terms, self.bracket_updates,
-         self.family_rows) = counters
+        self.installed, self.absorbed, self.peak_terms, self.bracket_updates = counters
 
     def back_substitute(self) -> None:
         """Name in ``entries`` every eliminated word's right-hand side mod p
@@ -781,9 +758,10 @@ class Checkpointer:
     same rows.
     """
 
-    # the echelon and counters after the family phase of canonical rows
-    # first; older builds wrote "families", "layers" and "echelon"
-    PHASE = "canonical"
+    # the echelon and four counters after the family phase of one canonical
+    # row per non-Lyndon word in column order; older builds wrote
+    # "families", "layers", "echelon" and "canonical"
+    PHASE = "column-order"
 
     def __init__(self, path: Path, kinds: tuple[str, ...]):
         self.path = Path(path)
@@ -887,9 +865,8 @@ def solve_weight(
             t0 = time.monotonic()
             try:
                 try:
-                    # ---- family brackets and regularized rows, or their checkpoint,
-                    # which a rerun does not take up: it reduces every row
-                    if stop is not None and checkpointer is not None and checkpointer.load(master):
+                    # ---- family brackets and regularized rows, or their checkpoint
+                    if checkpointer is not None and checkpointer.load(master):
                         note(f"weight {w}: resuming after the family phase")
                     else:
                         family_phase(master, relations)
@@ -920,7 +897,7 @@ def solve_weight(
                 break
             # the target may have left rows unreduced: reduce them too, under this modulus
             log.debug("weight %d: %d of %d row(s) reduced at %d pivots (%s); reducing every row",
-                      w, master.family_rows + master.absorbed - master.skipped, len(relations),
+                      w, master.n_family + master.absorbed - master.skipped, len(relations),
                       master.installed, error)
         if error is None:
             break
@@ -941,7 +918,7 @@ def solve_weight(
         "elimination_seconds": round(elimination_seconds, 3),
         "certify_seconds": round(certify_seconds, 3),
         "rows": n_rows,
-        "family_rows": master.family_rows,
+        "family_rows": master.n_family,
         "reduced_rows": n_rows - master.skipped,
         "redundant_rows": redundant,
         "pivots": master.installed,

@@ -28,6 +28,7 @@ from zetaforge.algebra import (
     describe,
     expand_relation,
     relation_descriptors,
+    stuffle,
     weight_pairs,
 )
 from zetaforge.cli import main as cli_main
@@ -433,7 +434,7 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
         assert {desc[0] for desc in calls} == {"stuffle", "hoffman"} and not path.exists()
     else:
         payload = json.loads(path.read_text())["payload"]
-        assert payload["phase"] == Checkpointer.PHASE == "canonical"
+        assert payload["phase"] == Checkpointer.PHASE == "column-order"
         assert payload["modulus"] == solver_mod.PRIMES[0]
 
     monkeypatch.undo()
@@ -532,12 +533,14 @@ def test_restore_refuses_a_malformed_state(tables8, defect):
 # canonical-JSON sha256 of weight 7's checkpoint payloads as older builds
 # wrote them: the family brackets alone, pinned before the depth-layered
 # schedule, every bracket after the layered family phase, pinned before
-# the checkpoint took the master's own state, and the master's state with
+# the checkpoint took the master's own state, the master's state with
 # four counters after every stuffle row in list order, pinned before the
-# canonical rows came first
+# canonical rows came first, and with five counters after the canonical
+# rows in list order, pinned before they came in column order
 WEIGHT_7_FAMILY_CHECKPOINT = "8f6da9e16b5d54d28de141902a86fc85f0f1d92682e9563ede7604b21c94d46a"
 WEIGHT_7_LAYERS_CHECKPOINT = "244a2825016bb6bad20991ecd59c69bca72527e08aa948f045d6ba283b407f0e"
 WEIGHT_7_ECHELON_CHECKPOINT = "d73a86a8baf1256e8bb15658e96f4cb0fda0c9b7f2bd00b2656bf2e91f12c191"
+WEIGHT_7_CANONICAL_CHECKPOINT = "efe6ab45823d5a23a487da78993db0f35786bc91bdec8d9da1e9b25420dd34f6"
 
 
 def _older_payload(lower, phase):
@@ -557,18 +560,26 @@ def _older_payload(lower, phase):
     return {"weight": 7, "phase": phase, "modulus": master.prime, "entries": entries}
 
 
-def _echelon_payload(lower, monkeypatch):
-    """Weight 7's checkpoint payload as the build before the canonical rows
-    wrote it, under the tag "echelon": mod PRIMES[0], the master's state
-    after a family phase of every stuffle row in list order, with the
-    counters [installed, absorbed, peak_terms, bracket_updates]."""
+def _stuffle_payload(lower, phase, rows):
+    """Weight 7's checkpoint payload as an older build wrote it under the
+    tag ``phase``: mod PRIMES[0], the master's state after a family phase
+    that reduced, depth by depth, the stuffle rows among ``rows`` in list
+    order, each depth's regularized rows right after them, with the
+    counters [installed, absorbed, peak_terms, bracket_updates] (and
+    ``family_rows``, the stuffle rows reduced, under "canonical")."""
     master = MasterExpression(list(elimination_order(7)), Certifier(lower))
-    with monkeypatch.context() as patched:
-        patched.setattr(solver_mod, "canonical_row", lambda x: None)
-        family_phase(master, relation_descriptors(7))
+    relations = relation_descriptors(7)
+    for depth in range(2, 7):
+        for desc in relations:
+            if desc in rows and len(desc[1]) + len(desc[2]) == depth:
+                master.reduce(desc)
+        for desc in relations:
+            if desc[0] == "hoffman" and len(desc[1]) + 1 == depth:
+                master.absorb(desc)
     state = master.state()
-    state["counters"] = state["counters"][:4]
-    return {"phase": "echelon", "modulus": master.prime, "state": state}
+    if phase == "canonical":
+        state["counters"].append(len(rows))
+    return {"phase": phase, "modulus": master.prime, "state": state}
 
 
 def _write_checkpoint(path, payload):
@@ -622,10 +633,16 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
         # and then every bracket after the layered family phase, as words
         "layers": _older_payload(lower, "layers"),
         # and then the master's own state, after every stuffle row
-        "echelon": _echelon_payload(lower, monkeypatch),
+        "echelon": _stuffle_payload(lower, "echelon", relation_descriptors(7, ("stuffle",))),
+        # and then after the canonical rows, with a fifth counter
+        "canonical": _stuffle_payload(
+            lower, "canonical",
+            {solver_mod.canonical_row(x) for x in admissible_words(7) if not is_lyndon(x)},
+        ),
     }
     pinned = {"family brackets alone": WEIGHT_7_FAMILY_CHECKPOINT,
-              "layers": WEIGHT_7_LAYERS_CHECKPOINT, "echelon": WEIGHT_7_ECHELON_CHECKPOINT}
+              "layers": WEIGHT_7_LAYERS_CHECKPOINT, "echelon": WEIGHT_7_ECHELON_CHECKPOINT,
+              "canonical": WEIGHT_7_CANONICAL_CHECKPOINT}
     canonical = render_table(solve_weight(7, lower))
     family_phases = _count_family_phases(monkeypatch)
     for name, payload in older.items():
@@ -647,13 +664,32 @@ def test_elimination_checkpoint_of_an_older_build_is_ignored(tmp_path, monkeypat
         assert resumed.stats["modulus_bits"] == 127, name
         assert not path.exists(), name
 
+    # through the command too: the last build's payload, whose five
+    # counters this build does not restore, is ignored under its own tag,
+    # where under this build's tag it would be malformed (exit 5)
+    store = TableStore(tmp_path / "store")
+    solve = ["solve", "--weight", "7", "--table-dir", str(store.root)]
+    assert cli_main(["solve", "--weight", "6", "--table-dir", str(store.root)]) == 0
+    _write_checkpoint(store.checkpoint_path(7), dict(older["canonical"], phase=Checkpointer.PHASE))
+    assert cli_main(solve) == 5
+    _write_checkpoint(store.checkpoint_path(7), older["canonical"])
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="zetaforge.solver"):
+        assert cli_main(solve) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ignoring checkpoint {store.checkpoint_path(7)} from a different configuration"
+    ]
+    assert render_table(store.load(7)) == canonical
+    assert not store.checkpoint_path(7).exists()
+
 
 # canonical-JSON sha256 of weight 7's checkpoint payload (its fingerprint,
 # modulus, phase tag and the master's state after the layered family phase,
-# canonical rows first); a change to the row order changes it, through the
-# brackets' insertion order and the counters, and then the phase tag
-# changes too, so that an earlier build's payload is ignored
-WEIGHT_7_CHECKPOINT = "efe6ab45823d5a23a487da78993db0f35786bc91bdec8d9da1e9b25420dd34f6"
+# each depth's canonical rows in column order); a change to the row order
+# changes it, through the brackets' insertion order and the counters, and
+# then the phase tag changes too, so that an earlier build's payload is
+# ignored
+WEIGHT_7_CHECKPOINT = "b7b66ea47271c5fd845cd041f1dcb68ffda554bae4a6e6532811e4f6a5b14e4a"
 
 
 def test_family_checkpoint_format_is_pinned(tmp_path, monkeypatch):
@@ -796,7 +832,7 @@ def test_certificate_counters_logged_at_debug_only(caplog, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"weight 6: certified 22 row\(s\) in \d+\.\d{3} s modulo a 127-bit prime, "
-        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 27 bracket updates",
+        r"9 of 15 elimination rows reduced, max coefficient 7 bits, 26 bracket updates",
         lines[0],
     )
     assert capsys.readouterr().out == ""
@@ -1068,14 +1104,14 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monk
     stuffle = relation_descriptors(8, ("stuffle",))
     hoffman = relation_descriptors(8, ("hoffman",))
     shuffle = relation_descriptors(8, ("shuffle",))
-    # the canonical row of every non-Lyndon word once, which completes each
-    # depth, so no other stuffle row: depth ascending, and in descriptor
-    # order within a depth (a stable sort of the descriptors)
-    canonical = {solver_mod.canonical_row(x) for x in admissible_words(8) if not is_lyndon(x)}
+    # the canonical row of every non-Lyndon word once, and no other stuffle
+    # row: depth ascending, and in column order within a depth (a stable
+    # sort of the columns)
+    family = [x for x in elimination_order(8) if not is_lyndon(x)]
     reduced = [desc for desc, _ in seen if desc[0] == "stuffle"]
-    assert len(reduced) == len(canonical) == 34
-    assert reduced == sorted((desc for desc in stuffle if desc in canonical),
-                             key=lambda desc: len(desc[1]) + len(desc[2]))
+    assert len(reduced) == len(family) == 34
+    assert reduced == [solver_mod.canonical_row(x) for x in sorted(family, key=len)]
+    assert set(reduced) <= set(stuffle)
     # each Hoffman row on v comes after every stuffle row of depth
     # len(v) + 1 and before any deeper stuffle row
     layered = [(i, desc, depth) for i, (desc, depth) in enumerate(seen) if desc[0] == "hoffman"]
@@ -1205,13 +1241,14 @@ def test_each_product_pair_is_tabled_once_per_weight(monkeypatch, tables8):
 def test_bracket_updates_are_pinned_at_weights_10_to_12(tables12):
     # with each depth's regularized rows absorbed before any deeper family
     # bracket is built, and each depth's canonical stuffle rows alone
-    # reduced, the installs of weights 10, 11 and 12 rewrite 2394, 7812 and
-    # 21972 brackets (2435, 7931 and 22278 when every stuffle row was
-    # reduced in list order; 5747 at weight 10 when every family bracket was
-    # built before the first Lyndon pivot), and at most 874, 2569 and 5356
-    # terms are live in Lyndon-led brackets
+    # reduced, in column order, the installs of weights 10, 11 and 12
+    # rewrite 2281, 7493 and 20844 brackets (2394, 7812 and 21972 with the
+    # canonical rows in list order; 2435, 7931 and 22278 when every stuffle
+    # row was reduced in list order; 5747 at weight 10 when every family
+    # bracket was built before the first Lyndon pivot), and at most 874,
+    # 2569 and 5356 terms are live in Lyndon-led brackets
     tables, _ = tables12
-    pinned = {10: (2394, 874), 11: (7812, 2569), 12: (21972, 5356)}
+    pinned = {10: (2281, 874), 11: (7493, 2569), 12: (20844, 5356)}
     for w, (updates, terms) in pinned.items():
         assert tables[w].stats["bracket_updates"] == updates, w
         assert tables[w].stats["max_bracket_terms"] == terms, w
@@ -1229,6 +1266,21 @@ def test_each_non_lyndon_word_has_its_own_canonical_stuffle_row():
         assert len(set(rows)) == len(rows), w
 
 
+def test_each_canonical_row_is_triangular_on_the_non_lyndon_words_of_its_depth():
+    # x is the lexicographically least non-Lyndon word of depth len(x) in
+    # the stuffle of its canonical row, with a coefficient between 1 and
+    # len(x): the canonical rows of a depth are triangular, so under any
+    # modulus above the weight they give each of its non-Lyndon words a
+    # bracket, and no other stuffle row is needed
+    for w in range(3, 15):
+        for x in admissible_words(w):
+            if not is_lyndon(x):
+                combo = stuffle(*solver_mod.canonical_row(x)[1:])
+                depth = [y for y in combo if len(y) == len(x) and not is_lyndon(y)]
+                assert min(depth) == x, render_word(x)
+                assert 1 <= combo[x] <= len(x), render_word(x)
+
+
 def test_the_family_phase_reduces_one_stuffle_row_per_non_lyndon_word(tables12):
     # the canonical rows alone complete every depth of weights 3 to 12, and
     # the other stuffle rows are left to the certificate (weight 10 reduces
@@ -1241,19 +1293,26 @@ def test_the_family_phase_reduces_one_stuffle_row_per_non_lyndon_word(tables12):
     assert tables[10].stats["family_rows"] == 157
 
 
-def test_withheld_canonical_rows_give_the_same_tables(monkeypatch, tables8):
-    # without canonical rows each depth takes its stuffle rows in list
-    # order, and completes only with its last one, so every stuffle row is
-    # reduced, as before the canonical rows came first
-    monkeypatch.setattr(solver_mod, "canonical_row", lambda x: None)
-    tables = solve_in_memory(8)
-    for w in range(2, 9):
-        assert render_table(tables[w]) == render_table(tables8[w])
-    for w, counts in GOLDEN_COUNTS.items():
-        stats = tables[w].stats
-        assert (stats["pivots"], stats["redundant_rows"]) == counts
-        assert stats["family_rows"] == len(relation_descriptors(w, ("stuffle",)))
-        assert stats["modulus_bits"] == 127
+def test_the_rerun_after_a_failed_target_pass_takes_up_the_checkpoint(
+        tmp_path, monkeypatch, caplog, tables8):
+    # one pivot short of the rank, the pass with the target fails the
+    # certificate; the family phase does not depend on the target, so the
+    # rerun with every row takes up the checkpoint that pass wrote
+    honest = solver_mod.rank_target
+    monkeypatch.setattr(solver_mod, "rank_target", lambda columns: honest(columns) - 1)
+    family_phases = _count_family_phases(monkeypatch)
+    path = tmp_path / "weight-08.checkpoint.json"
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        solved = solve_weight(8, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
+    messages = [r.getMessage() for r in caplog.records]
+    assert len([m for m in messages if m.endswith("reducing every row")]) == 1
+    assert messages.count("weight 8: resuming after the family phase") == 1
+    assert family_phases == [8]
+    assert render_table(solved) == render_table(tables8[8])
+    assert solved.stats["pivots"] == tables8[8].stats["pivots"]
+    assert solved.stats["modulus_bits"] == 127
+    assert not path.exists()
 
 
 def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog, tables8):
@@ -1432,9 +1491,10 @@ def test_every_install_keeps_one_fully_reduced_echelon(monkeypatch):
 
 
 def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
-    # the family phase reads the stuffle rows of the descriptor list that
-    # the certificate checks, each once, and none of them through absorb;
-    # of the list's other rows it absorbs the regularized ones alone
+    # the family phase expands the canonical row of each non-Lyndon word,
+    # a stuffle row of the descriptor list that the certificate checks,
+    # once, and none of them through absorb; of the list's other rows it
+    # absorbs the regularized ones alone
     lower = _lower_tables(9)
     expanded, absorbed = [], []
     honest_residue, honest_absorb = MasterExpression.residue, MasterExpression.absorb
@@ -1451,10 +1511,10 @@ def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
     relations = relation_descriptors(10)
     family_phase(_master(10, lower, solver_mod.PRIMES[0]), relations)
-    stuffle = [desc for desc in relations if desc[0] == "stuffle"]
+    canonical = [solver_mod.canonical_row(x) for x in admissible_words(10) if not is_lyndon(x)]
     hoffman = [desc for desc in relations if desc[0] == "hoffman"]
-    assert len(stuffle) == len(set(stuffle)) == 228
-    assert sorted(expanded) == sorted(stuffle + hoffman)
+    assert len(canonical) == len(set(canonical) & set(relations)) == 157
+    assert sorted(expanded) == sorted(canonical + hoffman)
     assert sorted(absorbed) == sorted(hoffman)
 
 
@@ -1564,7 +1624,7 @@ def test_peak_terms_is_the_largest_live_count():
     leads.restore({
         "monomials": [],
         "pivots": [[k, k, 1, A, p - 3] if k == X else [k, k, 1] for k in range(leads.n_family)],
-        "counters": [0, 0, 0, 0, leads.n_family],
+        "counters": [0, 0, 0, 0],
     })
     M = leads.n_words  # the first monomial column
     inv2, inv3 = pow(2, -1, p), pow(3, -1, p)
