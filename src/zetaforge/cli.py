@@ -156,8 +156,7 @@ def _shape_of(g) -> str:
         return "not of extended shape"
     if n == 0:
         return "plain Lyndon word"
-    fold = f"{n}-fold" if n > 1 else "1-fold"
-    return f"{fold} extension of {render_word(source)}"
+    return f"{n}-fold extension of {render_word(source)}"
 
 
 def cmd_lyndon(args: argparse.Namespace) -> int:

@@ -116,17 +116,14 @@ class ExtendedCandidate(NamedTuple):
 
 
 def candidate_pool(w: int) -> list[ExtendedCandidate]:
-    """Every legal extension (all n >= 0 admitted by the preconditions of
-    :func:`extend_word`) of every odd Lyndon word of weight ``w``, sorted by
-    the listing order of the extended word."""
+    """Every legal extension of every odd Lyndon word of weight ``w``, sorted
+    by the listing order of the extended word.  Every index of such a word
+    is at least 3, so :func:`extend_word` admits every n up to half its
+    depth."""
     pool = []
     for source in odd_lyndon_words(w):
         for n in range(len(source) // 2 + 1):
-            try:
-                extended = extend_word(source, n)
-            except ValueError:
-                break
-            pool.append(ExtendedCandidate(source, n, extended))
+            pool.append(ExtendedCandidate(source, n, extend_word(source, n)))
     pool.sort(key=lambda c: listing_key(c.word))
     return pool
 

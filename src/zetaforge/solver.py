@@ -33,8 +33,8 @@ which the certificate checks in full.
    less the number of odd Lyndon words (the generator count that ``verify
    --dims`` checks), the remaining rows are neither expanded nor reduced:
    the certificate checks them with every other relation.  The pass with
-   that target passes rows over; if it fails, the weight is reduced again
-   under the same modulus with every row.
+   that target passes rows over; if it fails after passing rows over, the
+   weight is reduced again under the same modulus with every row.
 
 3. Assembly.  Each bracket names, besides its lead, only survivors and
    monomials, so every admissible word of the weight maps to a combination
@@ -45,23 +45,23 @@ Every row, canonical rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its code and its own column, and a product pair's tabled value
 ``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
-in the shared :class:`Certifier`), and its image mod p is reduced by one
-routine, :meth:`MasterExpression.reduce`.  Each relation is expanded once
-per weight: that certifier holds a row's combination, as arrays of its
+in the weight's one :class:`Certifier`), and its image mod p is reduced by
+one routine, :meth:`MasterExpression.reduce`.  Each relation is expanded
+once per weight: that certifier holds a row's combination, as arrays of its
 codes and their coefficients, until the certificate checks the relation
 and drops it, and a relation no row reduced is expanded by its check
 alone.  Each product pair's tabled value is computed once per weight, by
 :meth:`Certifier.product`, and read by the pair's stuffle row, its shuffle
 row and the certificate of both.  The brackets form one fully-reduced
 echelon: each bracket has lead 1 and no entry at another lead.  Each
-table coefficient is rebuilt once by Wang's
-rational reconstruction, and then *every* relation of the weight is
-certified exactly by :meth:`Certifier.holds`: substituted through the
-lower tables and the new one, with each word's integer vector packed into
-one integer under a slot bound that makes the comparison with zero exact,
-it must give zero (the same check ``verify`` runs).  A modulus under
-which a non-Lyndon word is left without a bracket, a relation reduces to
-0 = nonzero, a stuffle row leads at a Lyndon word or another row at a
+table coefficient is rebuilt once by Wang's rational reconstruction, and
+then *every* relation of the weight is certified exactly, on the same
+certifier, by :meth:`Certifier.certify`: substituted through the lower
+tables and the new one, with each word's integer vector packed into one
+integer under a slot bound that makes the comparison with zero exact, it
+must give zero (the same check ``verify`` runs).  A modulus under which a
+non-Lyndon word is left without a bracket, a relation reduces to 0 =
+nonzero, a stuffle row leads at a Lyndon word or another row at a
 non-Lyndon word, a residue has no small rational preimage, or the
 certificate rejects a relation is replaced by the next one in ``PRIMES``;
 when none is left the solve fails, so no table leaves uncertified.
@@ -295,7 +295,7 @@ class Certifier:
 
     is zero, where ``P(N_u N_v)`` packs ``lc_mul`` of the factors' vectors
     (``D_a D_b T(u) T(v)``).  That product, with ``D_a D_b``, is computed
-    once per pair (:meth:`product`), kept for the pairs of one weight and
+    once per pair (:meth:`product`), kept as long as the certifier, and
     packed once per slot width, so the stuffle and shuffle instances of a
     pair, their rows and their checks all share it.  A product monomial
     that no entry of weight ``w`` names has no slot, and its nonzero
@@ -311,9 +311,13 @@ class Certifier:
 
     :meth:`residue` spells a relation out monomial by monomial through
     :func:`expand_row`; it names what is left of a failed relation.  The
-    tables are scaled on first use and cached, and the products with them,
-    so a certifier serves one set of tables that does not change while it
-    is used; one built later sees the tables as they are then.
+    certifier keeps its own copy of the tables dict.  Each table is scaled
+    on first use and cached, and the products with them, so a table must
+    not change while a certifier uses it; one built later sees the tables
+    as they are then.  A solve builds one certifier per weight and
+    ``verify`` one per recheck, and nothing is reset per weight.  A
+    solve's rows expand on it, and :meth:`certify` then checks every
+    relation of the weight against each candidate table.
 
     Each relation is expanded once per weight: :meth:`expand` expands a
     row's relation and ``held`` keeps its combination, by descriptor, as a
@@ -327,12 +331,10 @@ class Certifier:
     """
 
     def __init__(self, tables: dict[int, SolvedWeight]):
-        self.tables = tables
+        self.tables = dict(tables)
         self.held: dict[tuple, tuple[array, array]] = {}
         self._scaled: dict[int, _ScaledTable] = {}
-        # the scaled value of each product pair of weight _products_weight
         self._products: dict[tuple[Word, Word], tuple[int, dict[Monomial, int]]] = {}
-        self._products_weight = 0
 
     def expand(self, desc: tuple) -> Expansion:
         """The ``(w, combo, product)`` expansion of the relation ``desc``,
@@ -361,27 +363,22 @@ class Certifier:
 
     def product(self, pair: tuple[Word, Word]) -> tuple[int, dict[Monomial, int]]:
         """``D_a D_b`` and ``N_u N_v``: the tabled value of the product pair
-        ``(u, v)`` in integers, with its denominator.  Computed once per
-        pair; only the pairs of the last weight asked for are kept."""
+        ``(u, v)`` in integers, with its denominator, computed once per
+        pair."""
         got = self._products.get(pair)
         if got is None:
-            w = weight(pair[0]) + weight(pair[1])
-            if w != self._products_weight:
-                self._products, self._products_weight = {}, w
             (den_u, u), (den_v, v) = (self.entry(weight(f), code(f)) for f in pair)
             got = self._products[pair] = den_u * den_v, lc_mul(u, v)
         return got
 
-    def with_table(self, solved: SolvedWeight) -> Certifier:
-        """A certifier over these tables plus ``solved``, reusing the tables
-        already scaled at every other weight, and the products kept unless
-        one of their factors may have the weight of ``solved``."""
-        other = Certifier({**self.tables, solved.weight: solved})
-        other.held = self.held
-        other._scaled = {k: v for k, v in self._scaled.items() if k != solved.weight}
-        if solved.weight >= self._products_weight - 1:  # every factor weighs at most w - 2
-            other._products, other._products_weight = self._products, self._products_weight
-        return other
+    def certify(self, solved: SolvedWeight, descs: list[tuple]) -> list[tuple]:
+        """The relations among ``descs`` that do not hold once ``solved`` is
+        the table of its weight, scaled afresh, so that a replaced candidate
+        is scaled again.  A product of that weight has factors at least two
+        weights lower, so the products kept stay valid."""
+        self.tables[solved.weight] = solved
+        self._scaled.pop(solved.weight, None)
+        return self.rejects(descs)
 
     def holds(self, desc: tuple) -> bool:
         """Whether the relation ``desc`` holds, by the packed check, on its
@@ -529,9 +526,10 @@ class MasterExpression:
     A row is a relation instance ``(kind, *words)``, expanded once, exactly
     and in integers, by :func:`expand_row`: each word of the weight as its
     code and so its own column, a product pair's tabled value through the
-    shared certifier ``lower``, which computes each pair's value once and
+    weight's certifier ``lower``, which computes each pair's value once,
     holds the row's combination until the certificate checks its relation
-    (:meth:`residue`, :meth:`integer_row`).
+    (:meth:`residue`, :meth:`integer_row`), and then certifies the table
+    (:meth:`Certifier.certify`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
     minus the rest".  ``pivots`` maps each lead to its bracket and is one
@@ -805,10 +803,7 @@ class Checkpointer:
         _atomic_write(self.path, f'{{"payload":{text},"sha256":"{digest}"}}')
 
     def clear(self) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
 
 
 # ------------------------------------------------------------- weight solve
@@ -886,16 +881,16 @@ def solve_weight(
             else:
                 # ---- exact certificate of every relation
                 t2 = time.monotonic()
-                failed = lower.with_table(solved).rejects(relations)
+                failed = lower.certify(solved, relations)
                 certify_seconds += time.monotonic() - t2
                 if failed:
                     error = ReconstructionError(
                         f"weight {w}: {len(failed)} relation(s) fail the certificate, "
                         f"{describe(failed[0])} first"
                     )
-            if error is None or stop is None:
+            if error is None or not master.skipped:
                 break
-            # the target may have left rows unreduced: reduce them too, under this modulus
+            # the target left rows unreduced: reduce them too, under this modulus
             log.debug("weight %d: %d of %d row(s) reduced at %d pivots (%s); reducing every row",
                       w, master.n_family + master.absorbed - master.skipped, len(relations),
                       master.installed, error)
@@ -945,8 +940,7 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
     """The fully-reduced table of the weight after
     :meth:`MasterExpression.back_substitute`: each survivor as itself and
     every other word's entry mod p, each coefficient rebuilt by
-    :func:`rational`, each distinct residue once, and each distinct
-    monomial's weight checked once.  Each entry mod p is
+    :func:`rational`, each distinct residue once.  Each entry mod p is
     popped from ``master.entries`` as it is rebuilt, so the residues are
     gone before the certificate runs."""
     p = master.prime
@@ -960,20 +954,6 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
             if q is None:
                 q = rebuilt[c] = rational(c, p)
             entry[m] = q
-
-    expected = 2 ** (w - 2)
-    if len(table) != expected:
-        raise SolverError(
-            f"weight {w} table has {len(table)} entries, expected {expected}"
-        )
-    # an entry's other monomials are words of the weight, as (y,)
-    wrong = {m for m in master.monomials if sum(map(weight, m)) != w}
-    if wrong:
-        for word, entry in table.items():
-            if not wrong.isdisjoint(entry):
-                raise SolverError(
-                    f"entry for {render_word(word)} contains a monomial of wrong weight"
-                )
     return SolvedWeight(
         weight=w,
         generators=sorted(survivors, key=listing_key),

@@ -807,10 +807,13 @@ def test_solved_stats_recorded(tables8):
 
 def test_a_failed_family_phase_is_booked_as_family_time(monkeypatch, tables8):
     # the family phase under PRIMES[0] spends 0.2 s and then fails, so the
-    # solve moves on to 2^521 - 1; both attempts are family time
+    # solve moves on to 2^521 - 1; both attempts are family time.  The
+    # failed pass skipped no row, so it is not redone under PRIMES[0]
     honest = solver_mod.family_phase
+    moduli = []
 
     def slow_then_failing(master, *args):
+        moduli.append(master.prime)
         if master.prime == solver_mod.PRIMES[0]:
             time.sleep(0.2)
             raise solver_mod.UnderdeterminedFamily("simulated")
@@ -822,6 +825,7 @@ def test_a_failed_family_phase_is_booked_as_family_time(monkeypatch, tables8):
     assert render_table(solved) == render_table(tables8[6])
     assert solved.stats["modulus_bits"] == 521
     assert solved.stats["families_seconds"] >= 0.2
+    assert moduli == [solver_mod.PRIMES[0], solver_mod.PRIMES[1]]
 
 
 def test_certificate_counters_logged_at_debug_only(caplog, capsys):
@@ -1356,7 +1360,8 @@ def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog
 def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
     # a cold solve to weight 10 expands each of its 1039 relations once: a
     # reduced row's combination is held for its check, which drops it, and
-    # a relation no row reduced is expanded by its check alone
+    # a relation no row reduced is expanded by its check alone.  Each
+    # weight's rows and certificate share one certifier
     calls = []
     honest = algebra_mod._product_codes
 
@@ -1378,6 +1383,7 @@ def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
         tables[w] = solve_weight(w, tables)
         assert not any(certifier.held for certifier in certifiers), w
     assert len(calls) == sum(len(relation_descriptors(w)) for w in range(3, 11)) == 1039
+    assert len(certifiers) == 8
     golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
                         .read_text())["tables"]
     assert hashlib.sha256(render_table(tables[10]).encode("ascii")).hexdigest() == golden["10"]
