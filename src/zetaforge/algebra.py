@@ -17,13 +17,16 @@ only through :func:`relation_descriptors` and :func:`relation_codes` (or
 Expansions are computed on integer word codes
 (:func:`~zetaforge.words.code`; the words of one expansion share a weight).
 :func:`stuffle`, :func:`shuffle_words`, :func:`hoffman_relation` and
-:func:`expand_relation` decode them to words, keys in the same order.  The
+:func:`expand_relation` decode them to words, keys in the same order.  A
+stuffle whose first factor is a single index, as in every regularized
+relation, is written down in closed form (:func:`_index_stuffle_codes`);
+every other product is built over a table of suffix pairs.  The
 products of one weight share their small cells: each cell of the
 suffix-pair table whose two suffixes weigh at most :data:`CELL_MEMO_WEIGHT`
 together is computed once while the products keep one weight, and the
 memo is cleared when a product of another weight comes.  Its bound is a
 constant, not a share of the weight, so the memo stays small at every
-weight (1,258 cells holding 11,965 terms after the relations of weight
+weight (1,248 cells holding 11,923 terms after the relations of weight
 13), and every expansion is a fresh dict that its caller may change.
 
 Linear combinations are plain dicts mapping a key (a word code, an index
@@ -36,6 +39,7 @@ no-zero-terms invariant in place.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -96,9 +100,13 @@ def add_scaled(lc: dict, other: dict, scale=1) -> None:
         add_term(lc, key, scale * coeff)
 
 
+@functools.cache
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """Concatenate factor multisets, keeping the canonical factor order
-    (descending weight, then ascending word)."""
+    (descending weight, then ascending word).  Cached: the products of a
+    weight multiply the few monomials of the lower tables over and over
+    (weight 11's 512 product pairs make 1,752 calls on 16 distinct
+    pairs)."""
     return tuple(sorted(a + b, key=lambda f: (-weight(f), f)))
 
 
@@ -118,7 +126,7 @@ def _decoded(w: int, combo: dict[int, int]) -> dict[Word, int]:
     return {decode[x]: c for x, c in combo.items()}
 
 
-# Cells of the suffix-pair table of :func:`_product_codes` whose suffixes
+# Cells of the suffix-pair table of :func:`_suffix_pair_codes` whose suffixes
 # weigh at most CELL_MEMO_WEIGHT together, keyed by the product kind and the
 # two suffixes, each as its code with a bit set above it, and kept for the
 # products of one weight, _cells_weight.
@@ -128,6 +136,36 @@ _cells_weight = 0
 
 
 def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
+    """The ``"stuffle"`` or ``"shuffle"`` expansion of ``u`` and ``v`` on
+    codes: :func:`_index_stuffle_codes` when it is a stuffle with a single
+    index first, :func:`_suffix_pair_codes` otherwise."""
+    if kind == "stuffle" and len(u) == 1:
+        return _index_stuffle_codes(u[0], v)
+    return _suffix_pair_codes(kind, u, v)
+
+
+def _index_stuffle_codes(n: int, v: Word) -> dict[int, int]:
+    """The stuffle of the single index ``n`` and ``v`` on codes, in closed
+    form: ``n`` inserted at each index boundary of ``v``, front to back,
+    then ``n`` added to each index of ``v``, last first.  Inserting ``n``
+    above the last ``s`` letters keeps them and shifts the letters above
+    up ``n`` bits, setting bit ``s``; adding ``n`` to the index whose Y
+    ends above the last ``s`` letters is the same without the bit.  The
+    terms come in the order, and with the coefficients, that
+    :func:`_suffix_pair_codes` gives them (insertions at two boundaries
+    can give one word, and add up)."""
+    a = code(v)
+    tails = [*accumulate(reversed(v), initial=0)][::-1]  # the weight of each suffix
+    out: dict[int, int] = {}
+    for s in tails:
+        key = (a >> s) << (n + s) | 1 << s | (a & (1 << s) - 1)
+        out[key] = out.get(key, 0) + 1
+    for s in tails[-2::-1]:
+        out[(a >> s) << (n + s) | (a & (1 << s) - 1)] = 1
+    return out
+
+
+def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     """The ``"stuffle"`` or ``"shuffle"`` expansion of ``u`` and ``v`` on
     codes, by leading part over suffix pairs, a part being an index
     (stuffle) or a letter of the encoding (shuffle): the products of
@@ -203,20 +241,18 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
 
 
 def _hoffman_codes(v: Word) -> dict[int, int]:
-    """:func:`hoffman_relation` on codes: the stuffle of (1) and ``v``, then
-    minus one for each place where a Y can be inserted into the code of
-    ``v``, front first."""
+    """:func:`hoffman_relation` on codes: the stuffle of (1) and ``v``
+    (in closed form, :func:`_index_stuffle_codes`), then minus one for each
+    place where a Y can be inserted into the code of ``v``, front first.
+    The stuffle term 1v, the only one that starts with Y, is also the Y
+    inserted in front, and cancels; every other term starts with the first
+    letter of ``v``, an X."""
     if not is_admissible(v):
         raise ValueError(f"regularized relation needs an admissible word, got {v!r}")
-    a, t = code(v), weight(v)
+    a = code(v)
     out = _product_codes("stuffle", (1,), v)
-    for k in range(t, -1, -1):  # Y inserted above the last k letters
+    for k in range(weight(v), -1, -1):  # Y inserted above the last k letters
         add_term(out, (a >> k) << (k + 1) | 1 << k | (a & (1 << k) - 1), -1)
-    for x in out:
-        if x >> t:  # the first of the t + 1 letters is Y
-            raise AssertionError(
-                f"non-admissible word {decoder(t + 1)[x]!r} survived regularization of {v!r}"
-            )
     return out
 
 

@@ -16,7 +16,6 @@ what went wrong (see ``zeta-forge --help``).
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -392,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verbose:
+        import logging
+
         logging.basicConfig(level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)

@@ -47,10 +47,12 @@ weight as its code and its own column, and a product pair's tabled value
 ``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
 in the weight's one :class:`Certifier`), and its image mod p is reduced by
 one routine, :meth:`MasterExpression.reduce`.  Each relation is expanded
-once per weight: that certifier holds a row's combination, as arrays of its
-codes and their coefficients, until the certificate checks the relation
-and drops it, and a relation no row reduced is expanded by its check
-alone.  Each product pair's tabled value is computed once per weight, by
+at most once per weight: that certifier holds a row's combination, as
+arrays of its codes and their coefficients, until the certificate checks
+the relation and drops it; a shuffle relation no row reduced is checked
+on its dual partner's combination relabeled when that came first, and any
+other relation no row reduced is expanded by its check alone.  Each
+product pair's tabled value is computed once per weight, by
 :meth:`Certifier.product`, and read by the pair's stuffle row, its shuffle
 row and the certificate of both.  The brackets form one fully-reduced
 echelon: each bracket has lead 1 and no entry at another lead.  Each
@@ -97,10 +99,10 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import logging
 import math
 import os
 import re
+import sys
 import tempfile
 import time
 from array import array
@@ -128,6 +130,8 @@ from .words import (
     Word,
     code,
     decoder,
+    dual,
+    dual_codes,
     is_admissible,
     is_lyndon,
     parse_word,
@@ -135,7 +139,13 @@ from .words import (
     weight,
 )
 
-log = logging.getLogger(__name__)
+
+def _debug(msg: str, *args) -> None:
+    """Log ``msg % args`` at debug level on this module's logger once some
+    caller has imported :mod:`logging`: no handler exists before then."""
+    if (logging := sys.modules.get("logging")) is not None:
+        logging.getLogger(__name__).debug(msg, *args)
+
 
 Entry = dict[Monomial, Fraction]
 
@@ -319,15 +329,19 @@ class Certifier:
     solve's rows expand on it, and :meth:`certify` then checks every
     relation of the weight against each candidate table.
 
-    Each relation is expanded once per weight: :meth:`expand` expands a
-    row's relation and ``held`` keeps its combination, by descriptor, as a
-    pair of 64-bit integer arrays (the codes and their coefficients), until
-    :meth:`holds` checks that relation and drops it.  A relation no row
-    expanded is expanded by its check alone, and nothing is held after a
-    check of every relation that was.  An array keeps no int object per
-    term; a code of weight w is below 2^w, and no coefficient reaches 2000
-    through weight 14, so both fit in 64 bits far past any weight a solve
-    reaches (``array`` raises :class:`OverflowError` otherwise).
+    Each relation is expanded at most once per weight: :meth:`expand`
+    expands a row's relation and ``held`` keeps its combination, by
+    descriptor, as a pair of 64-bit integer arrays (the codes and their
+    coefficients), until :meth:`holds` checks that relation and drops it.
+    A relation no row expanded is expanded by its check alone, except a
+    shuffle relation whose dual partner :meth:`rejects` checked first: it
+    is checked on the partner's combination with every code mapped to its
+    dual's (:meth:`holds_dual`), so a recheck expands one shuffle product
+    per dual pair.  Nothing is held after a check of every relation that
+    was.  An array keeps no int object per term; a code of weight w is
+    below 2^w, and no coefficient reaches 2000 through weight 14, so both
+    fit in 64 bits far past any weight a solve reaches (``array`` raises
+    :class:`OverflowError` otherwise).
     """
 
     def __init__(self, tables: dict[int, SolvedWeight]):
@@ -383,12 +397,30 @@ class Certifier:
     def holds(self, desc: tuple) -> bool:
         """Whether the relation ``desc`` holds, by the packed check, on its
         held combination (which it drops) or a fresh expansion."""
+        return self._check(*self._combination(desc))
+
+    def holds_dual(self, desc: tuple, w: int, codes, coefficients) -> bool:
+        """Whether the shuffle relation ``desc`` holds, given the codes and
+        coefficients of its dual partner's combination: each code mapped
+        through the duality table of the weight, and checked against the
+        product pair of ``desc``."""
+        duals = dual_codes(w)
+        return self._check(w, desc[1:], [duals[x] for x in codes], coefficients)
+
+    def _combination(self, desc: tuple) -> tuple:
+        """The weight, product pair, codes and coefficients of the relation
+        ``desc``: its held combination, which it drops, or a fresh
+        expansion."""
         held = self.held.pop(desc, None) if self.held else None
         if held is None:
             w, combo, pair = relation_codes(desc)
-            codes, coefficients = combo.keys(), combo.values()
-        else:
-            (codes, coefficients), (w, pair) = held, relation_shape(desc)
+            return w, pair, combo.keys(), combo.values()
+        return *relation_shape(desc), *held
+
+    def _check(self, w: int, pair: tuple[Word, Word] | None, codes, coefficients) -> bool:
+        """The packed check of the combination ``coefficients`` at ``codes``
+        of weight ``w`` against the tabled value of ``pair`` (zero when
+        None)."""
         top = self.scaled(w)
         scale, height, value = 1, 0, None
         if pair is not None:
@@ -417,8 +449,30 @@ class Certifier:
         return expand_row(relation_codes(desc), self.product, self.entry)
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
-        """The relations among ``descs`` that do not hold."""
-        return [desc for desc in descs if not self.holds(desc)]
+        """The relations among ``descs`` that do not hold, in list order.
+
+        Shuffle relations are checked in dual pairs.  Duality reverses the
+        encoding and swaps its letters, so it maps the shuffle product of
+        ``u`` and ``v`` term by term onto that of their duals: once a
+        shuffle relation's combination is at hand, the relation of the dual
+        pair, when it comes later in ``descs`` and is not held, is checked
+        at once on that combination relabeled (:meth:`holds_dual`), and
+        only its verdict is kept for its turn."""
+        later = {desc: i for i, desc in enumerate(descs) if desc[0] == "shuffle"}
+        verdicts: dict[tuple, bool] = {}
+        failed = []
+        for i, desc in enumerate(descs):
+            if desc[0] != "shuffle":
+                ok = self.holds(desc)
+            elif (ok := verdicts.pop(desc, None)) is None:
+                w, pair, codes, coefficients = self._combination(desc)
+                ok = self._check(w, pair, codes, coefficients)
+                partner = ("shuffle", *sorted(map(dual, pair), key=lambda f: (weight(f), f)))
+                if later.get(partner, i) > i and partner not in self.held:
+                    verdicts[partner] = self.holds_dual(partner, w, codes, coefficients)
+            if not ok:
+                failed.append(desc)
+        return failed
 
 
 # --------------------------------------------------------- family reduction
@@ -670,8 +724,8 @@ class MasterExpression:
             self.peak_terms = max(self.peak_terms, self.terms)
         self.absorbed += 1
         if self.absorbed % PROGRESS_ROWS == 0:
-            log.debug("weight %d: %d/%d rows absorbed, %d pivots",
-                      self.weight, self.absorbed, self.n_rows, self.installed)
+            _debug("weight %d: %d/%d rows absorbed, %d pivots",
+                   self.weight, self.absorbed, self.n_rows, self.installed)
         return pivot
 
     def state(self) -> dict:
@@ -785,7 +839,10 @@ class Checkpointer:
             raise StoreIntegrityError(f"checkpoint {self.path} holds no payload object")
         expected = {"fingerprint": self.fingerprint, "phase": self.PHASE, "modulus": master.prime}
         if any(payload.get(key) != value for key, value in expected.items()):
-            log.warning("ignoring checkpoint %s from a different configuration", self.path)
+            import logging  # its last-resort handler prints the warning
+
+            logging.getLogger(__name__).warning(
+                "ignoring checkpoint %s from a different configuration", self.path)
             return False
         try:
             master.restore(payload["state"])
@@ -844,7 +901,7 @@ def solve_weight(
     def note(msg: str) -> None:
         if progress is not None:
             progress(msg)
-        log.debug("%s", msg)
+        _debug("%s", msg)
 
     columns = list(elimination_order(w))
     relations = relation_descriptors(w, kinds)
@@ -891,12 +948,12 @@ def solve_weight(
             if error is None or not master.skipped:
                 break
             # the target left rows unreduced: reduce them too, under this modulus
-            log.debug("weight %d: %d of %d row(s) reduced at %d pivots (%s); reducing every row",
-                      w, master.n_family + master.absorbed - master.skipped, len(relations),
-                      master.installed, error)
+            _debug("weight %d: %d of %d row(s) reduced at %d pivots (%s); reducing every row",
+                   w, master.n_family + master.absorbed - master.skipped, len(relations),
+                   master.installed, error)
         if error is None:
             break
-        log.debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
+        _debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
     else:
         raise error
     elimination_seconds = time.monotonic() - started - family_seconds - certify_seconds
@@ -924,11 +981,11 @@ def solve_weight(
     }
     if checkpointer is not None:
         checkpointer.clear()
-    log.debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
-              "%d of %d elimination rows reduced, max coefficient %d bits, "
-              "%d bracket updates",
-              w, len(relations), certify_seconds, prime.bit_length(),
-              solved.stats["reduced_rows"], n_rows, height, master.bracket_updates)
+    _debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
+           "%d of %d elimination rows reduced, max coefficient %d bits, "
+           "%d bracket updates",
+           w, len(relations), certify_seconds, prime.bit_length(),
+           solved.stats["reduced_rows"], n_rows, height, master.bracket_updates)
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{master.installed} pivots, {redundant} redundant rows"
@@ -1178,8 +1235,9 @@ def check_factors(tables: dict[int, SolvedWeight], w: int, name: str) -> None:
     """Raise :class:`StoreIntegrityError`, naming the table file ``name``,
     unless every monomial factor of the weight-``w`` table is a generator of
     its own weight in ``tables``.  :func:`parse_table` sees one table only,
-    so a loaded range makes this check as each weight joins it."""
-    factors = {f for entry in tables[w].entries.values() for m in entry for f in m}
+    so a loaded range makes this check as each weight joins it.  The
+    factors are read off the table's distinct monomials."""
+    factors = {f for m in set().union(*tables[w].entries.values()) for f in m}
     for f in sorted(factors):
         table = tables.get(weight(f))
         if table is None or f not in table.generators:

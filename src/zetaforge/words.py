@@ -72,9 +72,22 @@ def code(w: Word) -> int:
 
 @functools.cache
 def decoder(w: int) -> dict[int, Word]:
-    """Code to word for every composition of ``w``, built once per weight;
-    regularized relations pass through the non-admissible word 1v."""
-    return {code(x): x for x in compositions(w)}
+    """Code to word for every composition of ``w``, built once per weight
+    from the lower ones, in :func:`compositions` order (first index
+    ascending, then the rest as its own decoder orders it); regularized
+    relations pass through the non-admissible word 1v."""
+    if not w:
+        return {0: ()}
+    return {1 << w - k | c: (k, *rest)
+            for k in range(1, w + 1) for c, rest in decoder(w - k).items()}
+
+
+@functools.cache
+def dual_codes(w: int) -> dict[int, int]:
+    """The code of :func:`dual` of each admissible word of weight ``w``, by
+    its code, built once per weight: the complemented code, its ``w`` bits
+    reversed."""
+    return {x: int(f"{x ^ (1 << w) - 1:0{w}b}"[::-1], 2) for x in decoder(w) if not x >> w - 1}
 
 
 def from_binary(b: str) -> Word:
@@ -106,8 +119,7 @@ def dual(w: Word) -> Word:
     if not is_admissible(w):
         raise ValueError(f"dual is defined for admissible words only, got {w!r}")
     t = weight(w)
-    # the complemented code, its t bits reversed
-    return decoder(t)[int(f"{code(w) ^ (1 << t) - 1:0{t}b}"[::-1], 2)]
+    return decoder(t)[dual_codes(t)[code(w)]]
 
 
 # ------------------------------------------------------------------ Lyndon

@@ -25,6 +25,7 @@ import pytest
 
 from zetaforge.algebra import (
     _product_codes,
+    _suffix_pair_codes,
     add_scaled,
     add_term,
     check_kinds,
@@ -269,6 +270,19 @@ def test_code_expansions_decode_to_the_word_expansions_in_order():
             assert (k, product) == (w, None if desc[0] == "hoffman" else (u, v)), desc
             assert decoded == list(expected.items()), desc
             assert list(expand_relation(desc)[0].items()) == decoded, desc
+
+
+def test_the_closed_form_of_a_single_index_stuffle_matches_the_suffix_pair_table():
+    # a stuffle with a single index first is written down directly; it
+    # gives the suffix-pair table's terms, coefficients and key order, for
+    # the stuffle((1), v) of every regularized relation and every stuffle
+    # pair whose first factor has depth 1
+    cases = [((1,), v) for w in range(3, 14) for v in admissible_words(w - 1)]
+    cases += [(u, v) for w in range(4, 14) for u, v in weight_pairs(w) if len(u) == 1]
+    assert len(cases) == 3974
+    for u, v in cases:
+        expected = list(_suffix_pair_codes("stuffle", u, v).items())
+        assert list(_product_codes("stuffle", u, v).items()) == expected, (u, v)
 
 
 def test_a_changed_expansion_leaves_every_later_expansion_unchanged():

@@ -71,6 +71,29 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == ""
 
 
+def test_logging_is_imported_only_to_warn_of_an_ignored_checkpoint(tmp_path):
+    # a cold import leaves logging out; a checkpoint of another
+    # configuration is still reported on stderr, without --verbose
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, zetaforge.cli; print('logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    store = TableStore(tmp_path / "store")
+    assert main(["solve", "--weight", "4", "--table-dir", str(store.root)]) == 0
+    text, digest = solver_mod._canonical_json({"phase": "another"})
+    store.checkpoint_path(5).write_text(f'{{"payload":{text},"sha256":"{digest}"}}')
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "zetaforge.cli", "solve", "--weight", "5",
+         "--table-dir", str(store.root)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    warning = f"ignoring checkpoint {store.checkpoint_path(5)} from a different configuration"
+    assert warning in proc.stderr.splitlines()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1358,10 +1358,13 @@ def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog
 
 
 def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
-    # a cold solve to weight 10 expands each of its 1039 relations once: a
-    # reduced row's combination is held for its check, which drops it, and
-    # a relation no row reduced is expanded by its check alone.  Each
-    # weight's rows and certificate share one certifier
+    # a cold solve to weight 10 expands each of its 1039 relations at most
+    # once: a reduced row's combination is held for its check, which drops
+    # it, a shuffle relation no row reduced whose dual partner's
+    # combination came first is checked on it relabeled, and any other
+    # relation no row reduced is expanded by its check alone: 893
+    # expansions and 146 relabeled partners.  Each weight's rows and
+    # certificate share one certifier
     calls = []
     honest = algebra_mod._product_codes
 
@@ -1369,12 +1372,16 @@ def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
         calls.append(args)
         return honest(*args)
 
-    certifiers = []
+    certifiers, relabeled = [], []
 
     class Recording(Certifier):
         def __init__(self, tables):
             super().__init__(tables)
             certifiers.append(self)
+
+        def holds_dual(self, desc, *args):
+            relabeled.append(desc)
+            return super().holds_dual(desc, *args)
 
     monkeypatch.setattr(algebra_mod, "_product_codes", counting)
     monkeypatch.setattr(solver_mod, "Certifier", Recording)
@@ -1382,7 +1389,10 @@ def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
     for w in range(2, 11):
         tables[w] = solve_weight(w, tables)
         assert not any(certifier.held for certifier in certifiers), w
-    assert len(calls) == sum(len(relation_descriptors(w)) for w in range(3, 11)) == 1039
+    assert len(calls) + len(relabeled) == sum(
+        len(relation_descriptors(w)) for w in range(3, 11)) == 1039
+    assert len(set(relabeled)) == len(relabeled) == 146
+    assert not set(relabeled) & set(calls)
     assert len(certifiers) == 8
     golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
                         .read_text())["tables"]

@@ -216,6 +216,42 @@ def test_packed_check_rejects_a_residue_that_cancels_across_slots(tables8):
     assert certifier.scaled(4).bits > s
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_dual_pairs_reject_what_each_relation_rejects_on_its_own(tables12, perturbed):
+    # rejects checks a shuffle relation's dual partner on its combination
+    # relabeled; each relation checked on its own expansion gives the same
+    # failures, in list order, on the true tables and with one entry of the
+    # weight's table off by a third
+    tables, _ = tables12
+    relabeled = []
+
+    class Recording(Certifier):
+        def holds_dual(self, desc, *args):
+            relabeled.append(desc)
+            return super().holds_dual(desc, *args)
+
+    for w in range(6, 11):
+        checked = dict(tables)
+        if perturbed:
+            entries = dict(tables[w].entries)
+            x = max(entries, key=lambda y: len(entries[y]))
+            entries[x] = dict(entries[x])
+            entries[x][next(iter(entries[x]))] += Fraction(1, 3)
+            checked[w] = SolvedWeight(w, tables[w].generators, entries)
+        descs = relation_descriptors(w, ALL_KINDS)
+        own = Certifier(checked)
+        expected = [d for d in descs if not own.holds(d)]
+        relabeled.clear()
+        certifier = Recording(checked)
+        assert certifier.rejects(descs) == expected, w
+        assert not certifier.held
+        shuffles = sum(d[0] == "shuffle" for d in descs)
+        assert 0 < len(relabeled) < shuffles / 2 + 1, w
+        assert bool(expected) == perturbed, w
+        if perturbed:
+            assert set(relabeled) & set(expected), w
+
+
 def test_recheck_counts_the_monomials_a_failure_leaves(tables8):
     tables = dict(tables8)
     tables[4] = SolvedWeight(4, [], {x: {} for x in tables8[4].entries})

@@ -11,8 +11,11 @@ import pytest
 from zetaforge.lyndon import candidate_words, elimination_order
 from zetaforge.words import (
     admissible_words,
+    code,
     compositions,
+    decoder,
     dual,
+    dual_codes,
     from_binary,
     is_admissible,
     is_lyndon,
@@ -87,6 +90,13 @@ def test_admissible_count_is_power_of_two():
     assert admissible_words(1) == []
 
 
+def test_decoder_lists_every_composition_in_enumeration_order():
+    # each decoder is built from the lower ones; its keys and their order
+    # are the enumeration's
+    for total in range(0, 15):
+        assert list(decoder(total).items()) == [(code(x), x) for x in compositions(total)]
+
+
 # ---------------------------------------------------------- binary encoding
 
 def test_binary_encoding_frozen_cases():
@@ -129,6 +139,14 @@ def test_dual_is_weight_preserving_involution():
             assert weight(d) == w
             assert len(d) == w - len(x)
             assert dual(d) == x
+
+
+def test_dual_codes_reverse_and_swap_the_encoding():
+    swap = str.maketrans("XY", "YX")
+    for w in range(2, 12):
+        expected = {code(x): code(from_binary(to_binary(x).translate(swap)[::-1]))
+                    for x in admissible_words(w)}
+        assert dual_codes(w) == expected
 
 
 def test_dual_rejects_non_admissible():
