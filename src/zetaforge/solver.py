@@ -23,18 +23,24 @@ which the certificate checks in full.
 2. Bracketed elimination.  Every other row (regularized, shuffle product,
    optionally duality) is reduced against every bracket; what is left is
    led by a Lyndon word of the weight, and its install clears that lead
-   from every bracket, family brackets included.  Words that never lead a
-   bracket survive as this weight's generators.  A pivot installed before
-   the deeper brackets exist is named by few brackets, so installing it
-   rewrites few; that is why the regularized rows come depth by depth.
-   The order is free otherwise: whatever it is, the
-   table is the unique reduced row-echelon form shown below.  Once the
-   Lyndon brackets reach the conjectured rank, the number of Lyndon words
-   less the number of odd Lyndon words (the generator count that ``verify
-   --dims`` checks), the remaining rows are neither expanded nor reduced:
-   the certificate checks them with every other relation.  The pass with
-   that target passes rows over; if it fails after passing rows over, the
-   weight is reduced again under the same modulus with every row.
+   from every bracket that names it, family brackets included, found
+   through a column index (:attr:`MasterExpression.users`).  Words that
+   never lead a bracket survive as this weight's generators.  A pivot
+   installed before the deeper brackets exist is named by few brackets, so
+   installing it rewrites few; that is why the regularized rows come depth
+   by depth.  After them come the shuffle rows, by the column of their
+   heavier factor in the elimination order of its own weight,
+   first-eliminated first (ties in list order), then the duality rows in
+   list order: the few pivots the regularized rows leave are found after 3,
+   5, 10, 11 and 27 shuffle rows at weights 9 to 13, against 4, 66, 134,
+   264 and 522 in list order.  The order sets only the cost: whatever it
+   is, the table is the unique reduced row-echelon form shown below.  Once
+   the Lyndon brackets reach the conjectured rank, the number of Lyndon
+   words less the number of odd Lyndon words (the generator count that
+   ``verify --dims`` checks), the remaining rows are neither expanded nor
+   reduced: the certificate checks them with every other relation.  The
+   pass with that target passes rows over; if it fails after passing rows
+   over, the weight is reduced again under the same modulus with every row.
 
 3. Assembly.  Each bracket names, besides its lead, only survivors and
    monomials, so every admissible word of the weight maps to a combination
@@ -44,29 +50,29 @@ which the certificate checks in full.
 Every row, canonical rows included, is expanded exactly in integers by the
 one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its code and its own column, and a product pair's tabled value
-``T(u) T(v)`` subtracted, over the lower tables scaled to integers once,
-in the weight's one :class:`Certifier`), and its image mod p is reduced by
-one routine, :meth:`MasterExpression.reduce`.  Each relation is expanded
-at most once per weight: that certifier holds a row's combination, as
-arrays of its codes and their coefficients, until the certificate checks
-the relation and drops it; a shuffle relation no row reduced is checked
-on its dual partner's combination relabeled when that came first, and any
-other relation no row reduced is expanded by its check alone.  Each
-product pair's tabled value is computed once per weight, by
+``T(u) T(v)`` subtracted, over the lower tables scaled to integers once, in
+the weight's one :class:`Certifier`), and reduced by one routine,
+:meth:`MasterExpression.reduce`, in integers, then taken mod p once.  Each
+relation is expanded at most once per weight: that certifier holds a row's
+combination, as arrays of its codes and their coefficients, until the
+certificate checks the relation and drops it; a shuffle relation no row
+reduced is checked on its dual partner's combination relabeled when that
+came first, and any other relation no row reduced is expanded by its check
+alone.  Each product pair's tabled value is computed once per weight, by
 :meth:`Certifier.product`, and read by the pair's stuffle row, its shuffle
 row and the certificate of both.  The brackets form one fully-reduced
-echelon: each bracket has lead 1 and no entry at another lead.  Each
-table coefficient is rebuilt once by Wang's rational reconstruction, and
-then *every* relation of the weight is certified exactly, on the same
-certifier, by :meth:`Certifier.certify`: substituted through the lower
-tables and the new one, with each word's integer vector packed into one
-integer under a slot bound that makes the comparison with zero exact, it
-must give zero (the same check ``verify`` runs).  A modulus under which a
-non-Lyndon word is left without a bracket, a relation reduces to 0 =
-nonzero, a stuffle row leads at a Lyndon word or another row at a
-non-Lyndon word, a residue has no small rational preimage, or the
-certificate rejects a relation is replaced by the next one in ``PRIMES``;
-when none is left the solve fails, so no table leaves uncertified.
+echelon: each bracket has lead 1 and no entry at another lead.  Each table
+coefficient is rebuilt once by Wang's rational reconstruction, and then
+*every* relation of the weight is certified exactly, on the same certifier,
+by :meth:`Certifier.certify`: substituted through the lower tables and the
+new one, with each word's integer vector packed into one integer under a
+slot bound that makes the comparison with zero exact, it must give zero
+(the same check ``verify`` runs).  A modulus under which a non-Lyndon word
+is left without a bracket, a relation reduces to 0 = nonzero, a stuffle row
+leads at a Lyndon word or another row at a non-Lyndon word, a residue has
+no small rational preimage, or the certificate rejects a relation is
+replaced by the next one in ``PRIMES``; when none is left the solve fails,
+so no table leaves uncertified.
 
 Why the certificate pins the bytes, whatever the modulus and the row order:
 
@@ -228,9 +234,19 @@ def expand_row(
     product pair's scaled value ``product(pair)`` (a denominator and an
     integer combination of monomials, :meth:`Certifier.product`)
     subtracted, and every denominator cleared with their lcm.  Zero entries
-    are dropped."""
+    are dropped.  Without ``entry`` that is ``den * combo`` and minus the
+    product, written down directly: word codes and monomials never share a
+    key, and neither side holds a zero."""
     w, combo, pair = relation
-    terms = [(1, 1, combo)] if entry is None else [(c, *entry(w, x)) for x, c in combo.items()]
+    if entry is None:
+        if pair is None:
+            return dict(combo)
+        den, value = product(pair)
+        residue = {x: den * c for x, c in combo.items()}
+        for m, v in value.items():
+            residue[m] = -v
+        return residue
+    terms = [(c, *entry(w, x)) for x, c in combo.items()]
     if pair is not None:
         terms.append((-1, *product(pair)))
     lcd = math.lcm(*(den for _, den, _ in terms))
@@ -477,16 +493,6 @@ class Certifier:
 
 # --------------------------------------------------------- family reduction
 
-def _add_mod(target: dict, other: dict, scale: int, p: int) -> None:
-    """``target += scale * other`` modulo ``p``, in place, dropping zeros."""
-    for k, v in other.items():
-        x = (target.get(k, 0) + scale * v) % p
-        if x:
-            target[k] = x
-        else:
-            target.pop(k, None)
-
-
 def canonical_row(x: Word) -> tuple:
     """The stuffle descriptor of the non-Lyndon admissible word ``x``:
     the product of its first Lyndon factor (:func:`lyndon_factorization`)
@@ -524,6 +530,10 @@ def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
     can happen where the rationals would not.
     """
     family = list(enumerate(master.columns[:master.n_family]))
+    regularized: dict[int, list[tuple]] = {}
+    for desc in relations:
+        if desc[0] == "hoffman":
+            regularized.setdefault(len(desc[1]) + 1, []).append(desc)
     for depth in range(2, master.weight):
         words = [(k, x) for k, x in family if len(x) == depth]
         for _, x in words:
@@ -534,9 +544,8 @@ def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
                 f"weight {master.weight}: {[render_word(x) for x in missing]} left without a "
                 f"family bracket"
             )
-        for desc in relations:
-            if desc[0] == "hoffman" and len(desc[1]) + 1 == depth:
-                master.absorb(desc)
+        for desc in regularized.get(depth, ()):
+            master.absorb(desc)
 
 
 # ------------------------------------------------------ bracketed elimination
@@ -591,15 +600,21 @@ class MasterExpression:
     lead.  The canonical stuffle rows of :func:`family_phase`, one per
     non-Lyndon word, install the brackets led by non-Lyndon words, the
     elimination rows of :meth:`absorb` those led by Lyndon words.
-    :meth:`reduce` clears a row in one pass over its leads and installs
-    what is left, rewriting every bracket that names the new lead;
-    :meth:`back_substitute` only names the right-hand sides.
+    ``users`` maps each word column that some bracket names, other than
+    its lead, to the leads of the brackets that name it; monomial columns
+    are never leads and are not indexed.  :meth:`reduce` clears a row's
+    exact integers in one pass over its leads, takes what is left mod p
+    and installs it, rewriting the brackets that ``users`` files under the
+    new lead, and no other; :meth:`back_substitute` only names the
+    right-hand sides.
 
     Rows may come in any order: the table is the unique reduced row-echelon
     form of their span (see the module docstring), so the order sets only
-    the cost, through the brackets each install rewrites; ``solve_weight``
-    feeds the weight's descriptor list, depth by depth through
-    :func:`family_phase`, then its shuffle and duality rows in list order.
+    the cost, through the rows reduced before the rank target and the
+    brackets each install rewrites; ``solve_weight`` feeds the weight's
+    descriptor list, depth by depth through :func:`family_phase`, then its
+    shuffle rows in their heavier factor's column order and its duality
+    rows in list order.
 
     ``installed`` counts the (Lyndon-led) brackets :meth:`absorb` installed,
     ``absorbed`` the rows it was given, of the ``n_rows`` a solve gives it,
@@ -628,6 +643,7 @@ class MasterExpression:
         self.mono_ids: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
         self.pivots: dict[int, dict[int, int]] = {}
+        self.users: dict[int, set[int]] = {}
         self.entries: dict[Word, dict[Monomial, int]] = {}
         self.installed = 0
         self.absorbed = 0
@@ -669,15 +685,17 @@ class MasterExpression:
         return row
 
     def reduce(self, desc: tuple) -> bool:
-        """Reduce the row of ``desc`` mod p against ``pivots`` and install
-        what is left as a bracket at its lowest column, rewriting every
-        bracket that names that column.  Returns False when nothing is left.
-        A stuffle row must lead at a non-Lyndon word and any other row at a
-        Lyndon word; another lead raises :class:`InconsistentRelation`."""
+        """Reduce the integer row of ``desc`` against ``pivots``, take it
+        mod p once, and install what is left as a bracket at its lowest
+        column, rewriting the brackets that name that column (``users``).
+        Returns False when nothing is left.  A stuffle row must lead at a
+        non-Lyndon word and any other row at a Lyndon word; another lead
+        raises :class:`InconsistentRelation`."""
         p, pivots = self.prime, self.pivots
-        row = {k: v % p for k, v in self.integer_row(desc).items()}
+        row = self.integer_row(desc)
         # each bracket has lead 1 and no entry at another lead, so
-        # subtracting it clears its lead and no other
+        # subtracting it clears its lead and no other: every scale is the
+        # row's own integer at that lead
         for lead in [k for k in row if k in pivots]:
             scale = row[lead]
             for k, v in pivots[lead].items():
@@ -686,27 +704,46 @@ class MasterExpression:
         if not row:
             return False
         lead = min(row)
-        if lead >= self.n_words:
+        n_words, n_family, users = self.n_words, self.n_family, self.users
+        if lead >= n_words:
             raise InconsistentRelation(f"{describe(desc)}: reduced to 0 = nonzero")
-        if (lead < self.n_family) != (desc[0] == "stuffle"):
+        if (lead < n_family) != (desc[0] == "stuffle"):
             raise InconsistentRelation(
                 f"{describe(desc)}: left a relation led by {render_word(self.columns[lead])}"
             )
         inv = pow(row[lead], -1, p)
         bracket = {k: v * inv % p for k, v in row.items()}
-        n_family = self.n_family
-        for other_lead, other in pivots.items():
-            c = other.get(lead)
-            if c:
-                size = len(other)
-                _add_mod(other, bracket, -c, p)
-                self.bracket_updates += 1
-                if other_lead >= n_family:
-                    self.terms += len(other) - size
+        # rewrite each bracket that names the lead, keeping the index: a
+        # word column it brings in names it, one that cancels no longer
+        for other_lead in users.pop(lead, ()):
+            other = pivots[other_lead]
+            c, size = other[lead], len(other)
+            for k, v in bracket.items():
+                old = other.get(k)
+                if x := ((old or 0) - c * v) % p:
+                    other[k] = x
+                    if old is None and k < n_words:
+                        users.setdefault(k, set()).add(other_lead)
+                else:  # c * v is not 0 mod p, so k was named
+                    del other[k]
+                    if k != lead and k < n_words:
+                        users[k].discard(other_lead)
+            self.bracket_updates += 1
+            if other_lead >= n_family:
+                self.terms += len(other) - size
+        self._file(lead, bracket)
         pivots[lead] = bracket
         if lead >= n_family:
             self.terms += len(bracket)
         return True
+
+    def _file(self, lead: int, bracket: dict[int, int]) -> None:
+        """File ``lead`` in ``users`` under each word column of its bracket
+        but the lead."""
+        users, n_words = self.users, self.n_words
+        for k in bracket:
+            if k != lead and k < n_words:
+                users.setdefault(k, set()).add(lead)
 
     def absorb(self, desc: tuple) -> bool:
         """Reduce one elimination row into ``pivots``.  Returns True when the
@@ -744,7 +781,8 @@ class MasterExpression:
         unless the monomials are distinct products of the weight, each
         bracket is led by its own word column with 1, its integer columns
         lie in the space and its coefficients in ``[1, p)``, and
-        ``installed`` counts the Lyndon-led brackets."""
+        ``installed`` counts the Lyndon-led brackets.  ``users`` is rebuilt
+        from the brackets."""
         monomials = [tuple(map(tuple, m)) for m in state["monomials"]]
         if len(set(monomials)) < len(monomials) or any(
             len(m) < 2 or sum(map(weight, m)) != self.weight for m in monomials
@@ -768,6 +806,9 @@ class MasterExpression:
             raise ValueError(f"counters {counters!r} do not fit the brackets")
         self.monomials, self.mono_ids = monomials, {m: i for i, m in enumerate(monomials)}
         self.pivots = pivots
+        self.users = {}
+        for lead, bracket in pivots.items():
+            self._file(lead, bracket)
         self.terms = sum(len(b) for lead, b in pivots.items() if lead >= self.n_family)
         self.installed, self.absorbed, self.peak_terms, self.bracket_updates = counters
 
@@ -776,13 +817,13 @@ class MasterExpression:
         (its word is minus the rest, a word ``y`` of the weight as the
         monomial ``(y,)``), popping its bracket from ``pivots``.  The echelon
         is fully reduced, so each bracket already names only its lead,
-        survivors and monomials."""
+        survivors and monomials.  ``users`` is dropped with the brackets."""
         p, pivots = self.prime, self.pivots
         names = [(x,) for x in self.columns] + self.monomials
         for lead in list(pivots):
             rhs = {names[k]: -v % p for k, v in pivots.pop(lead).items() if k != lead}
             self.entries[self.columns[lead]] = rhs
-        self.terms = 0
+        self.users, self.terms = {}, 0
 
 
 # ------------------------------------------------------------- checkpointing
@@ -907,6 +948,13 @@ def solve_weight(
     relations = relation_descriptors(w, kinds)
     lower = Certifier(tables)
     n_rows = sum(desc[0] != "stuffle" for desc in relations)
+    # after the family phase, the shuffle rows by the column of their
+    # heavier factor in its own weight, first-eliminated first: they find
+    # the few pivots the regularized rows leave within the first rows, so
+    # the rank target passes over the rest; then the duality rows
+    shuffle = [desc for desc in relations if desc[0] == "shuffle"]
+    shuffle.sort(key=lambda desc: elimination_order(weight(desc[2]))[desc[2]])
+    rows = shuffle + [desc for desc in relations if desc[0] == "duality"]
     target = rank_target(columns)
     family_seconds = certify_seconds = 0.0
     started = time.monotonic()
@@ -928,9 +976,8 @@ def solve_weight(
                 finally:
                     family_seconds += time.monotonic() - t0
                 # ---- bracketed elimination and assembly
-                for desc in relations:
-                    if desc[0] not in ("stuffle", "hoffman"):
-                        master.absorb(desc)
+                for desc in rows:
+                    master.absorb(desc)
                 master.back_substitute()
                 solved = _assemble(w, master)
             except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
@@ -960,11 +1007,7 @@ def solve_weight(
 
     # each row installed a pivot or was redundant: reduced to nothing, or skipped
     redundant = n_rows - master.installed
-    height = max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length())
-         for entry in solved.entries.values() for c in entry.values()),
-        default=0,
-    )
+    height = solved.stats["max_coeff_bits"]
     solved.stats = {
         "families_seconds": round(family_seconds, 3),
         "elimination_seconds": round(elimination_seconds, 3),
@@ -999,7 +1042,9 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
     every other word's entry mod p, each coefficient rebuilt by
     :func:`rational`, each distinct residue once.  Each entry mod p is
     popped from ``master.entries`` as it is rebuilt, so the residues are
-    gone before the certificate runs."""
+    gone before the certificate runs.  ``stats["max_coeff_bits"]`` is the
+    largest numerator or denominator bit length in the table, read off the
+    distinct coefficients (a survivor's 1 among them)."""
     p = master.prime
     survivors = [x for x in master.columns if x not in master.entries]
     table: dict[Word, Entry] = {x: {(x,): Fraction(1)} for x in survivors}
@@ -1011,11 +1056,16 @@ def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
             if q is None:
                 q = rebuilt[c] = rational(c, p)
             entry[m] = q
-    return SolvedWeight(
+    solved = SolvedWeight(
         weight=w,
         generators=sorted(survivors, key=listing_key),
         entries=table,
     )
+    solved.stats["max_coeff_bits"] = max(
+        (max(q.numerator.bit_length(), q.denominator.bit_length()) for q in rebuilt.values()),
+        default=1 if survivors else 0,
+    )
+    return solved
 
 
 # ---------------------------------------------------------------- rendering

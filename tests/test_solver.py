@@ -848,11 +848,12 @@ def test_elimination_progress_logged_at_debug_only(monkeypatch, caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
         solve_weight(8, lower)
     lines = [r.getMessage() for r in caplog.records if "rows absorbed" in r.getMessage()]
-    # weight 8 consumes 74 rows and ends with 29 pivots
+    # weight 8 consumes 74 rows and ends with 29 pivots, the last of them
+    # from its second shuffle row
     assert lines == [
         "weight 8: 16/74 rows absorbed, 15 pivots",
         "weight 8: 32/74 rows absorbed, 28 pivots",
-        "weight 8: 48/74 rows absorbed, 28 pivots",
+        "weight 8: 48/74 rows absorbed, 29 pivots",
         "weight 8: 64/74 rows absorbed, 29 pivots",
     ]
     assert capsys.readouterr().out == ""
@@ -1125,8 +1126,11 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monk
         assert all(d > depth for x, d in seen[i:] if x[0] == "stuffle"), describe(desc)
     # within a layer, in descriptor order
     assert [desc for _, desc, _ in layered] == sorted(hoffman, key=lambda desc: len(desc[1]))
-    # then the 42 shuffle rows, in descriptor order
-    assert [desc for desc, _ in seen[-len(shuffle):]] == shuffle
+    # then the 42 shuffle rows, by the column of their heavier factor in
+    # its own weight, first-eliminated first, ties in descriptor order
+    ordered = sorted(shuffle, key=lambda desc: elimination_order(weight(desc[2]))[desc[2]])
+    assert ordered != shuffle
+    assert [desc for desc, _ in seen[-len(shuffle):]] == ordered
     assert len(seen) == len(reduced) + len(hoffman) + len(shuffle)
 
 
@@ -1183,8 +1187,9 @@ def test_a_family_phase_stopped_at_the_rank_target_writes_no_checkpoint(
 
 
 def test_rows_past_the_rank_target_are_absorbed_unreduced(monkeypatch, tables8, tables12):
-    # weight 8 reaches its 29 pivots at its 50th row; absorb still sees all
-    # 74 rows, but the last 24 are neither expanded nor reduced
+    # weight 8 reaches its 29 pivots at its 34th row, its second shuffle
+    # row; absorb still sees all 74 rows, but the last 40 are neither
+    # expanded nor reduced
     events = []
     honest_absorb, honest_reduce = MasterExpression.absorb, MasterExpression.reduce
 
@@ -1201,12 +1206,44 @@ def test_rows_past_the_rank_target_are_absorbed_unreduced(monkeypatch, tables8, 
     monkeypatch.setattr(MasterExpression, "reduce", reduce)
     solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
     assert render_table(solved) == render_table(tables8[8])
-    assert events == ["absorb", "reduce"] * 50 + ["absorb"] * 24
-    assert (solved.stats["rows"], solved.stats["reduced_rows"]) == (74, 50)
+    assert events == ["absorb", "reduce"] * 34 + ["absorb"] * 40
+    assert (solved.stats["rows"], solved.stats["reduced_rows"]) == (74, 34)
     assert (solved.stats["pivots"], solved.stats["redundant_rows"]) == GOLDEN_COUNTS[8]
-    # weight 10 reduces 194 of its 356 rows and only certifies the other 162
+    # weight 10 reduces 133 of its 356 rows and only certifies the other 223
     tables, _ = tables12
-    assert (tables[10].stats["rows"], tables[10].stats["reduced_rows"]) == (356, 194)
+    assert (tables[10].stats["rows"], tables[10].stats["reduced_rows"]) == (356, 133)
+
+
+def test_shuffle_rows_come_in_their_heavier_factors_column_order(monkeypatch, tables12):
+    # every shuffle row reaches absorb, ordered by the column of its heavier
+    # factor v in elimination_order(weight(v)), first-eliminated first; the
+    # rank target then stops after 3, 5, 10 and 11 reduced shuffle rows at
+    # weights 9 to 12 (4, 66, 134 and 264 in descriptor order)
+    tables, _ = tables12
+    absorbed, reduced = [], []
+    honest_absorb, honest_reduce = MasterExpression.absorb, MasterExpression.reduce
+
+    def absorb(self, desc):
+        absorbed.append(desc)
+        return honest_absorb(self, desc)
+
+    def reduce(self, desc):
+        reduced.append(desc)
+        return honest_reduce(self, desc)
+
+    monkeypatch.setattr(MasterExpression, "absorb", absorb)
+    monkeypatch.setattr(MasterExpression, "reduce", reduce)
+    counts = {}
+    for w in range(9, 13):
+        absorbed.clear()
+        reduced.clear()
+        solved = solve_weight(w, {k: t for k, t in tables.items() if k < w})
+        assert render_table(solved) == render_table(tables[w]), w
+        shuffle = relation_descriptors(w, ("shuffle",))
+        ordered = sorted(shuffle, key=lambda desc: elimination_order(weight(desc[2]))[desc[2]])
+        assert [desc for desc in absorbed if desc[0] == "shuffle"] == ordered, w
+        counts[w] = sum(desc[0] == "shuffle" for desc in reduced)
+    assert counts == {9: 3, 10: 5, 11: 10, 12: 11}
 
 
 def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8):
@@ -1244,15 +1281,17 @@ def test_each_product_pair_is_tabled_once_per_weight(monkeypatch, tables8):
 
 def test_bracket_updates_are_pinned_at_weights_10_to_12(tables12):
     # with each depth's regularized rows absorbed before any deeper family
-    # bracket is built, and each depth's canonical stuffle rows alone
-    # reduced, in column order, the installs of weights 10, 11 and 12
-    # rewrite 2281, 7493 and 20844 brackets (2394, 7812 and 21972 with the
-    # canonical rows in list order; 2435, 7931 and 22278 when every stuffle
-    # row was reduced in list order; 5747 at weight 10 when every family
-    # bracket was built before the first Lyndon pivot), and at most 874,
-    # 2569 and 5356 terms are live in Lyndon-led brackets
+    # bracket is built, each depth's canonical stuffle rows alone reduced,
+    # in column order, and the shuffle rows in their heavier factor's
+    # column order, the installs of weights 10, 11 and 12 rewrite 2205,
+    # 7512 and 20718 brackets (2281, 7493 and 20844 with the shuffle rows
+    # in list order; 2394, 7812 and 21972 with the canonical rows in list
+    # order too; 2435, 7931 and 22278 when every stuffle row was reduced in
+    # list order; 5747 at weight 10 when every family bracket was built
+    # before the first Lyndon pivot), and at most 874, 2569 and 5356 terms
+    # are live in Lyndon-led brackets
     tables, _ = tables12
-    pinned = {10: (2281, 874), 11: (7493, 2569), 12: (20844, 5356)}
+    pinned = {10: (2205, 874), 11: (7512, 2569), 12: (20718, 5356)}
     for w, (updates, terms) in pinned.items():
         assert tables[w].stats["bracket_updates"] == updates, w
         assert tables[w].stats["max_bracket_terms"] == terms, w
@@ -1295,6 +1334,30 @@ def test_the_family_phase_reduces_one_stuffle_row_per_non_lyndon_word(tables12):
         assert tables[w].stats["family_rows"] == non_lyndon, w
     assert len(relation_descriptors(10, ("stuffle",))) == 228
     assert tables[10].stats["family_rows"] == 157
+
+
+def test_no_family_install_rewrites_a_bracket(monkeypatch, tables12):
+    # at weights 3 to 12 each canonical row installs at a non-Lyndon word
+    # that no bracket names yet: no family install finds a bracket to
+    # rewrite through the column index
+    tables, _ = tables12
+    honest = MasterExpression.reduce
+    rewrites = []
+
+    def reduce(self, desc):
+        before = self.bracket_updates
+        installed = honest(self, desc)
+        if desc[0] == "stuffle":
+            assert installed, describe(desc)
+            rewrites.append(self.bracket_updates - before)
+        return installed
+
+    monkeypatch.setattr(MasterExpression, "reduce", reduce)
+    for w in range(3, 13):
+        lower = Certifier({k: t for k, t in tables.items() if k < w})
+        family_phase(MasterExpression(list(elimination_order(w)), lower), relation_descriptors(w))
+    assert len(rewrites) == sum(t.stats["family_rows"] for t in tables.values() if t.stats)
+    assert not any(rewrites)
 
 
 def test_the_rerun_after_a_failed_target_pass_takes_up_the_checkpoint(
@@ -1362,8 +1425,8 @@ def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
     # once: a reduced row's combination is held for its check, which drops
     # it, a shuffle relation no row reduced whose dual partner's
     # combination came first is checked on it relabeled, and any other
-    # relation no row reduced is expanded by its check alone: 893
-    # expansions and 146 relabeled partners.  Each weight's rows and
+    # relation no row reduced is expanded by its check alone: 861
+    # expansions and 178 relabeled partners.  Each weight's rows and
     # certificate share one certifier
     calls = []
     honest = algebra_mod._product_codes
@@ -1391,7 +1454,7 @@ def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
         assert not any(certifier.held for certifier in certifiers), w
     assert len(calls) + len(relabeled) == sum(
         len(relation_descriptors(w)) for w in range(3, 11)) == 1039
-    assert len(set(relabeled)) == len(relabeled) == 146
+    assert len(set(relabeled)) == len(relabeled) == 178
     assert not set(relabeled) & set(calls)
     assert len(certifiers) == 8
     golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
@@ -1425,13 +1488,16 @@ def test_traced_benchmark_pass_sees_every_row(tmp_path):
 
 def test_weights_2_to_9_solve_to_the_golden_digests_under_python_3_10():
     # pyproject.toml declares requires-python >= 3.10; its oldest release
-    # must give the same bytes
+    # must give the same bytes; a pyenv shim runs it only once a version is
+    # selected, so the probe is retried with PYENV_VERSION set
     exe = shutil.which("python3.10")
-    probe = exe and subprocess.run(
-        [exe, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"],
-        capture_output=True, timeout=60,
-    )
-    if not exe or probe.returncode:
+    if not exe:
+        pytest.skip("no python3.10 on PATH")
+    probe = [exe, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"]
+    for env in (dict(os.environ), dict(os.environ, PYENV_VERSION="3.10")):
+        if subprocess.run(probe, env=env, capture_output=True, timeout=60).returncode == 0:
+            break
+    else:
         pytest.skip("no working python3.10 on PATH")
     root = Path(__file__).resolve().parents[1]
     code = (
@@ -1442,7 +1508,7 @@ def test_weights_2_to_9_solve_to_the_golden_digests_under_python_3_10():
         " for w, t in tables.items()}))\n"
     )
     proc = subprocess.run(
-        [exe, "-c", code], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        [exe, "-c", code], env=dict(env, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1482,9 +1548,21 @@ def test_integer_rows_are_positive_multiples_of_fraction_rows(tables8):
         assert not any(master.reduce(desc) for desc in stuffle)
 
 
+def _users(master):
+    """The column index ``users`` rebuilt from the brackets: each word
+    column to the leads of the other brackets that name it."""
+    users = {}
+    for lead, bracket in master.pivots.items():
+        for k in bracket:
+            if k != lead and k < master.n_words:
+                users.setdefault(k, set()).add(lead)
+    return users
+
+
 def test_every_install_keeps_one_fully_reduced_echelon(monkeypatch):
     # after every install, by a stuffle row or an elimination row, each
-    # bracket has 1 at its lead and no entry at another bracket's lead
+    # bracket has 1 at its lead and no entry at another bracket's lead, and
+    # the column index names exactly the brackets that name each word column
     honest = MasterExpression.reduce
     installs = []
 
@@ -1495,6 +1573,7 @@ def test_every_install_keeps_one_fully_reduced_echelon(monkeypatch):
             for lead, bracket in self.pivots.items():
                 assert bracket[lead] == 1, describe(desc)
                 assert bracket.keys() & self.pivots.keys() == {lead}, describe(desc)
+            assert {k: v for k, v in self.users.items() if v} == _users(self), describe(desc)
         return installed
 
     monkeypatch.setattr(MasterExpression, "reduce", checked)
@@ -1579,12 +1658,17 @@ def test_the_live_term_count_follows_installs_and_restores(tables8):
     taken = MasterExpression(columns, certifier)
     taken.restore(json.loads(json.dumps(made.state())))
     assert taken.terms == made.terms == live(made) > 0
+    # the restored index is the one the installs kept
+    assert taken.users == {k: v for k, v in made.users.items() if v} == _users(made)
     for desc in relations:
         if desc[0] not in ("stuffle", "hoffman"):
             made.absorb(desc)
             taken.absorb(desc)
             assert taken.terms == made.terms == live(made)
+            assert {k: v for k, v in taken.users.items() if v} == _users(made)
     assert taken.peak_terms == made.peak_terms == tables8[8].stats["max_bracket_terms"]
+    made.back_substitute()
+    assert made.users == {}
 
 
 def test_peak_terms_is_the_largest_live_count():
