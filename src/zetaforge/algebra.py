@@ -11,8 +11,7 @@ with the regularized relations built from the divergent index 1 and the
 duality relations they form the one relation set.  Each relation instance
 is a ``(kind, *words)`` descriptor, and the ``gen`` dump
 (:func:`relation_dump`), the solver and the verifier all read relations
-only through :func:`relation_descriptors` and :func:`relation_codes` (or
-:func:`relation_shape`, its weight and product pair alone).
+only through :func:`relation_descriptors` and :func:`relation_codes`.
 
 Expansions are computed on integer word codes
 (:func:`~zetaforge.words.code`; the words of one expansion share a weight).
@@ -308,33 +307,22 @@ def relation_descriptors(w: int, kinds=DEFAULT_KINDS) -> list[tuple]:
     return [desc for kind in RELATION_KINDS if kind in ks for desc in _instances(w, kind)]
 
 
-def relation_shape(desc: tuple) -> tuple[int, tuple[Word, Word] | None]:
-    """The weight of a relation instance and the product pair it equals, or
-    None: :func:`relation_codes` without the combination, read off the
-    descriptor."""
-    kind = desc[0]
-    if kind in ("stuffle", "shuffle"):
-        u, v = desc[1:]
-        return weight(u) + weight(v), (u, v)
-    if kind in ("hoffman", "duality"):
-        return weight(desc[1]) + (kind == "hoffman"), None
-    raise ValueError(f"unknown relation descriptor {desc!r}")
-
-
 def relation_codes(desc: tuple) -> Expansion:
     """One relation instance expanded on codes: its weight ``w``, its
     integer combination of the codes of words of weight ``w``, and the
     product pair ``(u, v)`` it equals, or None when the combination is zero
     outright."""
-    w, pair = relation_shape(desc)
-    if pair is not None:
-        combo = _product_codes(desc[0], *pair)
-    elif desc[0] == "hoffman":
-        combo = _hoffman_codes(desc[1])
-    else:
+    kind = desc[0]
+    if kind in ("stuffle", "shuffle"):
+        u, v = desc[1:]
+        return weight(u) + weight(v), _product_codes(kind, u, v), (u, v)
+    if kind == "hoffman":
+        return weight(desc[1]) + 1, _hoffman_codes(desc[1]), None
+    if kind == "duality":
         combo = {code(desc[1]): 1}
         add_term(combo, code(dual(desc[1])), -1)
-    return w, combo, pair
+        return weight(desc[1]), combo, None
+    raise ValueError(f"unknown relation descriptor {desc!r}")
 
 
 def expand_relation(desc: tuple) -> tuple[dict[Word, int], tuple[Word, Word] | None]:

@@ -38,9 +38,12 @@ which the certificate checks in full.
    the Lyndon brackets reach the conjectured rank, the number of Lyndon
    words less the number of odd Lyndon words (the generator count that
    ``verify --dims`` checks), the remaining rows are neither expanded nor
-   reduced: the certificate checks them with every other relation.  The
-   pass with that target passes rows over; if it fails after passing rows
-   over, the weight is reduced again under the same modulus with every row.
+   reduced: the certificate checks them with every other relation.  They
+   cannot add rank while every lower weight has its odd-Lyndon count of
+   generators: the double-shuffle quotient maps onto the motivic MZVs,
+   whose dimensions Brown fixed (arXiv:1102.1312), and the rank mod p is
+   never more than the rank over Q.  So each modulus gets one pass, with
+   the target, and a failed pass moves to the next modulus.
 
 3. Assembly.  Each bracket names, besides its lead, only survivors and
    monomials, so every admissible word of the weight maps to a combination
@@ -52,13 +55,10 @@ one :func:`expand_row` (the relation's integer residue, each word of the
 weight as its code and its own column, and a product pair's tabled value
 ``T(u) T(v)`` subtracted, over the lower tables scaled to integers once, in
 the weight's one :class:`Certifier`), and reduced by one routine,
-:meth:`MasterExpression.reduce`, in integers, then taken mod p once.  Each
-relation is expanded at most once per weight: that certifier holds a row's
-combination, as arrays of its codes and their coefficients, until the
-certificate checks the relation and drops it; a shuffle relation no row
-reduced is checked on its dual partner's combination relabeled when that
-came first, and any other relation no row reduced is expanded by its check
-alone.  Each product pair's tabled value is computed once per weight, by
+:meth:`MasterExpression.reduce`, in integers, then taken mod p once.  The
+certificate expands each relation again, except a shuffle relation whose
+dual partner's combination came first, which it checks relabeled.  Each
+product pair's tabled value is computed once per weight, by
 :meth:`Certifier.product`, and read by the pair's stuffle row, its shuffle
 row and the certificate of both.  The brackets form one fully-reduced
 echelon: each bracket has lead 1 and no entry at another lead.  Each table
@@ -95,9 +95,8 @@ Tables persist as one text file per weight plus a manifest with content
 hashes.  The echelon left by the family phase is checkpointed once per
 weight, in its own column space (:meth:`MasterExpression.state`), with its
 modulus, so a crash in elimination redoes only the shuffle and duality rows
-of that weight.  The family phase does not depend on the rank target, so
-the rerun with every row takes it up too.  A checkpoint whose payload hash
-does not match is never reused.
+of that weight.  A failed pass clears it, since the next modulus writes
+its own.  A checkpoint whose payload hash does not match is never reused.
 """
 
 from __future__ import annotations
@@ -111,7 +110,6 @@ import re
 import sys
 import tempfile
 import time
-from array import array
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -129,7 +127,6 @@ from .algebra import (
     lc_mul,
     relation_codes,
     relation_descriptors,
-    relation_shape,
 )
 from .lyndon import elimination_order, listing_key, lyndon_factorization, odd_lyndon_words
 from .words import (
@@ -342,37 +339,17 @@ class Certifier:
     not change while a certifier uses it; one built later sees the tables
     as they are then.  A solve builds one certifier per weight and
     ``verify`` one per recheck, and nothing is reset per weight.  A
-    solve's rows expand on it, and :meth:`certify` then checks every
-    relation of the weight against each candidate table.
-
-    Each relation is expanded at most once per weight: :meth:`expand`
-    expands a row's relation and ``held`` keeps its combination, by
-    descriptor, as a pair of 64-bit integer arrays (the codes and their
-    coefficients), until :meth:`holds` checks that relation and drops it.
-    A relation no row expanded is expanded by its check alone, except a
-    shuffle relation whose dual partner :meth:`rejects` checked first: it
-    is checked on the partner's combination with every code mapped to its
-    dual's (:meth:`holds_dual`), so a recheck expands one shuffle product
-    per dual pair.  Nothing is held after a check of every relation that
-    was.  An array keeps no int object per term; a code of weight w is
-    below 2^w, and no coefficient reaches 2000 through weight 14, so both
-    fit in 64 bits far past any weight a solve reaches (``array`` raises
-    :class:`OverflowError` otherwise).
+    solve's rows take their products from it, and :meth:`certify` then
+    checks every relation of the weight against each candidate table,
+    each on its own expansion, except a shuffle relation whose dual
+    partner :meth:`rejects` checked first: that one is checked on the
+    partner's expansion relabeled (:meth:`holds_dual`).
     """
 
     def __init__(self, tables: dict[int, SolvedWeight]):
         self.tables = dict(tables)
-        self.held: dict[tuple, tuple[array, array]] = {}
         self._scaled: dict[int, _ScaledTable] = {}
         self._products: dict[tuple[Word, Word], tuple[int, dict[Monomial, int]]] = {}
-
-    def expand(self, desc: tuple) -> Expansion:
-        """The ``(w, combo, product)`` expansion of the relation ``desc``,
-        its combination held until :meth:`holds` checks it."""
-        expansion = relation_codes(desc)
-        combo = expansion[1]
-        self.held[desc] = array("q", combo), array("q", combo.values())
-        return expansion
 
     def scaled(self, k: int) -> _ScaledTable:
         """The weight-``k`` table in integers, built on first use."""
@@ -411,32 +388,20 @@ class Certifier:
         return self.rejects(descs)
 
     def holds(self, desc: tuple) -> bool:
-        """Whether the relation ``desc`` holds, by the packed check, on its
-        held combination (which it drops) or a fresh expansion."""
-        return self._check(*self._combination(desc))
+        """Whether the relation ``desc`` holds, by the packed check."""
+        return self._check(*relation_codes(desc))
 
-    def holds_dual(self, desc: tuple, w: int, codes, coefficients) -> bool:
-        """Whether the shuffle relation ``desc`` holds, given the codes and
-        coefficients of its dual partner's combination: each code mapped
-        through the duality table of the weight, and checked against the
-        product pair of ``desc``."""
+    def holds_dual(self, desc: tuple, w: int, combo: dict[int, int]) -> bool:
+        """Whether the shuffle relation ``desc`` holds, given its dual
+        partner's combination ``combo``: each code mapped through the
+        duality table of the weight, and checked against the product pair
+        of ``desc``."""
         duals = dual_codes(w)
-        return self._check(w, desc[1:], [duals[x] for x in codes], coefficients)
+        return self._check(w, {duals[x]: c for x, c in combo.items()}, desc[1:])
 
-    def _combination(self, desc: tuple) -> tuple:
-        """The weight, product pair, codes and coefficients of the relation
-        ``desc``: its held combination, which it drops, or a fresh
-        expansion."""
-        held = self.held.pop(desc, None) if self.held else None
-        if held is None:
-            w, combo, pair = relation_codes(desc)
-            return w, pair, combo.keys(), combo.values()
-        return *relation_shape(desc), *held
-
-    def _check(self, w: int, pair: tuple[Word, Word] | None, codes, coefficients) -> bool:
-        """The packed check of the combination ``coefficients`` at ``codes``
-        of weight ``w`` against the tabled value of ``pair`` (zero when
-        None)."""
+    def _check(self, w: int, combo: dict[int, int], pair: tuple[Word, Word] | None) -> bool:
+        """The packed check of the combination ``combo`` of codes of weight
+        ``w`` against the tabled value of ``pair`` (zero when None)."""
         top = self.scaled(w)
         scale, height, value = 1, 0, None
         if pair is not None:
@@ -444,10 +409,10 @@ class Certifier:
             if not value.keys() <= top.index.keys():
                 return False
             height = max(map(abs, value.values()), default=0)
-        bound = scale * sum(map(abs, coefficients)) * top.height + top.den * height
+        bound = scale * sum(map(abs, combo.values())) * top.height + top.den * height
         packed = top.pack(bound)
         total = 0
-        for x, c in zip(codes, coefficients):
+        for x, c in combo.items():
             p = packed.get(x)
             if p is None:
                 raise MissingTable(f"no table entry for {render_word(decoder(w)[x])}")
@@ -471,9 +436,9 @@ class Certifier:
         encoding and swaps its letters, so it maps the shuffle product of
         ``u`` and ``v`` term by term onto that of their duals: once a
         shuffle relation's combination is at hand, the relation of the dual
-        pair, when it comes later in ``descs`` and is not held, is checked
-        at once on that combination relabeled (:meth:`holds_dual`), and
-        only its verdict is kept for its turn."""
+        pair, when it comes later in ``descs``, is checked at once on that
+        combination relabeled (:meth:`holds_dual`), and only its verdict is
+        kept for its turn."""
         later = {desc: i for i, desc in enumerate(descs) if desc[0] == "shuffle"}
         verdicts: dict[tuple, bool] = {}
         failed = []
@@ -481,11 +446,11 @@ class Certifier:
             if desc[0] != "shuffle":
                 ok = self.holds(desc)
             elif (ok := verdicts.pop(desc, None)) is None:
-                w, pair, codes, coefficients = self._combination(desc)
-                ok = self._check(w, pair, codes, coefficients)
+                w, combo, pair = relation_codes(desc)
+                ok = self._check(w, combo, pair)
                 partner = ("shuffle", *sorted(map(dual, pair), key=lambda f: (weight(f), f)))
-                if later.get(partner, i) > i and partner not in self.held:
-                    verdicts[partner] = self.holds_dual(partner, w, codes, coefficients)
+                if later.get(partner, i) > i:
+                    verdicts[partner] = self.holds_dual(partner, w, combo)
             if not ok:
                 failed.append(desc)
         return failed
@@ -550,9 +515,11 @@ def family_phase(master: MasterExpression, relations: list[tuple]) -> None:
 
 # ------------------------------------------------------ bracketed elimination
 
-# Moduli of the solve, tried in turn (Mersenne primes).  Wang's bound under
-# the first, |n|, d < 2^63, covers every table coefficient through weight 14
-# (51 bits); the tables do not depend on the modulus that certifies them.
+# Moduli of the solve, tried in turn (Mersenne primes); a pass that fails
+# moves straight to the next one.  Wang's bound under the first, |n|, d <
+# 2^63, covers every table coefficient through weight 15 (22, 23, 39, 31, 51
+# and 47 bits at weights 10 to 15); weight 16 (76 bits) needs the second.
+# The tables do not depend on the modulus that certifies them.
 PRIMES = (2**127 - 1, 2**521 - 1)
 
 PROGRESS_ROWS = 256  # rows between two elimination progress lines (debug level)
@@ -586,12 +553,11 @@ class MasterExpression:
     column.  Monomial ``monomials[i]`` is column ``n_words + i``, after
     every word.
 
-    A row is a relation instance ``(kind, *words)``, expanded once, exactly
-    and in integers, by :func:`expand_row`: each word of the weight as its
-    code and so its own column, a product pair's tabled value through the
-    weight's certifier ``lower``, which computes each pair's value once,
-    holds the row's combination until the certificate checks its relation
-    (:meth:`residue`, :meth:`integer_row`), and then certifies the table
+    A row is a relation instance ``(kind, *words)``, expanded exactly and in
+    integers by :func:`expand_row` (:meth:`residue`, :meth:`integer_row`):
+    each word of the weight as its code and so its own column, a product
+    pair's tabled value through the weight's certifier ``lower``, which
+    computes each pair's value once and then certifies the table
     (:meth:`Certifier.certify`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
@@ -668,7 +634,7 @@ class MasterExpression:
         """The integer residue of the relation ``desc``, with each word of
         the weight as its code and lower-weight words through the lower
         tables, as monomials."""
-        return expand_row(self.lower.expand(desc), self.lower.product)
+        return expand_row(relation_codes(desc), self.lower.product)
 
     def integer_row(self, desc: tuple) -> dict[int, int]:
         """The integer row of the relation ``desc``."""
@@ -959,45 +925,40 @@ def solve_weight(
     family_seconds = certify_seconds = 0.0
     started = time.monotonic()
     for prime in PRIMES:
-        for stop in (target, None):
-            master = MasterExpression(columns, lower, prime, stop, n_rows)
-            error = None
-            t0 = time.monotonic()
+        master = MasterExpression(columns, lower, prime, target, n_rows)
+        error = None
+        t0 = time.monotonic()
+        try:
             try:
-                try:
-                    # ---- family brackets and regularized rows, or their checkpoint
-                    if checkpointer is not None and checkpointer.load(master):
-                        note(f"weight {w}: resuming after the family phase")
-                    else:
-                        family_phase(master, relations)
-                        # not after a stop at the rank target
-                        if checkpointer is not None and not master.skipped:
-                            checkpointer.save(master)
-                finally:
-                    family_seconds += time.monotonic() - t0
-                # ---- bracketed elimination and assembly
-                for desc in rows:
-                    master.absorb(desc)
-                master.back_substitute()
-                solved = _assemble(w, master)
-            except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
-                error = exc
-            else:
-                # ---- exact certificate of every relation
-                t2 = time.monotonic()
-                failed = lower.certify(solved, relations)
-                certify_seconds += time.monotonic() - t2
-                if failed:
-                    error = ReconstructionError(
-                        f"weight {w}: {len(failed)} relation(s) fail the certificate, "
-                        f"{describe(failed[0])} first"
-                    )
-            if error is None or not master.skipped:
-                break
-            # the target left rows unreduced: reduce them too, under this modulus
-            _debug("weight %d: %d of %d row(s) reduced at %d pivots (%s); reducing every row",
-                   w, master.n_family + master.absorbed - master.skipped, len(relations),
-                   master.installed, error)
+                # ---- family brackets and regularized rows, or their checkpoint
+                if checkpointer is not None and checkpointer.load(master):
+                    note(f"weight {w}: resuming after the family phase")
+                else:
+                    family_phase(master, relations)
+                    # not after a stop at the rank target: no counter keeps the skips
+                    if checkpointer is not None and not master.skipped:
+                        checkpointer.save(master)
+            finally:
+                family_seconds += time.monotonic() - t0
+            # ---- bracketed elimination and assembly
+            for desc in rows:
+                master.absorb(desc)
+            master.back_substitute()
+            solved = _assemble(w, master)
+        except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
+            error = exc
+        else:
+            # ---- exact certificate of every relation
+            t2 = time.monotonic()
+            failed = lower.certify(solved, relations)
+            certify_seconds += time.monotonic() - t2
+            if failed:
+                error = ReconstructionError(
+                    f"weight {w}: {len(failed)} relation(s) fail the certificate, "
+                    f"{describe(failed[0])} first"
+                )
+        if checkpointer is not None:  # each modulus writes its own
+            checkpointer.clear()
         if error is None:
             break
         _debug("weight %d: modulus of %d bits failed: %s", w, prime.bit_length(), error)
@@ -1022,8 +983,6 @@ def solve_weight(
         "bracket_updates": master.bracket_updates,
         "max_coeff_bits": height,
     }
-    if checkpointer is not None:
-        checkpointer.clear()
     _debug("weight %d: certified %d row(s) in %.3f s modulo a %d-bit prime, "
            "%d of %d elimination rows reduced, max coefficient %d bits, "
            "%d bracket updates",
@@ -1329,8 +1288,7 @@ def solve_in_memory(
     kinds: tuple[str, ...] = DEFAULT_KINDS,
     progress: Callable[[str], None] | None = None,
 ) -> dict[int, SolvedWeight]:
-    """Solve weights 2..up_to without persistence (testing and verification
-    reruns)."""
+    """Solve weights 2..up_to without persistence."""
     tables: dict[int, SolvedWeight] = {}
     for w in range(2, up_to + 1):
         tables[w] = solve_weight(w, tables, kinds, progress=progress)

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-import zetaforge.algebra as algebra_mod
 import zetaforge.solver as solver_mod
 from zetaforge.algebra import (
     DEFAULT_KINDS,
@@ -1134,13 +1133,38 @@ def test_each_depth_absorbs_its_regularized_rows_before_deeper_stuffle_rows(monk
     assert len(seen) == len(reduced) + len(hoffman) + len(shuffle)
 
 
+def _count_masters(monkeypatch):
+    """The ``(weight, modulus)`` of each :class:`MasterExpression` built, in
+    order, until the test ends."""
+    built = []
+    honest = MasterExpression.__init__
+
+    def init(self, columns, lower, prime=solver_mod.PRIMES[0], *args):
+        built.append((weight(columns[0]), prime))
+        honest(self, columns, lower, prime, *args)
+
+    monkeypatch.setattr(MasterExpression, "__init__", init)
+    return built
+
+
 @pytest.mark.parametrize("shift", [1, -1])
 def test_a_wrong_rank_target_gives_the_same_tables(monkeypatch, caplog, tmp_path, tables8, shift):
-    # a target one too high is never reached; one too low leaves a table
-    # that misses a pivot, fails the certificate and is reduced again with
-    # every row, under the same modulus and without logging a failed modulus
+    # a target one too high is never reached, so every row is reduced and
+    # the tables are the same; one too low leaves weight 3 a table that
+    # misses its pivot, which fails the certificate after exactly one pass
+    # per modulus, so the solve fails and saves no table
     honest = solver_mod.rank_target
     monkeypatch.setattr(solver_mod, "rank_target", lambda columns: honest(columns) + shift)
+    masters = _count_masters(monkeypatch)
+    store = TableStore(tmp_path)
+    if shift < 0:
+        with pytest.raises(ReconstructionError, match="fail the certificate"):
+            solve_in_memory(8)
+        assert masters == [(3, prime) for prime in solver_mod.PRIMES]
+        with pytest.raises(ReconstructionError, match="fail the certificate"):
+            ensure_solved(store, 6)
+        assert not store.has(3) and not store.checkpoint_path(3).exists()
+        return
     with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
         tables = solve_in_memory(8)
     for w in range(2, 9):
@@ -1150,12 +1174,9 @@ def test_a_wrong_rank_target_gives_the_same_tables(monkeypatch, caplog, tmp_path
         assert (stats["pivots"], stats["redundant_rows"]) == counts
         assert stats["reduced_rows"] == stats["rows"]
         assert stats["modulus_bits"] == 127
-    messages = [r.getMessage() for r in caplog.records]
-    assert not any("bits failed" in m for m in messages)
-    reruns = [m for m in messages if m.endswith("reducing every row")]
-    assert len(reruns) == (0 if shift > 0 else len(GOLDEN_COUNTS))
-    # a persisted solve reruns from its family checkpoint and saves the same bytes
-    store = TableStore(tmp_path)
+    assert masters == [(w, solver_mod.PRIMES[0]) for w in range(3, 9)]
+    assert not any("bits failed" in r.getMessage() for r in caplog.records)
+    # a persisted solve saves the same bytes
     ensure_solved(store, 6)
     for w in range(2, 7):
         assert store.table_path(w).read_text() == render_table(tables8[w])
@@ -1166,8 +1187,8 @@ def test_a_family_phase_stopped_at_the_rank_target_writes_no_checkpoint(
 ):
     # with a target of 1, weight 8 stops at its first regularized pivot,
     # inside the family phase, and skips the rest; that phase writes no
-    # checkpoint, so the rerun with every row reduces them all (and writes
-    # the one checkpoint) instead of resuming without them
+    # checkpoint, which would resume without them, under either modulus,
+    # and each pass fails the certificate
     monkeypatch.setattr(solver_mod, "rank_target", lambda columns: 1)
     saves = []
 
@@ -1178,11 +1199,9 @@ def test_a_family_phase_stopped_at_the_rank_target_writes_no_checkpoint(
 
     path = tmp_path / "weight-08.checkpoint.json"
     lower = {w: t for w, t in tables8.items() if w < 8}
-    solved = solve_weight(8, lower, checkpointer=Recording(path, DEFAULT_KINDS))
-    assert render_table(solved) == render_table(tables8[8])
-    assert (solved.stats["pivots"], solved.stats["redundant_rows"]) == GOLDEN_COUNTS[8]
-    assert solved.stats["modulus_bits"] == 127
-    assert saves == [solver_mod.PRIMES[0]]
+    with pytest.raises(ReconstructionError, match="fail the certificate"):
+        solve_weight(8, lower, checkpointer=Recording(path, DEFAULT_KINDS))
+    assert saves == []
     assert not path.exists()
 
 
@@ -1244,23 +1263,6 @@ def test_shuffle_rows_come_in_their_heavier_factors_column_order(monkeypatch, ta
         assert [desc for desc in absorbed if desc[0] == "shuffle"] == ordered, w
         counts[w] = sum(desc[0] == "shuffle" for desc in reduced)
     assert counts == {9: 3, 10: 5, 11: 10, 12: 11}
-
-
-def test_each_hoffman_relation_is_expanded_once_per_weight(monkeypatch, tables8):
-    # the row and the certificate both read one expansion
-    calls = []
-    honest = algebra_mod._hoffman_codes
-
-    def counting(v):
-        calls.append(v)
-        return honest(v)
-
-    monkeypatch.setattr(algebra_mod, "_hoffman_codes", counting)
-    solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
-    assert render_table(solved) == render_table(tables8[8])
-    hoffman = [desc[1] for desc in relation_descriptors(8, ("hoffman",))]
-    assert len(hoffman) == 32
-    assert sorted(calls) == sorted(hoffman)
 
 
 def test_each_product_pair_is_tabled_once_per_weight(monkeypatch, tables8):
@@ -1360,44 +1362,30 @@ def test_no_family_install_rewrites_a_bracket(monkeypatch, tables12):
     assert not any(rewrites)
 
 
-def test_the_rerun_after_a_failed_target_pass_takes_up_the_checkpoint(
-        tmp_path, monkeypatch, caplog, tables8):
-    # one pivot short of the rank, the pass with the target fails the
-    # certificate; the family phase does not depend on the target, so the
-    # rerun with every row takes up the checkpoint that pass wrote
-    honest = solver_mod.rank_target
-    monkeypatch.setattr(solver_mod, "rank_target", lambda columns: honest(columns) - 1)
-    family_phases = _count_family_phases(monkeypatch)
-    path = tmp_path / "weight-08.checkpoint.json"
-    lower = {w: t for w, t in tables8.items() if w < 8}
-    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
-        solved = solve_weight(8, lower, checkpointer=Checkpointer(path, DEFAULT_KINDS))
-    messages = [r.getMessage() for r in caplog.records]
-    assert len([m for m in messages if m.endswith("reducing every row")]) == 1
-    assert messages.count("weight 8: resuming after the family phase") == 1
-    assert family_phases == [8]
-    assert render_table(solved) == render_table(tables8[8])
-    assert solved.stats["pivots"] == tables8[8].stats["pivots"]
-    assert solved.stats["modulus_bits"] == 127
-    assert not path.exists()
-
-
-def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog, tables8):
-    # under PRIMES[0] the bracket of weight 8's first non-Lyndon word x is
-    # off by one at a monomial when the elimination ends, so x's entry is
-    # wrong and the certificate rejects the canonical row of x, after the
-    # pass with the rank target and after the rerun with every row; the
-    # weight is then solved under 2^521 - 1
-    honest_back_substitute, honest_rejects = MasterExpression.back_substitute, Certifier.rejects
+def _corrupt_first_bracket_under_the_first_modulus(monkeypatch):
+    """Under ``PRIMES[0]``, put the bracket of weight 8's first non-Lyndon
+    word x off by one at a monomial when the elimination ends, so that x's
+    entry is wrong and the certificate rejects the canonical row of x;
+    returns x."""
+    honest = MasterExpression.back_substitute
     x = next(y for y in elimination_order(8) if not is_lyndon(y))
 
     def corrupted(self):
-        if self.prime == solver_mod.PRIMES[0]:
+        if self.prime == solver_mod.PRIMES[0] and self.weight == 8:
             bracket = self.pivots[self.col_of[code(x)]]
             k = min(k for k in bracket if k >= self.n_words)
             bracket[k] = (bracket[k] + 1) % self.prime
-        honest_back_substitute(self)
+        honest(self)
 
+    monkeypatch.setattr(MasterExpression, "back_substitute", corrupted)
+    return x
+
+
+def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog, tables8):
+    # the pass under PRIMES[0] fails the certificate and is not run again:
+    # weight 8 is solved in one more pass, under 2^521 - 1
+    x = _corrupt_first_bracket_under_the_first_modulus(monkeypatch)
+    honest_rejects = Certifier.rejects
     rejected = []
 
     def rejects(self, descs):
@@ -1405,57 +1393,49 @@ def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog
         rejected.append(failed)
         return failed
 
-    monkeypatch.setattr(MasterExpression, "back_substitute", corrupted)
     monkeypatch.setattr(Certifier, "rejects", rejects)
+    masters = _count_masters(monkeypatch)
     lower = {w: t for w, t in tables8.items() if w < 8}
     with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
         solved = solve_weight(8, lower)
     assert render_table(solved) == render_table(tables8[8])
     assert solved.stats["modulus_bits"] == 521
-    assert [solver_mod.canonical_row(x) in failed for failed in rejected] == [True, True, False]
+    assert [solver_mod.canonical_row(x) in failed for failed in rejected] == [True, False]
     assert rejected[-1] == []
+    assert masters == [(8, prime) for prime in solver_mod.PRIMES]
     messages = [r.getMessage() for r in caplog.records]
-    assert len([m for m in messages if m.endswith("reducing every row")]) == 1
     failures = [m for m in messages if "bits failed" in m]
     assert len(failures) == 1 and "fail the certificate" in failures[0]
 
 
-def test_each_relation_is_expanded_once_and_dropped_by_its_check(monkeypatch):
-    # a cold solve to weight 10 expands each of its 1039 relations at most
-    # once: a reduced row's combination is held for its check, which drops
-    # it, a shuffle relation no row reduced whose dual partner's
-    # combination came first is checked on it relabeled, and any other
-    # relation no row reduced is expanded by its check alone: 861
-    # expansions and 178 relabeled partners.  Each weight's rows and
-    # certificate share one certifier
-    calls = []
-    honest = algebra_mod._product_codes
+def test_a_modulus_fallback_warns_about_no_checkpoint_of_its_own(
+        tmp_path, monkeypatch, caplog, clean_store8):
+    # the pass under PRIMES[0] writes weight 8's checkpoint and then fails;
+    # it clears that checkpoint, so the pass under 2^521 - 1 finds none to
+    # warn about, and the store ends byte for byte as a clean solve's
+    _corrupt_first_bracket_under_the_first_modulus(monkeypatch)
+    store = TableStore(tmp_path)
+    with caplog.at_level(logging.DEBUG, logger="zetaforge.solver"):
+        tables = ensure_solved(store, 8)
+    assert tables[8].stats["modulus_bits"] == 521
+    messages = [r.getMessage() for r in caplog.records]
+    assert len([m for m in messages if "bits failed" in m]) == 1
+    assert not any("ignoring checkpoint" in m for m in messages)
+    _assert_matches_clean_store(store, clean_store8)
 
-    def counting(*args):
-        calls.append(args)
-        return honest(*args)
 
-    certifiers, relabeled = [], []
+def test_each_weight_solves_on_one_certifier(monkeypatch):
+    # a cold solve to weight 10 builds one certifier per weight, which its
+    # rows and its certificate share, and gives weight 10's golden table
+    certifiers = []
 
     class Recording(Certifier):
         def __init__(self, tables):
             super().__init__(tables)
             certifiers.append(self)
 
-        def holds_dual(self, desc, *args):
-            relabeled.append(desc)
-            return super().holds_dual(desc, *args)
-
-    monkeypatch.setattr(algebra_mod, "_product_codes", counting)
     monkeypatch.setattr(solver_mod, "Certifier", Recording)
-    tables = {}
-    for w in range(2, 11):
-        tables[w] = solve_weight(w, tables)
-        assert not any(certifier.held for certifier in certifiers), w
-    assert len(calls) + len(relabeled) == sum(
-        len(relation_descriptors(w)) for w in range(3, 11)) == 1039
-    assert len(set(relabeled)) == len(relabeled) == 178
-    assert not set(relabeled) & set(calls)
+    tables = solve_in_memory(10)
     assert len(certifiers) == 8
     golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
                         .read_text())["tables"]
