@@ -16,24 +16,23 @@ only through :func:`relation_descriptors` and :func:`relation_codes`.
 Expansions are computed on integer word codes
 (:func:`~zetaforge.words.code`; the words of one expansion share a weight).
 :func:`stuffle`, :func:`shuffle_words`, :func:`hoffman_relation` and
-:func:`expand_relation` decode them to words, keys in the same order.  A
-stuffle whose first factor is a single index, as in every regularized
-relation, is written down in closed form (:func:`_index_stuffle_codes`);
-every other product is built over a table of suffix pairs.  The
-products of one weight share their small cells: each cell of the
-suffix-pair table whose two suffixes weigh at most :data:`CELL_MEMO_WEIGHT`
-together is computed once while the products keep one weight, and the
-memo is cleared when a product of another weight comes.  Its bound is a
-constant, not a share of the weight, so the memo stays small at every
-weight (1,248 cells holding 11,923 terms after the relations of weight
-13), and every expansion is a fresh dict that its caller may change.
+:func:`expand_relation` decode them to words, keys in the same order.  The
+regularized relation (:func:`_hoffman_codes`) and a stuffle whose first
+factor is a single index (:func:`_index_stuffle_codes`) are written down
+in closed form; every other product is built over a table of suffix pairs.
+A cell of that table depends on its two suffixes alone, so each cell whose
+suffixes weigh at most :data:`CELL_MEMO_WEIGHT` together is computed once
+per process, for products of every weight.  Its bound is a constant, not a
+share of the weight, so the memo stays small at every weight (1,248 cells
+holding 11,923 terms after the relations of weights 3 to 13, of at most
+1,538), and every expansion is a fresh dict that its caller may change.
 
 Linear combinations are plain dicts mapping a key (a word code, an index
 word, or a basis monomial which is a tuple of generator words) to a nonzero
-coefficient: an ``int`` in a relation's expansion and in the solver's
-integer residues (exact, or modulo a prime while a weight is solved), a
-:class:`~fractions.Fraction` in a table.  The helpers here maintain the
-no-zero-terms invariant in place.
+coefficient: an ``int`` in a relation's expansion and in the integer
+residues and rows made from it (exact, or modulo a prime while a weight is
+solved), a :class:`~fractions.Fraction` in a table.  The helpers here
+maintain the no-zero-terms invariant in place.
 """
 
 from __future__ import annotations
@@ -127,11 +126,10 @@ def _decoded(w: int, combo: dict[int, int]) -> dict[Word, int]:
 
 # Cells of the suffix-pair table of :func:`_suffix_pair_codes` whose suffixes
 # weigh at most CELL_MEMO_WEIGHT together, keyed by the product kind and the
-# two suffixes, each as its code with a bit set above it, and kept for the
-# products of one weight, _cells_weight.
+# two suffixes, each as its code with a bit set above it: at most 1538
+# cells, the nonempty suffix pairs of total weight at most 8 (769 per kind).
 CELL_MEMO_WEIGHT = 8
 _cells: dict[tuple[bool, int, int], dict[int, int]] = {}
-_cells_weight = 0
 
 
 def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
@@ -176,7 +174,6 @@ def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     tail of length t shifts its letters up t bits: an index sets bit t.
     A cell depends only on its two suffixes, so the small ones come from
     the memo (see the module docstring), which no caller sees."""
-    global _cells_weight
     if kind == "shuffle" and not (is_admissible(u) and is_admissible(v)):
         raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
     merge = kind == "stuffle"
@@ -185,9 +182,6 @@ def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     a, b = code(u), code(v)
     cu = [a & (1 << t) - 1 for t in tu]  # the code of each suffix
     cv = [b & (1 << t) - 1 for t in tv]
-    if tu[0] + tv[0] != _cells_weight:
-        _cells.clear()
-        _cells_weight = tu[0] + tv[0]
     hv = [cv[j] ^ cv[j + 1] for j in range(len(tv) - 1)]  # each part of v, in place
     row = [{x: 1} for x in cv]  # the products of "" and v[j:]
     for i in range(len(tu) - 2, -1, -1):
@@ -215,7 +209,7 @@ def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
             if small:
                 _cells[cell] = out
             row[j] = out
-    return dict(row[0]) if _cells_weight <= CELL_MEMO_WEIGHT else row[0]
+    return dict(row[0]) if tu[0] + tv[0] <= CELL_MEMO_WEIGHT else row[0]
 
 
 def stuffle(u: Word, v: Word) -> dict[Word, int]:
@@ -240,26 +234,32 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
 
 
 def _hoffman_codes(v: Word) -> dict[int, int]:
-    """:func:`hoffman_relation` on codes: the stuffle of (1) and ``v``
-    (in closed form, :func:`_index_stuffle_codes`), then minus one for each
-    place where a Y can be inserted into the code of ``v``, front first.
-    The stuffle term 1v, the only one that starts with Y, is also the Y
-    inserted in front, and cancels; every other term starts with the first
-    letter of ``v``, an X."""
+    """:func:`hoffman_relation` on codes.  Raising the index whose suffix
+    weighs ``s`` inserts an X above the last ``s`` letters; a split inserts
+    a Y above the last ``k`` letters, where bit ``k`` is an X.  Raises come
+    first, last index first, then splits, front first (the key order
+    reaches the rows, and so a checkpoint's bytes).  Each coefficient is
+    1 or -1: raises keep the depth and splits add one, two raises raise
+    different indices, and two Y insertions give one word only across a
+    run of Y, while each split's Y lands above an X."""
     if not is_admissible(v):
         raise ValueError(f"regularized relation needs an admissible word, got {v!r}")
     a = code(v)
-    out = _product_codes("stuffle", (1,), v)
-    for k in range(weight(v), -1, -1):  # Y inserted above the last k letters
-        add_term(out, (a >> k) << (k + 1) | 1 << k | (a & (1 << k) - 1), -1)
+    out = {(a >> s) << (s + 1) | (a & (1 << s) - 1): 1 for s in accumulate(reversed(v))}
+    for k in range(weight(v) - 1, 0, -1):
+        if not a >> k & 1:
+            out[(a >> k) << (k + 1) | 1 << k | (a & (1 << k) - 1)] = -1
     return out
 
 
 def hoffman_relation(v: Word) -> dict[Word, int]:
     """The regularized relation at weight(v)+1 built from the divergent
-    index 1: stuffle((1), v) minus the Y-insertion shuffle of the encoding
-    of v.  The single non-admissible term, the word 1v common to both
-    products, cancels exactly; everything that survives is admissible.
+    index 1, as Hoffman wrote it (*Multiple harmonic series*, 1992): ``v``
+    with one index raised by one, summed over its indices, minus ``v`` with
+    one index ``n`` split into two that sum to ``n + 1``, the first at
+    least 2, summed over every split.  Every term is admissible.  It is
+    stuffle((1), v) minus the Y-insertion shuffle of the encoding of v,
+    whose terms that insert the index 1, the word 1v among them, cancel.
     """
     return _decoded(weight(v) + 1, _hoffman_codes(v))
 

@@ -32,13 +32,13 @@ which the certificate checks in full.
    heavier factor in the elimination order of its own weight,
    first-eliminated first (ties in list order), then the duality rows in
    list order: the few pivots the regularized rows leave are found after 3,
-   5, 10, 11 and 27 shuffle rows at weights 9 to 13, against 4, 66, 134,
-   264 and 522 in list order.  The order sets only the cost: whatever it
-   is, the table is the unique reduced row-echelon form shown below.  Once
-   the Lyndon brackets reach the conjectured rank, the number of Lyndon
-   words less the number of odd Lyndon words (the generator count that
-   ``verify --dims`` checks), the remaining rows are neither expanded nor
-   reduced: the certificate checks them with every other relation.  They
+   5, 10, 11 and 27 shuffle rows at weights 9 to 13.  The order sets only
+   the cost: whatever it is, the table is the unique reduced row-echelon
+   form shown below.  Once the Lyndon brackets reach the conjectured rank,
+   the number of Lyndon words less the number of odd Lyndon words (the
+   generator count that ``verify --dims`` checks), the remaining rows are
+   neither expanded nor reduced: the certificate checks them with every
+   other relation.  They
    cannot add rank while every lower weight has its odd-Lyndon count of
    generators: the double-shuffle quotient maps onto the motivic MZVs,
    whose dimensions Brown fixed (arXiv:1102.1312), and the rank mod p is
@@ -51,13 +51,14 @@ which the certificate checks in full.
    coefficient is rebuilt as a rational.
 
 Every row, canonical rows included, is expanded exactly in integers by the
-one :func:`expand_row` (the relation's integer residue, each word of the
-weight as its code and its own column, and a product pair's tabled value
-``T(u) T(v)`` subtracted, over the lower tables scaled to integers once, in
-the weight's one :class:`Certifier`), and reduced by one routine,
-:meth:`MasterExpression.reduce`, in integers, then taken mod p once.  The
-certificate expands each relation again, except a shuffle relation whose
-dual partner's combination came first, which it checks relabeled.  Each
+one :func:`expand_row`, straight into the weight's columns (each word of
+the weight at its own column, and a product pair's tabled value ``T(u)
+T(v)`` subtracted at its monomials' columns, over the lower tables scaled
+to integers once, in the weight's one :class:`Certifier`), and reduced by
+one routine, :meth:`MasterExpression.reduce`, in integers, then taken mod p
+once.  The certificate expands each relation again, except a shuffle
+relation whose dual partner's combination came first, which it checks
+relabeled.  Each
 product pair's tabled value is computed once per weight, by
 :meth:`Certifier.product`, and read by the pair's stuffle row, its shuffle
 row and the certificate of both.  The brackets form one fully-reduced
@@ -121,7 +122,6 @@ from .algebra import (
     Expansion,
     Monomial,
     add_scaled,
-    add_term,
     check_kinds,
     describe,
     lc_mul,
@@ -223,36 +223,25 @@ def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeigh
 def expand_row(
     relation: Expansion,
     product: Callable[[tuple[Word, Word]], tuple[int, dict]],
-    entry: Callable[[int, int], tuple[int, dict]] | None = None,
-) -> dict:
-    """The integer residue of a relation, given as its expansion ``(w,
-    combo, pair)``: every word code ``x`` of the combination replaced by its
-    scaled entry ``entry(w, x)`` (kept as itself when ``entry`` is None), a
+    col_of: dict[int, int],
+    mono_col: Callable[[Monomial], int],
+) -> dict[int, int]:
+    """The integer row of a relation, given as its expansion ``(w, combo,
+    pair)``, over a master's columns: each word code ``x`` of the
+    combination at its column ``col_of[x]``, times the denominator of a
     product pair's scaled value ``product(pair)`` (a denominator and an
-    integer combination of monomials, :meth:`Certifier.product`)
-    subtracted, and every denominator cleared with their lcm.  Zero entries
-    are dropped.  Without ``entry`` that is ``den * combo`` and minus the
-    product, written down directly: word codes and monomials never share a
-    key, and neither side holds a zero."""
-    w, combo, pair = relation
-    if entry is None:
-        if pair is None:
-            return dict(combo)
-        den, value = product(pair)
-        residue = {x: den * c for x, c in combo.items()}
-        for m, v in value.items():
-            residue[m] = -v
-        return residue
-    terms = [(c, *entry(w, x)) for x, c in combo.items()]
-    if pair is not None:
-        terms.append((-1, *product(pair)))
-    lcd = math.lcm(*(den for _, den, _ in terms))
-    residue: dict[Monomial, int] = {}
-    for c, den, scaled in terms:
-        scale = c * (lcd // den)
-        for m, v in scaled.items():
-            residue[m] = residue.get(m, 0) + scale * v
-    return {m: v for m, v in residue.items() if v}
+    integer combination of monomials, :meth:`Certifier.product`), and that
+    value subtracted, each monomial ``m`` at its column ``mono_col(m)``.
+    Word and monomial columns never meet, and neither side holds a zero, so
+    the row has none.  A code without a column raises :class:`KeyError`."""
+    _, combo, pair = relation
+    if pair is None:
+        return {col_of[x]: c for x, c in combo.items()}
+    den, value = product(pair)
+    row = {col_of[x]: den * c for x, c in combo.items()}
+    for m, v in value.items():
+        row[mono_col(m)] = -v
+    return row
 
 
 SLOT_BITS = 64  # the slot width a weight's vectors are first packed at
@@ -332,18 +321,18 @@ class Certifier:
     gives ``r_j = -2^s sum_(i>j) r_i 2^(s (i-j-1))``, so ``2^s`` divides
     ``r_j``, which cannot be while ``0 < |r_j| < 2^s``.
 
-    :meth:`residue` spells a relation out monomial by monomial through
-    :func:`expand_row`; it names what is left of a failed relation.  The
-    certifier keeps its own copy of the tables dict.  Each table is scaled
-    on first use and cached, and the products with them, so a table must
-    not change while a certifier uses it; one built later sees the tables
-    as they are then.  A solve builds one certifier per weight and
-    ``verify`` one per recheck, and nothing is reset per weight.  A
-    solve's rows take their products from it, and :meth:`certify` then
-    checks every relation of the weight against each candidate table,
-    each on its own expansion, except a shuffle relation whose dual
-    partner :meth:`rejects` checked first: that one is checked on the
-    partner's expansion relabeled (:meth:`holds_dual`).
+    :meth:`residue` spells a relation out monomial by monomial; it names
+    what is left of a failed relation.  The certifier keeps its own copy
+    of the tables dict.  Each table is scaled on first use and cached, and
+    the products with them, so a table must not change while a certifier
+    uses it; one built later sees the tables as they are then.  A solve
+    builds one certifier per weight and ``verify`` one per recheck, and
+    nothing is reset per weight.  A solve's rows take their products from
+    it, and :meth:`certify` then checks every relation of the weight
+    against each candidate table, each on its own expansion, except a
+    shuffle relation whose dual partner :meth:`rejects` checked first: that
+    one is checked on the partner's expansion relabeled
+    (:meth:`holds_dual`).
     """
 
     def __init__(self, tables: dict[int, SolvedWeight]):
@@ -426,8 +415,20 @@ class Certifier:
 
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the
-        lcm of the denominators involved: empty exactly when it holds."""
-        return expand_row(relation_codes(desc), self.product, self.entry)
+        lcm of the denominators involved: empty exactly when it holds.
+        Every word code ``x`` is replaced by its scaled entry, a product
+        pair's scaled value is subtracted, and zero entries are dropped."""
+        w, combo, pair = relation_codes(desc)
+        terms = [(c, *self.entry(w, x)) for x, c in combo.items()]
+        if pair is not None:
+            terms.append((-1, *self.product(pair)))
+        lcd = math.lcm(*(den for _, den, _ in terms))
+        residue: dict[Monomial, int] = {}
+        for c, den, scaled in terms:
+            scale = c * (lcd // den)
+            for m, v in scaled.items():
+                residue[m] = residue.get(m, 0) + scale * v
+        return {m: v for m, v in residue.items() if v}
 
     def rejects(self, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold, in list order.
@@ -554,11 +555,11 @@ class MasterExpression:
     every word.
 
     A row is a relation instance ``(kind, *words)``, expanded exactly and in
-    integers by :func:`expand_row` (:meth:`residue`, :meth:`integer_row`):
-    each word of the weight as its code and so its own column, a product
-    pair's tabled value through the weight's certifier ``lower``, which
-    computes each pair's value once and then certifies the table
-    (:meth:`Certifier.certify`).
+    integers into these columns by :func:`expand_row` (:meth:`integer_row`):
+    each word of the weight at its own column, a product pair's tabled
+    value at its monomials' columns, through the weight's certifier
+    ``lower``, which computes each pair's value once and then certifies the
+    table (:meth:`Certifier.certify`).
 
     A bracket is a row mod p with entry 1 at its lead, read as "word =
     minus the rest".  ``pivots`` maps each lead to its bracket and is one
@@ -630,25 +631,15 @@ class MasterExpression:
             self.monomials.append(m)
         return self.n_words + mid
 
-    def residue(self, desc: tuple) -> dict:
-        """The integer residue of the relation ``desc``, with each word of
-        the weight as its code and lower-weight words through the lower
-        tables, as monomials."""
-        return expand_row(relation_codes(desc), self.lower.product)
-
     def integer_row(self, desc: tuple) -> dict[int, int]:
-        """The integer row of the relation ``desc``."""
-        row: dict[int, int] = {}
-        for m, v in self.residue(desc).items():
-            if type(m) is tuple:
-                row[self._mono_col(m)] = v
-            elif (col := self.col_of.get(m)) is not None:
-                row[col] = v
-            else:
-                raise InconsistentRelation(
-                    f"{describe(desc)}: word {render_word(decoder(self.weight)[m])} has no column"
-                )
-        return row
+        """The integer row of the relation ``desc`` (:func:`expand_row`).
+        A word without a column raises :class:`InconsistentRelation`."""
+        try:
+            return expand_row(relation_codes(desc), self.lower.product, self.col_of,
+                              self._mono_col)
+        except KeyError as exc:
+            word = render_word(decoder(self.weight)[exc.args[0]])
+            raise InconsistentRelation(f"{describe(desc)}: word {word} has no column") from None
 
     def reduce(self, desc: tuple) -> bool:
         """Reduce the integer row of ``desc`` against ``pivots``, take it
@@ -818,8 +809,7 @@ class Checkpointer:
     """
 
     # the echelon and four counters after the family phase of one canonical
-    # row per non-Lyndon word in column order; older builds wrote
-    # "families", "layers", "echelon" and "canonical"
+    # row per non-Lyndon word in column order
     PHASE = "column-order"
 
     def __init__(self, path: Path, kinds: tuple[str, ...]):
@@ -1104,9 +1094,10 @@ def parse_table(text: str) -> SolvedWeight:
                 if c is None:
                     c = coefficients[coeff_s] = _parse_coefficient(coeff_s)
                 if mono in entry:
-                    add_term(entry, mono, c)
-                elif c:
-                    entry[mono] = c
+                    raise ValueError(f"{left}: monomial {mono_s} named twice")
+                if not c:
+                    raise ValueError(f"{left}: zero coefficient at {mono_s}")
+                entry[mono] = c
         if word in entries:
             raise ValueError(f"duplicate table entry for {render_word(word)}")
         entries[word] = entry

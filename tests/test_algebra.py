@@ -7,8 +7,9 @@ from the leading-letter recursion on strings and from its definition (every
 placement of one factor's letters), the regularized relation from Y
 insertions into the string encoding, and the numeric evaluator from explicit
 nested loops.  The implementations under test use different algorithms (a
-table over suffix pairs on integer word codes for both products,
-prefix-sum dynamic programming for evaluation).  The recursions also fix
+table over suffix pairs on integer word codes for both products, closed
+forms for the regularized relation and single-index stuffles, prefix-sum
+dynamic programming for evaluation).  The recursions also fix
 the key order of every expansion, which reaches the checkpoint bytes.
 """
 
@@ -23,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+import zetaforge.algebra as algebra_mod
 from zetaforge.algebra import (
+    CELL_MEMO_WEIGHT,
     _product_codes,
     _suffix_pair_codes,
     add_scaled,
@@ -287,9 +290,8 @@ def test_the_closed_form_of_a_single_index_stuffle_matches_the_suffix_pair_table
 
 def test_a_changed_expansion_leaves_every_later_expansion_unchanged():
     # weight 8 is within the cell memo's bound, so the whole product of a
-    # pair is a cell there; the regularized relation changes the stuffle it
-    # gets, and a caller may change what it gets back
-    u, v = (3,), (2, 1, 2)
+    # pair is a cell there, and a caller may change what it gets back
+    u, v = (2, 1), (2, 1, 2)
     expansions = [
         lambda: stuffle(u, v),
         lambda: shuffle_words(u, v),
@@ -299,7 +301,7 @@ def test_a_changed_expansion_leaves_every_later_expansion_unchanged():
         lambda: relation_codes(("stuffle", u, v))[1],
         lambda: relation_codes(("shuffle", u, v))[1],
         lambda: relation_codes(("hoffman", (3, 2, 2)))[1],
-        lambda: relation_codes(("stuffle", (2,), (3, 3)))[1],  # a cell of (3,)*(2,1,2)
+        lambda: relation_codes(("stuffle", (2, 1), (2,)))[1],  # a cell of (2,1)*(2,1,2)
     ]
     expected = [list(expand().items()) for expand in expansions]
     for expand in expansions:
@@ -338,6 +340,23 @@ def test_expansions_do_not_depend_on_the_weights_expanded_before():
     namespace: dict = {}
     exec(_EXPANSIONS_DIGEST, namespace)
     assert [namespace["digest"](w) for w in (12, 7, 11)] == fresh
+    # from an empty memo, weights 3 to 13 in ascending and in descending
+    # order give the same expansions and leave the same cells, never more
+    # than the nonempty suffix pairs of total weight at most the bound, of
+    # either kind (index words for the stuffle, encodings for the shuffle)
+    bound = 2 * sum((n - 1) * 2 ** (n - 2) for n in range(2, CELL_MEMO_WEIGHT + 1))
+    assert bound == 1538
+    runs = []
+    for weights in (range(3, 14), range(13, 2, -1)):
+        algebra_mod._cells.clear()
+        digests, most = {}, 0
+        for w in weights:
+            digests[w] = namespace["digest"](w)
+            most = max(most, len(algebra_mod._cells))
+        assert most <= bound
+        cells = sorted((cell, list(out.items())) for cell, out in algebra_mod._cells.items())
+        runs.append((digests, cells))
+    assert runs[0] == runs[1]
 
 
 def test_shuffle_words_rejects_a_non_admissible_factor():

@@ -504,6 +504,9 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         ("# generators: Z(5)\n", "# generators: Z(5) Z(5)\n"),
         # the same word, in a spelling that render_table never writes
         ("Z(4,1) =", "Z(4,01) ="),
+        # the same value in spellings that render_table never writes
+        ("Z(4,1) = -1*Z(3)*Z(2) + 2*Z(5)", "Z(4,1) = -1*Z(3)*Z(2) + 1*Z(5) + 1*Z(5)"),
+        ("Z(2,1,1,1) = 1*Z(5)", "Z(2,1,1,1) = 0*Z(3)*Z(2) + 1*Z(5)"),
     ],
     ids=[
         "generators-differ-from-self-entries",
@@ -513,6 +516,8 @@ def test_verify_detects_doctored_table(tmp_path, capsys):
         "word-not-admissible",
         "generator-listed-twice",
         "word-with-a-leading-zero",
+        "monomial-named-twice",
+        "zero-coefficient",
     ],
 )
 def test_hash_valid_table_with_inconsistent_content_exits_integrity(tmp_path, capsys, old, new):

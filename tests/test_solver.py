@@ -414,16 +414,16 @@ def test_checkpoint_resume_matches_fresh_solve(tmp_path, monkeypatch, crash):
     checkpointer = Checkpointer(path, DEFAULT_KINDS)
     if crash == "families":
         # a crash inside the family phase, before its one checkpoint
-        honest = MasterExpression.residue
+        honest = MasterExpression.integer_row
         calls = []
 
-        def residue(self, desc):
+        def integer_row(self, desc):
             calls.append(desc)
             if len(calls) > 8:  # of weight 7's 14 canonical and 16 regularized rows
                 raise KeyboardInterrupt("simulated crash during the family phase")
             return honest(self, desc)
 
-        monkeypatch.setattr(MasterExpression, "residue", residue)
+        monkeypatch.setattr(MasterExpression, "integer_row", integer_row)
     else:
         _interrupt_absorb_after(monkeypatch, 5)
     with pytest.raises(KeyboardInterrupt):
@@ -872,12 +872,13 @@ class _NamedRows(MasterExpression):
         super().__init__(columns, Certifier({}))
         self.rows = rows
 
-    def residue(self, desc):
-        # the split's words as their codes, scaled to integers
+    def integer_row(self, desc):
+        # the split's words and monomials at their columns, scaled to integers
         word_part, mono_part = self.rows[desc[0]]
-        combo = {**{code(w): c for w, c in word_part.items()}, **mono_part}
+        combo = {**{self.col_of[code(w)]: c for w, c in word_part.items()},
+                 **{self._mono_col(m): c for m, c in mono_part.items()}}
         den = math.lcm(*(Fraction(c).denominator for c in combo.values()))
-        return {m: int(c * den) for m, c in combo.items()}
+        return {k: int(c * den) for k, c in combo.items()}
 
 
 def _master(w, tables, prime):
@@ -945,9 +946,9 @@ def test_rank_lost_under_the_first_modulus_falls_through_to_the_second(
 
 
 def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatch, tables8):
-    # every stuffle row vanishes under PRIMES[0] (its residue is multiplied
-    # by the modulus), so the first family there has no pivot at all
-    honest = MasterExpression.residue
+    # every stuffle row vanishes under PRIMES[0] (its row is multiplied by
+    # the modulus), so the first family there has no pivot at all
+    honest = MasterExpression.integer_row
 
     def unlucky(self, desc):
         row = honest(self, desc)
@@ -955,7 +956,7 @@ def test_underdetermined_family_under_the_first_modulus_falls_through(monkeypatc
             row = {m: v * solver_mod.PRIMES[0] for m, v in row.items()}
         return row
 
-    monkeypatch.setattr(MasterExpression, "residue", unlucky)
+    monkeypatch.setattr(MasterExpression, "integer_row", unlucky)
     with pytest.raises(solver_mod.UnderdeterminedFamily, match="left without a family bracket"):
         family_phase(_master(4, tables8, solver_mod.PRIMES[0]), relation_descriptors(4))
     tables = solve_in_memory(8)
@@ -973,11 +974,11 @@ def test_an_incomplete_depth_is_named_before_its_regularized_rows(monkeypatch, t
     # phase absorbs the regularized rows on words of depth 1, then names the
     # depth-3 words left without a bracket before a regularized row on a
     # word of depth 2 (which names them) reaches absorb
-    honest_residue, honest_absorb = MasterExpression.residue, MasterExpression.absorb
+    honest_row, honest_absorb = MasterExpression.integer_row, MasterExpression.absorb
     absorbed = []
 
     def unlucky(self, desc):
-        row = honest_residue(self, desc)
+        row = honest_row(self, desc)
         if desc[0] == "stuffle" and len(desc[1]) + len(desc[2]) == 3:
             row = {m: v * self.prime for m, v in row.items()}
         return row
@@ -986,7 +987,7 @@ def test_an_incomplete_depth_is_named_before_its_regularized_rows(monkeypatch, t
         absorbed.append(desc)
         return honest_absorb(self, desc)
 
-    monkeypatch.setattr(MasterExpression, "residue", unlucky)
+    monkeypatch.setattr(MasterExpression, "integer_row", unlucky)
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
     master = _master(6, tables8, solver_mod.PRIMES[0])
     hoffman = relation_descriptors(6, ("hoffman",))
@@ -1059,6 +1060,39 @@ def test_certificate_covers_the_stuffle_rows(monkeypatch, caplog, tables8):
     assert re.search(r"fail the certificate, stuffle Z\(.*\) first$", failures[0])
     stuffle = relation_descriptors(8, ("stuffle",))
     assert stuffle and set(stuffle) <= set(seen)
+
+
+def test_a_false_family_relation_fails_the_certificate(monkeypatch, tables8):
+    # 1 added mod PRIMES[0] at Z(6,2) to the family bracket of
+    # Z(2,1,1,1,1,2) puts a false relation into the span: the elimination
+    # stops at the rank target one true relation short, and the certificate
+    # rejects the table, which would have no generator Z(5,3) if the false
+    # relation added rank; the second modulus gives weight 8's table
+    honest = solver_mod.family_phase
+
+    def tampered(master, relations):
+        honest(master, relations)
+        if master.prime == solver_mod.PRIMES[0]:
+            p, pivots = master.prime, master.pivots
+            lead, k = (master.col_of[code(x)] for x in ((2, 1, 1, 1, 1, 2), (6, 2)))
+            # Z(6,2) leads a bracket of its own: adding 1 there and clearing
+            # it again subtracts the rest of that bracket, and keeps the
+            # echelon fully reduced
+            assert k in pivots and k not in pivots[lead]
+            bracket = pivots[lead]
+            for j, v in pivots[k].items():
+                if j != k:
+                    bracket[j] = (bracket.get(j, 0) - v) % p
+            pivots[lead] = {j: v for j, v in bracket.items() if v}
+            master.users = _users(master)
+
+    monkeypatch.setattr(solver_mod, "family_phase", tampered)
+    solved = solve_weight(8, {w: t for w, t in tables8.items() if w < 8})
+    assert solved.stats["modulus_bits"] == 521
+    assert (5, 3) in solved.generators
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+                        .read_text())["tables"]
+    assert hashlib.sha256(render_table(solved).encode("ascii")).hexdigest() == golden["8"]
 
 
 # ------------------------------------------------------------- row schedule
@@ -1572,17 +1606,17 @@ def test_family_phase_expands_the_certified_stuffle_rows_once(monkeypatch):
     # absorbs the regularized ones alone
     lower = _lower_tables(9)
     expanded, absorbed = [], []
-    honest_residue, honest_absorb = MasterExpression.residue, MasterExpression.absorb
+    honest_row, honest_absorb = MasterExpression.integer_row, MasterExpression.absorb
 
-    def residue(self, desc):
+    def integer_row(self, desc):
         expanded.append(desc)
-        return honest_residue(self, desc)
+        return honest_row(self, desc)
 
     def absorb(self, desc):
         absorbed.append(desc)
         return honest_absorb(self, desc)
 
-    monkeypatch.setattr(MasterExpression, "residue", residue)
+    monkeypatch.setattr(MasterExpression, "integer_row", integer_row)
     monkeypatch.setattr(MasterExpression, "absorb", absorb)
     relations = relation_descriptors(10)
     family_phase(_master(10, lower, solver_mod.PRIMES[0]), relations)
@@ -1606,9 +1640,11 @@ def test_absorb_rejects_a_row_that_reduces_to_monomials_only():
 
 
 def test_absorb_rejects_a_word_without_a_column():
-    master = _NamedRows([(8,), (5, 3)], {"row": ({(4, 4): 1}, {})})
-    with pytest.raises(InconsistentRelation, match=r"Z\(4,4\) has no column"):
-        master.absorb(("row",))
+    # a relation without a product, Z(4,4) - Z(2,1,1,2,1,1), over two columns
+    master = MasterExpression([(8,), (5, 3)], Certifier({}))
+    missing = r"^duality Z\(4,4\): word Z\(4,4\) has no column"
+    with pytest.raises(InconsistentRelation, match=missing):
+        master.absorb(("duality", (4, 4)))
 
 
 def test_a_relation_word_without_an_entry_is_inconsistent_not_missing(tables8):
