@@ -33,16 +33,7 @@ from .lyndon import (
     odd_lyndon_words,
     published_basis,
 )
-from .algebra import (
-    eval_expansion,
-    eval_truncated,
-    expansion_tolerance,
-    hoffman_relation,
-    product_comparison_tolerance,
-    shuffle_words,
-    stuffle,
-    truncation_tail_bound,
-)
+from .algebra import hoffman_relation, shuffle_words, stuffle
 from .solver import (
     SolvedWeight,
     TableStore,
@@ -77,9 +68,6 @@ __all__ = [
     "dual",
     "elimination_order",
     "ensure_solved",
-    "eval_expansion",
-    "eval_truncated",
-    "expansion_tolerance",
     "extend_word",
     "from_binary",
     "hoffman_relation",
@@ -88,7 +76,6 @@ __all__ = [
     "minimal_depth_stats",
     "odd_lyndon_words",
     "parse_word",
-    "product_comparison_tolerance",
     "published_basis",
     "published_basis_check",
     "recheck_relations",
@@ -99,6 +86,5 @@ __all__ = [
     "stuffle",
     "substitute_tables",
     "to_binary",
-    "truncation_tail_bound",
     "weight",
 ]

@@ -45,10 +45,12 @@ which the certificate checks in full.
    never more than the rank over Q.  So each modulus gets one pass, with
    the target, and a failed pass moves to the next modulus.
 
-3. Assembly.  Each bracket names, besides its lead, only survivors and
-   monomials, so every admissible word of the weight maps to a combination
-   of basis monomials (products of generators of total weight W); each
-   coefficient is rebuilt as a rational.
+3. Back-substitution.  Each bracket names, besides its lead, only
+   survivors and monomials, so the pass that empties the echelon
+   (:meth:`MasterExpression.back_substitute`) writes every eliminated
+   word's entry, a combination of basis monomials (products of generators
+   of total weight W), each coefficient rebuilt as a rational; each
+   survivor is its own entry.
 
 Every row, canonical rows included, is expanded exactly in integers by the
 one :func:`expand_row`, straight into the weight's columns (each word of
@@ -200,12 +202,6 @@ def seed_weight_2() -> SolvedWeight:
 
 
 # ------------------------------------------------------------ substitution
-
-def product_value(u: Word, v: Word, tables: dict[int, SolvedWeight]) -> Entry:
-    """The product Z(u)*Z(v) expanded over basis monomials via the
-    fully-reduced lower-weight tables."""
-    return lc_mul(tables[weight(u)].entries[u], tables[weight(v)].entries[v])
-
 
 def substitute_tables(combo: dict[Word, Fraction], tables: dict[int, SolvedWeight]) -> Entry:
     """Fully reduce a weight-homogeneous word combination through the
@@ -369,12 +365,18 @@ class Certifier:
 
     def certify(self, solved: SolvedWeight, descs: list[tuple]) -> list[tuple]:
         """The relations among ``descs`` that do not hold once ``solved`` is
-        the table of its weight, scaled afresh, so that a replaced candidate
-        is scaled again.  A product of that weight has factors at least two
-        weights lower, so the products kept stay valid."""
-        self.tables[solved.weight] = solved
-        self._scaled.pop(solved.weight, None)
-        return self.rejects(descs)
+        the table of its weight.  A product of that weight has factors at
+        least two weights lower, so the products kept stay valid.  A
+        rejected candidate is dropped again, with its scaled table, so the
+        certifier holds nothing of it into the next pass, and the next
+        candidate is scaled afresh."""
+        w = solved.weight
+        self.tables[w] = solved
+        failed = self.rejects(descs)
+        if failed:
+            del self.tables[w]
+            self._scaled.pop(w, None)
+        return failed
 
     def holds(self, desc: tuple) -> bool:
         """Whether the relation ``desc`` holds, by the packed check."""
@@ -572,8 +574,8 @@ class MasterExpression:
     are never leads and are not indexed.  :meth:`reduce` clears a row's
     exact integers in one pass over its leads, takes what is left mod p
     and installs it, rewriting the brackets that ``users`` files under the
-    new lead, and no other; :meth:`back_substitute` only names the
-    right-hand sides.
+    new lead, and no other; :meth:`back_substitute` pops each bracket and
+    writes its word's entry in ``entries``, over the rationals.
 
     Rows may come in any order: the table is the unique reduced row-echelon
     form of their span (see the module docstring), so the order sets only
@@ -611,7 +613,8 @@ class MasterExpression:
         self.monomials: list[Monomial] = []
         self.pivots: dict[int, dict[int, int]] = {}
         self.users: dict[int, set[int]] = {}
-        self.entries: dict[Word, dict[Monomial, int]] = {}
+        self.entries: dict[Word, Entry] = {}
+        self.max_coeff_bits = 0
         self.installed = 0
         self.absorbed = 0
         self.n_rows = n_rows
@@ -770,17 +773,31 @@ class MasterExpression:
         self.installed, self.absorbed, self.peak_terms, self.bracket_updates = counters
 
     def back_substitute(self) -> None:
-        """Name in ``entries`` every eliminated word's right-hand side mod p
-        (its word is minus the rest, a word ``y`` of the weight as the
-        monomial ``(y,)``), popping its bracket from ``pivots``.  The echelon
-        is fully reduced, so each bracket already names only its lead,
-        survivors and monomials.  ``users`` is dropped with the brackets."""
+        """Write in ``entries`` every eliminated word's table entry, popping
+        its bracket from ``pivots``: its word is minus the rest, a word
+        ``y`` of the weight as the monomial ``(y,)``, each coefficient
+        rebuilt from its residue by :func:`rational`, each distinct residue
+        once.  The echelon is fully reduced, so each bracket already names
+        only its lead, survivors and monomials.  ``max_coeff_bits`` is the
+        largest numerator or denominator bit length in the table, read off
+        the distinct coefficients (a survivor's 1 among them).  ``users`` is
+        dropped with the brackets."""
         p, pivots = self.prime, self.pivots
         names = [(x,) for x in self.columns] + self.monomials
+        rebuilt: dict[int, Fraction] = {}
         for lead in list(pivots):
-            rhs = {names[k]: -v % p for k, v in pivots.pop(lead).items() if k != lead}
-            self.entries[self.columns[lead]] = rhs
+            entry = self.entries[self.columns[lead]] = {}
+            for k, v in pivots.pop(lead).items():
+                if k != lead:
+                    q = rebuilt.get(v)
+                    if q is None:
+                        q = rebuilt[v] = rational(-v % p, p)
+                    entry[names[k]] = q
         self.users, self.terms = {}, 0
+        self.max_coeff_bits = max(
+            (max(q.numerator.bit_length(), q.denominator.bit_length()) for q in rebuilt.values()),
+            default=int(len(self.entries) < self.n_words),
+        )
 
 
 # ------------------------------------------------------------- checkpointing
@@ -848,13 +865,15 @@ class Checkpointer:
         return True
 
     def save(self, master: MasterExpression) -> None:
+        """Write the payload's canonical text and its hash, piece by piece,
+        so that the text is held once."""
         text, digest = _canonical_json({
             "fingerprint": self.fingerprint,
             "phase": self.PHASE,
             "modulus": master.prime,
             "state": master.state(),
         })
-        _atomic_write(self.path, f'{{"payload":{text},"sha256":"{digest}"}}')
+        _atomic_write(self.path, '{"payload":', text, f',"sha256":"{digest}"}}')
 
     def clear(self) -> None:
         self.path.unlink(missing_ok=True)
@@ -930,19 +949,22 @@ def solve_weight(
                         checkpointer.save(master)
             finally:
                 family_seconds += time.monotonic() - t0
-            # ---- bracketed elimination and assembly
+            # ---- bracketed elimination and back-substitution
             for desc in rows:
                 master.absorb(desc)
             master.back_substitute()
-            solved = _assemble(w, master)
         except (UnderdeterminedFamily, InconsistentRelation, ReconstructionError) as exc:
             error = exc
         else:
+            survivors = [x for x in columns if x not in master.entries]
+            solved = SolvedWeight(w, sorted(survivors, key=listing_key),
+                                  {**{x: {(x,): Fraction(1)} for x in survivors}, **master.entries})
             # ---- exact certificate of every relation
             t2 = time.monotonic()
             failed = lower.certify(solved, relations)
             certify_seconds += time.monotonic() - t2
             if failed:
+                solved = None  # the next modulus starts without the rejected table
                 error = ReconstructionError(
                     f"weight {w}: {len(failed)} relation(s) fail the certificate, "
                     f"{describe(failed[0])} first"
@@ -958,7 +980,7 @@ def solve_weight(
 
     # each row installed a pivot or was redundant: reduced to nothing, or skipped
     redundant = n_rows - master.installed
-    height = solved.stats["max_coeff_bits"]
+    height = master.max_coeff_bits
     solved.stats = {
         "families_seconds": round(family_seconds, 3),
         "elimination_seconds": round(elimination_seconds, 3),
@@ -981,38 +1003,6 @@ def solve_weight(
     note(
         f"weight {w}: {len(solved.generators)} generator(s), "
         f"{master.installed} pivots, {redundant} redundant rows"
-    )
-    return solved
-
-
-def _assemble(w: int, master: MasterExpression) -> SolvedWeight:
-    """The fully-reduced table of the weight after
-    :meth:`MasterExpression.back_substitute`: each survivor as itself and
-    every other word's entry mod p, each coefficient rebuilt by
-    :func:`rational`, each distinct residue once.  Each entry mod p is
-    popped from ``master.entries`` as it is rebuilt, so the residues are
-    gone before the certificate runs.  ``stats["max_coeff_bits"]`` is the
-    largest numerator or denominator bit length in the table, read off the
-    distinct coefficients (a survivor's 1 among them)."""
-    p = master.prime
-    survivors = [x for x in master.columns if x not in master.entries]
-    table: dict[Word, Entry] = {x: {(x,): Fraction(1)} for x in survivors}
-    rebuilt: dict[int, Fraction] = {}
-    for x in list(master.entries):
-        entry = table[x] = {}
-        for m, c in master.entries.pop(x).items():
-            q = rebuilt.get(c)
-            if q is None:
-                q = rebuilt[c] = rational(c, p)
-            entry[m] = q
-    solved = SolvedWeight(
-        weight=w,
-        generators=sorted(survivors, key=listing_key),
-        entries=table,
-    )
-    solved.stats["max_coeff_bits"] = max(
-        (max(q.numerator.bit_length(), q.denominator.bit_length()) for q in rebuilt.values()),
-        default=1 if survivors else 0,
     )
     return solved
 
@@ -1129,12 +1119,13 @@ def parse_table(text: str) -> SolvedWeight:
 
 # -------------------------------------------------------------- persistence
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, *pieces: str) -> None:
+    """Write the concatenation of ``pieces`` to ``path`` atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -36,14 +36,9 @@ import io
 import random
 import time
 
-import zetaforge.algebra as algebra
-from zetaforge.algebra import (
-    eval_expansion,
-    eval_truncated,
-    product_comparison_tolerance,
-    shuffle_words,
-    stuffle,
-)
+import oracles
+from oracles import eval_expansion, eval_truncated, product_comparison_tolerance
+from zetaforge.algebra import shuffle_words, stuffle
 from zetaforge.lyndon import collapse_word, odd_lyndon_words
 from zetaforge.cli import EXIT_OK, main
 from zetaforge.verify import (
@@ -155,7 +150,7 @@ def test_criterion_6_truncated_product_oracle(monkeypatch):
     # the 200 products name few distinct words: evaluate each once (the
     # evaluation is deterministic, so every float stays bit for bit)
     evaluate = functools.cache(eval_truncated)
-    monkeypatch.setattr(algebra, "eval_truncated", evaluate)
+    monkeypatch.setattr(oracles, "eval_truncated", evaluate)
     rng = random.Random(20260815)
     cutoff = 2000
     t0 = time.monotonic()

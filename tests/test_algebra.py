@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import zetaforge.algebra as algebra_mod
+from oracles import eval_expansion, eval_truncated, expansion_tolerance, truncation_tail_bound
 from zetaforge.algebra import (
     CELL_MEMO_WEIGHT,
     _product_codes,
@@ -33,10 +34,7 @@ from zetaforge.algebra import (
     add_term,
     check_kinds,
     describe,
-    eval_expansion,
-    eval_truncated,
     expand_relation,
-    expansion_tolerance,
     hoffman_relation,
     lc_mul,
     mono_mul,
@@ -45,7 +43,6 @@ from zetaforge.algebra import (
     relation_dump,
     shuffle_words,
     stuffle,
-    truncation_tail_bound,
     weight_pairs,
 )
 from zetaforge.words import (

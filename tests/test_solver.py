@@ -4,6 +4,7 @@ The weight-3/4 expectations are hand Gaussian eliminations over at most four
 unknowns, written out in the comments where they are asserted.
 """
 
+import gc
 import hashlib
 import json
 import logging
@@ -15,12 +16,14 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zetaforge.solver as solver_mod
+from oracles import product_value
 from zetaforge.algebra import (
     DEFAULT_KINDS,
     add_scaled,
@@ -45,7 +48,6 @@ from zetaforge.solver import (
     ensure_solved,
     family_phase,
     parse_table,
-    product_value,
     rational,
     render_table,
     seed_weight_2,
@@ -772,10 +774,10 @@ def test_ensure_solved_rerun_after_a_crash_before_the_manifest_write(
     ensure_solved(store, 6)
     honest = solver_mod._atomic_write
 
-    def crash_on_manifest(path, text):
+    def crash_on_manifest(path, *pieces):
         if path == store.manifest_path and store.table_path(7).exists():
             raise KeyboardInterrupt("simulated crash between table and manifest writes")
-        honest(path, text)
+        honest(path, *pieces)
 
     monkeypatch.setattr(solver_mod, "_atomic_write", crash_on_manifest)
     with pytest.raises(KeyboardInterrupt):
@@ -1442,6 +1444,34 @@ def test_a_corrupted_canonical_bracket_fails_the_certificate(monkeypatch, caplog
     assert len(failures) == 1 and "fail the certificate" in failures[0]
 
 
+def test_a_rejected_candidate_is_released_before_the_next_modulus(monkeypatch, tables8):
+    # the table that fails the certificate under PRIMES[0] is held neither
+    # by the solve nor by its certifier, nor scaled there, once the pass
+    # under 2^521 - 1 enters its family phase
+    _corrupt_first_bracket_under_the_first_modulus(monkeypatch)
+    candidates, seen = [], []
+    honest_certify, honest_phase = Certifier.certify, solver_mod.family_phase
+
+    def certify(self, solved, descs):
+        candidates.append(weakref.ref(solved))
+        return honest_certify(self, solved, descs)
+
+    def family_phase(master, relations):
+        if master.prime == solver_mod.PRIMES[1]:
+            gc.collect()
+            seen.append((candidates[0]() is None, 8 in master.lower.tables,
+                         8 in master.lower._scaled))
+        honest_phase(master, relations)
+
+    monkeypatch.setattr(Certifier, "certify", certify)
+    monkeypatch.setattr(solver_mod, "family_phase", family_phase)
+    lower = {w: t for w, t in tables8.items() if w < 8}
+    solved = solve_weight(8, lower)
+    assert render_table(solved) == render_table(tables8[8])
+    assert len(candidates) == 2
+    assert seen == [(True, False, False)]
+
+
 def test_a_modulus_fallback_warns_about_no_checkpoint_of_its_own(
         tmp_path, monkeypatch, caplog, clean_store8):
     # the pass under PRIMES[0] writes weight 8's checkpoint and then fails;
@@ -1498,6 +1528,21 @@ def test_traced_benchmark_pass_sees_every_row(tmp_path):
     assert layers["solver.absorb.rows"] == sum(p + r for p, r in counts) == 25
     assert layers["solver.absorb.pivots"] == sum(p for p, _ in counts) == 18
     assert layers["solver.expand_row.calls"] > 0
+
+
+def test_the_benchmark_tracer_installs():
+    # the tracer wraps solver and algebra names from outside the package; a
+    # change that deletes one of them fails here, not first in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import Tracer, install\n"
+            "install(Tracer())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_weights_2_to_9_solve_to_the_golden_digests_under_python_3_10():
@@ -1720,7 +1765,7 @@ def test_peak_terms_is_the_largest_live_count():
     assert grow.bracket_updates == 1
     # read as "word = minus the rest": a = c + m and b = -c - m
     grow.back_substitute()
-    assert grow.entries == {a: {(c,): 1, m: 1}, b: {(c,): p - 1, m: p - 1}}
+    assert grow.entries == {a: {(c,): one, m: one}, b: {(c,): -one, m: -one}}
 
     # non-unit leads {-2a-b-c, 3b+c+2m}, given as -(2a+b+c)/2 and
     # 2(3b+c+2m)/3: each bracket is stored mod p with lead 1; the second
@@ -1761,12 +1806,11 @@ def test_peak_terms_is_the_largest_live_count():
     # x + 3c/2 - 3(c/3 + 2m/3)/2 = x + c - m
     assert leads.pivots[X] == {X: 1, C: 1, M: p - 1}
     assert leads.bracket_updates == 3
-    # the brackets stay mod p; assembly rebuilds each table coefficient once
+    # the brackets stay mod p; back-substitution rebuilds each table
+    # coefficient once, and the survivor c has no entry of its own there
     leads.back_substitute()
-    assert leads.entries[a] == {(c,): p - inv3, m: inv3}
-    assert leads.entries[x] == {(c,): p - 1, m: 1}
-    table = solver_mod._assemble(8, leads).entries
-    assert table[a] == {(c,): Fraction(-1, 3), m: Fraction(1, 3)}
-    assert table[b] == {(c,): Fraction(-1, 3), m: Fraction(-2, 3)}
-    assert table[c] == {(c,): one}
-    assert table[x] == {(c,): -one, m: one}
+    assert leads.entries[a] == {(c,): Fraction(-1, 3), m: Fraction(1, 3)}
+    assert leads.entries[b] == {(c,): Fraction(-1, 3), m: Fraction(-2, 3)}
+    assert leads.entries[x] == {(c,): -one, m: one}
+    assert c not in leads.entries
+    assert leads.max_coeff_bits == 2

@@ -14,6 +14,7 @@ import pytest
 
 import zetaforge.solver as solver_mod
 import zetaforge.verify as verify_mod
+from oracles import product_value
 from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
 from zetaforge.lyndon import listing_key
 from zetaforge.solver import (
@@ -21,7 +22,6 @@ from zetaforge.solver import (
     SolvedWeight,
     TableStore,
     ensure_solved,
-    product_value,
     solve_in_memory,
     solve_weight,
     substitute_tables,
