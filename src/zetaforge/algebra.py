@@ -19,12 +19,8 @@ Expansions are computed on integer word codes
 regularized relation (:func:`_hoffman_codes`) and a stuffle whose first
 factor is a single index (:func:`_index_stuffle_codes`) are written down
 in closed form; every other product is built over a table of suffix pairs.
-A cell of that table depends on its two suffixes alone, so each cell whose
-suffixes weigh at most :data:`CELL_MEMO_WEIGHT` together is computed once
-per process, for products of every weight.  Its bound is a constant, not a
-share of the weight, so the memo stays small at every weight (1,248 cells
-holding 11,923 terms after the relations of weights 3 to 13, of at most
-1,538), and every expansion is a fresh dict that its caller may change.
+Every expansion is computed afresh, so it depends on its relation alone and
+its caller may change it.
 
 Linear combinations are plain dicts mapping a key (a word code, an index
 word, or a basis monomial which is a tuple of generator words) to a nonzero
@@ -120,14 +116,6 @@ def _decoded(w: int, combo: dict[int, int]) -> dict[Word, int]:
     return {decode[x]: c for x, c in combo.items()}
 
 
-# Cells of the suffix-pair table of :func:`_suffix_pair_codes` whose suffixes
-# weigh at most CELL_MEMO_WEIGHT together, keyed by the product kind and the
-# two suffixes, each as its code with a bit set above it: at most 1538
-# cells, the nonempty suffix pairs of total weight at most 8 (769 per kind).
-CELL_MEMO_WEIGHT = 8
-_cells: dict[tuple[bool, int, int], dict[int, int]] = {}
-
-
 def _product_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     """The ``"stuffle"`` or ``"shuffle"`` expansion of ``u`` and ``v`` on
     codes: :func:`_index_stuffle_codes` when it is a stuffle with a single
@@ -167,9 +155,7 @@ def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
     and ``v[j+1:]``, or (stuffle only) with the index ``u[i] + v[j]``
     followed by one of ``u[i+1:]`` and ``v[j+1:]``, in that order.  All
     products of one suffix pair have one length, so prepending a part to a
-    tail of length t shifts its letters up t bits: an index sets bit t.
-    A cell depends only on its two suffixes, so the small ones come from
-    the memo (see the module docstring), which no caller sees."""
+    tail of length t shifts its letters up t bits: an index sets bit t."""
     if kind == "shuffle" and not (is_admissible(u) and is_admissible(v)):
         raise ValueError(f"shuffle needs admissible words, got {u!r} and {v!r}")
     merge = kind == "stuffle"
@@ -185,12 +171,6 @@ def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
         row = [{}] * len(hv) + [{cu[i]: 1}]
         hu, ti = cu[i] ^ cu[i + 1], tu[i]
         for j in range(len(hv) - 1, -1, -1):
-            small = ti + tv[j] <= CELL_MEMO_WEIGHT
-            if small:  # each suffix as a memo key, its code with a bit set above it
-                cell = merge, cu[i] | 1 << ti, cv[j] | 1 << tv[j]
-                if (out := _cells.get(cell)) is not None:
-                    row[j] = out
-                    continue
             lead = hu << tv[j]
             out = {lead | x: c for x, c in below[j].items()} if lead else dict(below[j])
             lead = hv[j] << ti
@@ -202,10 +182,8 @@ def _suffix_pair_codes(kind: str, u: Word, v: Word) -> dict[int, int]:
                 for x, c in below[j + 1].items():
                     key = lead | x
                     out[key] = out.get(key, 0) + c
-            if small:
-                _cells[cell] = out
             row[j] = out
-    return dict(row[0]) if tu[0] + tv[0] <= CELL_MEMO_WEIGHT else row[0]
+    return row[0]
 
 
 def stuffle(u: Word, v: Word) -> dict[Word, int]:

@@ -250,9 +250,7 @@ class _ScaledTable:
     in any vector.  ``index`` numbers the monomials that the entries name.
     Once a relation of the weight is checked, ``packed[x]`` is
     ``vectors[x]`` packed into one integer, monomial ``i`` in the slot of
-    ``bits`` bits at ``bits * i``, and ``packed_products`` holds the
-    packing of each product pair's tabled value at the current width (see
-    :meth:`Certifier.holds`)."""
+    ``bits`` bits at ``bits * i`` (see :meth:`Certifier.holds`)."""
 
     def __init__(self, entries: dict[Word, Entry]):
         den = math.lcm(*(c.denominator for entry in entries.values() for c in entry.values()))
@@ -268,7 +266,6 @@ class _ScaledTable:
         )
         self.bits = 0
         self.packed: dict[int, int] = {}
-        self.packed_products: dict[tuple[Word, Word], int] = {}
 
     def pack_vector(self, vector: dict[Monomial, int]) -> int:
         index, bits = self.index, self.bits
@@ -280,7 +277,6 @@ class _ScaledTable:
         if not self.bits or 1 << self.bits - 1 <= bound:
             self.bits = max(SLOT_BITS, 2 * self.bits, bound.bit_length() + 1)
             self.packed = {x: self.pack_vector(vector) for x, vector in self.vectors.items()}
-            self.packed_products = {}
         return self.packed
 
 
@@ -303,9 +299,9 @@ class Certifier:
 
     is zero, where ``P(N_u N_v)`` packs ``lc_mul`` of the factors' vectors
     (``D_a D_b T(u) T(v)``).  That product, with ``D_a D_b``, is computed
-    once per pair (:meth:`product`), kept as long as the certifier, and
-    packed once per slot width, so the stuffle and shuffle instances of a
-    pair, their rows and their checks all share it.  A product monomial
+    once per pair (:meth:`product`) and kept as long as the certifier, so
+    the stuffle and shuffle instances of a pair, their rows and their
+    checks all share it; each check packs it afresh.  A product monomial
     that no entry of weight ``w`` names has no slot, and its nonzero
     coefficient makes the relation fail.
     :meth:`holds` compares ``R`` with 0 as one integer, which is exact
@@ -410,10 +406,7 @@ class Certifier:
             total += c * p
         if value is None:
             return total == 0
-        packed_value = top.packed_products.get(pair)
-        if packed_value is None:
-            packed_value = top.packed_products[pair] = top.pack_vector(value)
-        return scale * total == top.den * packed_value
+        return scale * total == top.den * top.pack_vector(value)
 
     def residue(self, desc: tuple) -> dict[Monomial, int]:
         """The relation ``desc`` substituted through the tables, times the

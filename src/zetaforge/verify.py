@@ -117,7 +117,8 @@ def dimension_report(tables: dict[int, SolvedWeight], max_weight: int) -> list[D
             raise KeyError(f"weight {w} not solved; cannot report dimensions")
         solved = tables[w]
         counts[w] = monomial_count(solved)
-        expected = 1 if w == 2 else len(odd_lyndon_words(w))
+        lyndon_count = len(odd_lyndon_words(w))
+        expected = 1 if w == 2 else lyndon_count
         recursion: bool | None = None
         if w - 3 in counts:
             recursion = counts[w] == counts[w - 2] + counts[w - 3]
@@ -126,7 +127,7 @@ def dimension_report(tables: dict[int, SolvedWeight], max_weight: int) -> list[D
                 weight=w,
                 monomial_count=counts[w],
                 generator_count=len(solved.generators),
-                lyndon_count=len(odd_lyndon_words(w)),
+                lyndon_count=lyndon_count,
                 generators_agree=len(solved.generators) == expected,
                 recursion_ok=recursion,
             )

@@ -9,9 +9,10 @@ assertion output appears on failure either way).
      the factorization-counting oracle), collapse is a bijection, exactly
      one twofold-extended element each (the known pair)
   2. weights 3..12 solve with generator counts equal to Lyndon counts;
-     the lone 1-fold extension at weight 12 is Z(6,4,1,1); solve time
-     (one process): weights through 10 under 60 s combined, weight 12
-     under 600 s
+     the lone 1-fold extension at weight 12 is Z(6,4,1,1); weight 12's
+     table has its pinned sha256, 333 pivots and 1339 redundant rows;
+     solve time (one process): weights through 10 under 60 s combined,
+     weight 12 under 600 s
   3. classical weight-3/4 identities hold in the tables exactly, zero
      tolerance
   4. regenerated relations of all four kinds collapse to exactly zero,
@@ -32,6 +33,7 @@ assertion output appears on failure either way).
 
 import contextlib
 import functools
+import hashlib
 import io
 import random
 import time
@@ -41,6 +43,7 @@ from oracles import eval_expansion, eval_truncated, product_comparison_tolerance
 from zetaforge.algebra import shuffle_words, stuffle
 from zetaforge.lyndon import collapse_word, odd_lyndon_words
 from zetaforge.cli import EXIT_OK, main
+from zetaforge.solver import render_table
 from zetaforge.verify import (
     basis_report,
     dimension_report,
@@ -80,6 +83,9 @@ def test_criterion_2_small_weight_solves(tables12):
     assert report.extension_profile == {0: 1, 1: 1}
     onefold = [g for g in report.generators if collapse_word(g)[1] == 1]
     assert onefold[0] == (6, 4, 1, 1)
+    digest = hashlib.sha256(render_table(tables[12]).encode()).hexdigest()
+    assert digest == "ad5cd288dc4d39778e187773a489027aa7048d7ca15027ab14d23a11b5928002"
+    assert (tables[12].stats["pivots"], tables[12].stats["redundant_rows"]) == (333, 1339)
 
     through_10 = sum(seconds[w] for w in range(3, 11))
     assert through_10 < 60.0, f"weights 3..10 took {through_10:.1f}s"
