@@ -15,12 +15,10 @@ from .words import (
     Word,
     admissible_words,
     dual,
-    from_binary,
     is_admissible,
     is_lyndon,
     parse_word,
     render_word,
-    to_binary,
     weight,
 )
 from .lyndon import (
@@ -38,7 +36,6 @@ from .solver import (
     SolvedWeight,
     TableStore,
     ensure_solved,
-    solve_in_memory,
     solve_weight,
     substitute_tables,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "elimination_order",
     "ensure_solved",
     "extend_word",
-    "from_binary",
     "hoffman_relation",
     "is_admissible",
     "is_lyndon",
@@ -81,10 +77,8 @@ __all__ = [
     "recheck_relations",
     "render_word",
     "shuffle_words",
-    "solve_in_memory",
     "solve_weight",
     "stuffle",
     "substitute_tables",
-    "to_binary",
     "weight",
 ]

@@ -248,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pop = ", ".join(f"{k} {n}" for k, n in rep.population.items())
         status = "PASS" if rep.passed else "FAIL"
         print(
-            f"relation recheck at weight {args.weight}: {status} — "
+            f"relation recheck at weight {args.weight}: {status} ({rep.seconds:.3f}s) — "
             f"{rep.distinct_checked} instance(s) collapsed to zero ({pop})"
         )
         for f in rep.failures:

@@ -1256,15 +1256,3 @@ def ensure_solved(
         if progress is not None:
             progress(f"weight {w}: table saved ({len(solved.entries)} entries)")
     return tables
-
-
-def solve_in_memory(
-    up_to: int,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
-    progress: Callable[[str], None] | None = None,
-) -> dict[int, SolvedWeight]:
-    """Solve weights 2..up_to without persistence."""
-    tables: dict[int, SolvedWeight] = {}
-    for w in range(2, up_to + 1):
-        tables[w] = solve_weight(w, tables, kinds, progress=progress)
-    return tables

@@ -38,6 +38,7 @@ class RecheckReport(NamedTuple):
     population: dict[str, int]
     distinct_checked: int
     failures: list[str]
+    seconds: float
 
     @property
     def passed(self) -> bool:
@@ -48,6 +49,7 @@ class RecheckReport(NamedTuple):
         out.append(f"recheck.{self.weight}.distinct_checked = {self.distinct_checked}")
         out.append(f"recheck.{self.weight}.failures = {len(self.failures)}")
         out.extend(f"recheck.{self.weight}.failure = {f}" for f in self.failures)
+        out.append(f"recheck.{self.weight}.seconds = {self.seconds:.3f}")
         return out
 
 
@@ -66,13 +68,15 @@ def recheck_relations(
     instances would save little.  Failures carry the relation's origin and
     the number of monomials its residue leaves.
     """
+    t0 = time.monotonic()
     descs = relation_descriptors(w, kinds)
     certifier = Certifier(tables)
     failures = [
         f"{describe(desc)} left {len(certifier.residue(desc))} monomial(s)"
         for desc in certifier.rejects(descs)
     ]
-    return RecheckReport(w, dict(Counter(d[0] for d in descs)), len(descs), failures)
+    return RecheckReport(w, dict(Counter(d[0] for d in descs)), len(descs), failures,
+                         time.monotonic() - t0)
 
 
 # ---------------------------------------------------------- dimension report

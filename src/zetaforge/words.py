@@ -52,18 +52,11 @@ def admissible_words(w: int) -> list[Word]:
 
 # ----------------------------------------------------------------- encoding
 
-def to_binary(w: Word) -> str:
-    """Encode an index word over the two-letter alphabet: index k becomes
-    k-1 letters X followed by one Y.  The encoding of an admissible word
-    starts with X and ends with Y, and its length equals the weight."""
-    return "".join("X" * (k - 1) + "Y" for k in w)
-
-
 def code(w: Word) -> int:
-    """The binary encoding of ``w`` as an integer, X = 0 and Y = 1, first
-    letter most significant.  Its length is the weight, so the code names
-    the word only together with the weight: prepending an index to a word
-    of weight t sets bit t."""
+    """The binary encoding of ``w`` as an integer: index k becomes k-1
+    letters X = 0 followed by one Y = 1, first letter most significant.
+    Its length is the weight, so the code names the word only together
+    with the weight: prepending an index to a word of weight t sets bit t."""
     c = 0
     for k in w:
         c = c << k | 1
@@ -88,24 +81,6 @@ def dual_codes(w: int) -> dict[int, int]:
     its code, built once per weight: the complemented code, its ``w`` bits
     reversed."""
     return {x: int(f"{x ^ (1 << w) - 1:0{w}b}"[::-1], 2) for x in decoder(w) if not x >> w - 1}
-
-
-def from_binary(b: str) -> Word:
-    """Inverse of :func:`to_binary`.  Rejects words not ending in Y, since a
-    trailing run of X admits no index decomposition."""
-    out = []
-    run = 0
-    for ch in b:
-        if ch == "X":
-            run += 1
-        elif ch == "Y":
-            out.append(run + 1)
-            run = 0
-        else:
-            raise ValueError(f"binary word may contain only X and Y, got {b!r}")
-    if run:
-        raise ValueError(f"binary word does not end in Y: {b!r}")
-    return tuple(out)
 
 
 def dual(w: Word) -> Word:

@@ -15,7 +15,8 @@ import time
 import pytest
 
 import zetaforge.solver as solver_mod
-from zetaforge.solver import MasterExpression, solve_in_memory, solve_weight
+from oracles import solve_in_memory
+from zetaforge.solver import MasterExpression, solve_weight
 
 
 @pytest.fixture(scope="session")

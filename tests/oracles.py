@@ -4,18 +4,60 @@ The truncated-sum numerical oracle evaluates nested sums in floating point,
 with certified truncation bounds instead of wishful tolerances, to check
 the product algebras against actual sums; :func:`product_value` is the
 tabled value of a product over ``Fraction``, the reference for the integer
-rows and the packed certificate.
+rows and the packed certificate.  :func:`to_binary` and
+:func:`from_binary` are the text form of the encoding that
+:func:`zetaforge.words.code` packs into an integer, for the oracles that
+work on strings; :func:`solve_in_memory` solves a range of weights without
+a store.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from zetaforge.algebra import lc_mul
-from zetaforge.solver import Entry, SolvedWeight
+from zetaforge.algebra import DEFAULT_KINDS, lc_mul
+from zetaforge.solver import Entry, SolvedWeight, solve_weight
 from zetaforge.words import Word, is_admissible, weight
 
 ZETA2 = math.pi ** 2 / 6
+
+
+def to_binary(w: Word) -> str:
+    """Encode an index word over the two-letter alphabet: index k becomes
+    k-1 letters X followed by one Y.  The encoding of an admissible word
+    starts with X and ends with Y, and its length equals the weight."""
+    return "".join("X" * (k - 1) + "Y" for k in w)
+
+
+def from_binary(b: str) -> Word:
+    """Inverse of :func:`to_binary`.  Rejects words not ending in Y, since a
+    trailing run of X admits no index decomposition."""
+    out = []
+    run = 0
+    for ch in b:
+        if ch == "X":
+            run += 1
+        elif ch == "Y":
+            out.append(run + 1)
+            run = 0
+        else:
+            raise ValueError(f"binary word may contain only X and Y, got {b!r}")
+    if run:
+        raise ValueError(f"binary word does not end in Y: {b!r}")
+    return tuple(out)
+
+
+def solve_in_memory(
+    up_to: int,
+    kinds: tuple[str, ...] = DEFAULT_KINDS,
+    progress: Callable[[str], None] | None = None,
+) -> dict[int, SolvedWeight]:
+    """Solve weights 2..up_to without persistence."""
+    tables: dict[int, SolvedWeight] = {}
+    for w in range(2, up_to + 1):
+        tables[w] = solve_weight(w, tables, kinds, progress=progress)
+    return tables
 
 
 def product_value(u: Word, v: Word, tables: dict[int, SolvedWeight]) -> Entry:

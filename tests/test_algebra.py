@@ -24,7 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import eval_expansion, eval_truncated, expansion_tolerance, truncation_tail_bound
+from oracles import (
+    eval_expansion,
+    eval_truncated,
+    expansion_tolerance,
+    from_binary,
+    to_binary,
+    truncation_tail_bound,
+)
 from zetaforge.algebra import (
     _product_codes,
     _suffix_pair_codes,
@@ -46,10 +53,8 @@ from zetaforge.algebra import (
 from zetaforge.words import (
     admissible_words,
     decoder,
-    from_binary,
     is_admissible,
     parse_word,
-    to_binary,
     weight,
 )
 
@@ -144,8 +149,6 @@ def oracle_shuffle_binary(a, b):
 
 
 def oracle_shuffle_words(u, v):
-    from zetaforge.words import from_binary, to_binary
-
     out = {}
     for s, c in oracle_shuffle_binary(to_binary(u), to_binary(v)).items():
         w = from_binary(s)

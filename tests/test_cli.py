@@ -7,6 +7,7 @@ are asserted directly.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from zetaforge.cli import (
 )
 from zetaforge._meta import BUILD_ID
 from zetaforge.algebra import DEFAULT_KINDS
-from zetaforge.solver import Checkpointer, TableStore
+from zetaforge.solver import Checkpointer, StoreIntegrityError, TableStore
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,29 @@ def test_verify_published_basis_alias(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "verify-report.txt").exists()
 
 
+def test_verify_passes_the_benchmark_gate_on_its_fixture(tmp_path, capsys):
+    # the check the benchmark's verify-w11 workload makes of its output, on
+    # the same fixture store, so a change that would fail it fails here
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    for w in range(2, 12):
+        name = f"weight-{w:02d}.table"
+        (tmp_path / name).write_bytes((bench / "fixture" / name).read_bytes())
+    (tmp_path / "manifest.json").write_bytes((bench / "fixture" / "manifest-11.json").read_bytes())
+    argv = ["verify", "--weight", "11", "--dims", "--published-basis",
+            "--relations", "stuffle,shuffle,hoffman,duality", "--table-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"^relation recheck at weight 11: PASS \(\d+\.\d{3}s\) — ", out, re.M)
+    report = dict(line.split(" = ", 1)
+                  for line in (tmp_path / "verify-report.txt").read_text().splitlines())
+    expected = json.loads((bench / "golden.json").read_text())["recheck_11"]
+    assert report["verify.passed"] == "yes"
+    assert report["recheck.11.distinct_checked"] == str(expected["distinct_checked"])
+    for kind, n in expected["population"].items():
+        assert report[f"recheck.11.population.{kind}"] == str(n)
+    assert float(report["recheck.11.seconds"]) >= 0
+
+
 # -------------------------------------------------------------- error paths
 
 def test_missing_table_exit(solved_dir, capsys):
@@ -468,6 +492,44 @@ def test_unwritable_table_dir_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_report_path_under_a_regular_file_exits_unwritable(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("i am a file")
+    report = blocker / "report.txt"
+    argv = ["verify", "--published-basis", "--report", str(report)]
+    assert main(argv) == EXIT_UNWRITABLE
+    assert f"cannot write machine summary {report}" in capsys.readouterr().err
+
+
+def test_a_hash_valid_table_of_another_weight_exits_integrity(tmp_path, capsys):
+    # weight 5's table, recorded and hashed as weight 6's
+    assert main(["solve", "--weight", "6", "--table-dir", str(tmp_path)]) == EXIT_OK
+    (tmp_path / "weight-06.table").write_bytes((tmp_path / "weight-05.table").read_bytes())
+    _rehash(tmp_path, 6)
+    with pytest.raises(StoreIntegrityError, match="weight-06.table declares weight 5"):
+        TableStore(tmp_path).load(6)
+    capsys.readouterr()
+    assert main(["verify", "--weight", "6", "--table-dir", str(tmp_path)]) == EXIT_INTEGRITY
+    assert "weight-06.table declares weight 5" in capsys.readouterr().err
+
+
+def test_dims_fails_when_a_table_has_a_generator_too_many(tmp_path, capsys):
+    # weight 4 has no odd Lyndon word; a re-hashed table keeps Z(4) as a generator
+    assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "weight-04.table"
+    text = path.read_text()
+    for old, new in (("# generators:\n", "# generators: Z(4)\n"),
+                     ("Z(4) = 2/5*Z(2)*Z(2)\n", "Z(4) = 1*Z(4)\n")):
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    _rehash(tmp_path, 4)
+    assert main(["dims", "--max-weight", "4", "--table-dir", str(tmp_path)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].split() == ["4", "2", "1", "0", "NO", "n/a"]
+    assert "generator count disagrees with the Lyndon enumeration" in captured.err
+
+
 def test_verify_detects_doctored_table(tmp_path, capsys):
     """A stored coefficient is altered (with the manifest hash made
     consistent, as an attacker would): verify must still fail on the math."""
@@ -570,6 +632,11 @@ def _list_instead_of_wrapper(path):
     path.write_text(json.dumps([1, 2]))
 
 
+def _list_payload_with_its_hash(path):
+    text, digest = solver_mod._canonical_json([1, 2])
+    path.write_text(f'{{"payload":{text},"sha256":"{digest}"}}')
+
+
 def _write_echelon(path, **fields):
     # hash-valid, with the default kinds' fingerprint, this build's phase tag
     # and the solve's modulus
@@ -590,8 +657,8 @@ def _column_out_of_range(path):
                                 "counters": [0, 0, 0, 0]})
 
 
-@pytest.mark.parametrize("spoil", [_list_instead_of_wrapper, _echelon_without_state,
-                                   _column_out_of_range])
+@pytest.mark.parametrize("spoil", [_list_instead_of_wrapper, _list_payload_with_its_hash,
+                                   _echelon_without_state, _column_out_of_range])
 def test_malformed_checkpoint_exits_integrity(tmp_path, capsys, spoil):
     assert main(["solve", "--weight", "4", "--table-dir", str(tmp_path)]) == EXIT_OK
     spoil(tmp_path / "weight-05.checkpoint.json")

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import zetaforge.solver as solver_mod
-from oracles import product_value
+from oracles import product_value, solve_in_memory
 from zetaforge.algebra import (
     DEFAULT_KINDS,
     add_scaled,
@@ -51,7 +51,6 @@ from zetaforge.solver import (
     rational,
     render_table,
     seed_weight_2,
-    solve_in_memory,
     solve_weight,
     substitute_tables,
 )
@@ -290,6 +289,20 @@ def test_store_rejects_corrupt_manifest(tmp_path, tables8):
         store.read_manifest()
 
 
+def test_a_failed_atomic_write_leaves_the_target_and_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "weight-05.table"
+    target.write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("simulated failure of the rename")
+
+    monkeypatch.setattr(solver_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="simulated"):
+        solver_mod._atomic_write(target, "new")
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert target.read_text() == "old"
+
+
 # One process of the concurrent-save test: "slow" saves weight 4 and holds the
 # manifest it read for 0.5 s before writing it back; "fast" saves weight 5 as
 # soon as the slow one has read.  Each waits for the other through marker
@@ -297,7 +310,7 @@ def test_store_rejects_corrupt_manifest(tmp_path, tables8):
 _CONCURRENT_SAVE = """
 import sys, time
 from pathlib import Path
-from zetaforge.solver import TableStore, solve_in_memory
+from zetaforge.solver import TableStore, solve_weight
 
 role, root = sys.argv[1], Path(sys.argv[2])
 ready, read = root.parent / "fast-ready", root.parent / "slow-read"
@@ -307,7 +320,10 @@ def wait_for(marker):
         time.sleep(0.01)
 
 w = 4 if role == "slow" else 5
-table = solve_in_memory(w)[w]
+tables = {}
+for v in range(2, w + 1):
+    tables[v] = solve_weight(v, tables)
+table = tables[w]
 if role == "slow":
     honest = TableStore.read_manifest
 
@@ -1561,8 +1577,10 @@ def test_weights_2_to_9_solve_to_the_golden_digests_under_python_3_10():
     root = Path(__file__).resolve().parents[1]
     code = (
         "import hashlib, json\n"
-        "from zetaforge.solver import render_table, solve_in_memory\n"
-        "tables = solve_in_memory(9)\n"
+        "from zetaforge.solver import render_table, solve_weight\n"
+        "tables = {}\n"
+        "for w in range(2, 10):\n"
+        "    tables[w] = solve_weight(w, tables)\n"
         "print(json.dumps({w: hashlib.sha256(render_table(t).encode('ascii')).hexdigest()"
         " for w, t in tables.items()}))\n"
     )
@@ -1690,6 +1708,16 @@ def test_absorb_rejects_a_word_without_a_column():
     missing = r"^duality Z\(4,4\): word Z\(4,4\) has no column"
     with pytest.raises(InconsistentRelation, match=missing):
         master.absorb(("duality", (4, 4)))
+
+
+def test_a_certifier_names_the_word_a_table_lacks(tables8):
+    # a factor of the product pair, then a word of the relation's own weight
+    for w, x in ((3, (3,)), (5, (3, 2))):
+        tables = dict(tables8)
+        entries = {y: e for y, e in tables8[w].entries.items() if y != x}
+        tables[w] = SolvedWeight(w, tables8[w].generators, entries)
+        with pytest.raises(MissingTable, match=re.escape(f"no table entry for {render_word(x)}")):
+            Certifier(tables).holds(("stuffle", (3,), (2,)))
 
 
 def test_a_relation_word_without_an_entry_is_inconsistent_not_missing(tables8):

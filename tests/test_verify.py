@@ -14,15 +14,15 @@ import pytest
 
 import zetaforge.solver as solver_mod
 import zetaforge.verify as verify_mod
-from oracles import product_value
+from oracles import product_value, solve_in_memory
 from zetaforge.algebra import add_scaled, expand_relation, relation_descriptors
+from zetaforge.cli import EXIT_CHECK_FAILED, main
 from zetaforge.lyndon import listing_key
 from zetaforge.solver import (
     Certifier,
     SolvedWeight,
     TableStore,
     ensure_solved,
-    solve_in_memory,
     solve_weight,
     substitute_tables,
 )
@@ -335,6 +335,38 @@ def test_an_element_of_another_weight_shifts_no_other_element(monkeypatch):
     }
     assert rep.bijection == {27: True, 28: True}
     assert rep.plain_all_lyndon == {27: True, 28: True}
+
+
+def test_an_odd_trailing_run_and_a_duplicate_element_fail_the_listing(
+        tmp_path, monkeypatch, capsys):
+    # Z(27) becomes Z(26,1), which no collapse undoes, and Z(11,7,9)
+    # becomes a second Z(13,11,3): the count stays 73, the bijection fails
+    honest = verify_mod.published_basis
+
+    def doctored(w):
+        listing = honest(w)
+        if w == 27:
+            assert listing[:3] == [(27,), (11, 7, 9), (13, 11, 3)]
+            listing[:2] = [(26, 1), (13, 11, 3)]
+        return listing
+
+    monkeypatch.setattr(verify_mod, "published_basis", doctored)
+    rep = published_basis_check()
+    assert rep.failures == [
+        "Z(26,1): odd trailing run of 1s in (26, 1)",
+        "weight 27: collapse is not a bijection onto the Lyndon set",
+    ]
+    assert rep.counts == {27: 73, 28: 92}
+    assert rep.bijection == {27: False, 28: True}
+    report = tmp_path / "report.txt"
+    assert main(["verify", "--published-basis", "--report", str(report)]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "published listing check: FAIL" in out
+    assert "weight 27: 73 elements over 73 Lyndon words, bijection NO" in out
+    assert "  FAIL: Z(26,1): odd trailing run of 1s in (26, 1)" in out.splitlines()
+    lines = report.read_text().splitlines()
+    assert "published.27.collapse_bijection = NO" in lines
+    assert "verify.passed = NO" in lines
 
 
 # ----------------------------------------------------------- minimal depth

@@ -8,6 +8,7 @@ binary encoding rebuilt character by character.
 
 import pytest
 
+from oracles import from_binary, to_binary
 from zetaforge.lyndon import candidate_words, elimination_order
 from zetaforge.words import (
     admissible_words,
@@ -16,12 +17,10 @@ from zetaforge.words import (
     decoder,
     dual,
     dual_codes,
-    from_binary,
     is_admissible,
     is_lyndon,
     parse_word,
     render_word,
-    to_binary,
     weight,
 )
 
